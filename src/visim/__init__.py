@@ -42,7 +42,7 @@ from .geometry import (
     recenter,
     uniform_point,
 )
-from .inner import CompositeProblem, InnerSettings, composite_mp, iterations_needed
+from .inner import CompositeProblem, InnerSettings, composite_mp
 from .operators import (
     OperatorShard,
     SaddleBilinear,
@@ -59,7 +59,6 @@ from .paus import (
     PausResult,
     RunRecord,
     duality_gap,
-    gap_function_estimate,
     paus_run,
 )
 from .restart import (
@@ -83,9 +82,9 @@ __all__ = [
     "bregman_divergence", "composite_mp", "composite_prox_map", "dgf_grad",
     "dgf_value", "duality_gap", "emit_csv", "empirical_similarity_check",
     "entropy_simplex", "estimate_constants", "euclidean_ball",
-    "euclidean_paus_run", "euclidean_simplex", "gap_function_estimate",
-    "gather_average", "generate_game", "iterations_needed",
-    "lipschitz_matrix_game", "max_divergence_bound", "mirror_prox_run",
+    "euclidean_paus_run", "euclidean_simplex", "gather_average",
+    "generate_game", "lipschitz_matrix_game", "max_divergence_bound",
+    "mirror_prox_run",
     "num_restarts", "omega_d", "paus_r", "paus_run", "prox_map", "recenter",
     "reset_counters", "rounds_to_eps", "run_comparison", "run_sweep",
     "saddle_shard",

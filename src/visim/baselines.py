@@ -3,17 +3,15 @@ similarity trick, and the similarity solver run in Euclidean geometry.
 
 Both consume exactly two communication rounds per iteration through the
 same cluster counters as the main solver, so round comparisons are fair.
+Both run through the outer driver of :mod:`visim.paus`: mirror-prox with
+its extragradient step, the Euclidean run as ``paus_run`` itself.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
-
-import numpy as np
 
 from .cluster import ClusterState, gather_average
 from .errors import ParameterError
@@ -23,10 +21,9 @@ from .geometry import (
     Point,
     floor_simplex_point,
     prox_map,
-    validate_point,
 )
 from .inner import InnerSettings
-from .paus import PausConfig, PausResult, RunRecord, paus_run
+from .paus import PausConfig, PausResult, _drive, paus_run
 
 
 class BaselineKind(Enum):
@@ -67,37 +64,22 @@ def mirror_prox_run(
     if config.kind is not BaselineKind.MIRROR_PROX:
         raise ParameterError("config.kind must be MIRROR_PROX")
     geom = config.geometry
-    validate_point(geom, config.z0)
-    z = config.z0
     step = config.stepsize
-    w_sum = [np.zeros(d) for d in geom.block_dims]
-    u_avg = config.z0
-    records: list[RunRecord] = []
-    w_path: list[Point] = []
-    z_path: list[Point] = [z]
-    start = time.perf_counter()
-    for k in range(config.iters):
+
+    def extragradient(z: Point, prev_w: Point | None) -> tuple[Point, Point, int]:
         f_z = gather_average(cluster, [z])[0]
         w = prox_map(geom, z, f_z, step)
         f_w = gather_average(cluster, [w])[0]
-        z = prox_map(geom, z, f_w, step)
+        z_next = prox_map(geom, z, f_w, step)
         if geom.kind is GeometryKind.ENTROPY_SIMPLEX:
             w = floor_simplex_point(w)  # guard against float underflow to 0
-            z = floor_simplex_point(z)
-        for acc, wb in zip(w_sum, w.blocks):
-            acc += wb
-        u_avg = Point(tuple(acc / (k + 1) for acc in w_sum))
-        if log_predicate is None or log_predicate(k):
-            gap = float(gap_fn(u_avg)) if gap_fn is not None else math.nan
-            records.append(
-                RunRecord(
-                    round=cluster.round_count,
-                    iterate_gap=gap,
-                    inner_iters=0,
-                    elapsed=time.perf_counter() - start,
-                )
-            )
-    return PausResult(u_avg=u_avg, log=records, u_path=w_path, z_path=z_path)
+            z_next = floor_simplex_point(z_next)
+        return w, z_next, 0
+
+    return _drive(
+        geom, config.z0, config.iters, extragradient, cluster, gap_fn, False,
+        log_predicate,
+    )
 
 
 def euclidean_paus_run(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import BaselineConfig, BaselineKind, euclidean_paus_run, mirror_prox_run
+from .baselines import BaselineConfig, BaselineKind, mirror_prox_run
 from .cluster import ClusterState, shard_data
 from .errors import ConfigError, IoError, ParameterError, VisimError
 from .geometry import (
@@ -25,18 +25,18 @@ from .geometry import (
     max_divergence_bound,
     uniform_point,
 )
-from .inner import InnerSettings
 from .operators import (
     SimilarityConstants,
     lipschitz_matrix_game,
     similarity_matrix_game,
 )
-from .paus import PausConfig, PausResult, RunRecord, duality_gap, paus_run
+from .paus import PausConfig, RunRecord, duality_gap, paus_run
 
 SOLVERS = ("paus", "mirror-prox", "euclidean")
 DENSE_LOG_ROUNDS = 1000
 LOG_RATIO = 1.1
 GAMMA_CAP_SCALE = 1e6  # gamma cap = scale / L when delta underflows
+EPS_ITERS_CAP = 100_000  # largest iteration count run_comparison derives from eps
 
 
 @dataclass(frozen=True)
@@ -193,9 +193,6 @@ def run_comparison(
     c: float = 1.0,
     eps: float | None = None,
     timing: bool = False,
-    parallel: bool = False,
-    inner: InnerSettings | None = None,
-    max_iters_cap: int = 100_000,
 ) -> ExperimentResult:
     """Run the selected solvers on identical shards and record their
     gap-vs-rounds series.  Each solver gets a fresh cluster over the same
@@ -203,7 +200,8 @@ def run_comparison(
     round-0 record holding the gap at the uniform start.
 
     With ``eps`` set, each solver's iteration count is taken from its gap
-    envelope K = ceil(maxV / (gamma eps)) (capped), overriding ``iters``.
+    envelope K = ceil(maxV / (gamma eps)) (capped at ``EPS_ITERS_CAP``),
+    overriding ``iters``.
     """
     for s in solvers:
         if s not in SOLVERS:
@@ -216,81 +214,62 @@ def run_comparison(
     consts = estimate_constants(mats, spec.m, "l1/linf")
     consts_l2 = estimate_constants(mats, spec.m, "l2")
     result = ExperimentResult(spec=spec, constants=consts, timing=timing)
-    inner = inner if inner is not None else InnerSettings()
 
     def gap_fn(u):
         return duality_gap(mean, u.blocks[0], u.blocks[1])
 
-    # the gamma <= 1/delta guard only applies to theory-respecting runs;
-    # a sweep with c > 1 deliberately over-steps to probe divergence
-    delta_arg = consts.delta if c <= 1.0 else None
-    delta_l2_arg = consts_l2.delta if c <= 1.0 else None
-
     for solver in solvers:
-        cluster = ClusterState(shards=list(shards), parallel=parallel)
+        cluster = ClusterState(shards=list(shards))
         gamma = _stepsize(solver, c, consts, consts_l2)
         result.gammas[solver] = gamma
-        z0_ent = uniform_point(entropy_simplex(spec.d))
+        geom = (
+            euclidean_simplex(spec.d) if solver == "euclidean"
+            else entropy_simplex(spec.d)
+        )
+        z0 = uniform_point(geom)
         solver_iters = iters
         if eps is not None:
             if eps <= 0.0:
                 raise ParameterError("eps must be positive")
-            geom = (
-                euclidean_simplex(spec.d) if solver == "euclidean"
-                else entropy_simplex(spec.d)
-            )
-            max_v = max_divergence_bound(geom, uniform_point(geom))
+            max_v = max_divergence_bound(geom, z0)
             solver_iters = min(
-                max_iters_cap, max(1, math.ceil(max_v / (gamma * eps)))
+                EPS_ITERS_CAP, max(1, math.ceil(max_v / (gamma * eps)))
             )
         logged = log_indices(solver_iters)
         try:
-            if solver == "paus":
-                cfg = PausConfig(
-                    gamma=gamma,
-                    iters=solver_iters,
-                    geometry=entropy_simplex(spec.d),
-                    z0=z0_ent,
-                    l_f1=consts.L_F1,
-                    delta=delta_arg,
-                    inner=inner,
-                )
-                run = paus_run(
-                    cfg, cluster, gap_fn=gap_fn, log_predicate=logged.__contains__
-                )
-            elif solver == "mirror-prox":
+            if solver == "mirror-prox":
                 cfg = BaselineConfig(
                     kind=BaselineKind.MIRROR_PROX,
                     stepsize=gamma,
                     iters=solver_iters,
-                    geometry=entropy_simplex(spec.d),
-                    z0=z0_ent,
+                    geometry=geom,
+                    z0=z0,
                 )
                 run = mirror_prox_run(
                     cfg, cluster, gap_fn=gap_fn, log_predicate=logged.__contains__
                 )
             else:
-                geom = euclidean_simplex(spec.d)
-                cfg = BaselineConfig(
-                    kind=BaselineKind.EUCLIDEAN_PAUS,
-                    stepsize=gamma,
+                # paus and euclidean differ only in the geometry and in the
+                # pairing their constants are measured in
+                pair = consts_l2 if solver == "euclidean" else consts
+                cfg = PausConfig(
+                    gamma=gamma,
                     iters=solver_iters,
                     geometry=geom,
-                    z0=uniform_point(geom),
-                    l_f1=consts_l2.L_F1,
-                    delta=delta_l2_arg,
-                    inner=inner,
+                    z0=z0,
+                    l_f1=pair.L_F1,
+                    # the gamma <= 1/delta guard only applies to
+                    # theory-respecting runs; a sweep with c > 1
+                    # deliberately over-steps to probe divergence
+                    delta=pair.delta if c <= 1.0 else None,
                 )
-                run = euclidean_paus_run(
+                run = paus_run(
                     cfg, cluster, gap_fn=gap_fn, log_predicate=logged.__contains__
                 )
         except VisimError as exc:
             result.errors[solver] = f"{type(exc).__name__}: {exc}"
             continue
-        head = RunRecord(
-            round=0, iterate_gap=gap_fn(uniform_point(entropy_simplex(spec.d))),
-            inner_iters=0, elapsed=0.0,
-        )
+        head = RunRecord(round=0, iterate_gap=gap_fn(z0), inner_iters=0, elapsed=0.0)
         result.series[solver] = [head] + run.log
     return result
 

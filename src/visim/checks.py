@@ -18,7 +18,6 @@ from .geometry import (
     DualVector,
     Point,
     bregman_divergence,
-    composite_prox_map,
     entropy_simplex,
     euclidean_ball,
     pairing,

@@ -6,21 +6,20 @@ evaluations at all of them.  Extragradient-type solvers therefore cost two
 rounds per iteration (one exchange at z^k, one at u^k).  Byte accounting
 counts both directions, 8 bytes per real coordinate.
 
-The reduction is ordered by worker index regardless of the ``parallel``
-flag, so gathered averages are reproducible bit-for-bit.
+Workers are evaluated one after another and the reduction is ordered by
+worker index (:func:`visim.operators.average_operator`), so gathered
+averages are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .geometry import DualVector, Point
-from .operators import OperatorShard, saddle_shard
+from .operators import OperatorShard, average_operator, saddle_shard
 
 
 @dataclass
@@ -28,7 +27,6 @@ class ClusterState:
     shards: list[OperatorShard]
     round_count: int = 0
     bytes_sent: int = 0
-    parallel: bool = False
 
     @property
     def m(self) -> int:
@@ -44,13 +42,6 @@ class ClusterState:
         return self.server_shard.evaluate(z)
 
 
-def _max_workers() -> int:
-    cap = os.environ.get("VI_SIM_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return os.cpu_count() or 1
-
-
 def gather_average(cluster: ClusterState, points: list[Point]) -> list[DualVector]:
     """One communication round: every worker evaluates its shard at all
     ``points``; the server returns the coordinate-wise averages.
@@ -60,36 +51,11 @@ def gather_average(cluster: ClusterState, points: list[Point]) -> list[DualVecto
     """
     if not points:
         raise ConfigError("gather_average needs at least one point")
-    m = cluster.m
-    if m == 0:
-        raise ConfigError("cluster has no workers")
-
-    def worker(i: int) -> list[DualVector]:
-        try:
-            return [cluster.shards[i].evaluate(z) for z in points]
-        except Exception as exc:
-            raise type(exc)(f"worker {i + 1}: {exc}") from exc
-
-    if cluster.parallel and m > 1:
-        with ThreadPoolExecutor(max_workers=min(m, _max_workers())) as pool:
-            results = list(pool.map(worker, range(m)))
-    else:
-        results = [worker(i) for i in range(m)]
-
-    averages = []
-    for j in range(len(points)):
-        acc = [b.copy() for b in results[0][j].blocks]
-        for i in range(1, m):
-            out = results[i][j]
-            if len(out.blocks) != len(acc):
-                raise ShapeError(f"worker {i + 1} returned a different block layout")
-            for a, b in zip(acc, out.blocks):
-                a += b
-        averages.append(DualVector(tuple(b / m for b in acc)))
-
+    # raises ConfigError for a cluster without workers
+    averages = [average_operator(cluster.shards, z) for z in points]
     coords = sum(b.size for b in points[0].blocks) * len(points)
     cluster.round_count += 1
-    cluster.bytes_sent += 2 * m * coords * 8  # broadcast + gather
+    cluster.bytes_sent += 2 * cluster.m * coords * 8  # broadcast + gather
     return averages
 
 

@@ -41,13 +41,5 @@ class UnsupportedRecenterError(VisimError):
     """The geometry's DGF does not support translation."""
 
 
-class InnerSolverError(VisimError):
-    """The inner solver did not reach its target accuracy within its cap."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class RestartStallError(VisimError):
     """A restart stage failed to halve the distance to a known solution."""

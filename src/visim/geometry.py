@@ -38,6 +38,9 @@ from .errors import (
 
 SIMPLEX_SUM_TOL = 1e-12
 BALL_TOL = 1e-12
+# relative overshoot of the ball's sphere that the SLSQP fallback of the
+# ball prox may leave as round-off; it is rescaled onto the sphere
+SLSQP_OVERSHOOT_TOL = 1e-9
 
 
 class GeometryKind(Enum):
@@ -480,7 +483,19 @@ def _ball_constrained_solve(
         obj, z_unc * (r / norm_p), method="SLSQP", constraints=[cons],
         options={"maxiter": 500, "ftol": 1e-14},
     )
-    return np.asarray(res.x, dtype=float)
+    # res.success alone is not trusted either way: SLSQP reports failure on
+    # solves whose point is fine, and success says nothing about round-off
+    # past the sphere.  Feasibility decides.
+    z = np.asarray(res.x, dtype=float)
+    norm_z = float(np.sum(np.abs(z) ** p) ** (1.0 / p))
+    if not np.all(np.isfinite(z)) or norm_z > r * (1.0 + SLSQP_OVERSHOOT_TOL):
+        raise NumericsError(
+            f"ball prox fallback left the ball (||z||_{p} = {norm_z!r}, "
+            f"radius {r}): {res.message}"
+        )
+    if norm_z > r + BALL_TOL:
+        z = z * (r / norm_z)  # round-off past the sphere: back onto it
+    return z
 
 
 def prox_map(setup: GeometrySetup, center: Point, g: DualVector, step: float) -> Point:

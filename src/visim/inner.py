@@ -18,7 +18,6 @@ here runs on the server; no communication rounds are consumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,18 +38,16 @@ from .operators import OperatorShard, SaddleBilinear
 
 @dataclass
 class InnerSettings:
-    """Tuning knobs for the inner solver.
+    """The inner solver's accuracy.
 
-    ``tolerance`` is the movement-based early-stop threshold on
-    V(v^{t+1}, v^t); ``None`` lets the caller derive one from its outer
-    accuracy target.  ``max_iters`` caps the loop (``None`` -> use
-    :func:`iterations_needed`).  ``warm_start`` reuses the previous
-    subproblem solution as the starting point.
+    ``tolerance`` is the Bregman accuracy eps_inner each subproblem is
+    solved to; ``None`` lets the outer solver derive it from its accuracy
+    target.  The outer solver turns it into the movement stop on
+    V(v^{t+1}, v^t) and the iteration cap, and always starts each
+    subproblem from the previous one's solution (warm start).
     """
 
     tolerance: float | None = None
-    max_iters: int | None = None
-    warm_start: bool = True
 
 
 @dataclass(frozen=True)
@@ -86,17 +83,6 @@ class CompositeProblem:
         return DualVector(
             tuple(s * (fb + ob) for fb, ob in zip(fv.blocks, self.offset.blocks))
         )
-
-
-def iterations_needed(l_f1: float, delta: float, v0: float, eps: float) -> int:
-    """T = ceil((3 L_F1 / delta) * log(V0 / eps)), at least 1."""
-    if l_f1 <= 0.0 or delta <= 0.0:
-        raise ParameterError("l_f1 and delta must be positive")
-    if v0 < 0.0 or eps <= 0.0:
-        raise ParameterError("v0 must be >= 0 and eps > 0")
-    if eps >= v0:
-        return 1
-    return max(1, math.ceil(3.0 * l_f1 / delta * math.log(v0 / eps)))
 
 
 def _log_space_ok(problem: CompositeProblem) -> bool:

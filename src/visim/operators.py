@@ -96,17 +96,23 @@ class SimilarityConstants:
 
 
 def average_operator(shards: list[OperatorShard], z: Point) -> DualVector:
-    """F(z) = (1/m) sum_i F_i(z), reduced in shard order."""
+    """F(z) = (1/m) sum_i F_i(z), reduced in shard order.
+
+    Errors name the failing shard as its worker, counted from 1.
+    """
     if not shards:
         raise ConfigError("cannot average an empty shard list")
     acc = None
-    for shard in shards:
-        out = shard.evaluate(z)
+    for i, shard in enumerate(shards):
+        try:
+            out = shard.evaluate(z)
+        except Exception as exc:
+            raise type(exc)(f"worker {i + 1}: {exc}") from exc
         if acc is None:
             acc = [b.copy() for b in out.blocks]
         else:
             if len(out.blocks) != len(acc):
-                raise ShapeError("shard outputs have differing block layouts")
+                raise ShapeError(f"worker {i + 1} returned a different block layout")
             for a, b in zip(acc, out.blocks):
                 a += b
     return DualVector(tuple(b / len(shards) for b in acc))

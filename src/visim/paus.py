@@ -13,6 +13,11 @@ Each outer iteration costs exactly two communication rounds:
 The returned point is the uniform (ergodic) average of u^0..u^{K-1},
 which carries the gap guarantee  Gap(u_avg) <= max_z V(z, z^0) / (K gamma)
 when gamma <= 1/delta.
+
+The outer loop itself (ergodic average, ``keep_iterates`` paths and the
+RunRecord log) lives in one private driver, ``_drive``, which takes the
+solver's step as a function.  ``paus_run`` passes the similarity step
+above; the mirror-prox baseline passes its extragradient step.
 """
 
 from __future__ import annotations
@@ -27,22 +32,22 @@ import numpy as np
 from .cluster import ClusterState, gather_average
 from .errors import ParameterError
 from .geometry import (
-    DomainKind,
     DualVector,
     GeometryKind,
     GeometrySetup,
     Point,
     floor_simplex_point,
     max_divergence_bound,
-    pairing,
     prox_map,
-    random_point,
     validate_point,
 )
 from .inner import CompositeProblem, InnerSettings, composite_mp
 
 DEFAULT_INNER_TOL = 1e-10
 MOVEMENT_TOL_FLOOR = 1e-17
+
+# one outer iteration: (z^k, u^{k-1} or None) -> (u^k, z^{k+1}, inner iterations)
+Step = Callable[[Point, Point | None], tuple[Point, Point, int]]
 
 
 @dataclass
@@ -115,71 +120,47 @@ def _inner_plan(config: PausConfig) -> tuple[int, float]:
     with eps_target the gap envelope at the configured K; movement between
     successive inner iterates of order eta^2 * eps_inner certifies it.
     """
-    settings = config.inner
     v0_bound = max_divergence_bound(config.geometry, config.z0)
     eps_target = v0_bound / (config.iters * config.gamma)
-    eps_inner = settings.tolerance
+    eps_inner = config.inner.tolerance
     if eps_inner is None:
         eps_inner = min(DEFAULT_INNER_TOL, eps_target**2 / 100.0)
     eta = 1.0 / (2.0 * config.gamma * config.l_f1)
     movement_tol = max(eps_inner * (eta / (1.0 + eta)) ** 2, MOVEMENT_TOL_FLOOR)
-    if settings.max_iters is not None:
-        cap = settings.max_iters
-    else:
-        ratio = max(v0_bound / eps_inner, 1.0 + 1e-12)
-        cap = max(1, math.ceil(math.log(ratio) / math.log1p(eta)))
+    # the contraction 1/(1+eta) per iteration takes V0 down to eps_inner
+    ratio = max(v0_bound / eps_inner, 1.0 + 1e-12)
+    cap = max(1, math.ceil(math.log(ratio) / math.log1p(eta)))
     return cap, movement_tol
 
 
-def paus_run(
-    config: PausConfig,
+def _drive(
+    geometry: GeometrySetup,
+    z0: Point,
+    iters: int,
+    step: Step,
     cluster: ClusterState,
-    gap_fn: Callable[[Point], float] | None = None,
-    keep_iterates: bool = False,
-    log_predicate: Callable[[int], bool] | None = None,
+    gap_fn: Callable[[Point], float] | None,
+    keep_iterates: bool,
+    log_predicate: Callable[[int], bool] | None,
 ) -> PausResult:
-    """Run K outer iterations on the cluster and return the ergodic average.
+    """The outer loop shared by every solver: ``iters`` calls of ``step``
+    from ``z0``, the ergodic average of the returned u^k, and the log.
 
-    ``gap_fn`` maps the running average to a scalar gap for logging
-    (NaN logged when omitted); ``log_predicate(k)`` selects which outer
-    iterations produce a RunRecord (all of them by default).
-    ``keep_iterates`` additionally records u^k and z^k for certificates.
+    ``step(z, prev_u)`` takes one outer iteration from z^k (``prev_u`` is
+    u^{k-1}, None at k = 0) and returns (u^k, z^{k+1}, inner iterations).
     """
-    geom = config.geometry
-    validate_point(geom, config.z0)
-    cap, movement_tol = _inner_plan(config)
-    z = config.z0
-    u_sum = [np.zeros(d) for d in geom.block_dims]
-    u_avg = config.z0
+    validate_point(geometry, z0)
+    z = z0
+    u_sum = [np.zeros(d) for d in geometry.block_dims]
+    u_avg = z0
     prev_u: Point | None = None
     records: list[RunRecord] = []
     u_path: list[Point] = []
     z_path: list[Point] = [z]
     start = time.perf_counter()
 
-    for k in range(config.iters):
-        f_z = gather_average(cluster, [z])[0]
-        f1_z = cluster.server_evaluate(z)
-        offset = _dual_combine((1.0, f_z), (-1.0, f1_z))
-        problem = CompositeProblem(
-            gamma=config.gamma,
-            anchor=z,
-            f1=cluster.server_shard,
-            offset=offset,
-            geometry=geom,
-            l_f1=config.l_f1,
-        )
-        v0 = prev_u if (config.inner.warm_start and prev_u is not None) else z
-        u, inner_iters = composite_mp(problem, v0, cap, movement_tol)
-        if geom.kind is GeometryKind.ENTROPY_SIMPLEX:
-            u = floor_simplex_point(u)  # guard against float underflow to 0
-        f1_u = cluster.server_evaluate(u)
-        f_u = gather_average(cluster, [u])[0]
-        g = _dual_combine((1.0, f_u), (-1.0, f1_u), (-1.0, f_z), (1.0, f1_z))
-        z = prox_map(geom, u, g, config.gamma)
-        if geom.kind is GeometryKind.ENTROPY_SIMPLEX:
-            z = floor_simplex_point(z)
-
+    for k in range(iters):
+        u, z, inner_iters = step(z, prev_u)
         for acc, ub in zip(u_sum, u.blocks):
             acc += ub
         u_avg = Point(tuple(acc / (k + 1) for acc in u_sum))
@@ -200,51 +181,56 @@ def paus_run(
     return PausResult(u_avg=u_avg, log=records, u_path=u_path, z_path=z_path)
 
 
+def paus_run(
+    config: PausConfig,
+    cluster: ClusterState,
+    gap_fn: Callable[[Point], float] | None = None,
+    keep_iterates: bool = False,
+    log_predicate: Callable[[int], bool] | None = None,
+) -> PausResult:
+    """Run K outer iterations on the cluster and return the ergodic average.
+
+    ``gap_fn`` maps the running average to a scalar gap for logging
+    (NaN logged when omitted); ``log_predicate(k)`` selects which outer
+    iterations produce a RunRecord (all of them by default).
+    ``keep_iterates`` additionally records u^k and z^k for certificates.
+    """
+    geom = config.geometry
+    cap, movement_tol = _inner_plan(config)
+
+    def step(z: Point, prev_u: Point | None) -> tuple[Point, Point, int]:
+        f_z = gather_average(cluster, [z])[0]
+        f1_z = cluster.server_evaluate(z)
+        offset = _dual_combine((1.0, f_z), (-1.0, f1_z))
+        problem = CompositeProblem(
+            gamma=config.gamma,
+            anchor=z,
+            f1=cluster.server_shard,
+            offset=offset,
+            geometry=geom,
+            l_f1=config.l_f1,
+        )
+        # warm start: the previous subproblem solution
+        v0 = prev_u if prev_u is not None else z
+        u, inner_iters = composite_mp(problem, v0, cap, movement_tol)
+        if geom.kind is GeometryKind.ENTROPY_SIMPLEX:
+            u = floor_simplex_point(u)  # guard against float underflow to 0
+        f1_u = cluster.server_evaluate(u)
+        f_u = gather_average(cluster, [u])[0]
+        g = _dual_combine((1.0, f_u), (-1.0, f1_u), (-1.0, f_z), (1.0, f1_z))
+        z_next = prox_map(geom, u, g, config.gamma)
+        if geom.kind is GeometryKind.ENTROPY_SIMPLEX:
+            z_next = floor_simplex_point(z_next)
+        return u, z_next, inner_iters
+
+    return _drive(
+        geom, config.z0, config.iters, step, cluster, gap_fn, keep_iterates,
+        log_predicate,
+    )
+
+
 def duality_gap(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """max_j (M^T x)_j - min_i (M y)_i: the matrix-game duality gap of the
     strategy pair (x, y).  Zero exactly at Nash equilibria."""
     M = np.asarray(M, dtype=float)
     return float(np.max(M.T @ x) - np.min(M @ y))
-
-
-def gap_function_estimate(
-    f_avg: Callable[[Point], DualVector],
-    u: Point,
-    samples: int,
-    seed: int,
-    geometry: GeometrySetup | None = None,
-) -> float:
-    """Lower bound on Gap(u) = max_z <F(z), u - z> by maximizing over
-    sampled feasible z plus (for small simplex products) all vertex pairs.
-
-    Without a ``geometry`` the blocks of u are assumed to be probability
-    simplices.
-    """
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    dims = tuple(b.size for b in u.blocks)
-
-    def value(z: Point) -> float:
-        diff = Point(tuple(ub - zb for ub, zb in zip(u.blocks, z.blocks)))
-        return pairing(f_avg(z), diff)
-
-    best = 0.0
-    if geometry is not None:
-        cands = [random_point(geometry, rng) for _ in range(samples)]
-        on_simplex = geometry.domain.kind is DomainKind.SIMPLEX_PRODUCT
-    else:
-        cands = [
-            Point.of(*(rng.dirichlet(np.ones(d)) for d in dims))
-            for _ in range(samples)
-        ]
-        on_simplex = True
-    for z in cands:
-        best = max(best, value(z))
-    if on_simplex and len(dims) == 2 and dims[0] * dims[1] <= 2500:
-        eye0 = np.eye(dims[0])
-        eye1 = np.eye(dims[1])
-        for i in range(dims[0]):
-            for j in range(dims[1]):
-                best = max(best, value(Point.of(eye0[i], eye1[j])))
-    return best

@@ -27,6 +27,7 @@ from .geometry import (
     validate_point,
 )
 from .inner import InnerSettings
+from .operators import SimilarityConstants, affine_shard
 from .paus import PausConfig, PausResult, paus_run
 
 HALVING_SLACK = 1.05
@@ -169,8 +170,6 @@ def synthetic_strongly_monotone(
 
     Returns (shards, z_star, constants) with l2-pairing constants.
     """
-    from .operators import OperatorShard, SimilarityConstants
-
     if not (0.0 < spread < 1.0):
         raise ParameterError("spread must lie in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -184,17 +183,7 @@ def synthetic_strongly_monotone(
     E -= E.mean(axis=0)
     E *= delta / max(np.linalg.norm(E[0], 2), 1e-15)
 
-    def make_shard(Ai: np.ndarray) -> OperatorShard:
-        M = Ai + mu * np.eye(dim)
-
-        def ev(z):
-            from .geometry import DualVector
-
-            return DualVector((M @ z.blocks[0] + b,))
-
-        return OperatorShard(payload=(M, b), evaluate=ev)
-
-    shards = [make_shard(A + E[i]) for i in range(m)]
+    shards = [affine_shard(A + E[i] + mu * np.eye(dim), b) for i in range(m)]
     consts = SimilarityConstants(
         L=float(np.linalg.norm(A + mu * np.eye(dim), 2)),
         L_F1=float(np.linalg.norm(A + E[0] + mu * np.eye(dim), 2)),

@@ -11,8 +11,11 @@ from visim.cluster import ClusterState
 from visim.errors import ParameterError
 from visim.geometry import (
     DualVector,
+    Point,
     entropy_simplex,
     euclidean_simplex,
+    floor_simplex_point,
+    prox_map,
     uniform_point,
 )
 from visim.operators import OperatorShard, saddle_shard
@@ -78,6 +81,49 @@ def test_mirror_prox_round_accounting():
     assert cluster.round_count == 18
     assert [rec.round for rec in out.log] == [6, 12, 18]
     assert all(rec.inner_iters == 0 for rec in out.log)
+
+
+def test_mirror_prox_matches_reference_extragradient_loop():
+    # the extragradient loop written out with the geometry primitives; the
+    # shard averages are summed in worker order like the cluster's gather
+    cluster, mean, L, _, _ = _game_cluster(d=4, T=40, m=4, seed=6)
+    shards = list(cluster.shards)
+    geom = entropy_simplex(4)
+    K, step = 12, 1.0 / L
+
+    def gap_fn(u):
+        return duality_gap(mean, u.blocks[0], u.blocks[1])
+
+    cfg = BaselineConfig(
+        kind=BaselineKind.MIRROR_PROX, stepsize=step, iters=K,
+        geometry=geom, z0=uniform_point(geom),
+    )
+    out = mirror_prox_run(cfg, cluster, gap_fn=gap_fn)
+
+    def f_avg(z):
+        outs = [s.evaluate(z) for s in shards]
+        return DualVector(
+            tuple(sum(o.blocks[i] for o in outs) / len(shards) for i in range(2))
+        )
+
+    z = uniform_point(geom)
+    w_sum = [np.zeros(4), np.zeros(4)]
+    gaps = []
+    for k in range(K):
+        w = prox_map(geom, z, f_avg(z), step)
+        z = floor_simplex_point(prox_map(geom, z, f_avg(w), step))
+        w = floor_simplex_point(w)
+        for acc, wb in zip(w_sum, w.blocks):
+            acc += wb
+        u_avg = Point(tuple(acc / (k + 1) for acc in w_sum))
+        gaps.append(gap_fn(u_avg))
+
+    for got, want in zip(out.u_avg.blocks, u_avg.blocks):
+        np.testing.assert_array_equal(got, want)
+    assert [rec.iterate_gap for rec in out.log] == gaps
+    assert [rec.round for rec in out.log] == [2 * (k + 1) for k in range(K)]
+    assert cluster.round_count == 2 * K
+    assert cluster.bytes_sent == 2 * K * (2 * 4 * 8 * 8)
 
 
 def test_euclidean_run_stays_on_simplex():

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from visim.baselines import BaselineConfig, BaselineKind, euclidean_paus_run
 from visim.bench import (
     GameSpec,
     base_matrix,
@@ -16,8 +17,10 @@ from visim.bench import (
     run_comparison,
     run_sweep,
 )
+from visim.cluster import ClusterState, shard_data
 from visim.errors import ConfigError, IoError, ParameterError
-from visim.paus import RunRecord
+from visim.geometry import euclidean_simplex, uniform_point
+from visim.paus import RunRecord, duality_gap
 
 
 def test_matrices_are_zero_or_twice_base():
@@ -215,3 +218,32 @@ def test_run_sweep_keys_and_gammas():
     assert g[2.0] == pytest.approx(4.0 * g[0.5])
     with pytest.raises(ConfigError):
         run_sweep(spec, ())
+
+
+def test_euclidean_series_equals_euclidean_paus_run():
+    # run_comparison reaches paus_run directly, the baseline entry point
+    # through BaselineConfig: both routes give the same series
+    spec = GameSpec(d=5, T=60, m=3, seed=4)
+    iters = 15
+    res = run_comparison(spec, solvers=("euclidean",), iters=iters)
+    mats = generate_game(spec)
+    mean = mats.mean(axis=0)
+    consts = estimate_constants(mats, spec.m, "l2")
+    geom = euclidean_simplex(spec.d)
+    cfg = BaselineConfig(
+        kind=BaselineKind.EUCLIDEAN_PAUS, stepsize=1.0 / consts.delta,
+        iters=iters, geometry=geom, z0=uniform_point(geom),
+        l_f1=consts.L_F1, delta=consts.delta,
+    )
+    run = euclidean_paus_run(
+        cfg, ClusterState(shards=shard_data(mats, spec.m)),
+        gap_fn=lambda u: duality_gap(mean, u.blocks[0], u.blocks[1]),
+        log_predicate=log_indices(iters).__contains__,
+    )
+    assert res.gammas["euclidean"] == cfg.stepsize
+
+    def rows(log):
+        return [(r.round, r.iterate_gap, r.inner_iters) for r in log]
+
+    assert rows(res.series["euclidean"][1:]) == rows(run.log)
+    assert sum(r.inner_iters for r in run.log) > 0

@@ -253,6 +253,62 @@ def test_prox_a_norm_stays_in_ball_and_beats_oracle():
         np.testing.assert_allclose(got.blocks[0], ref, atol=2e-5)
 
 
+def _slsqp_returning(monkeypatch, x, message="Iteration limit reached"):
+    """Make the ball prox's SLSQP fallback return ``x`` (reported as a
+    failed solve), and count its calls."""
+    import types
+
+    import scipy.optimize
+
+    calls = []
+
+    def fake_minimize(fun, x0, **kwargs):
+        calls.append(x0)
+        return types.SimpleNamespace(
+            x=np.array(x, dtype=float), success=False, message=message
+        )
+
+    monkeypatch.setattr(scipy.optimize, "minimize", fake_minimize)
+    return calls
+
+
+def _fallback_prox(setup):
+    # a ball norm p other than the DGF exponent a (here p = 1) takes the
+    # SLSQP fallback once a long step from the centre leaves the ball
+    g = DualVector.of(-10.0 * np.eye(setup.block_dims[0])[0])
+    return prox_map(setup, uniform_point(setup), g, 1.0)
+
+
+def test_ball_fallback_rescales_round_off_onto_the_sphere(monkeypatch):
+    setup = a_norm_ball(6, p=1.0)
+    x = np.array([0.25, 0.75, 0.0, 0.0, 0.0, 0.0]) * (1.0 + 2.3e-12)
+    calls = _slsqp_returning(monkeypatch, x)
+    got = _fallback_prox(setup)
+    assert len(calls) == 1
+    validate_point(setup, got)
+    assert abs(np.abs(got.blocks[0]).sum() - 1.0) <= 1e-15
+    np.testing.assert_allclose(got.blocks[0], [0.25, 0.75, 0, 0, 0, 0], rtol=1e-11)
+
+
+def test_ball_fallback_keeps_a_feasible_point_despite_failure_flag(monkeypatch):
+    setup = a_norm_ball(6, p=1.0)
+    x = np.array([0.3, 0.3, 0.3, 0.0, 0.0, 0.0])
+    calls = _slsqp_returning(monkeypatch, x)
+    got = _fallback_prox(setup)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(got.blocks[0], x)
+
+
+def test_ball_fallback_raises_beyond_round_off(monkeypatch):
+    setup = a_norm_ball(6, p=1.0)
+    _slsqp_returning(monkeypatch, [1.01, 0, 0, 0, 0, 0], "Positive directional")
+    with pytest.raises(NumericsError, match="Positive directional"):
+        _fallback_prox(setup)
+    _slsqp_returning(monkeypatch, [np.nan, 0, 0, 0, 0, 0], "Inequality constraints")
+    with pytest.raises(NumericsError, match="Inequality constraints"):
+        _fallback_prox(setup)
+
+
 # ---------------------------------------------------------------------------
 # composite prox map
 

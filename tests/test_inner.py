@@ -20,7 +20,6 @@ from visim.inner import (
     CompositeProblem,
     _log_space_operands,
     composite_mp,
-    iterations_needed,
 )
 from visim.operators import OperatorShard, saddle_shard
 
@@ -61,18 +60,6 @@ def _game_problem(d, T, m, seed, gamma=None):
         l_f1=l_f1,
     )
     return prob, delta, l_f1
-
-
-def test_iterations_needed_examples():
-    # L = delta, V0/eps = e -> 3 * log(e) = 3
-    assert iterations_needed(1.0, 1.0, math.e, 1.0) == 3
-    assert iterations_needed(1.0, 1.0, 1.0, 2.0) == 1  # already converged
-    base = iterations_needed(1.0, 0.5, 10.0, 1e-3)
-    assert iterations_needed(2.0, 0.5, 10.0, 1e-3) == pytest.approx(2 * base, abs=1)
-    with pytest.raises(ParameterError):
-        iterations_needed(0.0, 1.0, 1.0, 0.5)
-    with pytest.raises(ParameterError):
-        iterations_needed(1.0, 1.0, 1.0, 0.0)
 
 
 def test_zero_operator_anchor_is_stationary():

@@ -7,15 +7,13 @@ from visim.cluster import ClusterState
 from visim.errors import ParameterError
 from visim.geometry import (
     DualVector,
-    Point,
     bregman_divergence,
     entropy_simplex,
     max_divergence_bound,
     uniform_point,
 )
-from visim.inner import InnerSettings
 from visim.operators import OperatorShard, saddle_shard
-from visim.paus import PausConfig, duality_gap, gap_function_estimate, paus_run
+from visim.paus import PausConfig, duality_gap, paus_run
 
 
 def _game_cluster(d, T, m, seed):
@@ -151,46 +149,3 @@ def test_duality_gap_examples():
     M = np.array([[1.0, 0.0], [0.0, 0.0]])
     e1 = np.array([1.0, 0.0])
     assert duality_gap(M, e1, e1) == pytest.approx(1.0)
-
-
-def test_gap_estimate_matches_duality_gap_for_bilinear():
-    # <F(z), u - z> is linear in z for saddle operators, so the vertex scan
-    # inside the estimator is exact and recovers the duality gap
-    rng = np.random.default_rng(6)
-    M = rng.uniform(-1.0, 1.0, size=(4, 4))
-    op = saddle_shard(M)
-    u = Point.of(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4)))
-    est = gap_function_estimate(op.evaluate, u, samples=10, seed=7)
-    want = duality_gap(M, u.blocks[0], u.blocks[1])
-    assert est == pytest.approx(want, abs=1e-9)
-
-
-def test_gap_estimate_monotone_in_samples_and_nonnegative():
-    rng = np.random.default_rng(8)
-    M = rng.normal(size=(3, 3))
-    op = saddle_shard(M)
-    u = Point.of(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3)))
-    vals = [
-        gap_function_estimate(op.evaluate, u, samples=s, seed=9)
-        for s in (1, 10, 100)
-    ]
-    assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
-    assert all(v >= 0.0 for v in vals)
-    with pytest.raises(ParameterError):
-        gap_function_estimate(op.evaluate, u, samples=0, seed=0)
-
-
-def test_warm_start_and_cold_start_agree_on_average():
-    # warm starting the inner solver is a speed knob, not a semantics one
-    cluster, mean, _, delta, l_f1 = _game_cluster(d=4, T=40, m=4, seed=10)
-    geom = entropy_simplex(4)
-    outs = []
-    for warm in (True, False):
-        cfg = PausConfig(
-            gamma=1.0 / delta, iters=15, geometry=geom,
-            z0=uniform_point(geom), l_f1=l_f1, delta=delta,
-            inner=InnerSettings(tolerance=1e-16, warm_start=warm),
-        )
-        outs.append(paus_run(cfg, cluster).u_avg)
-    gaps = [duality_gap(mean, o.blocks[0], o.blocks[1]) for o in outs]
-    assert abs(gaps[0] - gaps[1]) < 1e-5
