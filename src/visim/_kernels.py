@@ -4,9 +4,10 @@ The composite extragradient inner solver dominates runtime at large round
 budgets.  For the entropy geometry with a bilinear operator its update is a
 few dense vector operations on the stacked log-state (log x, log y), which
 :func:`log_space_loop` performs with numpy.  When numba is installed the
-very same function is compiled; nothing else changes.  The generic
-block-wise path in :mod:`visim.inner` stays the reference implementation;
-tests assert the two agree.
+very same function is compiled; nothing else changes.  The loop measures
+movement in log space and floors at ``TINY_MASS``, so it agrees with the
+generic block-wise loop of :mod:`visim.inner` to round-off, not bit for
+bit; tests assert the agreement.
 """
 
 from __future__ import annotations

@@ -14,6 +14,13 @@ subproblem's solution by 1 / (1 + eta), so
 
 iterations reach Bregman accuracy eps when gamma = 1 / delta.  Everything
 here runs on the server; no communication rounds are consumed.
+
+Three loops implement the iteration.  Entropy problems with a saddle F1
+run the log-space loop of :mod:`visim._kernels`; Euclidean problems with a
+saddle F1 on two equal simplex blocks, or an affine F1 on the l2 ball, run
+a stacked numpy loop with the same bits as the generic one; everything
+else, and any run that asks for ``force_generic`` or ``record_path``, runs
+the generic block-wise loop.
 """
 
 from __future__ import annotations
@@ -25,13 +32,16 @@ import numpy as np
 from . import _kernels
 from .errors import NumericsError, ParameterError
 from .geometry import (
+    DomainKind,
     DualVector,
     GeometryKind,
     GeometrySetup,
     Point,
     TINY_MASS,
+    _project_domain_block,
     bregman_divergence,
     composite_prox_map,
+    project_rows_simplex,
 )
 from .operators import OperatorShard
 
@@ -141,6 +151,88 @@ def _composite_mp_log(
     return Point.of(np.exp(L[:d1]), np.exp(L[d1:])), iters
 
 
+def _euclidean_ok(problem: CompositeProblem, v0: Point) -> bool:
+    """A Euclidean saddle problem on two equal simplex blocks, or an affine
+    one on the l2 ball, with every operand in the geometry's block layout."""
+    geom = problem.geometry
+    if geom.kind is not GeometryKind.EUCLIDEAN:
+        return False
+    dims = geom.block_dims
+    d = dims[0]
+    if geom.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+        fits = problem.f1.offset is None and dims == (d, d)
+    else:
+        fits = problem.f1.offset is not None and geom.domain.p == 2.0 and dims == (d,)
+    return (
+        fits
+        and problem.f1.matrix.shape == (d, d)
+        and all(
+            len(z.blocks) == len(dims) and all(b.shape == (d,) for b in z.blocks)
+            for z in (problem.anchor, problem.offset, v0)
+        )
+    )
+
+
+def _composite_mp_euclidean(
+    problem: CompositeProblem, v0: Point, max_iters: int, movement_tol: float
+) -> tuple[Point, int]:
+    """The generic loop's Euclidean iteration on the stacked (blocks, d)
+    state: the same operations in the same order, so the same bits.
+
+    Both half-steps project (C - s G) / (1 + eta) with the shared centre
+    C = eta anchor + v, s = gamma eta and G = F1 + offset at v, then at the
+    half-step.
+    """
+    eta = problem.eta
+    s = problem.gamma * eta
+    M = problem.f1.matrix
+    O = np.stack(problem.offset.blocks)
+    eta_anchor = eta * np.stack(problem.anchor.blocks)
+    V = np.stack(v0.blocks)
+    G = np.empty_like(V)
+    if problem.f1.offset is None:
+
+        def gradient(Z):
+            # F1 = (M y, -M^T x); o - x M equals -(x M) + o exactly
+            np.add(M @ Z[1], O[0], out=G[0])
+            np.subtract(O[1], Z[0] @ M, out=G[1])
+            return G
+
+        project = project_rows_simplex
+    else:
+        b = problem.f1.offset
+
+        def gradient(Z):
+            np.add(M @ Z[0] + b, O[0], out=G[0])
+            return G
+
+        def project(W):
+            return _project_domain_block(problem.geometry, W[0])[None]
+
+    iters = 0
+    for t in range(max_iters):
+        C = eta_anchor + V
+        W = (C - s * gradient(V)) / (1.0 + eta)
+        if not np.isfinite(W).all():
+            raise NumericsError(f"non-finite inner half-step at step {t}")
+        W = (C - s * gradient(project(W))) / (1.0 + eta)
+        if not np.isfinite(W).all():
+            raise NumericsError(f"non-finite inner iterate at step {t}")
+        V_next = project(W)
+        stop = False
+        if movement_tol > 0.0:
+            move = 0.0
+            for nb, vb in zip(V_next, V):
+                db = nb - vb
+                move += 0.5 * float(db @ db)
+            stop = move <= movement_tol
+        V = V_next
+        iters = t + 1
+        if stop:
+            break
+    return Point(tuple(b.copy() for b in V)), iters
+
+
 def composite_mp(
     problem: CompositeProblem,
     v0: Point,
@@ -158,15 +250,21 @@ def composite_mp(
 
     Entropy geometry with a bilinear F1 runs the log-space loop of
     :mod:`visim._kernels` (compiled when numba is installed), which keeps
-    every coordinate at or above ``TINY_MASS``; ``force_generic`` and
-    ``record_path`` select the block-wise reference loop instead.
+    every coordinate at or above ``TINY_MASS``.  Euclidean geometry with a
+    bilinear F1 on two equal simplex blocks, or an affine F1 on the l2
+    ball, runs :func:`_composite_mp_euclidean`, which returns the generic
+    loop's iterate and count bit for bit.  ``force_generic`` and
+    ``record_path`` select the block-wise generic loop for every setup.
     """
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     if movement_tol < 0.0:
         raise ParameterError("movement_tol must be >= 0")
-    if not record_path and not force_generic and _log_space_ok(problem):
-        return _composite_mp_log(problem, v0, max_iters, movement_tol)
+    if not record_path and not force_generic:
+        if _log_space_ok(problem):
+            return _composite_mp_log(problem, v0, max_iters, movement_tol)
+        if _euclidean_ok(problem, v0):
+            return _composite_mp_euclidean(problem, v0, max_iters, movement_tol)
 
     geom = problem.geometry
     eta = problem.eta

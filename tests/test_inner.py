@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from visim import _kernels
-from visim.errors import ParameterError
+from visim import _kernels, inner, restart
+from visim.errors import NumericsError, ParameterError
 from visim.geometry import (
+    Domain,
+    DomainKind,
     DualVector,
+    GeometryKind,
+    GeometrySetup,
     Point,
     TINY_MASS,
     bregman_divergence,
     dgf_grad,
     entropy_simplex,
+    euclidean_ball,
+    euclidean_simplex,
     pairing,
     random_point,
     uniform_point,
@@ -21,10 +27,10 @@ from visim.inner import (
     _log_space_operands,
     composite_mp,
 )
-from visim.operators import saddle_shard
+from visim.operators import OperatorShard, average_stack, saddle_shard
 
 
-def _game_problem(d, T, m, seed, gamma=None):
+def _game_problem(d, T, m, seed, gamma=None, geometry=entropy_simplex):
     """A small sharded matrix game packaged as one composite subproblem
     anchored at the uniform point."""
     rng = np.random.default_rng(seed)
@@ -35,7 +41,7 @@ def _game_problem(d, T, m, seed, gamma=None):
     shard1_mat = mats[: T // m].mean(axis=0)
     delta = float(np.abs(mean - shard1_mat).max())
     l_f1 = float(np.abs(shard1_mat).max())
-    geom = entropy_simplex(d)
+    geom = geometry(d)
     anchor = uniform_point(geom)
     f1 = saddle_shard(shard1_mat)
     mean_op = saddle_shard(mean)
@@ -200,6 +206,155 @@ def test_numba_kernel_matches_python_loop():
     L_py, it_py = _kernels.log_space_loop.py_func(*args)
     assert it_jit == it_py
     np.testing.assert_allclose(np.exp(L_jit), np.exp(L_py), atol=1e-10)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    loop = getattr(inner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return loop(*args)
+
+    monkeypatch.setattr(inner, name, counted)
+    return calls
+
+
+def _same_as_generic(prob, v0, cap, tol):
+    """Run both loops; assert the same iteration count and the same bits."""
+    fast, it_f = composite_mp(prob, v0, cap, tol)
+    slow, it_s = composite_mp(prob, v0, cap, tol, force_generic=True)
+    assert it_f == it_s
+    assert len(fast.blocks) == len(slow.blocks)
+    for a, b in zip(fast.blocks, slow.blocks):
+        assert np.array_equal(a, b)
+    return slow, it_s
+
+
+@pytest.mark.parametrize("d", [2, 5, 25])
+def test_euclidean_loop_matches_generic_on_simplex(monkeypatch, d):
+    # l_f1 = max|M1| is below the l2 constant this geometry needs; gamma = 1
+    # keeps the steps short enough for the loop to contract and for the
+    # movement stop to end runs within the caps
+    prob, _, _ = _game_problem(
+        d=d, T=80, m=4, seed=10 + d, gamma=1.0, geometry=euclidean_simplex
+    )
+    v0 = random_point(prob.geometry, np.random.default_rng(d))
+    calls = _count_calls(monkeypatch, "_composite_mp_euclidean")
+    early = 0
+    for tol in (0.0, 1e-10, 1e-14):
+        for cap in (1, 7, 60):
+            _, iters = _same_as_generic(prob, v0, cap, tol)
+            early += iters < cap
+    # the stacked loop ran for every non-generic call, and the movement
+    # stop ended some runs before their cap
+    assert len(calls) == 9
+    assert early > 0
+
+
+def _ball_problem(dim, seed, push=0.0, geometry=None):
+    """One paus subproblem of the synthetic strongly monotone family on the
+    unit l2 ball; ``push`` adds a constant to the offset that moves the
+    subproblem's solution out of the ball, so the projection is active."""
+    shards, _, consts = restart.synthetic_strongly_monotone(
+        dim=dim, m=5, mu=0.5, delta=1.0, seed=seed
+    )
+    rng = np.random.default_rng(seed)
+    geom = geometry if geometry is not None else euclidean_ball(dim)
+    anchor = random_point(geom, rng)
+    f_anchor = average_stack(
+        np.stack([s.matrix for s in shards]), np.stack([s.offset for s in shards]),
+        anchor,
+    )
+    f1_anchor = shards[0].evaluate(anchor)
+    offset = f_anchor.blocks[0] - f1_anchor.blocks[0] + push * rng.standard_normal(dim)
+    prob = CompositeProblem(
+        gamma=1.0, anchor=anchor, f1=shards[0], offset=DualVector.of(offset),
+        geometry=geom, l_f1=consts.L_F1,
+    )
+    return prob, random_point(geom, rng)
+
+
+@pytest.mark.parametrize("dim", [4, 200])
+@pytest.mark.parametrize("active", [False, True])
+def test_euclidean_loop_matches_generic_on_ball(monkeypatch, dim, active):
+    prob, v0 = _ball_problem(dim, seed=dim, push=50.0 if active else 0.0)
+    calls = _count_calls(monkeypatch, "_composite_mp_euclidean")
+    for tol in (0.0, 1e-10, 1e-14):
+        for cap in (1, 7, 60):
+            v, _ = _same_as_generic(prob, v0, cap, tol)
+    assert len(calls) == 9
+    norm = float(np.linalg.norm(v.blocks[0]))
+    if active:
+        assert norm == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert norm < 0.99
+
+
+def test_euclidean_loop_matches_generic_on_recentred_ball(monkeypatch):
+    dim = 6
+    base = euclidean_ball(dim)
+    rng = np.random.default_rng(3)
+    geom = restart.recenter(base, random_point(base, rng), uniform_point(base))
+    assert geom.center is not None
+    prob, v0 = _ball_problem(dim, seed=3, push=5.0, geometry=geom)
+    calls = _count_calls(monkeypatch, "_composite_mp_euclidean")
+    for cap in (1, 7, 60):
+        _same_as_generic(prob, v0, cap, 1e-12)
+    assert len(calls) == 3
+
+
+def test_euclidean_loop_leaves_other_setups_to_the_generic_path(monkeypatch):
+    calls = _count_calls(monkeypatch, "_composite_mp_euclidean")
+    # a non-square saddle shard: blocks of sizes 3 and 5
+    rng = np.random.default_rng(4)
+    geom = GeometrySetup(
+        GeometryKind.EUCLIDEAN, (3, 5), Domain(DomainKind.SIMPLEX_PRODUCT)
+    )
+    prob = CompositeProblem(
+        gamma=1.0, anchor=uniform_point(geom),
+        f1=saddle_shard(rng.uniform(-1.0, 1.0, size=(3, 5))),
+        offset=DualVector.of(rng.normal(size=3), rng.normal(size=5)),
+        geometry=geom, l_f1=1.0,
+    )
+    v0 = random_point(geom, rng)
+    _same_as_generic(prob, v0, 40, 1e-12)
+    # an l3 ball has no Euclidean projection, on either path
+    geom = GeometrySetup(
+        GeometryKind.EUCLIDEAN, (4,), Domain(DomainKind.NORM_BALL, 3.0, 1.0)
+    )
+    prob = CompositeProblem(
+        gamma=1.0, anchor=uniform_point(geom),
+        f1=OperatorShard(np.eye(4), np.ones(4)), offset=DualVector.of(np.ones(4)),
+        geometry=geom, l_f1=1.0,
+    )
+    for force in (False, True):
+        with pytest.raises(ParameterError):
+            composite_mp(prob, uniform_point(geom), 5, force_generic=force)
+    assert calls == []
+
+
+def test_euclidean_loop_rejects_non_finite_offset(monkeypatch):
+    calls = _count_calls(monkeypatch, "_composite_mp_euclidean")
+    prob, _, _ = _game_problem(d=4, T=40, m=4, seed=11, geometry=euclidean_simplex)
+    ball, v0_ball = _ball_problem(5, seed=11)
+    cases = [
+        (CompositeProblem(
+            gamma=prob.gamma, anchor=prob.anchor, f1=prob.f1,
+            offset=DualVector.of([0.0, np.inf, 0.0, 0.0], np.zeros(4)),
+            geometry=prob.geometry, l_f1=prob.l_f1,
+        ), prob.anchor),
+        (CompositeProblem(
+            gamma=ball.gamma, anchor=ball.anchor, f1=ball.f1,
+            offset=DualVector.of(np.full(5, np.nan)),
+            geometry=ball.geometry, l_f1=ball.l_f1,
+        ), v0_ball),
+    ]
+    for bad, v0 in cases:
+        for force in (False, True):
+            with pytest.raises(NumericsError):
+                composite_mp(bad, v0, 5, force_generic=force)
+    assert len(calls) == 2
 
 
 def test_log_space_floor_keeps_underflowing_coordinates():
