@@ -171,6 +171,9 @@ class ExperimentResult:
     gammas: dict[str, float] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
     timing: bool = False
+    # per paus solver: subproblems handed to the extragradient loop, whose
+    # logged inner_iters count extragradient iterations, not Newton steps
+    inner_fallbacks: dict[str, int] = field(default_factory=dict)
 
 
 def _stepsize(solver: str, c: float, consts: SimilarityConstants,
@@ -266,6 +269,7 @@ def run_comparison(
                 run = paus_run(
                     cfg, cluster, gap_fn=gap_fn, log_predicate=logged.__contains__
                 )
+                result.inner_fallbacks[solver] = run.inner_fallbacks
         except VisimError as exc:
             result.errors[solver] = f"{type(exc).__name__}: {exc}"
             continue

@@ -143,6 +143,18 @@ def _spec_from(settings: dict) -> GameSpec:
     )
 
 
+def _report_fallbacks(fallbacks: dict[str, int]) -> None:
+    # a series with fallbacks mixes Newton steps and extragradient
+    # iterations in its inner_iters column
+    for tag, n in sorted(fallbacks.items()):
+        if n:
+            print(
+                f"{tag}: {n} subproblem(s) fell back to the extragradient "
+                "loop; their inner_iters count its iterations",
+                file=sys.stderr,
+            )
+
+
 def _do_run(settings: dict) -> int:
     solver = settings["solver"]
     if solver == "paus" and settings["geometry"] == "euclidean":
@@ -161,6 +173,7 @@ def _do_run(settings: dict) -> int:
         return EXIT_SOLVER
     for path in emit_csv(result, settings["out"]):
         print(path)
+    _report_fallbacks(result.inner_fallbacks)
     return EXIT_OK
 
 
@@ -176,6 +189,7 @@ def _do_compare(settings: dict) -> int:
     )
     for path in emit_csv(result, settings["out"]):
         print(path)
+    _report_fallbacks(result.inner_fallbacks)
     if result.errors:
         print(f"some solvers failed: {result.errors}", file=sys.stderr)
         return EXIT_SOLVER
@@ -203,8 +217,10 @@ def _do_sweep(settings: dict) -> int:
             continue
         merged.series[tag] = res.series[solver]
         merged.gammas[tag] = res.gammas[solver]
+        merged.inner_fallbacks[tag] = res.inner_fallbacks.get(solver, 0)
     for path in emit_csv(merged, settings["out"]):
         print(path)
+    _report_fallbacks(merged.inner_fallbacks)
     if failed:
         print(f"some sweep points failed: {failed}", file=sys.stderr)
         return EXIT_SOLVER

@@ -602,6 +602,53 @@ def composite_prox_map(
     return Point((_ball_constrained_solve(setup, target),))
 
 
+def mirror_map(
+    setup: GeometrySetup, theta: DualVector
+) -> tuple[Point, np.ndarray, list[tuple[float, np.ndarray]]]:
+    """u = grad w*(theta), the maximiser of <theta, z> - w(z) over the
+    domain, and its (generalised) Jacobian D.
+
+    D is returned as ``(diag, rank_one)``: D = diag(diag) minus, for each
+    block k, beta_k v_k v_k^T on that block, with ``rank_one[k] = (beta_k,
+    v_k)``.  Entropy: softmax per block, D = diag(s) - s s^T.  Euclidean
+    simplex: projection per block, D = diag(1_S) - 1_S 1_S^T / |S| on the
+    support S.  Euclidean l2 ball (recentred or not): radial projection of
+    theta + center, D = I inside the ball and (r/n)(I - x x^T / n^2) for
+    the point x at norm n outside it.  On interior points the map inverts
+    :func:`dgf_grad`.  The a-norm ball has no closed form here.
+    """
+    if setup.kind is GeometryKind.A_NORM_BALL:
+        raise ParameterError("the a-norm ball has no closed-form mirror map")
+    if tuple(t.size for t in theta.blocks) != setup.block_dims:
+        raise ShapeError("dual vector blocks do not match the setup")
+    blocks, diag, rank_one = [], [], []
+    for i, t in enumerate(theta.blocks):
+        if not np.isfinite(t).all():
+            raise NumericsError("non-finite dual vector in mirror map")
+        if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
+            u = _entropy_step(t, 0.0)
+            a, beta, v = u, 1.0, u
+        elif setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+            u = _project_domain_block(setup, t)
+            a = (u > 0.0).astype(float)
+            beta, v = 1.0 / a.sum(), a
+        else:
+            s = setup.shift(i)
+            x = t.copy() if s is None else t + s
+            # raises ParameterError for lp balls with p != 2
+            u = _project_domain_block(setup, x)
+            if u is x:
+                a, beta, v = np.ones_like(x), 0.0, np.zeros_like(x)
+            else:
+                n = float(np.linalg.norm(x))
+                a = np.full_like(x, setup.domain.radius / n)
+                beta, v = setup.domain.radius / n, x / n
+        blocks.append(u)
+        diag.append(a)
+        rank_one.append((beta, v))
+    return Point(tuple(blocks)), np.concatenate(diag), rank_one
+
+
 def max_divergence_bound(setup: GeometrySetup, z0: Point) -> float:
     """An upper bound on max_z V(z, z0) over the feasible domain.
 

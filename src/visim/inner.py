@@ -1,30 +1,38 @@
-"""Server-local composite extragradient solver.
-
-Solves the strongly-monotone regularized subproblem
+"""Server-local solvers for the regularized subproblem
 
     find u:  <gamma * (F1(u) + offset) + grad w(u) - grad w(anchor), z - u> >= 0
 
 for all feasible z, where ``offset`` is the constant correction
-F(anchor) - F1(anchor) shipped from the last communication round.  Each
+F(anchor) - F1(anchor) shipped from the last communication round.
+Everything here runs on the server; no communication rounds are consumed.
+
+:func:`newton_solve` solves it exactly for the entropy and Euclidean
+(simplex or l2-ball) setups: damped Newton on the normal map of the mirror
+map (Robinson 1992; semismooth Newton, Qi & Sun 1993), typically one to
+three linear solves of the problem's size, stopped at a round-off
+residual.  It returns None for the a-norm ball and for a solve that stalls
+or misses its target within ``NEWTON_MAX_STEPS`` steps; the outer solver
+then runs :func:`composite_mp`.
+
+:func:`composite_mp` is the paper's composite extragradient loop.  Each
 iteration takes two composite proximal steps with weight
 eta = 1 / (2 * gamma * L_F1) and contracts the divergence to the
 subproblem's solution by 1 / (1 + eta), so
 
     T = ceil((3 L_F1 / delta) * log(V0 / eps))
 
-iterations reach Bregman accuracy eps when gamma = 1 / delta.  Everything
-here runs on the server; no communication rounds are consumed.
-
-Three loops implement the iteration.  Entropy problems with a saddle F1
-run the log-space loop of :mod:`visim._kernels`; Euclidean problems with a
-saddle F1 on two equal simplex blocks, or an affine F1 on the l2 ball, run
-a stacked numpy loop with the same bits as the generic one; everything
+iterations reach Bregman accuracy eps when gamma = 1 / delta.  Three loops
+implement the iteration.  Entropy problems with a saddle F1 run the
+log-space loop of :mod:`visim._kernels`; Euclidean problems with a saddle
+F1 on two equal simplex blocks, or an affine F1 on the l2 ball, run a
+stacked numpy loop with the same bits as the generic one; everything
 else, and any run that asks for ``force_generic`` or ``record_path``, runs
 the generic block-wise loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,20 +49,33 @@ from .geometry import (
     _project_domain_block,
     bregman_divergence,
     composite_prox_map,
+    dgf_grad,
+    mirror_map,
     project_rows_simplex,
 )
 from .operators import OperatorShard
 
+# Newton steps an exact solve may take; a solve still off its target after
+# them is left to the extragradient loop
+NEWTON_MAX_STEPS = 30
+# a residual component is at round-off once it is this small relative to
+# the sum of the magnitudes of the terms it is the difference of
+NEWTON_RTOL = 1e-13
+# the shortest backtracking step before a Newton solve gives up
+NEWTON_MIN_STEP = 2.0**-30
+
 
 @dataclass
 class InnerSettings:
-    """The inner solver's accuracy.
+    """The extragradient loop's accuracy.
 
-    ``tolerance`` is the Bregman accuracy eps_inner each subproblem is
-    solved to; ``None`` lets the outer solver derive it from its accuracy
-    target.  The outer solver turns it into the movement stop on
-    V(v^{t+1}, v^t) and the iteration cap, and always starts each
-    subproblem from the previous one's solution (warm start).
+    Subproblems that :func:`newton_solve` covers are solved to round-off
+    whatever this says.  For the others (the a-norm ball, a Newton solve
+    that missed its target) ``tolerance`` is the Bregman accuracy
+    eps_inner of :func:`composite_mp`; ``None`` lets the outer solver
+    derive it from its accuracy target.  The outer solver turns it into
+    the movement stop on V(v^{t+1}, v^t) and the iteration cap.  Either
+    solver starts from the previous subproblem's solution (warm start).
     """
 
     tolerance: float | None = None
@@ -233,6 +254,105 @@ def _composite_mp_euclidean(
     return Point(tuple(b.copy() for b in V)), iters
 
 
+def _fits_layout(problem: CompositeProblem, v0: Point) -> bool:
+    """F1's matrix and the operands fit the geometry's block layout: one
+    saddle matrix across two blocks, or one affine map on a single block."""
+    dims = problem.geometry.block_dims
+    shape = problem.f1.matrix.shape
+    if problem.f1.offset is None:
+        fits = len(dims) == 2 and shape == dims
+    else:
+        fits = len(dims) == 1 and shape == dims * 2
+    return fits and all(
+        tuple(b.size for b in z.blocks) == dims
+        for z in (problem.anchor, problem.offset, v0)
+    )
+
+
+def newton_solve(problem: CompositeProblem, v0: Point) -> tuple[Point, int] | None:
+    """Solve the subproblem exactly by damped Newton on the normal map.
+
+    With F1(u) = B u + b and c = grad w(anchor) - gamma * offset, the
+    solution is u = grad w*(w) (:func:`geometry.mirror_map`) for the root w
+    of  G(w) = w - c + gamma F1(grad w*(w))  (Robinson's normal map).  Each
+    step solves (I + gamma B D) dw = -G, with D the mirror map's
+    (generalised) Jacobian, and halves the step until ||G|| decreases.  The
+    matrix is nonsingular: D is symmetric positive semidefinite and B
+    monotone.  The solve starts from w = c - gamma F1(v0), so that
+    grad w*(w) is one fixed-point step from ``v0``, and stops once every
+    component of G is at round-off, ``NEWTON_RTOL`` times the magnitudes
+    it is the difference of.
+
+    Returns the solution and the number of Newton steps, or None for a
+    setup it does not cover (one :func:`geometry.mirror_map` rejects, such
+    as the a-norm ball, or operands outside the block layout) and for a solve that stalls (no decrease down to step
+    ``NEWTON_MIN_STEP``, or a non-finite trial point) or misses its target
+    within ``NEWTON_MAX_STEPS`` steps.
+    """
+    if not _fits_layout(problem, v0):
+        return None
+    geom, gamma = problem.geometry, problem.gamma
+    M, b = problem.f1.matrix, problem.f1.offset
+    if b is not None:
+        gB, gb = gamma * M, gamma * b
+    else:
+        d1, d2 = M.shape
+        gB = np.zeros((d1 + d2, d1 + d2))
+        gB[:d1, d1:] = gamma * M
+        gB[d1:, :d1] = -gamma * M.T
+        gb = 0.0
+    n = gB.shape[0]
+    ends = np.cumsum(geom.block_dims).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    c = dgf_grad(geom, problem.anchor).concat() - gamma * problem.offset.concat()
+    # G(w) = w - c + gamma (B u + b) = w - c_b + gB u.  Its round-off scale
+    # is |w| + |c| + |gb| + |gB| (|u| + |D| |w|): the magnitudes of the
+    # summed terms, with the rounding of w carried through the mirror map
+    c_b = c - gb
+    abs_gB, abs_c = np.abs(gB), np.abs(c) + np.abs(gb)
+
+    def evaluate(w):
+        u, diag, rank_one = mirror_map(
+            geom, DualVector(tuple(w[lo:hi] for lo, hi in bounds))
+        )
+        uc, abs_w = u.concat(), np.abs(w)
+        spread = np.abs(uc) + diag * abs_w
+        for (beta, v), (lo, hi) in zip(rank_one, bounds):
+            spread[lo:hi] += beta * np.abs(v) * (np.abs(v) @ abs_w[lo:hi])
+        g = w - c_b + gB @ uc
+        scale = abs_w + abs_c + abs_gB @ spread
+        done = bool((np.abs(g) <= NEWTON_RTOL * scale).all())
+        return u, diag, rank_one, g, math.sqrt(g @ g), done
+
+    w = c_b - gB @ v0.concat()
+    try:
+        u, diag, rank_one, g, norm, done = evaluate(w)
+        steps = 0
+        while not done:
+            if steps == NEWTON_MAX_STEPS:
+                return None
+            # I + gamma B D, D = diag(diag) - beta_k v_k v_k^T per block
+            J = gB * diag
+            for (beta, v), (lo, hi) in zip(rank_one, bounds):
+                J[:, lo:hi] -= np.outer(beta * (gB[:, lo:hi] @ v), v)
+            J.flat[:: n + 1] += 1.0
+            dw = np.linalg.solve(J, -g)
+            t = 1.0
+            while True:
+                trial = evaluate(w + t * dw)
+                if trial[4] <= (1.0 - 1e-4 * t) * norm:
+                    break
+                t *= 0.5
+                if t < NEWTON_MIN_STEP:
+                    return None
+            w = w + t * dw
+            u, diag, rank_one, g, norm, done = trial
+            steps += 1
+    except (ParameterError, NumericsError, np.linalg.LinAlgError):
+        return None
+    return u, steps
+
+
 def composite_mp(
     problem: CompositeProblem,
     v0: Point,
@@ -255,6 +375,9 @@ def composite_mp(
     ball, runs :func:`_composite_mp_euclidean`, which returns the generic
     loop's iterate and count bit for bit.  ``force_generic`` and
     ``record_path`` select the block-wise generic loop for every setup.
+    The outer solver calls this for the subproblems :func:`newton_solve`
+    leaves to it: the a-norm ball, and Newton solves that missed their
+    target.
     """
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")

@@ -5,7 +5,9 @@ Each outer iteration costs exactly two communication rounds:
 1. gather F(z^k) from all workers (one round);
 2. the server solves the regularized subproblem
    <gamma * (F1(u) + F(z^k) - F1(z^k)) + grad w(u) - grad w(z^k), z - u> >= 0
-   locally with the composite extragradient inner solver (no rounds);
+   locally (no rounds): exactly by ``inner.newton_solve`` for the entropy
+   and Euclidean setups, otherwise, and whenever Newton misses its target,
+   with the composite extragradient loop ``inner.composite_mp``;
 3. gather F(u^k) (one round);
 4. the server takes the mirror step
    z^{k+1} = prox(u^k, F(u^k) - F1(u^k) - F(z^k) + F1(z^k), gamma).
@@ -41,7 +43,7 @@ from .geometry import (
     prox_map,
     validate_point,
 )
-from .inner import CompositeProblem, InnerSettings, composite_mp
+from .inner import CompositeProblem, InnerSettings, composite_mp, newton_solve
 
 DEFAULT_INNER_TOL = 1e-10
 MOVEMENT_TOL_FLOOR = 1e-17
@@ -84,8 +86,9 @@ class PausConfig:
 @dataclass(frozen=True)
 class RunRecord:
     """One log line: communication rounds consumed so far, the gap of the
-    running ergodic average, inner iterations of this outer step, and wall
-    time since the run started (seconds)."""
+    running ergodic average, inner iterations (Newton steps, or
+    extragradient iterations) of this outer step, and wall time since the
+    run started (seconds)."""
 
     round: int
     iterate_gap: float
@@ -99,6 +102,8 @@ class PausResult:
     log: list[RunRecord]
     u_path: list[Point]
     z_path: list[Point]
+    # subproblems handed to the extragradient loop (composite_mp)
+    inner_fallbacks: int = 0
 
 
 def _dual_combine(*terms: tuple[float, DualVector]) -> DualVector:
@@ -114,7 +119,7 @@ def _dual_combine(*terms: tuple[float, DualVector]) -> DualVector:
 
 
 def _inner_plan(config: PausConfig) -> tuple[int, float]:
-    """Resolve the inner iteration cap and the movement stop threshold.
+    """Resolve the extragradient loop's iteration cap and movement stop.
 
     The Bregman accuracy target is eps_inner = min(1e-10, eps_target^2/100)
     with eps_target the gap envelope at the configured K; movement between
@@ -194,11 +199,16 @@ def paus_run(
     (NaN logged when omitted); ``log_predicate(k)`` selects which outer
     iterations produce a RunRecord (all of them by default).
     ``keep_iterates`` additionally records u^k and z^k for certificates.
+    Each record's ``inner_iters`` counts the Newton steps of its
+    subproblem, or the extragradient iterations when it was handed to
+    ``composite_mp``; ``PausResult.inner_fallbacks`` counts those hand-offs.
     """
     geom = config.geometry
     cap, movement_tol = _inner_plan(config)
+    fallbacks = 0
 
     def step(z: Point, prev_u: Point | None) -> tuple[Point, Point, int]:
+        nonlocal fallbacks
         f_z = gather_average(cluster, [z])[0]
         f1_z = cluster.server_evaluate(z)
         offset = _dual_combine((1.0, f_z), (-1.0, f1_z))
@@ -212,7 +222,11 @@ def paus_run(
         )
         # warm start: the previous subproblem solution
         v0 = prev_u if prev_u is not None else z
-        u, inner_iters = composite_mp(problem, v0, cap, movement_tol)
+        solved = newton_solve(problem, v0)
+        if solved is None:
+            fallbacks += 1
+            solved = composite_mp(problem, v0, cap, movement_tol)
+        u, inner_iters = solved
         if geom.kind is GeometryKind.ENTROPY_SIMPLEX:
             u = floor_simplex_point(u)  # guard against float underflow to 0
         f1_u = cluster.server_evaluate(u)
@@ -223,10 +237,12 @@ def paus_run(
             z_next = floor_simplex_point(z_next)
         return u, z_next, inner_iters
 
-    return _drive(
+    result = _drive(
         geom, config.z0, config.iters, step, cluster, gap_fn, keep_iterates,
         log_predicate,
     )
+    result.inner_fallbacks = fallbacks
+    return result
 
 
 def duality_gap(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:

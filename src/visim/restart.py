@@ -75,6 +75,8 @@ class RestartResult:
     z_hat: Point
     stages: list[StageRecord]
     stage_points: list[Point]
+    # subproblems of all stages handed to the extragradient loop
+    inner_fallbacks: int = 0
 
 
 def stage_length(mu: float, gamma: float, omega: float) -> int:
@@ -119,6 +121,7 @@ def paus_r(
     u_t = config.z0
     y0 = config.z0
     prev_dist = _dist_sq(u_t, z_star) if z_star is not None else math.nan
+    fallbacks = 0
     for t in range(n_stages):
         geom_t = recenter(config.geometry, u_t, y0)
         om = omega_d(geom_t, u_t)
@@ -134,6 +137,7 @@ def paus_r(
         )
         result: PausResult = paus_run(stage_cfg, cluster, log_predicate=lambda k: False)
         u_t = result.u_avg
+        fallbacks += result.inner_fallbacks
         dist = _dist_sq(u_t, z_star) if z_star is not None else math.nan
         stages.append(
             StageRecord(
@@ -151,7 +155,9 @@ def paus_r(
                     f"to {dist:.3e} (need factor <= {HALVING_SLACK**2 * 0.25:.3f})"
                 )
         prev_dist = dist
-    return RestartResult(z_hat=u_t, stages=stages, stage_points=points)
+    return RestartResult(
+        z_hat=u_t, stages=stages, stage_points=points, inner_fallbacks=fallbacks
+    )
 
 
 def synthetic_strongly_monotone(

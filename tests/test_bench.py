@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from visim import bench
+from visim import bench, paus
 from visim.baselines import BaselineConfig, BaselineKind, euclidean_paus_run
 from visim.bench import (
     GameSpec,
@@ -259,3 +259,16 @@ def test_euclidean_series_equals_euclidean_paus_run():
 
     assert rows(res.series["euclidean"][1:]) == rows(run.log)
     assert sum(r.inner_iters for r in run.log) > 0
+
+
+def test_default_compare_needs_no_extragradient_fallback(monkeypatch):
+    # every paus and euclidean subproblem of the default comparison is
+    # solved exactly; none reaches composite_mp
+    def fallback(*args, **kwargs):
+        raise AssertionError("a subproblem fell back to composite_mp")
+
+    monkeypatch.setattr(paus, "composite_mp", fallback)
+    res = run_comparison(GameSpec())
+    assert res.errors == {}
+    assert set(res.series) == {"paus", "mirror-prox", "euclidean"}
+    assert res.inner_fallbacks == {"paus": 0, "euclidean": 0}

@@ -22,6 +22,21 @@ def test_compare_writes_four_files(tmp_path, capsys):
     assert len(printed) == 4 and all(p.startswith(out) for p in printed)
 
 
+def test_fallbacks_are_reported(tmp_path, capsys, monkeypatch):
+    from visim import inner
+
+    out = str(tmp_path / "res")
+    assert main(_args("compare", out)) == EXIT_OK
+    assert "fell back" not in capsys.readouterr().err
+    # with no Newton step allowed all K=4 subproblems of both paus solvers
+    # fall back, and the CSVs' inner_iters then count extragradient steps
+    monkeypatch.setattr(inner, "NEWTON_MAX_STEPS", 0)
+    assert main(_args("compare", out)) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["euclidean", "paus"]
+    assert all("4 subproblem(s) fell back" in line for line in err)
+
+
 def test_run_single_solver(tmp_path):
     out = str(tmp_path / "res")
     assert main(_args("run", out, solver="mirror-prox")) == EXIT_OK

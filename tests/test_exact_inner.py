@@ -1,0 +1,222 @@
+"""The exact subproblem solve: the mirror map, its Jacobian and the Newton
+solve on the normal map, checked against independent routes (``prox_map``,
+``dgf_grad`` and the extragradient loop run to a tight tolerance)."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from visim import inner
+from visim.errors import NumericsError, ParameterError, ShapeError
+from visim.geometry import (
+    DualVector,
+    Point,
+    a_norm_ball,
+    dgf_grad,
+    entropy_simplex,
+    euclidean_ball,
+    euclidean_simplex,
+    floor_simplex_point,
+    mirror_map,
+    prox_map,
+    random_point,
+    recenter,
+    uniform_point,
+)
+from visim.inner import CompositeProblem, composite_mp, newton_solve
+from visim.operators import OperatorShard, saddle_shard
+
+GEOMETRIES = ["entropy", "entropy-floored", "simplex", "ball", "ball-sphere",
+              "ball-recentred"]
+BALL_SIZES = {"ball": (0.1, 0.1, 0.1), "ball-sphere": (1.0, 0.1, 10.0),
+              "ball-recentred": (2.0, 0.5, 1.0)}
+
+
+def _floored(z, rng):
+    """z with a random proper subset of each block's coordinates at 1e-300."""
+    blocks = []
+    for b in z.blocks:
+        b = b.copy()
+        b[rng.permutation(b.size)[: rng.integers(1, b.size)]] = 0.0
+        blocks.append(b)
+    return floor_simplex_point(Point(tuple(blocks)))
+
+
+def _instance(kind, d, seed, gamma):
+    """A random subproblem of the given kind with d coordinates per block:
+    a saddle F1 on two simplices, or a monotone affine F1 on the unit l2
+    ball, with a random anchor, offset and start."""
+    rng = np.random.default_rng(seed)
+    if kind.startswith("ball"):
+        geom = euclidean_ball(d)
+        if kind == "ball-recentred":
+            geom = recenter(geom, random_point(geom, rng), random_point(geom, rng))
+        K = rng.normal(size=(d, d))
+        L = rng.normal(size=(d, d))
+        A = 0.5 * (K - K.T) + 0.1 * L @ L.T
+        b = rng.normal(size=d)
+        offset = rng.normal(size=d)
+        # gamma times the norms of A, b and offset: with |anchor| <= 0.5 the
+        # prox point of "ball" stays within 0.8 of the origin, that of
+        # "ball-sphere" lies beyond 8, so its answer is on the sphere
+        ga, gb, go = BALL_SIZES[kind]
+        A *= ga / (gamma * np.linalg.norm(A, 2))
+        b *= gb / (gamma * np.linalg.norm(b))
+        offset *= go / (gamma * np.linalg.norm(offset))
+        anchor = Point.of(0.5 * random_point(geom, rng).blocks[0])
+        f1 = OperatorShard(A, b)
+        offset = DualVector.of(offset)
+    else:
+        geom = (euclidean_simplex(d) if kind == "simplex" else entropy_simplex(d))
+        f1 = saddle_shard(rng.uniform(-1.0, 1.0, size=(d, d)))
+        offset = DualVector.of(0.5 * rng.normal(size=d), 0.5 * rng.normal(size=d))
+        anchor = random_point(geom, rng)
+        if kind == "entropy-floored":
+            anchor = _floored(anchor, rng)
+    l_f1 = float(np.linalg.norm(f1.matrix, 2))
+    prob = CompositeProblem(gamma=gamma, anchor=anchor, f1=f1, offset=offset,
+                            geometry=geom, l_f1=l_f1)
+    v0 = random_point(geom, rng)
+    if kind.startswith("ball"):
+        v0 = Point.of(0.5 * v0.blocks[0])
+    return prob, v0
+
+
+_instances = st.tuples(
+    st.sampled_from(GEOMETRIES),
+    st.integers(2, 8),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 20.0),
+)
+
+
+def _prox_residual(prob, u):
+    """|| u - prox_map(anchor, gamma (F1(u) + offset), 1) ||_inf"""
+    f1u = prob.f1.evaluate(u)
+    g = DualVector(tuple(prob.gamma * (fb + ob)
+                         for fb, ob in zip(f1u.blocks, prob.offset.blocks)))
+    fixed = prox_map(prob.geometry, prob.anchor, g, 1.0)
+    return float(np.abs(u.concat() - fixed.concat()).max())
+
+
+@settings(max_examples=300)
+@given(_instances)
+def test_newton_answer_is_a_fixed_point_of_the_prox_map(args):
+    kind = args[0]
+    prob, v0 = _instance(*args)
+    out = newton_solve(prob, v0)
+    if out is None:
+        # from a cold start, damped Newton on the piecewise-affine simplex
+        # normal map can stall at a kink (about 1 draw in 150 here); the
+        # outer solver then hands the subproblem to composite_mp
+        assert kind == "simplex"
+        return
+    u, steps = out
+    assert 0 <= steps <= inner.NEWTON_MAX_STEPS
+    assert _prox_residual(prob, u) <= 1e-11
+    norm = float(np.linalg.norm(u.concat()))
+    if kind == "ball":
+        assert norm <= 0.8 + 1e-12
+    elif kind == "ball-sphere":
+        assert norm == pytest.approx(1.0, abs=1e-12)
+    elif kind == "ball-recentred":
+        assert norm <= 1.0 + 1e-12
+    else:
+        for b in u.blocks:
+            assert np.all(b >= 0.0) and abs(b.sum() - 1.0) < 1e-12
+
+
+@settings(max_examples=30)
+@given(st.tuples(
+    st.sampled_from(GEOMETRIES),
+    st.integers(2, 4),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.1, 2.0),
+))
+def test_newton_agrees_with_the_extragradient_loop(args):
+    prob, v0 = _instance(*args)
+    out = newton_solve(prob, v0)
+    if out is None:
+        assert args[0] == "simplex"  # a stall, as above
+        return
+    u, _ = out
+    # V(v*, v^T) <= V0 e^{-60}: coordinates within about 1e-12 sqrt(V0)
+    T = math.ceil(60.0 / math.log1p(prob.eta))
+    ref, iters = composite_mp(prob, v0, T, 0.0, force_generic=True)
+    assert iters == T
+    assert float(np.abs(u.concat() - ref.concat()).max()) <= 1e-9
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(GEOMETRIES), st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_mirror_map_inverts_dgf_grad(kind, d, seed):
+    prob, _ = _instance(kind, d, seed, 1.0)
+    geom, z = prob.geometry, prob.anchor
+    if kind == "simplex":
+        z = Point(tuple(np.maximum(b, 1e-3) / np.maximum(b, 1e-3).sum()
+                        for b in z.blocks))
+    u, _, _ = mirror_map(geom, dgf_grad(geom, z))
+    for ub, zb in zip(u.blocks, z.blocks):
+        if kind.startswith("entropy"):
+            np.testing.assert_allclose(ub, zb, rtol=1e-12, atol=0.0)
+        else:
+            np.testing.assert_allclose(ub, zb, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["entropy", "ball", "ball-sphere", "ball-recentred"])
+def test_mirror_jacobian_matches_finite_differences(kind):
+    prob, v0 = _instance(kind, 5, seed=11, gamma=1.0)
+    geom = prob.geometry
+    theta = dgf_grad(geom, prob.anchor).concat()
+    if kind == "ball-sphere":
+        theta = 3.0 * theta / np.linalg.norm(theta)
+    dims = np.cumsum(geom.block_dims)[:-1]
+
+    def mm(t):
+        return mirror_map(geom, DualVector(tuple(np.split(t, dims))))
+
+    _, diag, rank_one = mm(theta)
+    D = np.diag(diag)
+    lo = 0
+    for beta, v in rank_one:
+        D[lo:lo + v.size, lo:lo + v.size] -= beta * np.outer(v, v)
+        lo += v.size
+    h = 1e-6
+    for j in range(theta.size):
+        e = np.zeros(theta.size)
+        e[j] = h
+        col = (mm(theta + e)[0].concat() - mm(theta - e)[0].concat()) / (2 * h)
+        np.testing.assert_allclose(D[:, j], col, atol=1e-8)
+
+
+def test_mirror_map_rejects_what_it_cannot_map():
+    with pytest.raises(ParameterError):
+        mirror_map(a_norm_ball(4), DualVector.of(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        mirror_map(entropy_simplex(3), DualVector.of(np.zeros(3), np.zeros(4)))
+    with pytest.raises(NumericsError):
+        mirror_map(euclidean_ball(2), DualVector.of([np.nan, 0.0]))
+
+
+def test_newton_leaves_the_a_norm_ball_to_the_extragradient_loop():
+    geom = a_norm_ball(4)
+    rng = np.random.default_rng(0)
+    prob = CompositeProblem(
+        gamma=1.0, anchor=uniform_point(geom),
+        f1=OperatorShard(np.eye(4), np.zeros(4)),
+        offset=DualVector.of(rng.normal(size=4)), geometry=geom, l_f1=1.0,
+    )
+    assert newton_solve(prob, uniform_point(geom)) is None
+
+
+def test_step_cap_hands_the_solve_back(monkeypatch):
+    prob, v0 = _instance("entropy", 5, seed=3, gamma=5.0)
+    u, steps = newton_solve(prob, v0)
+    assert steps >= 2
+    monkeypatch.setattr(inner, "NEWTON_MAX_STEPS", steps - 1)
+    assert newton_solve(prob, v0) is None
+    monkeypatch.setattr(inner, "NEWTON_MAX_STEPS", steps)
+    again, _ = newton_solve(prob, v0)
+    assert np.array_equal(again.concat(), u.concat())

@@ -438,7 +438,7 @@ _projection_entries = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.integers(1, 30).flatmap(
         lambda d: hnp.arrays(np.float64, (2, d), elements=_projection_entries)

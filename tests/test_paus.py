@@ -3,16 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from visim.cluster import ClusterState
+from visim import inner
+from visim.cluster import ClusterState, gather_average
 from visim.errors import ParameterError
 from visim.geometry import (
     bregman_divergence,
     entropy_simplex,
+    floor_simplex_point,
     max_divergence_bound,
+    prox_map,
     uniform_point,
 )
+from visim.inner import CompositeProblem, composite_mp
 from visim.operators import saddle_shard
-from visim.paus import PausConfig, duality_gap, paus_run
+from visim.paus import (
+    PausConfig,
+    _dual_combine,
+    _inner_plan,
+    duality_gap,
+    paus_run,
+)
 
 
 def _game_cluster(d, T, m, seed):
@@ -145,3 +155,41 @@ def test_duality_gap_examples():
     M = np.array([[1.0, 0.0], [0.0, 0.0]])
     e1 = np.array([1.0, 0.0])
     assert duality_gap(M, e1, e1) == pytest.approx(1.0)
+
+
+def test_step_cap_zero_is_the_extragradient_route(monkeypatch):
+    # with no Newton step allowed every subproblem goes to composite_mp
+    # with the previous u as its start, as before exact solves existed; the
+    # run must equal that route, written out here, bit for bit
+    cluster, _, shard_mats, delta, l_f1 = _game_cluster(d=4, T=60, m=4, seed=6)
+    K = 12
+    cfg = _config(4, delta, l_f1, iters=K)
+    monkeypatch.setattr(inner, "NEWTON_MAX_STEPS", 0)
+    out = paus_run(cfg, cluster, keep_iterates=True)
+    assert out.inner_fallbacks == K
+
+    ref = ClusterState(shards=[saddle_shard(M) for M in shard_mats])
+    cap, movement_tol = _inner_plan(cfg)
+    z, prev_u, iters = cfg.z0, None, []
+    for k in range(K):
+        f_z = gather_average(ref, [z])[0]
+        f1_z = ref.server_evaluate(z)
+        problem = CompositeProblem(
+            gamma=cfg.gamma, anchor=z, f1=ref.server_shard,
+            offset=_dual_combine((1.0, f_z), (-1.0, f1_z)),
+            geometry=cfg.geometry, l_f1=l_f1,
+        )
+        v0 = prev_u if prev_u is not None else z
+        u, n = composite_mp(problem, v0, cap, movement_tol)
+        u = floor_simplex_point(u)
+        f_u = gather_average(ref, [u])[0]
+        g = _dual_combine((1.0, f_u), (-1.0, ref.server_evaluate(u)),
+                          (-1.0, f_z), (1.0, f1_z))
+        z = floor_simplex_point(prox_map(cfg.geometry, u, g, cfg.gamma))
+        assert np.array_equal(out.u_path[k].concat(), u.concat())
+        assert np.array_equal(out.z_path[k + 1].concat(), z.concat())
+        prev_u = u
+        iters.append(n)
+    assert [rec.inner_iters for rec in out.log] == iters
+    assert cluster.round_count == ref.round_count == 2 * K
+

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from visim.cluster import ClusterState
-from visim import restart
+from visim import inner, restart
 from visim.errors import ConfigError, ParameterError, RestartStallError
 from visim.geometry import (
     a_norm_ball,
@@ -97,6 +97,32 @@ def test_no_stall_once_target_reached():
     out = paus_r(cfg, cluster, z_star=z_star)
     assert len(out.stages) == num_restarts(cfg.r0_sq, cfg.eps) == 8
     assert out.stages[-1].dist_sq <= cfg.eps
+
+
+@pytest.mark.parametrize("dim", [10, 50])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_default_inner_settings_shrink_every_stage(dim, seed):
+    # with the extragradient loop stopped at its default accuracy these
+    # stalled from stage 5 on (about 0.36 per stage near 1e-8); exact solves
+    # shrink ||u - z*||^2 by 0.006 to 0.06 in every stage
+    cfg, cluster, z_star = _instance(dim, 5, 0.05, 1.0, seed=seed, eps=1e-6)
+    out = paus_r(cfg, cluster, z_star=z_star)
+    prev = cfg.r0_sq
+    for stage in out.stages:
+        if prev > 1e-12:
+            assert stage.dist_sq <= 0.25 * restart.HALVING_SLACK**2 * prev
+        prev = stage.dist_sq
+    assert out.stages[-1].dist_sq <= cfg.eps
+
+
+def test_fallbacks_are_summed_over_stages(monkeypatch):
+    # with no Newton step allowed every subproblem of every stage falls back
+    cfg, cluster, _ = _instance(4, 3, 0.05, 1.0, seed=0, eps=1e-4)
+    assert paus_r(cfg, cluster).inner_fallbacks == 0
+    monkeypatch.setattr(inner, "NEWTON_MAX_STEPS", 0)
+    cfg, cluster, _ = _instance(4, 3, 0.05, 1.0, seed=0, eps=1e-4)
+    out = paus_r(cfg, cluster)
+    assert out.inner_fallbacks == sum(stage.iters for stage in out.stages) > 0
 
 
 def test_stall_above_target_raises(monkeypatch):
