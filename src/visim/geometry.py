@@ -288,11 +288,6 @@ def floor_simplex_point(z: Point, floor: float = TINY_MASS) -> Point:
     return Point(tuple(out))
 
 
-# no coordinate passes the threshold test when the input is non-finite or
-# a coordinate reaches about 2**53, where u - (u - 1) rounds to 0
-_NO_THRESHOLD = "simplex projection found no threshold (input too large or non-finite)"
-
-
 def project_block_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex.
 
@@ -306,30 +301,14 @@ def project_block_simplex(v: np.ndarray) -> np.ndarray:
     cond = u - css / idx > 0
     hits = np.nonzero(cond)[0]
     if hits.size == 0:
-        raise NumericsError(_NO_THRESHOLD)
+        # no coordinate passes when the input is non-finite or a coordinate
+        # reaches about 2**53, where u - (u - 1) rounds to 0
+        raise NumericsError(
+            "simplex projection found no threshold (input too large or non-finite)"
+        )
     rho = int(hits[-1])
     theta = css[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
-
-
-def project_rows_simplex(W: np.ndarray) -> np.ndarray:
-    """:func:`project_block_simplex` of every row of the 2-d ``W`` at once.
-
-    The same operations in the same order on each row, so each output row
-    equals the 1-d projection of that row bit for bit.
-    """
-    n, d = W.shape
-    U = np.sort(W, axis=1)[:, ::-1]
-    css = np.add.accumulate(U, axis=1) - 1.0
-    cond = U - css / np.arange(1, d + 1) > 0
-    # each row's last index passing the test, as project_block_simplex
-    # takes it, and its position in the flattened arrays
-    rho = d - 1 - cond[:, ::-1].argmax(axis=1)
-    at = rho + d * np.arange(n)
-    if not cond.take(at).all():
-        raise NumericsError(_NO_THRESHOLD)
-    theta = css.take(at) / (rho + 1.0)
-    return np.maximum(W - theta[:, None], 0.0)
 
 
 def _project_domain_block(setup: GeometrySetup, b: np.ndarray) -> np.ndarray:

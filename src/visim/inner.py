@@ -9,10 +9,13 @@ Everything here runs on the server; no communication rounds are consumed.
 :func:`newton_solve` solves it exactly for the entropy and Euclidean
 (simplex or l2-ball) setups: damped Newton on the normal map of the mirror
 map (Robinson 1992; semismooth Newton, Qi & Sun 1993), typically one to
-three linear solves of the problem's size, stopped at a round-off
-residual.  It returns None for the a-norm ball and for a solve that stalls
-or misses its target within ``NEWTON_MAX_STEPS`` steps; the outer solver
-then runs :func:`composite_mp`.
+three linear solves, stopped at a round-off residual.  A run builds one
+:class:`NewtonSystem` for its fixed F1 and gamma, which takes a saddle
+problem's steps through a d x d Schur complement and factors the
+interior-ball matrix once.  :func:`newton_solve` returns None for the
+a-norm ball and for a solve that stalls or misses its target within
+``NEWTON_MAX_STEPS`` steps; the outer solver then runs
+:func:`composite_mp`.
 
 :func:`composite_mp` is the paper's composite extragradient loop.  Each
 iteration takes two composite proximal steps with weight
@@ -21,13 +24,10 @@ subproblem's solution by 1 / (1 + eta), so
 
     T = ceil((3 L_F1 / delta) * log(V0 / eps))
 
-iterations reach Bregman accuracy eps when gamma = 1 / delta.  Three loops
-implement the iteration.  Entropy problems with a saddle F1 run the
-log-space loop of :mod:`visim._kernels`; Euclidean problems with a saddle
-F1 on two equal simplex blocks, or an affine F1 on the l2 ball, run a
-stacked numpy loop with the same bits as the generic one; everything
-else, and any run that asks for ``force_generic`` or ``record_path``, runs
-the generic block-wise loop.
+iterations reach Bregman accuracy eps when gamma = 1 / delta.  Entropy
+problems with a saddle F1 run the log-space loop of :mod:`visim._kernels`;
+everything else, and any run that asks for ``force_generic`` or
+``record_path``, runs the generic block-wise loop.
 """
 
 from __future__ import annotations
@@ -40,18 +40,15 @@ import numpy as np
 from . import _kernels
 from .errors import NumericsError, ParameterError
 from .geometry import (
-    DomainKind,
     DualVector,
     GeometryKind,
     GeometrySetup,
     Point,
     TINY_MASS,
-    _project_domain_block,
     bregman_divergence,
     composite_prox_map,
     dgf_grad,
     mirror_map,
-    project_rows_simplex,
 )
 from .operators import OperatorShard
 
@@ -172,86 +169,66 @@ def _composite_mp_log(
     return Point.of(np.exp(L[:d1]), np.exp(L[d1:])), iters
 
 
-def _euclidean_ok(problem: CompositeProblem, v0: Point) -> bool:
-    """A Euclidean saddle problem on two equal simplex blocks, or an affine
-    one on the l2 ball, with every operand in the geometry's block layout."""
-    geom = problem.geometry
-    if geom.kind is not GeometryKind.EUCLIDEAN:
-        return False
-    dims = geom.block_dims
-    d = dims[0]
-    if geom.domain.kind is DomainKind.SIMPLEX_PRODUCT:
-        fits = problem.f1.offset is None and dims == (d, d)
-    else:
-        fits = problem.f1.offset is not None and geom.domain.p == 2.0 and dims == (d,)
-    return (
-        fits
-        and problem.f1.matrix.shape == (d, d)
-        and all(
-            len(z.blocks) == len(dims) and all(b.shape == (d,) for b in z.blocks)
-            for z in (problem.anchor, problem.offset, v0)
-        )
-    )
+class NewtonSystem:
+    """What every Newton solve of one run shares, built once per run from
+    the fixed F1, gamma and geometry: the block matrix gB = gamma B, the
+    offset gb = gamma b, |gB|, the block bounds, and the linear solve
+    (I + gB D) dw = r of each step, where D = diag(a) - beta_k v_k v_k^T
+    per block comes from :func:`geometry.mirror_map`.
 
-
-def _composite_mp_euclidean(
-    problem: CompositeProblem, v0: Point, max_iters: int, movement_tol: float
-) -> tuple[Point, int]:
-    """The generic loop's Euclidean iteration on the stacked (blocks, d)
-    state: the same operations in the same order, so the same bits.
-
-    Both half-steps project (C - s G) / (1 + eta) with the shared centre
-    C = eta anchor + v, s = gamma eta and G = F1 + offset at v, then at the
-    half-step.
+    A saddle F1 = (M y, -M^T x) on two blocks takes the d x d Schur
+    complement: with P = gamma M D_2 and Q = gamma M^T D_1, it solves
+    (I + Q P) y = r_2 + Q r_1 and sets x = r_1 - P y.  I + Q P is
+    nonsingular because Q P = (gamma^2 M^T D_1 M) D_2 is a product of two
+    positive semidefinite matrices, whose eigenvalues are real and
+    nonnegative.  An affine F1 = A z + b on one block solves with the LU
+    factors of I + gamma A whenever the mirror map reports D = I (the
+    interior of the l2 ball), factored on first use and kept for the run;
+    any other D gets a dense solve.
     """
-    eta = problem.eta
-    s = problem.gamma * eta
-    M = problem.f1.matrix
-    O = np.stack(problem.offset.blocks)
-    eta_anchor = eta * np.stack(problem.anchor.blocks)
-    V = np.stack(v0.blocks)
-    G = np.empty_like(V)
-    if problem.f1.offset is None:
 
-        def gradient(Z):
-            # F1 = (M y, -M^T x); o - x M equals -(x M) + o exactly
-            np.add(M @ Z[1], O[0], out=G[0])
-            np.subtract(O[1], Z[0] @ M, out=G[1])
-            return G
+    def __init__(self, f1: OperatorShard, gamma: float, geometry: GeometrySetup):
+        self.f1, self.gamma, self.geometry = f1, gamma, geometry
+        ends = np.cumsum(geometry.block_dims).tolist()
+        self.bounds = list(zip([0] + ends[:-1], ends))
+        M = f1.matrix
+        self.saddle = f1.offset is None
+        if self.saddle:
+            d1, d2 = M.shape
+            self.gM, self.gMT = gamma * M, gamma * np.ascontiguousarray(M.T)
+            self.gB = np.zeros((d1 + d2, d1 + d2))
+            self.gB[:d1, d1:] = self.gM
+            self.gB[d1:, :d1] = -self.gMT
+            self.gb = 0.0
+        else:
+            self.gB, self.gb = gamma * M, gamma * f1.offset
+        self.abs_gB = np.abs(self.gB)
+        self._interior_lu = None
 
-        project = project_rows_simplex
-    else:
-        b = problem.f1.offset
+    def step(self, g: np.ndarray, diag: np.ndarray, rank_one) -> np.ndarray:
+        """The Newton step dw with (I + gB D) dw = -g."""
+        if self.saddle:
+            (b1, v1), (b2, v2) = rank_one
+            d1 = v1.size
+            P = self.gM * diag[d1:] - np.outer(b2 * (self.gM @ v2), v2)
+            Q = self.gMT * diag[:d1] - np.outer(b1 * (self.gMT @ v1), v1)
+            r1, r2 = -g[:d1], -g[d1:]
+            S = Q @ P
+            S.flat[:: v2.size + 1] += 1.0
+            y = np.linalg.solve(S, r2 + Q @ r1)
+            return np.concatenate([r1 - P @ y, y])
+        ((beta, v),) = rank_one
+        if beta == 0.0 and (diag == 1.0).all():
+            from scipy.linalg import lu_factor, lu_solve
 
-        def gradient(Z):
-            np.add(M @ Z[0] + b, O[0], out=G[0])
-            return G
-
-        def project(W):
-            return _project_domain_block(problem.geometry, W[0])[None]
-
-    iters = 0
-    for t in range(max_iters):
-        C = eta_anchor + V
-        W = (C - s * gradient(V)) / (1.0 + eta)
-        if not np.isfinite(W).all():
-            raise NumericsError(f"non-finite inner half-step at step {t}")
-        W = (C - s * gradient(project(W))) / (1.0 + eta)
-        if not np.isfinite(W).all():
-            raise NumericsError(f"non-finite inner iterate at step {t}")
-        V_next = project(W)
-        stop = False
-        if movement_tol > 0.0:
-            move = 0.0
-            for nb, vb in zip(V_next, V):
-                db = nb - vb
-                move += 0.5 * float(db @ db)
-            stop = move <= movement_tol
-        V = V_next
-        iters = t + 1
-        if stop:
-            break
-    return Point(tuple(b.copy() for b in V)), iters
+            if self._interior_lu is None:
+                J = np.eye(g.size) + self.gB
+                self._interior_lu = lu_factor(J, check_finite=False)
+            return lu_solve(self._interior_lu, -g, check_finite=False)
+        J = self.gB * diag
+        J -= np.outer(beta * (self.gB @ v), v)
+        J.flat[:: J.shape[0] + 1] += 1.0
+        return np.linalg.solve(J, -g)
 
 
 def _fits_layout(problem: CompositeProblem, v0: Point) -> bool:
@@ -269,7 +246,9 @@ def _fits_layout(problem: CompositeProblem, v0: Point) -> bool:
     )
 
 
-def newton_solve(problem: CompositeProblem, v0: Point) -> tuple[Point, int] | None:
+def newton_solve(
+    problem: CompositeProblem, v0: Point, system: NewtonSystem | None = None
+) -> tuple[Point, int] | None:
     """Solve the subproblem exactly by damped Newton on the normal map.
 
     With F1(u) = B u + b and c = grad w(anchor) - gamma * offset, the
@@ -283,33 +262,32 @@ def newton_solve(problem: CompositeProblem, v0: Point) -> tuple[Point, int] | No
     component of G is at round-off, ``NEWTON_RTOL`` times the magnitudes
     it is the difference of.
 
+    ``system`` is the run's :class:`NewtonSystem` for the problem's F1,
+    gamma and geometry (built here when omitted); a system built for
+    others raises :class:`ParameterError`.
+
     Returns the solution and the number of Newton steps, or None for a
     setup it does not cover (one :func:`geometry.mirror_map` rejects, such
-    as the a-norm ball, or operands outside the block layout) and for a solve that stalls (no decrease down to step
-    ``NEWTON_MIN_STEP``, or a non-finite trial point) or misses its target
-    within ``NEWTON_MAX_STEPS`` steps.
+    as the a-norm ball, or operands outside the block layout) and for a
+    solve that stalls (no decrease down to step ``NEWTON_MIN_STEP``, or a
+    non-finite trial point) or misses its target within
+    ``NEWTON_MAX_STEPS`` steps.
     """
+    geom, gamma = problem.geometry, problem.gamma
+    if system is None:
+        system = NewtonSystem(problem.f1, gamma, geom)
+    elif (system.f1 is not problem.f1 or system.gamma != gamma
+          or system.geometry is not geom):
+        raise ParameterError("the Newton system was built for another subproblem")
     if not _fits_layout(problem, v0):
         return None
-    geom, gamma = problem.geometry, problem.gamma
-    M, b = problem.f1.matrix, problem.f1.offset
-    if b is not None:
-        gB, gb = gamma * M, gamma * b
-    else:
-        d1, d2 = M.shape
-        gB = np.zeros((d1 + d2, d1 + d2))
-        gB[:d1, d1:] = gamma * M
-        gB[d1:, :d1] = -gamma * M.T
-        gb = 0.0
-    n = gB.shape[0]
-    ends = np.cumsum(geom.block_dims).tolist()
-    bounds = list(zip([0] + ends[:-1], ends))
+    gB, bounds = system.gB, system.bounds
     c = dgf_grad(geom, problem.anchor).concat() - gamma * problem.offset.concat()
     # G(w) = w - c + gamma (B u + b) = w - c_b + gB u.  Its round-off scale
     # is |w| + |c| + |gb| + |gB| (|u| + |D| |w|): the magnitudes of the
     # summed terms, with the rounding of w carried through the mirror map
-    c_b = c - gb
-    abs_gB, abs_c = np.abs(gB), np.abs(c) + np.abs(gb)
+    c_b = c - system.gb
+    abs_gB, abs_c = system.abs_gB, np.abs(c) + np.abs(system.gb)
 
     def evaluate(w):
         u, diag, rank_one = mirror_map(
@@ -331,12 +309,7 @@ def newton_solve(problem: CompositeProblem, v0: Point) -> tuple[Point, int] | No
         while not done:
             if steps == NEWTON_MAX_STEPS:
                 return None
-            # I + gamma B D, D = diag(diag) - beta_k v_k v_k^T per block
-            J = gB * diag
-            for (beta, v), (lo, hi) in zip(rank_one, bounds):
-                J[:, lo:hi] -= np.outer(beta * (gB[:, lo:hi] @ v), v)
-            J.flat[:: n + 1] += 1.0
-            dw = np.linalg.solve(J, -g)
+            dw = system.step(g, diag, rank_one)
             t = 1.0
             while True:
                 trial = evaluate(w + t * dw)
@@ -370,24 +343,18 @@ def composite_mp(
 
     Entropy geometry with a bilinear F1 runs the log-space loop of
     :mod:`visim._kernels` (compiled when numba is installed), which keeps
-    every coordinate at or above ``TINY_MASS``.  Euclidean geometry with a
-    bilinear F1 on two equal simplex blocks, or an affine F1 on the l2
-    ball, runs :func:`_composite_mp_euclidean`, which returns the generic
-    loop's iterate and count bit for bit.  ``force_generic`` and
-    ``record_path`` select the block-wise generic loop for every setup.
-    The outer solver calls this for the subproblems :func:`newton_solve`
-    leaves to it: the a-norm ball, and Newton solves that missed their
-    target.
+    every coordinate at or above ``TINY_MASS``; ``force_generic`` and
+    ``record_path`` select the block-wise generic loop, which every other
+    setup runs.  The outer solver calls this for the subproblems
+    :func:`newton_solve` leaves to it: the a-norm ball, and Newton solves
+    that missed their target.
     """
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     if movement_tol < 0.0:
         raise ParameterError("movement_tol must be >= 0")
-    if not record_path and not force_generic:
-        if _log_space_ok(problem):
-            return _composite_mp_log(problem, v0, max_iters, movement_tol)
-        if _euclidean_ok(problem, v0):
-            return _composite_mp_euclidean(problem, v0, max_iters, movement_tol)
+    if not record_path and not force_generic and _log_space_ok(problem):
+        return _composite_mp_log(problem, v0, max_iters, movement_tol)
 
     geom = problem.geometry
     eta = problem.eta

@@ -43,7 +43,13 @@ from .geometry import (
     prox_map,
     validate_point,
 )
-from .inner import CompositeProblem, InnerSettings, composite_mp, newton_solve
+from .inner import (
+    CompositeProblem,
+    InnerSettings,
+    NewtonSystem,
+    composite_mp,
+    newton_solve,
+)
 
 DEFAULT_INNER_TOL = 1e-10
 MOVEMENT_TOL_FLOOR = 1e-17
@@ -205,6 +211,7 @@ def paus_run(
     """
     geom = config.geometry
     cap, movement_tol = _inner_plan(config)
+    system = NewtonSystem(cluster.server_shard, config.gamma, geom)
     fallbacks = 0
 
     def step(z: Point, prev_u: Point | None) -> tuple[Point, Point, int]:
@@ -222,7 +229,7 @@ def paus_run(
         )
         # warm start: the previous subproblem solution
         v0 = prev_u if prev_u is not None else z
-        solved = newton_solve(problem, v0)
+        solved = newton_solve(problem, v0, system)
         if solved is None:
             fallbacks += 1
             solved = composite_mp(problem, v0, cap, movement_tol)

@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from visim import inner
+from visim.cluster import ClusterState
 from visim.errors import NumericsError, ParameterError, ShapeError
 from visim.geometry import (
     DualVector,
@@ -25,8 +27,12 @@ from visim.geometry import (
     recenter,
     uniform_point,
 )
-from visim.inner import CompositeProblem, composite_mp, newton_solve
+from visim.inner import CompositeProblem, NewtonSystem, composite_mp, newton_solve
 from visim.operators import OperatorShard, saddle_shard
+from visim.paus import PausConfig, paus_run
+from visim.restart import synthetic_strongly_monotone
+
+from test_inner import _ball_problem
 
 GEOMETRIES = ["entropy", "entropy-floored", "simplex", "ball", "ball-sphere",
               "ball-recentred"]
@@ -220,3 +226,107 @@ def test_step_cap_hands_the_solve_back(monkeypatch):
     monkeypatch.setattr(inner, "NEWTON_MAX_STEPS", steps)
     again, _ = newton_solve(prob, v0)
     assert np.array_equal(again.concat(), u.concat())
+
+
+def _jacobian(diag, rank_one):
+    """D = diag(diag) - beta_k v_k v_k^T per block, as a dense matrix."""
+    D = np.diag(diag)
+    lo = 0
+    for beta, v in rank_one:
+        D[lo:lo + v.size, lo:lo + v.size] -= beta * np.outer(v, v)
+        lo += v.size
+    return D
+
+
+@settings(max_examples=300)
+@given(st.tuples(
+    st.sampled_from(["entropy-floored", "simplex"]),
+    st.integers(2, 8),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 20.0),
+))
+def test_schur_step_matches_the_dense_newton_solve(args):
+    kind, d, seed, gamma = args
+    prob, _ = _instance(*args)
+    geom = prob.geometry
+    rng = np.random.default_rng(seed + 1)
+    if kind == "entropy-floored":
+        # logits of a point with some coordinates at the 1e-300 floor
+        theta = dgf_grad(geom, _floored(random_point(geom, rng), rng))
+    else:
+        # a simplex point on a random support S (down to |S| = 1), and
+        # negative values off it, so that the projection keeps exactly S
+        blocks = []
+        for _ in geom.block_dims:
+            b = -rng.uniform(0.01, 1.0, size=d)
+            on = rng.permutation(d)[: rng.integers(1, d + 1)]
+            b[on] = rng.dirichlet(np.ones(on.size))
+            blocks.append(b)
+        theta = DualVector(tuple(blocks))
+    _, diag, rank_one = mirror_map(geom, theta)
+    if kind == "simplex":
+        assert [v.sum() for _, v in rank_one] == [(b > 0).sum() for b in theta.blocks]
+    system = NewtonSystem(prob.f1, gamma, geom)
+    g = rng.normal(size=2 * d)
+    J = np.eye(2 * d) + system.gB @ _jacobian(diag, rank_one)
+    dense = np.linalg.solve(J, -g)
+    step = system.step(g, diag, rank_one)
+    assert np.linalg.norm(step - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of scipy.linalg's ``name``."""
+    calls = []
+    fn = getattr(scipy.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, name, counted)
+    return calls
+
+
+def test_interior_ball_run_factors_its_matrix_once(monkeypatch):
+    dim, K = 20, 12
+    shards, _, consts = synthetic_strongly_monotone(
+        dim, m=4, mu=0.5, delta=1.0, seed=7
+    )
+    geom = euclidean_ball(dim)
+    config = PausConfig(gamma=1.0 / consts.delta, iters=K, geometry=geom,
+                        z0=uniform_point(geom), l_f1=consts.L_F1)
+    factors = _count_calls(monkeypatch, "lu_factor")
+    solves = _count_calls(monkeypatch, "lu_solve")
+    result = paus_run(config, ClusterState(shards=shards))
+    assert result.inner_fallbacks == 0
+    assert len(factors) == 1
+    # the factors then served the interior steps of all K subproblems
+    assert len(solves) >= K
+
+
+def test_active_ball_steps_never_use_the_interior_factor(monkeypatch):
+    active, v0 = _ball_problem(50, seed=2, push=50.0)
+    interior, _ = _ball_problem(50, seed=2)
+    interior = CompositeProblem(
+        gamma=active.gamma, anchor=active.anchor, f1=active.f1,
+        offset=interior.offset, geometry=active.geometry, l_f1=active.l_f1,
+    )
+    system = NewtonSystem(active.f1, active.gamma, active.geometry)
+    factors = _count_calls(monkeypatch, "lu_factor")
+    solves = _count_calls(monkeypatch, "lu_solve")
+    # an interior solve first, so that the system holds the factor
+    u, _ = newton_solve(interior, v0, system)
+    assert float(np.linalg.norm(u.concat())) < 1.0
+    assert len(factors) == 1 and solves
+    solves.clear()
+    u, steps = newton_solve(active, v0, system)
+    assert steps >= 1 and solves == [] and len(factors) == 1
+    assert float(np.linalg.norm(u.concat())) == pytest.approx(1.0, abs=1e-12)
+    assert _prox_residual(active, u) <= 1e-11
+
+
+def test_newton_system_must_match_the_subproblem():
+    prob, v0 = _instance("ball", 4, seed=5, gamma=1.0)
+    other = NewtonSystem(prob.f1, 2.0 * prob.gamma, prob.geometry)
+    with pytest.raises(ParameterError):
+        newton_solve(prob, v0, other)

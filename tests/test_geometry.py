@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from visim.errors import (
     DivergenceInfinite,
@@ -33,7 +31,6 @@ from visim.geometry import (
     omega_d,
     primal_norm,
     project_block_simplex,
-    project_rows_simplex,
     prox_map,
     random_point,
     recenter,
@@ -419,36 +416,9 @@ def test_simplex_projection_without_threshold_raises():
         project_block_simplex(np.array([1e16, 0.0, -1.0]))
     with pytest.raises(NumericsError):
         project_block_simplex(np.array([0.5, np.nan]))
-    with pytest.raises(NumericsError):
-        project_rows_simplex(np.array([[0.2, 0.3, 0.5], [1e16, 0.0, -1.0]]))
     geom = euclidean_simplex(3, blocks=1)
     with pytest.raises(NumericsError):
         prox_map(geom, uniform_point(geom), DualVector.of([-1e17, 0.0, 0.0]), 1.0)
-
-
-# ties (small integers), magnitudes from 1e-300 to 1e15, both signs
-_projection_entries = st.one_of(
-    st.integers(-3, 3).map(float),
-    st.builds(
-        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
-        st.sampled_from([-1.0, 1.0]),
-        st.floats(1.0, 9.99),
-        st.integers(-300, 14),
-    ),
-)
-
-
-@settings(max_examples=200)
-@given(
-    st.integers(1, 30).flatmap(
-        lambda d: hnp.arrays(np.float64, (2, d), elements=_projection_entries)
-    )
-)
-def test_stacked_simplex_projection_matches_rows(W):
-    out = project_rows_simplex(W)
-    assert out.shape == W.shape
-    for row, got in zip(W, out):
-        assert np.array_equal(got, project_block_simplex(row))
 
 
 def test_floor_simplex_point_restores_positivity():
