@@ -171,10 +171,11 @@ def _composite_mp_log(
 
 class NewtonSystem:
     """What every Newton solve of one run shares, built once per run from
-    the fixed F1, gamma and geometry: the block matrix gB = gamma B, the
-    offset gb = gamma b, |gB|, the block bounds, and the linear solve
-    (I + gB D) dw = r of each step, where D = diag(a) - beta_k v_k v_k^T
-    per block comes from :func:`geometry.mirror_map`.
+    the fixed F1, gamma and block layout of the geometry: the block matrix
+    gB = gamma B, the offset gb = gamma b, |gB|, the block bounds, and the
+    linear solve (I + gB D) dw = r of each step, where
+    D = diag(a) - beta_k v_k v_k^T per block comes from
+    :func:`geometry.mirror_map`.
 
     A saddle F1 = (M y, -M^T x) on two blocks takes the d x d Schur
     complement: with P = gamma M D_2 and Q = gamma M^T D_1, it solves
@@ -184,12 +185,14 @@ class NewtonSystem:
     nonnegative.  An affine F1 = A z + b on one block solves with the LU
     factors of I + gamma A whenever the mirror map reports D = I (the
     interior of the l2 ball), factored on first use and kept for the run;
-    any other D gets a dense solve.
+    any other D gets a dense solve.  Nothing here depends on where the
+    geometry is centred, so the stages of a restarted run, which recentre
+    it, share one system.
     """
 
     def __init__(self, f1: OperatorShard, gamma: float, geometry: GeometrySetup):
-        self.f1, self.gamma, self.geometry = f1, gamma, geometry
-        ends = np.cumsum(geometry.block_dims).tolist()
+        self.f1, self.gamma, self.block_dims = f1, gamma, geometry.block_dims
+        ends = np.cumsum(self.block_dims).tolist()
         self.bounds = list(zip([0] + ends[:-1], ends))
         M = f1.matrix
         self.saddle = f1.offset is None
@@ -263,7 +266,7 @@ def newton_solve(
     it is the difference of.
 
     ``system`` is the run's :class:`NewtonSystem` for the problem's F1,
-    gamma and geometry (built here when omitted); a system built for
+    gamma and block layout (built here when omitted); a system built for
     others raises :class:`ParameterError`.
 
     Returns the solution and the number of Newton steps, or None for a
@@ -277,7 +280,7 @@ def newton_solve(
     if system is None:
         system = NewtonSystem(problem.f1, gamma, geom)
     elif (system.f1 is not problem.f1 or system.gamma != gamma
-          or system.geometry is not geom):
+          or system.block_dims != geom.block_dims):
         raise ParameterError("the Newton system was built for another subproblem")
     if not _fits_layout(problem, v0):
         return None

@@ -198,6 +198,7 @@ def paus_run(
     gap_fn: Callable[[Point], float] | None = None,
     keep_iterates: bool = False,
     log_predicate: Callable[[int], bool] | None = None,
+    system: NewtonSystem | None = None,
 ) -> PausResult:
     """Run K outer iterations on the cluster and return the ergodic average.
 
@@ -208,10 +209,14 @@ def paus_run(
     Each record's ``inner_iters`` counts the Newton steps of its
     subproblem, or the extragradient iterations when it was handed to
     ``composite_mp``; ``PausResult.inner_fallbacks`` counts those hand-offs.
+    ``system`` is the :class:`inner.NewtonSystem` of the server shard, gamma
+    and block layout, when the caller shares one between runs; by default
+    the run builds its own.
     """
     geom = config.geometry
     cap, movement_tol = _inner_plan(config)
-    system = NewtonSystem(cluster.server_shard, config.gamma, geom)
+    if system is None:
+        system = NewtonSystem(cluster.server_shard, config.gamma, geom)
     fallbacks = 0
 
     def step(z: Point, prev_u: Point | None) -> tuple[Point, Point, int]:

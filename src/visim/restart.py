@@ -26,7 +26,7 @@ from .geometry import (
     recenter,
     validate_point,
 )
-from .inner import InnerSettings
+from .inner import InnerSettings, NewtonSystem
 from .operators import OperatorShard, SimilarityConstants
 from .paus import PausConfig, PausResult, paus_run
 
@@ -122,6 +122,9 @@ def paus_r(
     y0 = config.z0
     prev_dist = _dist_sq(u_t, z_star) if z_star is not None else math.nan
     fallbacks = 0
+    # F1, gamma and the block layout are the same in every stage, so the
+    # stages share one Newton system (and its interior-ball factors)
+    system = NewtonSystem(cluster.server_shard, config.gamma, config.geometry)
     for t in range(n_stages):
         geom_t = recenter(config.geometry, u_t, y0)
         om = omega_d(geom_t, u_t)
@@ -135,7 +138,9 @@ def paus_r(
             delta=config.delta,
             inner=config.inner,
         )
-        result: PausResult = paus_run(stage_cfg, cluster, log_predicate=lambda k: False)
+        result: PausResult = paus_run(
+            stage_cfg, cluster, log_predicate=lambda k: False, system=system
+        )
         u_t = result.u_avg
         fallbacks += result.inner_fallbacks
         dist = _dist_sq(u_t, z_star) if z_star is not None else math.nan

@@ -1,9 +1,11 @@
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from visim import bench, paus
 from visim.baselines import BaselineConfig, BaselineKind, euclidean_paus_run
@@ -52,6 +54,43 @@ def test_generation_is_deterministic():
     np.testing.assert_array_equal(generate_game(spec), generate_game(spec))
     other = GameSpec(d=5, T=20, m=4, seed=8)
     assert not np.array_equal(generate_game(spec), generate_game(other))
+
+
+@settings(max_examples=80)
+@given(
+    d=st.integers(2, 7),
+    seed=st.integers(0, 2**32 - 1),
+    per_entry=st.booleans(),
+    rows=st.integers(2, 6),
+    spare=st.integers(0, 3),
+    where=st.sampled_from(["below", "one", "ragged"]),
+)
+def test_chunked_generation_is_one_draw(d, seed, per_entry, rows, spare, where):
+    # chunks of `rows` matrices (the spare signs do not make a whole one);
+    # T below one chunk, exactly one, or several with a ragged last one.
+    # Odd d gives chunks of an odd number of signs.
+    T = {"below": rows - 1, "one": rows, "ragged": 3 * rows + 1}[where]
+    spec = GameSpec(d=d, T=T, m=1, seed=seed, per_entry=per_entry)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "_SIGN_CHUNK", rows * d * d + spare)
+        mats = generate_game(spec)
+    rng = np.random.default_rng(seed)
+    shape = (T, d, d) if per_entry else (T, 1, 1)
+    expected = (1.0 + rng.choice([-1.0, 1.0], shape)) * base_matrix(spec)[None]
+    assert mats.shape == (T, d, d)
+    assert np.array_equal(mats, expected)
+
+
+def test_per_entry_generation_peaks_near_one_tensor():
+    spec = GameSpec(d=25, T=4000, m=5, per_entry=True)
+    tracemalloc.start()
+    try:
+        mats = generate_game(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output plus one chunk's draws; one draw of every sign took 3x
+    assert peak < 1.25 * mats.nbytes
 
 
 def test_empirical_mean_concentrates():

@@ -30,7 +30,7 @@ from visim.geometry import (
 from visim.inner import CompositeProblem, NewtonSystem, composite_mp, newton_solve
 from visim.operators import OperatorShard, saddle_shard
 from visim.paus import PausConfig, paus_run
-from visim.restart import synthetic_strongly_monotone
+from visim.restart import RestartConfig, paus_r, synthetic_strongly_monotone
 
 from test_inner import _ball_problem
 
@@ -302,6 +302,24 @@ def test_interior_ball_run_factors_its_matrix_once(monkeypatch):
     assert len(factors) == 1
     # the factors then served the interior steps of all K subproblems
     assert len(solves) >= K
+
+
+def test_restart_stages_share_one_factorisation(monkeypatch):
+    # the stages differ only in the centre of the geometry, which
+    # I + gamma A does not depend on
+    dim = 10
+    shards, z_star, consts = synthetic_strongly_monotone(
+        dim, m=5, mu=0.5, delta=1.0, seed=3
+    )
+    geom = euclidean_ball(dim)
+    z0 = uniform_point(geom)
+    config = RestartConfig(mu=0.5, delta=1.0, eps=1e-6, geometry=geom, z0=z0,
+                           r0_sq=float(z_star.concat() @ z_star.concat()),
+                           l_f1=consts.L_F1)
+    factors = _count_calls(monkeypatch, "lu_factor")
+    out = paus_r(config, ClusterState(shards=shards), z_star=z_star)
+    assert len(out.stages) >= 3 and out.inner_fallbacks == 0
+    assert len(factors) == 1
 
 
 def test_active_ball_steps_never_use_the_interior_factor(monkeypatch):

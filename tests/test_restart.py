@@ -126,7 +126,7 @@ def test_fallbacks_are_summed_over_stages(monkeypatch):
 
 
 def test_stall_above_target_raises(monkeypatch):
-    def stuck(config, cluster, log_predicate=None):
+    def stuck(config, cluster, log_predicate=None, system=None):
         return PausResult(u_avg=config.z0, log=[], u_path=[], z_path=[])
 
     monkeypatch.setattr(restart, "paus_run", stuck)
