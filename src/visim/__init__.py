@@ -46,7 +46,6 @@ from .inner import CompositeProblem, InnerSettings, composite_mp
 from .operators import (
     OperatorShard,
     SimilarityConstants,
-    average_stack,
     lipschitz_matrix_game,
     saddle_shard,
     similarity_matrix_game,
@@ -75,7 +74,7 @@ __all__ = [
     "ExperimentResult", "GameSpec", "GeometryKind", "GeometrySetup",
     "InnerSettings", "OperatorShard", "PausConfig", "PausResult",
     "Point", "RestartConfig", "RestartResult", "RunRecord",
-    "SimilarityConstants", "VisimError", "a_norm_ball", "average_stack",
+    "SimilarityConstants", "VisimError", "a_norm_ball",
     "base_matrix", "bregman_divergence", "composite_mp",
     "composite_prox_map", "dgf_grad", "dgf_value", "duality_gap",
     "emit_csv", "entropy_simplex", "estimate_constants",

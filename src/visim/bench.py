@@ -37,7 +37,7 @@ DENSE_LOG_ROUNDS = 1000
 LOG_RATIO = 1.1
 GAMMA_CAP_SCALE = 1e6  # gamma cap = scale / L when delta underflows
 EPS_ITERS_CAP = 100_000  # largest iteration count run_comparison derives from eps
-# signs drawn at a time by per-entry generation (2 MB of float64)
+# signs drawn at a time by per-entry generation (2 MB of int64 indices)
 _SIGN_CHUNK = 2**18
 
 
@@ -109,9 +109,12 @@ def generate_game(spec: GameSpec) -> np.ndarray:
     draws an independent sign per entry instead.  Per-entry games are
     written into the one T x d x d output in chunks of about
     ``_SIGN_CHUNK`` signs, so generation peaks at the output plus one
-    chunk's draws (about 4 MB) rather than about three tensors.  The
-    chunked draws consume the generator exactly as one draw of all T d^2
-    signs does, so the matrices are the same bits as
+    chunk's draw (2 MB) rather than about three tensors.  A chunk draws
+    the indices ``rng.choice([-1., 1.], ...)`` would draw,
+    ``rng.integers(0, 2, ...)``, and 1 + xi is twice the index, so the
+    chunk needs no array of signs.  The chunked draws consume the
+    generator exactly as one draw of all T d^2 signs does, so the
+    matrices are the same bits as
     ``(1 + rng.choice([-1., 1.], (T, d, d))) * C``.
     """
     C = base_matrix(spec)
@@ -120,12 +123,12 @@ def generate_game(spec: GameSpec) -> np.ndarray:
         xi = rng.choice([-1.0, 1.0], size=(spec.T, 1, 1))
         return (1.0 + xi) * C[None, :, :]
     out = np.empty((spec.T, spec.d, spec.d))
+    twice_C = 2.0 * C
     rows = max(1, _SIGN_CHUNK // (spec.d * spec.d))
     for lo in range(0, spec.T, rows):
-        xi = rng.choice([-1.0, 1.0], size=(min(rows, spec.T - lo), spec.d, spec.d))
-        xi += 1.0
-        np.multiply(xi, C, out=out[lo : lo + xi.shape[0]])
-        del xi  # so that the next draw does not overlap this one
+        idx = rng.integers(0, 2, size=(min(rows, spec.T - lo), spec.d, spec.d))
+        np.multiply(idx, twice_C, out=out[lo : lo + idx.shape[0]])
+        del idx  # so that the next draw does not overlap this one
     return out
 
 

@@ -6,10 +6,13 @@ evaluations at all of them.  Extragradient-type solvers therefore cost two
 rounds per iteration (one exchange at z^k, one at u^k).  Byte accounting
 counts both directions, 8 bytes per real coordinate.
 
-The cluster stacks its shards once, at construction; a gather applies the
-whole stack and sums it in worker order
-(:func:`visim.operators.average_stack`), so gathered averages are
-reproducible bit-for-bit.
+Every shard is linear data, so the workers' average F = (1/m) sum_i F_i is
+itself a shard: the cluster forms it once, at construction, by summing the
+shard matrices (and offsets) in worker order and dividing by m, and a
+gather answers each point with that one product.  In exact arithmetic this
+is the mean of the m worker outputs; in floating point the two differ at
+round-off, of order (m + d) eps mean_i |A_i| |z|.  The counters still
+charge every worker's share of each exchange.
 """
 
 from __future__ import annotations
@@ -20,27 +23,30 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .geometry import DualVector, Point
-from .operators import OperatorShard, average_stack
+from .operators import OperatorShard
 
 
 def _kind(shard: OperatorShard) -> str:
     return "saddle" if shard.offset is None else "affine"
 
 
+def _worker_mean(arrays: list[np.ndarray]) -> np.ndarray:
+    """The mean of the workers' arrays, summed in worker order."""
+    return sum(arrays[1:], arrays[0]) / len(arrays)
+
+
 @dataclass
 class ClusterState:
     """m workers, worker 1 doubling as the server.
 
-    ``matrices`` (m, ...) and ``offsets`` (m, d) or None are the shards
-    stacked at construction; every shard must have worker 1's kind and
-    shape.
+    ``average`` is the workers' average operator, formed at construction;
+    every shard must have worker 1's kind and shape.
     """
 
     shards: list[OperatorShard]
     round_count: int = 0
     bytes_sent: int = 0
-    matrices: np.ndarray = field(init=False, repr=False)
-    offsets: np.ndarray | None = field(init=False, repr=False)
+    average: OperatorShard = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.shards:
@@ -57,10 +63,10 @@ class ClusterState:
                     f"worker {i}: matrix shape {shard.matrix.shape} differs "
                     f"from worker 1's {first.matrix.shape}"
                 )
-        self.matrices = np.stack([s.matrix for s in self.shards])
-        self.offsets = (
+        self.average = OperatorShard(
+            _worker_mean([s.matrix for s in self.shards]),
             None if first.offset is None
-            else np.stack([s.offset for s in self.shards])
+            else _worker_mean([s.offset for s in self.shards]),
         )
 
     @property
@@ -79,14 +85,15 @@ class ClusterState:
 
 def gather_average(cluster: ClusterState, points: list[Point]) -> list[DualVector]:
     """One communication round: every worker evaluates its shard at all
-    ``points``; the server returns the coordinate-wise averages.
+    ``points``; the server returns the coordinate-wise averages, each
+    computed as one product by the cluster's average operator.
 
     The round counter increments by exactly 1 no matter how many points
     ride in the exchange.
     """
     if not points:
         raise ConfigError("gather_average needs at least one point")
-    averages = [average_stack(cluster.matrices, cluster.offsets, z) for z in points]
+    averages = [cluster.average.evaluate(z) for z in points]
     coords = sum(b.size for b in points[0].blocks) * len(points)
     cluster.round_count += 1
     cluster.bytes_sent += 2 * cluster.m * coords * 8  # broadcast + gather

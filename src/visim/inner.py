@@ -33,7 +33,7 @@ everything else, and any run that asks for ``force_generic`` or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,6 +60,9 @@ NEWTON_MAX_STEPS = 30
 NEWTON_RTOL = 1e-13
 # the shortest backtracking step before a Newton solve gives up
 NEWTON_MIN_STEP = 2.0**-30
+# the failed solves each phase of a gamma continuation may make before the
+# subproblem is left to the extragradient loop
+_GAMMA_CONTINUATION_CAP = 10
 
 
 @dataclass
@@ -265,16 +268,22 @@ def newton_solve(
     component of G is at round-off, ``NEWTON_RTOL`` times the magnitudes
     it is the difference of.
 
+    A solve that stalls (no decrease down to step ``NEWTON_MIN_STEP``, or a
+    non-finite trial point) or misses its target within
+    ``NEWTON_MAX_STEPS`` steps goes on by continuation in gamma
+    (:func:`_continue_in_gamma`): a smaller gamma weakens F1's coupling, so
+    damped Newton no longer stalls at a kink of the piecewise-affine
+    simplex normal map.
+
     ``system`` is the run's :class:`NewtonSystem` for the problem's F1,
     gamma and block layout (built here when omitted); a system built for
     others raises :class:`ParameterError`.
 
-    Returns the solution and the number of Newton steps, or None for a
-    setup it does not cover (one :func:`geometry.mirror_map` rejects, such
-    as the a-norm ball, or operands outside the block layout) and for a
-    solve that stalls (no decrease down to step ``NEWTON_MIN_STEP``, or a
-    non-finite trial point) or misses its target within
-    ``NEWTON_MAX_STEPS`` steps.
+    Returns the solution and the number of Newton steps taken, stalled
+    attempts included, or None for a setup it does not cover (one
+    :func:`geometry.mirror_map` rejects, such as the a-norm ball, or
+    operands outside the block layout) and for a subproblem the
+    continuation does not solve either.
     """
     geom, gamma = problem.geometry, problem.gamma
     if system is None:
@@ -284,6 +293,63 @@ def newton_solve(
         raise ParameterError("the Newton system was built for another subproblem")
     if not _fits_layout(problem, v0):
         return None
+    try:
+        u, steps = _damped_newton(problem, v0, system)
+        if u is None:
+            u, more = _continue_in_gamma(problem, v0, system)
+            steps += more
+    except (ParameterError, NumericsError, np.linalg.LinAlgError):
+        return None
+    return None if u is None else (u, steps)
+
+
+def _continue_in_gamma(
+    problem: CompositeProblem, v0: Point, system: NewtonSystem
+) -> tuple[Point | None, int]:
+    """Halve gamma until a Newton solve from ``v0`` converges, then climb
+    back to ``problem.gamma`` by doubling it, each level warm-started from
+    the last answer; a level that stalls is retried from that answer with
+    the square root of the ratio.  ``system`` serves the last level.  Each
+    phase gives up after ``_GAMMA_CONTINUATION_CAP`` failed solves.
+    Returns the answer (None if it gave up) and the steps taken."""
+    gamma, steps = problem.gamma, 0
+
+    def solve(g, start):
+        nonlocal steps
+        level_system = (system if g == gamma
+                        else NewtonSystem(problem.f1, g, problem.geometry))
+        u, more = _damped_newton(replace(problem, gamma=g), start, level_system)
+        steps += more
+        return u
+
+    lo = gamma
+    for _ in range(_GAMMA_CONTINUATION_CAP):
+        lo /= 2.0
+        u = solve(lo, v0)
+        if u is not None:
+            break
+    else:
+        return None, steps
+    ratio, failures = 2.0, 0
+    while lo < gamma:
+        g = gamma if lo * ratio >= gamma else lo * ratio
+        nxt = solve(g, u)
+        if nxt is not None:
+            lo, u = g, nxt
+            continue
+        failures += 1
+        if failures == _GAMMA_CONTINUATION_CAP:
+            return None, steps
+        ratio = math.sqrt(ratio)
+    return u, steps
+
+
+def _damped_newton(
+    problem: CompositeProblem, v0: Point, system: NewtonSystem
+) -> tuple[Point | None, int]:
+    """One damped Newton solve from ``v0`` (see :func:`newton_solve`);
+    the answer is None if it stalls or misses its target."""
+    geom, gamma = problem.geometry, problem.gamma
     gB, bounds = system.gB, system.bounds
     c = dgf_grad(geom, problem.anchor).concat() - gamma * problem.offset.concat()
     # G(w) = w - c + gamma (B u + b) = w - c_b + gB u.  Its round-off scale
@@ -306,26 +372,23 @@ def newton_solve(
         return u, diag, rank_one, g, math.sqrt(g @ g), done
 
     w = c_b - gB @ v0.concat()
-    try:
-        u, diag, rank_one, g, norm, done = evaluate(w)
-        steps = 0
-        while not done:
-            if steps == NEWTON_MAX_STEPS:
-                return None
-            dw = system.step(g, diag, rank_one)
-            t = 1.0
-            while True:
-                trial = evaluate(w + t * dw)
-                if trial[4] <= (1.0 - 1e-4 * t) * norm:
-                    break
-                t *= 0.5
-                if t < NEWTON_MIN_STEP:
-                    return None
-            w = w + t * dw
-            u, diag, rank_one, g, norm, done = trial
-            steps += 1
-    except (ParameterError, NumericsError, np.linalg.LinAlgError):
-        return None
+    u, diag, rank_one, g, norm, done = evaluate(w)
+    steps = 0
+    while not done:
+        if steps == NEWTON_MAX_STEPS:
+            return None, steps
+        dw = system.step(g, diag, rank_one)
+        t = 1.0
+        while True:
+            trial = evaluate(w + t * dw)
+            if trial[4] <= (1.0 - 1e-4 * t) * norm:
+                break
+            t *= 0.5
+            if t < NEWTON_MIN_STEP:
+                return None, steps
+        w = w + t * dw
+        u, diag, rank_one, g, norm, done = trial
+        steps += 1
     return u, steps
 
 

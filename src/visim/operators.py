@@ -1,6 +1,5 @@
-"""Monotone operators: worker shards stored as data, the worker average
-of a stack of shards, and the matrix-game constant estimators (Lipschitz
-and similarity in the l1/linf pairing)."""
+"""Monotone operators: worker shards stored as data, and the matrix-game
+constant estimators (Lipschitz and similarity in the l1/linf pairing)."""
 
 from __future__ import annotations
 
@@ -46,47 +45,26 @@ class OperatorShard:
         return self.matrix if self.offset is None else (self.matrix, self.offset)
 
     def evaluate(self, z: Point) -> DualVector:
-        offsets = None if self.offset is None else self.offset[None]
-        return average_stack(self.matrix[None], offsets, z)
+        """F(z): (M y, -M^T x) at z = (x, y), or A z + b."""
+        M = self.matrix
+        if self.offset is not None:
+            if len(z.blocks) != 1 or z.blocks[0].size != M.shape[1]:
+                raise ShapeError(
+                    f"affine operator expects one block of size {M.shape[1]}"
+                )
+            return DualVector((M @ z.blocks[0] + self.offset,))
+        if len(z.blocks) != 2:
+            raise ShapeError("saddle operator expects a two-block point (x, y)")
+        x, y = z.blocks
+        if x.size != M.shape[0] or y.size != M.shape[1]:
+            raise ShapeError(
+                f"point blocks ({x.size}, {y.size}) do not match matrix {M.shape}"
+            )
+        return DualVector((M @ y, -(x @ M)))
 
 
 def saddle_shard(M: np.ndarray) -> OperatorShard:
     return OperatorShard(M)
-
-
-def average_stack(
-    matrices: np.ndarray, offsets: np.ndarray | None, z: Point
-) -> DualVector:
-    """F(z) = (1/m) sum_i F_i(z) over a stack of m shards, summed in
-    worker order.
-
-    ``matrices`` is (m, d1, d2).  With ``offsets`` None, F_i is the saddle
-    operator of ``matrices[i]``; otherwise ``offsets`` is (m, d) and
-    F_i(z) = matrices[i] z + offsets[i].
-    """
-    if offsets is not None:
-        if len(z.blocks) != 1 or z.blocks[0].size != matrices.shape[2]:
-            raise ShapeError(
-                f"affine operator expects one block of size {matrices.shape[2]}"
-            )
-        return DualVector((_mean(matrices @ z.blocks[0] + offsets),))
-    if len(z.blocks) != 2:
-        raise ShapeError("saddle operator expects a two-block point (x, y)")
-    x, y = z.blocks
-    if x.size != matrices.shape[1] or y.size != matrices.shape[2]:
-        raise ShapeError(
-            f"point blocks ({x.size}, {y.size}) do not match matrix "
-            f"{matrices.shape[1:]}"
-        )
-    return DualVector((_mean(matrices @ y), -_mean(x @ matrices)))
-
-
-def _mean(outputs: np.ndarray) -> np.ndarray:
-    """The mean of the (m, d) worker outputs, summed in worker order; one
-    output is its own mean (the sum of one row and the division by 1 are
-    exact, and skipping them halves the cost of a server evaluation)."""
-    m = outputs.shape[0]
-    return outputs[0] if m == 1 else outputs.sum(axis=0) / m
 
 
 @dataclass(frozen=True)

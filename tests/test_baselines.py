@@ -81,8 +81,9 @@ def test_mirror_prox_round_accounting():
 
 
 def test_mirror_prox_matches_reference_extragradient_loop():
-    # the extragradient loop written out with the geometry primitives; the
-    # shard averages are summed in worker order like the cluster's gather
+    # the extragradient loop written out with the geometry primitives; each
+    # gather is one product by the workers' average matrix, the shard
+    # matrices summed in worker order and divided by m
     cluster, mean, L, _, _ = _game_cluster(d=4, T=40, m=4, seed=6)
     shards = list(cluster.shards)
     geom = entropy_simplex(4)
@@ -97,11 +98,14 @@ def test_mirror_prox_matches_reference_extragradient_loop():
     )
     out = mirror_prox_run(cfg, cluster, gap_fn=gap_fn)
 
+    M_avg = shards[0].matrix.copy()
+    for s in shards[1:]:
+        M_avg += s.matrix
+    M_avg = M_avg / len(shards)
+
     def f_avg(z):
-        outs = [s.evaluate(z) for s in shards]
-        return DualVector(
-            tuple(sum(o.blocks[i] for o in outs) / len(shards) for i in range(2))
-        )
+        x, y = z.blocks
+        return DualVector((M_avg @ y, -(M_avg.T @ x)))
 
     z = uniform_point(geom)
     w_sum = [np.zeros(4), np.zeros(4)]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from visim.cluster import ClusterState, gather_average, shard_data
 from visim.errors import ConfigError, ShapeError
@@ -102,7 +103,7 @@ def test_block_layout_mismatch_detected():
         ClusterState(shards=[bad, good])
 
 
-def _reference_average(shards, z):
+def _per_shard_loop(shards, z):
     """F(z) shard by shard: each worker's output summed in worker order,
     then divided by m."""
     acc = None
@@ -120,6 +121,26 @@ def _reference_average(shards, z):
     return [a / len(shards) for a in acc]
 
 
+def _worker_order_mean(arrays):
+    total = arrays[0].copy()
+    for a in arrays[1:]:
+        total += a
+    return total / len(arrays)
+
+
+def _average_operator_product(shards, z):
+    """F(z) by the workers' average operator: the shard matrices (and
+    offsets) summed in worker order and divided by m, then one product."""
+    A = _worker_order_mean([s.matrix for s in shards])
+    if shards[0].offset is None:
+        x, y = z.blocks
+        return [A @ y, -(A.T @ x)]
+    b = _worker_order_mean([s.offset for s in shards])
+    return [A @ z.blocks[0] + b]
+
+
+# a gather is one product by the average operator; it agrees with the
+# per-shard loop only to round-off (test_gather_is_one_average_product)
 @pytest.mark.parametrize("m", [1, 5, 250])
 @pytest.mark.parametrize("d", [2, 25])
 def test_gather_matches_per_shard_loop_bitwise_saddle(m, d):
@@ -129,11 +150,11 @@ def test_gather_matches_per_shard_loop_bitwise_saddle(m, d):
     for _ in range(5):
         z = _pair(rng, d)
         got = gather_average(cluster, [z])[0]
-        for a, b in zip(got.blocks, _reference_average(shards, z)):
+        for a, b in zip(got.blocks, _average_operator_product(shards, z)):
             np.testing.assert_array_equal(a, b)
         # the server's own shard, a stack of one, is its plain product
         f1 = cluster.server_evaluate(z)
-        for a, b in zip(f1.blocks, _reference_average(shards[:1], z)):
+        for a, b in zip(f1.blocks, _per_shard_loop(shards[:1], z)):
             np.testing.assert_array_equal(a, b)
 
 
@@ -148,4 +169,54 @@ def test_gather_matches_per_shard_loop_bitwise_affine():
     for _ in range(5):
         z = Point.of(rng.normal(size=dim))
         got = gather_average(cluster, [z])[0]
-        np.testing.assert_array_equal(got.blocks[0], _reference_average(shards, z)[0])
+        np.testing.assert_array_equal(
+            got.blocks[0], _average_operator_product(shards, z)[0]
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.integers(2, 30),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_gather_is_one_average_product(m, d, affine, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    mats = scale * rng.normal(size=(m, d, d))
+    if affine:
+        offs = scale * rng.normal(size=(m, d))
+        shards = [OperatorShard(A, b) for A, b in zip(mats, offs)]
+        z = Point.of(rng.normal(size=d))
+    else:
+        shards = [saddle_shard(A) for A in mats]
+        z = Point.of(rng.normal(size=d), rng.normal(size=d))
+    cluster = ClusterState(shards=shards)
+
+    calls = []
+    evaluate = OperatorShard.evaluate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OperatorShard, "evaluate",
+                   lambda self, p: calls.append(self) or evaluate(self, p))
+        got = gather_average(cluster, [z])[0]
+    # one operator evaluated, whatever m is
+    assert len(calls) == 1
+    assert cluster.round_count == 1
+
+    for a, b in zip(got.blocks, _average_operator_product(shards, z)):
+        np.testing.assert_array_equal(a, b)
+
+    # forward error against the worker-order loop: each side is within
+    # (m + d + 1) u S of the exact average, u = eps / 2, with
+    # S = mean_i(|A_i| |z| + |b_i|) (a length-d product, m - 1 additions,
+    # one division); one more eps absorbs the second-order terms
+    abs_mean = np.mean(np.abs(mats), axis=0)
+    if affine:
+        S = [abs_mean @ np.abs(z.blocks[0]) + np.mean(np.abs(offs), axis=0)]
+    else:
+        x, y = z.blocks
+        S = [abs_mean @ np.abs(y), abs_mean.T @ np.abs(x)]
+    bound = (m + d + 2) * np.finfo(float).eps
+    for a, b, s in zip(got.blocks, _per_shard_loop(shards, z), S):
+        assert np.all(np.abs(a - b) <= bound * s)

@@ -113,14 +113,19 @@ def test_newton_answer_is_a_fixed_point_of_the_prox_map(args):
     kind = args[0]
     prob, v0 = _instance(*args)
     out = newton_solve(prob, v0)
-    if out is None:
+    assert out is not None
+    u, steps = out
+    direct, direct_steps = inner._damped_newton(
+        prob, v0, NewtonSystem(prob.f1, prob.gamma, prob.geometry)
+    )
+    if direct is None:
         # from a cold start, damped Newton on the piecewise-affine simplex
         # normal map can stall at a kink (about 1 draw in 150 here); the
-        # outer solver then hands the subproblem to composite_mp
+        # continuation in gamma answers instead
         assert kind == "simplex"
-        return
-    u, steps = out
-    assert 0 <= steps <= inner.NEWTON_MAX_STEPS
+    else:
+        assert np.array_equal(u.concat(), direct.concat())
+        assert 0 <= steps == direct_steps <= inner.NEWTON_MAX_STEPS
     assert _prox_residual(prob, u) <= 1e-11
     norm = float(np.linalg.norm(u.concat()))
     if kind == "ball":
@@ -144,9 +149,7 @@ def test_newton_answer_is_a_fixed_point_of_the_prox_map(args):
 def test_newton_agrees_with_the_extragradient_loop(args):
     prob, v0 = _instance(*args)
     out = newton_solve(prob, v0)
-    if out is None:
-        assert args[0] == "simplex"  # a stall, as above
-        return
+    assert out is not None
     u, _ = out
     # V(v*, v^T) <= V0 e^{-60}: coordinates within about 1e-12 sqrt(V0)
     T = math.ceil(60.0 / math.log1p(prob.eta))
@@ -222,10 +225,26 @@ def test_step_cap_hands_the_solve_back(monkeypatch):
     u, steps = newton_solve(prob, v0)
     assert steps >= 2
     monkeypatch.setattr(inner, "NEWTON_MAX_STEPS", steps - 1)
+    # a solve that misses its target goes on by continuation in gamma ...
+    out = newton_solve(prob, v0)
+    assert out is not None and _prox_residual(prob, out[0]) <= 1e-11
+    # ... and without it, is handed back
+    monkeypatch.setattr(inner, "_GAMMA_CONTINUATION_CAP", 0)
     assert newton_solve(prob, v0) is None
     monkeypatch.setattr(inner, "NEWTON_MAX_STEPS", steps)
     again, _ = newton_solve(prob, v0)
     assert np.array_equal(again.concat(), u.concat())
+
+
+def test_gamma_continuation_ends_a_cold_start_stall():
+    # damped Newton from this start stops decreasing ||G|| near 22 (from 34)
+    # at a kink of the simplex normal map; continuation in gamma solves it
+    prob, v0 = _instance("simplex", 8, 3777, 14.125)
+    system = NewtonSystem(prob.f1, prob.gamma, prob.geometry)
+    assert inner._damped_newton(prob, v0, system)[0] is None
+    out = newton_solve(prob, v0, system)
+    assert out is not None
+    assert _prox_residual(prob, out[0]) <= 1e-11
 
 
 def _jacobian(diag, rank_one):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from visim import _kernels, restart
+from visim.cluster import ClusterState, gather_average
 from visim.errors import NumericsError, ParameterError
 from visim.geometry import (
     Domain,
@@ -27,7 +28,7 @@ from visim.inner import (
     _log_space_operands,
     composite_mp,
 )
-from visim.operators import OperatorShard, average_stack, saddle_shard
+from visim.operators import OperatorShard, saddle_shard
 
 
 def _game_problem(d, T, m, seed, gamma=None, geometry=entropy_simplex):
@@ -229,10 +230,7 @@ def _ball_problem(dim, seed, push=0.0):
     rng = np.random.default_rng(seed)
     geom = euclidean_ball(dim)
     anchor = random_point(geom, rng)
-    f_anchor = average_stack(
-        np.stack([s.matrix for s in shards]), np.stack([s.offset for s in shards]),
-        anchor,
-    )
+    f_anchor = gather_average(ClusterState(shards=shards), [anchor])[0]
     f1_anchor = shards[0].evaluate(anchor)
     offset = f_anchor.blocks[0] - f1_anchor.blocks[0] + push * rng.standard_normal(dim)
     prob = CompositeProblem(

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from oracles import sampled_similarity_ratio
-from visim.cluster import ClusterState
+from visim.cluster import ClusterState, gather_average
 from visim.errors import ConfigError, ShapeError
 from visim.geometry import Point
 from visim.operators import (
     OperatorShard,
     SimilarityConstants,
-    average_stack,
     lipschitz_matrix_game,
     saddle_shard,
     similarity_matrix_game,
@@ -89,10 +88,11 @@ def test_similarity_examples():
 def test_average_operator_linearity():
     rng = np.random.default_rng(2)
     mats = np.stack([rng.normal(size=(4, 4)) for _ in range(5)])
+    cluster = ClusterState(shards=[saddle_shard(M) for M in mats])
     mean_op = saddle_shard(np.mean(mats, axis=0))
     for _ in range(50):
         z = _rand_pair(rng, 4)
-        got = average_stack(mats, None, z)
+        got = gather_average(cluster, [z])[0]
         want = mean_op.evaluate(z)
         for a, b in zip(got.blocks, want.blocks):
             np.testing.assert_allclose(a, b, atol=1e-12)
@@ -101,18 +101,20 @@ def test_average_operator_linearity():
 def test_average_operator_edge_cases():
     M = np.array([[1.0, -1.0], [0.5, 2.0]])
     z = Point.of([0.3, 0.7], [0.6, 0.4])
-    single = average_stack(M[None], None, z)
+    single = saddle_shard(M).evaluate(z)
     want = (M @ z.blocks[1], -(M.T @ z.blocks[0]))
     for a, b in zip(single.blocks, want):
         np.testing.assert_array_equal(a, b)
     # M and -M cancel
-    zero = average_stack(np.stack([M, -M]), None, z)
+    zero = gather_average(
+        ClusterState(shards=[saddle_shard(M), saddle_shard(-M)]), [z]
+    )[0]
     for b in zero.blocks:
         np.testing.assert_allclose(b, 0.0, atol=1e-15)
     with pytest.raises(ShapeError):
-        average_stack(M[None], None, Point.of([0.3, 0.7]))
+        saddle_shard(M).evaluate(Point.of([0.3, 0.7]))
     with pytest.raises(ShapeError):
-        average_stack(M[None], np.zeros((1, 2)), z)
+        OperatorShard(M, np.zeros(2)).evaluate(z)
     with pytest.raises(ConfigError):
         ClusterState(shards=[])
 
@@ -143,11 +145,12 @@ def test_empirical_similarity_check_passes_on_matrix_game():
     rng = np.random.default_rng(3)
     mats = np.stack([rng.normal(size=(4, 4)) for _ in range(6)])
     mean = np.mean(mats, axis=0)
+    cluster = ClusterState(shards=[saddle_shard(M) for M in mats])
     shard1 = saddle_shard(mats[0])
     delta = similarity_matrix_game(mean, mats[0])
     ratio = sampled_similarity_ratio(
         shard1.evaluate,
-        lambda z: average_stack(mats, None, z),
+        lambda z: gather_average(cluster, [z])[0],
         trials=500,
         seed=4,
         block_dims=(4, 4),
