@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,21 @@ class DualVector:
         return np.concatenate(self.blocks)
 
 
+@dataclass(frozen=True)
+class BlockLayout:
+    """Where the blocks sit in the concatenated vector: the (lo, hi) slice
+    of each block, the index each block starts at, and the block of each
+    coordinate."""
+
+    bounds: list[tuple[int, int]]
+    starts: np.ndarray
+    block_of: np.ndarray
+
+    def split(self, flat: np.ndarray) -> "Point":
+        """The point whose blocks are the slices of ``flat``."""
+        return Point(tuple(flat[lo:hi] for lo, hi in self.bounds))
+
+
 def check_same_shape(u: Point | DualVector, v: Point | DualVector) -> None:
     if len(u.blocks) != len(v.blocks) or any(
         a.shape != b.shape for a, b in zip(u.blocks, v.blocks)
@@ -150,6 +166,16 @@ class GeometrySetup:
 
     def shift(self, i: int) -> np.ndarray | None:
         return None if self.center is None else self.center[i]
+
+    @cached_property
+    def layout(self) -> BlockLayout:
+        """Where the blocks sit in the concatenated vector."""
+        ends = np.cumsum(self.block_dims).tolist()
+        starts = [0] + ends[:-1]
+        return BlockLayout(
+            list(zip(starts, ends)), np.array(starts),
+            np.repeat(np.arange(len(self.block_dims)), self.block_dims),
+        )
 
 
 def entropy_simplex(d: int, blocks: int = 2) -> GeometrySetup:
@@ -284,7 +310,8 @@ def floor_simplex_point(z: Point, floor: float = TINY_MASS) -> Point:
     out = []
     for b in z.blocks:
         nb = np.maximum(b, floor)
-        out.append(nb / nb.sum())
+        nb /= nb.sum()
+        out.append(nb)
     return Point(tuple(out))
 
 
@@ -371,9 +398,11 @@ def dgf_grad(setup: GeometrySetup, z: Point) -> DualVector:
     out = []
     for i, b in enumerate(z.blocks):
         if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
-            if not np.all(has_mass(b)):
+            if not has_mass(b).all():
                 raise DomainError("entropy gradient needs strictly positive mass")
-            out.append(np.log(b) + 1.0)
+            e = np.log(b)
+            e += 1.0
+            out.append(e)
         else:
             s = setup.shift(i)
             x = b if s is None else b - s
@@ -421,22 +450,24 @@ def _check_prox_args(setup, center, g, step):
     if step <= 0.0:
         raise ParameterError(f"prox step must be positive, got {step}")
     for b in g.blocks:
-        if not np.all(np.isfinite(b)):
+        if not np.isfinite(b).all():
             raise NumericsError("non-finite dual vector in prox map")
     if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
         # exact zeros (underflow) break the log-space update; any strictly
         # positive float, however tiny, is fine
         for b in center.blocks:
-            if not np.all(has_mass(b)):
+            if not has_mass(b).all():
                 raise DomainError("entropy prox center must be strictly positive")
 
 
-def _entropy_step(log_center: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    # multiplicative update in log-space with max-subtraction
-    e = log_center - shift
+def _entropy_step(e: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    # multiplicative update in log-space with max-subtraction, computed in
+    # place: overwrites and returns the log-center e
+    e -= shift
     e -= e.max()
-    w = np.exp(e)
-    return w / w.sum()
+    np.exp(e, out=e)
+    e /= e.sum()
+    return e
 
 
 def _ball_constrained_solve(
@@ -514,12 +545,12 @@ def prox_map(setup: GeometrySetup, center: Point, g: DualVector, step: float) ->
     """
     _check_prox_args(setup, center, g, step)
     if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
-        return Point(
-            tuple(
-                _entropy_step(np.log(cb), step * gb)
-                for cb, gb in zip(center.blocks, g.blocks)
-            )
-        )
+        # the softmax of log(center) - step g, block by block
+        if tuple(b.size for b in center.blocks) != setup.block_dims:
+            raise ShapeError("prox center blocks do not match the setup")
+        theta = np.log(center.concat())
+        theta -= step * g.concat()
+        return setup.layout.split(_softmax_map(theta, setup.layout)[0])
     if setup.kind is GeometryKind.EUCLIDEAN:
         return Point(
             tuple(
@@ -594,38 +625,71 @@ def mirror_map(
     support S.  Euclidean l2 ball (recentred or not): radial projection of
     theta + center, D = I inside the ball and (r/n)(I - x x^T / n^2) for
     the point x at norm n outside it.  On interior points the map inverts
-    :func:`dgf_grad`.  The a-norm ball has no closed form here.
+    :func:`dgf_grad`.  The a-norm ball has no closed form here.  This is
+    :func:`mirror_map_flat` on the concatenated blocks.
     """
-    if setup.kind is GeometryKind.A_NORM_BALL:
-        raise ParameterError("the a-norm ball has no closed-form mirror map")
     if tuple(t.size for t in theta.blocks) != setup.block_dims:
         raise ShapeError("dual vector blocks do not match the setup")
-    blocks, diag, rank_one = [], [], []
-    for i, t in enumerate(theta.blocks):
-        if not np.isfinite(t).all():
-            raise NumericsError("non-finite dual vector in mirror map")
-        if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
-            u = _entropy_step(t, 0.0)
-            a, beta, v = u, 1.0, u
-        elif setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
-            u = _project_domain_block(setup, t)
-            a = (u > 0.0).astype(float)
-            beta, v = 1.0 / a.sum(), a
+    u, diag, rank_one = mirror_map_flat(setup, theta.concat())
+    return setup.layout.split(u), diag, rank_one
+
+
+def mirror_map_flat(
+    setup: GeometrySetup, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[tuple[float, np.ndarray]]]:
+    """:func:`mirror_map` on a dual vector concatenated as
+    ``setup.layout`` says.  Returns the concatenated u, ``diag`` and
+    ``rank_one``.  Elementwise work and the blocks' maxima run over all
+    blocks at once, sums block by block, with the bits of the
+    block-by-block map."""
+    if setup.kind is GeometryKind.A_NORM_BALL:
+        raise ParameterError("the a-norm ball has no closed-form mirror map")
+    if not np.isfinite(theta).all():
+        raise NumericsError("non-finite dual vector in mirror map")
+    layout = setup.layout
+    if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
+        return _softmax_map(theta, layout)
+    if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+        return _simplex_projection_map(theta, layout.bounds)
+    return _radial_projection_map(setup, theta, layout.bounds)
+
+
+def _softmax_map(theta, layout):
+    # u = exp(theta - max) / sum per block; D = diag(u) - u u^T per block,
+    # so u serves as diag and its blocks as the rank-one vectors
+    u = theta - np.maximum.reduceat(theta, layout.starts)[layout.block_of]
+    np.exp(u, out=u)
+    for lo, hi in layout.bounds:
+        b = u[lo:hi]
+        b /= b.sum()
+    return u, u, [(1.0, u[lo:hi]) for lo, hi in layout.bounds]
+
+
+def _simplex_projection_map(theta, bounds):
+    # D = diag(1_S) - 1_S 1_S^T / |S| per block, S the block's support
+    u = np.empty_like(theta)
+    for lo, hi in bounds:
+        u[lo:hi] = project_block_simplex(theta[lo:hi])
+    a = (u > 0.0).astype(float)
+    return u, a, [(1.0 / a[lo:hi].sum(), a[lo:hi]) for lo, hi in bounds]
+
+
+def _radial_projection_map(setup, theta, bounds):
+    # D = I inside the ball, (r/n)(I - x x^T / n^2) for x at norm n > r
+    r = setup.domain.radius
+    u, diag, rank_one = np.empty_like(theta), np.ones_like(theta), []
+    for i, (lo, hi) in enumerate(bounds):
+        s = setup.shift(i)
+        x = theta[lo:hi] if s is None else theta[lo:hi] + s
+        # raises ParameterError for lp balls with p != 2
+        u[lo:hi] = px = _project_domain_block(setup, x)
+        if px is x:
+            rank_one.append((0.0, np.zeros(hi - lo)))
         else:
-            s = setup.shift(i)
-            x = t.copy() if s is None else t + s
-            # raises ParameterError for lp balls with p != 2
-            u = _project_domain_block(setup, x)
-            if u is x:
-                a, beta, v = np.ones_like(x), 0.0, np.zeros_like(x)
-            else:
-                n = float(np.linalg.norm(x))
-                a = np.full_like(x, setup.domain.radius / n)
-                beta, v = setup.domain.radius / n, x / n
-        blocks.append(u)
-        diag.append(a)
-        rank_one.append((beta, v))
-    return Point(tuple(blocks)), np.concatenate(diag), rank_one
+            n = float(np.linalg.norm(x))
+            diag[lo:hi] = r / n
+            rank_one.append((r / n, x / n))
+    return u, diag, rank_one
 
 
 def max_divergence_bound(setup: GeometrySetup, z0: Point) -> float:

@@ -36,6 +36,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import solve1 as _gesv
 
 from . import _kernels
 from .errors import NumericsError, ParameterError
@@ -48,7 +50,7 @@ from .geometry import (
     bregman_divergence,
     composite_prox_map,
     dgf_grad,
-    mirror_map,
+    mirror_map_flat,
 )
 from .operators import OperatorShard
 
@@ -175,10 +177,9 @@ def _composite_mp_log(
 class NewtonSystem:
     """What every Newton solve of one run shares, built once per run from
     the fixed F1, gamma and block layout of the geometry: the block matrix
-    gB = gamma B, the offset gb = gamma b, |gB|, the block bounds, and the
-    linear solve (I + gB D) dw = r of each step, where
-    D = diag(a) - beta_k v_k v_k^T per block comes from
-    :func:`geometry.mirror_map`.
+    gB = gamma B, the offset gb = gamma b, |gB|, and the linear solve
+    (I + gB D) dw = r of each step, where D = diag(a) - beta_k v_k v_k^T
+    per block comes from :func:`geometry.mirror_map_flat`.
 
     A saddle F1 = (M y, -M^T x) on two blocks takes the d x d Schur
     complement: with P = gamma M D_2 and Q = gamma M^T D_1, it solves
@@ -195,8 +196,6 @@ class NewtonSystem:
 
     def __init__(self, f1: OperatorShard, gamma: float, geometry: GeometrySetup):
         self.f1, self.gamma, self.block_dims = f1, gamma, geometry.block_dims
-        ends = np.cumsum(self.block_dims).tolist()
-        self.bounds = list(zip([0] + ends[:-1], ends))
         M = f1.matrix
         self.saddle = f1.offset is None
         if self.saddle:
@@ -216,13 +215,18 @@ class NewtonSystem:
         if self.saddle:
             (b1, v1), (b2, v2) = rank_one
             d1 = v1.size
-            P = self.gM * diag[d1:] - np.outer(b2 * (self.gM @ v2), v2)
-            Q = self.gMT * diag[:d1] - np.outer(b1 * (self.gMT @ v1), v1)
-            r1, r2 = -g[:d1], -g[d1:]
+            P = self.gM * diag[d1:]
+            P -= (b2 * (self.gM @ v2))[:, None] * v2
+            Q = self.gMT * diag[:d1]
+            Q -= (b1 * (self.gMT @ v1))[:, None] * v1
+            r = -g
+            r1 = r[:d1]
             S = Q @ P
-            S.flat[:: v2.size + 1] += 1.0
-            y = np.linalg.solve(S, r2 + Q @ r1)
-            return np.concatenate([r1 - P @ y, y])
+            S.ravel()[:: v2.size + 1] += 1.0
+            dw = np.empty_like(g)
+            dw[d1:] = y = _solve(S, r[d1:] + Q @ r1)
+            np.subtract(r1, P @ y, out=dw[:d1])
+            return dw
         ((beta, v),) = rank_one
         if beta == 0.0 and (diag == 1.0).all():
             from scipy.linalg import lu_factor, lu_solve
@@ -232,9 +236,21 @@ class NewtonSystem:
                 self._interior_lu = lu_factor(J, check_finite=False)
             return lu_solve(self._interior_lu, -g, check_finite=False)
         J = self.gB * diag
-        J -= np.outer(beta * (self.gB @ v), v)
-        J.flat[:: J.shape[0] + 1] += 1.0
-        return np.linalg.solve(J, -g)
+        J -= (beta * (self.gB @ v))[:, None] * v
+        J.ravel()[:: J.shape[0] + 1] += 1.0
+        return _solve(J, -g)
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b by numpy's LAPACK gesv, the routine np.linalg.solve
+    wraps (same bits), without that wrapper's per-call argument handling.
+    It answers a singular A with NaNs, which raise LinAlgError here as in
+    np.linalg.solve."""
+    with np.errstate(invalid="ignore"):
+        x = _gesv(A, b)
+    if math.isnan(x[0]):
+        raise LinAlgError("Singular matrix")
+    return x
 
 
 def _fits_layout(problem: CompositeProblem, v0: Point) -> bool:
@@ -281,7 +297,7 @@ def newton_solve(
 
     Returns the solution and the number of Newton steps taken, stalled
     attempts included, or None for a setup it does not cover (one
-    :func:`geometry.mirror_map` rejects, such as the a-norm ball, or
+    :func:`geometry.mirror_map_flat` rejects, such as the a-norm ball, or
     operands outside the block layout) and for a subproblem the
     continuation does not solve either.
     """
@@ -298,7 +314,7 @@ def newton_solve(
         if u is None:
             u, more = _continue_in_gamma(problem, v0, system)
             steps += more
-    except (ParameterError, NumericsError, np.linalg.LinAlgError):
+    except (ParameterError, NumericsError, LinAlgError):
         return None
     return None if u is None else (u, steps)
 
@@ -350,7 +366,8 @@ def _damped_newton(
     """One damped Newton solve from ``v0`` (see :func:`newton_solve`);
     the answer is None if it stalls or misses its target."""
     geom, gamma = problem.geometry, problem.gamma
-    gB, bounds = system.gB, system.bounds
+    gB, layout = system.gB, geom.layout
+    bounds = layout.bounds
     c = dgf_grad(geom, problem.anchor).concat() - gamma * problem.offset.concat()
     # G(w) = w - c + gamma (B u + b) = w - c_b + gB u.  Its round-off scale
     # is |w| + |c| + |gb| + |gB| (|u| + |D| |w|): the magnitudes of the
@@ -359,16 +376,19 @@ def _damped_newton(
     abs_gB, abs_c = system.abs_gB, np.abs(c) + np.abs(system.gb)
 
     def evaluate(w):
-        u, diag, rank_one = mirror_map(
-            geom, DualVector(tuple(w[lo:hi] for lo, hi in bounds))
-        )
-        uc, abs_w = u.concat(), np.abs(w)
-        spread = np.abs(uc) + diag * abs_w
+        u, diag, rank_one = mirror_map_flat(geom, w)
+        abs_w = np.abs(w)
+        spread = diag * abs_w
+        spread += np.abs(u)
         for (beta, v), (lo, hi) in zip(rank_one, bounds):
-            spread[lo:hi] += beta * np.abs(v) * (np.abs(v) @ abs_w[lo:hi])
-        g = w - c_b + gB @ uc
-        scale = abs_w + abs_c + abs_gB @ spread
-        done = bool((np.abs(g) <= NEWTON_RTOL * scale).all())
+            abs_v = np.abs(v)
+            spread[lo:hi] += beta * abs_v * (abs_v @ abs_w[lo:hi])
+        g = w - c_b
+        g += gB @ u
+        scale = abs_gB @ spread
+        scale += abs_w + abs_c
+        scale *= NEWTON_RTOL
+        done = bool((np.abs(g) <= scale).all())
         return u, diag, rank_one, g, math.sqrt(g @ g), done
 
     w = c_b - gB @ v0.concat()
@@ -380,16 +400,17 @@ def _damped_newton(
         dw = system.step(g, diag, rank_one)
         t = 1.0
         while True:
-            trial = evaluate(w + t * dw)
+            w_trial = w + dw if t == 1.0 else w + t * dw
+            trial = evaluate(w_trial)
             if trial[4] <= (1.0 - 1e-4 * t) * norm:
                 break
             t *= 0.5
             if t < NEWTON_MIN_STEP:
                 return None, steps
-        w = w + t * dw
+        w = w_trial
         u, diag, rank_one, g, norm, done = trial
         steps += 1
-    return u, steps
+    return layout.split(u), steps
 
 
 def composite_mp(

@@ -112,14 +112,22 @@ class PausResult:
     inner_fallbacks: int = 0
 
 
+_SIGNED = {1.0: np.add, -1.0: np.subtract}
+
+
 def _dual_combine(*terms: tuple[float, DualVector]) -> DualVector:
-    """Signed sum of dual vectors, blockwise."""
-    nblocks = len(terms[0][1].blocks)
+    """Signed sum 0 + s_1 v_1 + s_2 v_2 + ... of dual vectors, blockwise,
+    added left to right.  Each sign is +1 or -1, so each term enters by one
+    exact add or subtract."""
+    try:
+        ops = [_SIGNED[s] for s, _ in terms]
+    except KeyError:
+        raise ParameterError("dual vectors combine with signs +1 or -1") from None
     out = []
-    for i in range(nblocks):
-        acc = np.zeros_like(terms[0][1].blocks[i])
-        for s, v in terms:
-            acc += s * v.blocks[i]
+    for i, first in enumerate(terms[0][1].blocks):
+        acc = ops[0](0.0, first)
+        for op, (_, v) in zip(ops[1:], terms[1:]):
+            op(acc, v.blocks[i], out=acc)
         out.append(acc)
     return DualVector(tuple(out))
 
@@ -163,7 +171,6 @@ def _drive(
     validate_point(geometry, z0)
     z = z0
     u_sum = [np.zeros(d) for d in geometry.block_dims]
-    u_avg = z0
     prev_u: Point | None = None
     records: list[RunRecord] = []
     u_path: list[Point] = []
@@ -174,12 +181,12 @@ def _drive(
         u, z, inner_iters = step(z, prev_u)
         for acc, ub in zip(u_sum, u.blocks):
             acc += ub
-        u_avg = Point(tuple(acc / (k + 1) for acc in u_sum))
         prev_u = u
         if keep_iterates:
             u_path.append(u)
             z_path.append(z)
         if log_predicate is None or log_predicate(k):
+            u_avg = Point(tuple(acc / (k + 1) for acc in u_sum))
             gap = float(gap_fn(u_avg)) if gap_fn is not None else math.nan
             records.append(
                 RunRecord(
@@ -189,6 +196,7 @@ def _drive(
                     elapsed=time.perf_counter() - start,
                 )
             )
+    u_avg = Point(tuple(acc / iters for acc in u_sum))
     return PausResult(u_avg=u_avg, log=records, u_path=u_path, z_path=z_path)
 
 
@@ -261,4 +269,4 @@ def duality_gap(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """max_j (M^T x)_j - min_i (M y)_i: the matrix-game duality gap of the
     strategy pair (x, y).  Zero exactly at Nash equilibria."""
     M = np.asarray(M, dtype=float)
-    return float(np.max(M.T @ x) - np.min(M @ y))
+    return float((M.T @ x).max() - (M @ y).min())

@@ -13,7 +13,11 @@ from visim import inner
 from visim.cluster import ClusterState
 from visim.errors import NumericsError, ParameterError, ShapeError
 from visim.geometry import (
+    Domain,
+    DomainKind,
     DualVector,
+    GeometryKind,
+    GeometrySetup,
     Point,
     a_norm_ball,
     dgf_grad,
@@ -22,6 +26,8 @@ from visim.geometry import (
     euclidean_simplex,
     floor_simplex_point,
     mirror_map,
+    mirror_map_flat,
+    project_block_simplex,
     prox_map,
     random_point,
     recenter,
@@ -367,3 +373,156 @@ def test_newton_system_must_match_the_subproblem():
     other = NewtonSystem(prob.f1, 2.0 * prob.gamma, prob.geometry)
     with pytest.raises(ParameterError):
         newton_solve(prob, v0, other)
+
+
+# ---------------------------------------------------------------------------
+# the flat kernels against the per-block formulas, bit for bit
+
+
+def _layout(kind, d1, d2, seed, gamma):
+    """A NewtonSystem's subproblem for a random F1 and a random dual vector
+    theta: a saddle F1 on blocks of sizes d1 and d2 (rectangular when they
+    differ), or an affine F1 on a ball of dimension d1.  theta has large
+    and floored logits for entropy, a random support for the simplex, and
+    norm inside or beyond the radius for the ball."""
+    rng = np.random.default_rng(seed)
+    if kind.startswith("ball"):
+        prob, _ = _instance(kind, d1, seed, gamma)
+        geom = prob.geometry
+        theta = rng.normal(size=d1) * rng.choice([0.1, 1.0, 10.0])
+        return prob.f1, geom, theta, rng
+    kind_ = GeometryKind.ENTROPY_SIMPLEX if kind == "entropy" else GeometryKind.EUCLIDEAN
+    geom = GeometrySetup(kind_, (d1, d2), Domain(DomainKind.SIMPLEX_PRODUCT))
+    f1 = saddle_shard(rng.uniform(-1.0, 1.0, size=(d1, d2)))
+    theta = rng.normal(size=d1 + d2) * rng.choice([0.1, 1.0, 30.0])
+    if kind == "entropy":
+        theta[rng.random(d1 + d2) < 0.3] = math.log(1e-300)
+    return f1, geom, theta, rng
+
+
+def _per_block_mirror_map(geom, theta):
+    """The mirror map block by block, each block its own array."""
+    blocks, diag, rank_one = [], [], []
+    for i, t in enumerate(np.split(theta, np.cumsum(geom.block_dims)[:-1])):
+        if geom.kind is GeometryKind.ENTROPY_SIMPLEX:
+            e = t - t.max()
+            w = np.exp(e)
+            u = w / w.sum()
+            a, beta, v = u, 1.0, u
+        elif geom.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+            u = project_block_simplex(t)
+            a = (u > 0.0).astype(float)
+            beta, v = 1.0 / a.sum(), a
+        else:
+            s = geom.shift(i)
+            x = t.copy() if s is None else t + s
+            n, r = float(np.linalg.norm(x)), geom.domain.radius
+            if n <= r:
+                u, a, beta, v = x, np.ones_like(x), 0.0, np.zeros_like(x)
+            else:
+                u, a, beta, v = x * (r / n), np.full_like(x, r / n), r / n, x / n
+        blocks.append(u)
+        diag.append(a)
+        rank_one.append((beta, v))
+    return blocks, np.concatenate(diag), rank_one
+
+
+def _per_block_step(system, g, diag, rank_one):
+    """(I + gB D) dw = -g by the Schur complement (saddle) or the dense
+    matrix, with outer products and np.linalg.solve."""
+    if system.saddle:
+        (b1, v1), (b2, v2) = rank_one
+        d1 = v1.size
+        P = system.gM * diag[d1:] - np.outer(b2 * (system.gM @ v2), v2)
+        Q = system.gMT * diag[:d1] - np.outer(b1 * (system.gMT @ v1), v1)
+        r1, r2 = -g[:d1], -g[d1:]
+        S = Q @ P
+        S.flat[:: v2.size + 1] += 1.0
+        y = np.linalg.solve(S, r2 + Q @ r1)
+        return np.concatenate([r1 - P @ y, y])
+    ((beta, v),) = rank_one
+    if beta == 0.0 and (diag == 1.0).all():
+        lu = scipy.linalg.lu_factor(np.eye(g.size) + system.gB, check_finite=False)
+        return scipy.linalg.lu_solve(lu, -g, check_finite=False)
+    J = system.gB * diag
+    J -= np.outer(beta * (system.gB @ v), v)
+    J.flat[:: J.shape[0] + 1] += 1.0
+    return np.linalg.solve(J, -g)
+
+
+_layouts = st.tuples(
+    st.sampled_from(["entropy", "simplex", "ball", "ball-sphere", "ball-recentred"]),
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 20.0),
+)
+
+
+@settings(max_examples=300)
+@given(_layouts)
+def test_flat_mirror_map_and_step_match_the_per_block_formulas(args):
+    kind, d1, d2, seed, gamma = args
+    if kind.startswith("ball") and d1 < 2:
+        d1 = 2
+    f1, geom, theta, rng = _layout(kind, d1, d2, seed, gamma)
+    bounds = geom.layout.bounds
+    u, diag, rank_one = mirror_map_flat(geom, theta)
+    blocks, ref_diag, ref_rank_one = _per_block_mirror_map(geom, theta)
+    assert np.array_equal(u, np.concatenate(blocks))
+    assert np.array_equal(diag, ref_diag)
+    assert len(rank_one) == len(ref_rank_one) == len(bounds)
+    for (beta, v), (ref_beta, ref_v) in zip(rank_one, ref_rank_one):
+        assert beta == ref_beta and np.array_equal(v, ref_v)
+    # the public wrapper hands out the same bits, block by block
+    point, wrapped_diag, _ = mirror_map(
+        geom, DualVector(tuple(theta[lo:hi] for lo, hi in bounds))
+    )
+    for b, ref in zip(point.blocks, blocks):
+        assert np.array_equal(b, ref)
+    assert np.array_equal(wrapped_diag, ref_diag)
+    system = NewtonSystem(f1, gamma, geom)
+    g = rng.normal(size=theta.size)
+    assert np.array_equal(
+        system.step(g, diag, rank_one), _per_block_step(system, g, diag, rank_one)
+    )
+    if kind == "entropy":
+        # the entropy prox map runs the same softmax on log(center) - step g
+        center = random_point(geom, rng)
+        dual = DualVector(tuple(rng.normal(size=n) for n in geom.block_dims))
+        got = prox_map(geom, center, dual, gamma)
+        for b, cb, gb in zip(got.blocks, center.blocks, dual.blocks):
+            e = np.log(cb) - gamma * gb
+            e -= e.max()
+            w = np.exp(e)
+            assert np.array_equal(b, w / w.sum())
+
+
+@settings(max_examples=100)
+@given(st.tuples(
+    st.sampled_from(["entropy", "simplex"]),
+    st.integers(2, 8),
+    st.integers(2, 8),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 5.0),
+))
+def test_newton_solves_rectangular_saddle_subproblems(args):
+    kind, d1, d2, seed, gamma = args
+    f1, geom, _, rng = _layout(kind, d1, d2, seed, gamma)
+    prob = CompositeProblem(
+        gamma=gamma, anchor=random_point(geom, rng), f1=f1,
+        offset=DualVector.of(0.5 * rng.normal(size=d1), 0.5 * rng.normal(size=d2)),
+        geometry=geom, l_f1=float(np.linalg.norm(f1.matrix, 2)),
+    )
+    out = newton_solve(prob, random_point(geom, rng))
+    assert out is not None
+    u, _ = out
+    assert tuple(b.size for b in u.blocks) == (d1, d2)
+    assert _prox_residual(prob, u) <= 1e-11
+    for b in u.blocks:
+        assert np.all(b >= 0.0) and abs(b.sum() - 1.0) < 1e-12
+
+
+def test_singular_newton_system_raises_linalg_error():
+    with pytest.raises(np.linalg.LinAlgError):
+        inner._solve(np.zeros((3, 3)), np.ones(3))
