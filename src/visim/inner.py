@@ -59,7 +59,7 @@ from .operators import OperatorShard
 NEWTON_MAX_STEPS = 30
 # a residual component is at round-off once it is this small relative to
 # the sum of the magnitudes of the terms it is the difference of
-NEWTON_RTOL = 1e-13
+NEWTON_RTOL = 1e-14
 # the shortest backtracking step before a Newton solve gives up
 NEWTON_MIN_STEP = 2.0**-30
 # the failed solves each phase of a gamma continuation may make before the

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from visim import inner
 from visim.cluster import ClusterState
@@ -115,6 +115,11 @@ def _prox_residual(prob, u):
 
 @settings(max_examples=300)
 @given(_instances)
+# with a stop at NEWTON_RTOL = 1e-13 these stopped at max|G|/scale of about
+# 8.6e-14, a prox residual of 1.4e-11 and 1.3e-11; one more step reaches
+# round-off
+@example(("entropy-floored", 5, 352, 20.0))
+@example(("entropy", 5, 5, 16.0))
 def test_newton_answer_is_a_fixed_point_of_the_prox_map(args):
     kind = args[0]
     prob, v0 = _instance(*args)
