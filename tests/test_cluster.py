@@ -139,11 +139,12 @@ def _average_operator_product(shards, z):
     return [A @ z.blocks[0] + b]
 
 
-# a gather is one product by the average operator; it agrees with the
-# per-shard loop only to round-off (test_gather_is_one_average_product)
+# a gather is one product by the average operator, bit for bit; it agrees
+# with the per-shard loop only to round-off
+# (test_gather_is_one_average_product)
 @pytest.mark.parametrize("m", [1, 5, 250])
 @pytest.mark.parametrize("d", [2, 25])
-def test_gather_matches_per_shard_loop_bitwise_saddle(m, d):
+def test_gather_equals_average_operator_product_bitwise_saddle(m, d):
     rng = np.random.default_rng(10 * m + d)
     shards = [saddle_shard(rng.normal(size=(d, d))) for _ in range(m)]
     cluster = ClusterState(shards=shards)
@@ -158,7 +159,7 @@ def test_gather_matches_per_shard_loop_bitwise_saddle(m, d):
             np.testing.assert_array_equal(a, b)
 
 
-def test_gather_matches_per_shard_loop_bitwise_affine():
+def test_gather_equals_average_operator_product_bitwise_affine():
     rng = np.random.default_rng(7)
     dim, m = 200, 5
     shards = [

@@ -205,6 +205,9 @@ def test_prox_rejects_bad_args():
         prox_map(setup, z, DualVector.of([np.inf, 0.0]), 1.0)
     with pytest.raises(DomainError):
         prox_map(setup, Point.of([1.0, 0.0]), DualVector.of([0.0, 0.0]), 1.0)
+    # a point laid out unlike the setup's blocks
+    with pytest.raises(ShapeError):
+        prox_map(setup, Point.of([0.25] * 4), DualVector.of([0.0] * 4), 1.0)
 
 
 def test_prox_entropy_against_newton_oracle():
