@@ -1,13 +1,11 @@
-"""The entropy/bilinear inner loop in log-coordinates.
+"""The former entropy/bilinear extragradient loop in log-coordinates.
 
-The composite extragradient inner solver dominates runtime at large round
-budgets.  For the entropy geometry with a bilinear operator its update is a
-few dense vector operations on the stacked log-state (log x, log y), which
-:func:`log_space_loop` performs with numpy.  When numba is installed the
-very same function is compiled; nothing else changes.  The loop measures
-movement in log space and floors at ``TINY_MASS``, so it agrees with the
-generic block-wise loop of :mod:`visim.inner` to round-off, not bit for
-bit; tests assert the agreement.
+No solver calls :func:`log_space_loop` any more: the one extragradient
+loop is :func:`visim.inner.composite_mp`.  The module stays only because
+the benchmark in ``perfbench/`` imports it (it reports
+``NUMBA_AVAILABLE`` in each run's environment and wraps
+``log_space_loop`` in a traced span); it goes once the benchmark drops
+that import.
 """
 
 from __future__ import annotations
@@ -30,12 +28,11 @@ def log_space_loop(SB, S, base, wc, L, max_iters, movement_tol, floor):
     operator of F1 and ``S`` the block-sum matrix (ones within each block),
     so ``S.dot(W)`` holds every coordinate's block normaliser.  ``base``
     must be shifted so that these exponentials neither overflow nor
-    underflow (see :func:`visim.inner._log_space_operands`).  Full-step
-    iterates are floored at ``floor`` before their logs are taken.  Stops
-    once the KL movement sum v+ (log v+ - log v) drops to ``movement_tol``;
-    a zero tolerance never stops early, since the computed movement cancels
-    to 0 once coordinates move less than ~sqrt(eps).  Returns the final
-    log-state and the iteration count.
+    underflow.  Full-step iterates are floored at ``floor`` before their
+    logs are taken.  Stops once the KL movement sum v+ (log v+ - log v)
+    drops to ``movement_tol``; a zero tolerance never stops early, since
+    the computed movement cancels to 0 once coordinates move less than
+    ~sqrt(eps).  Returns the final log-state and the iteration count.
     """
     V = np.exp(L)
     iters = 0

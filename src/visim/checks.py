@@ -134,10 +134,8 @@ def check_inner_contraction(seed: int = 3) -> CheckOutcome:
         geometry=geom, l_f1=consts.L_F1,
     )
     eta = prob.eta
-    v_star, _ = composite_mp(prob, anchor, 400, 0.0, force_generic=True)
-    _, _, path = composite_mp(
-        prob, anchor, 40, 0.0, force_generic=True, record_path=True
-    )
+    v_star, _ = composite_mp(prob, anchor, 400, 0.0)
+    _, _, path = composite_mp(prob, anchor, 40, 0.0, record_path=True)
     worst = -np.inf
     prev = anchor
     for v in path:

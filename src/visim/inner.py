@@ -24,10 +24,9 @@ subproblem's solution by 1 / (1 + eta), so
 
     T = ceil((3 L_F1 / delta) * log(V0 / eps))
 
-iterations reach Bregman accuracy eps when gamma = 1 / delta.  Entropy
-problems with a saddle F1 run the log-space loop of :mod:`visim._kernels`;
-everything else, and any run that asks for ``force_generic`` or
-``record_path``, runs the generic block-wise loop.
+iterations reach Bregman accuracy eps when gamma = 1 / delta.  It is one
+block-wise loop for every geometry; entropy iterates are floored at
+``TINY_MASS`` so that a coordinate that underflows stays interior.
 """
 
 from __future__ import annotations
@@ -39,17 +38,16 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import solve1 as _gesv
 
-from . import _kernels
 from .errors import NumericsError, ParameterError
 from .geometry import (
     DualVector,
     GeometryKind,
     GeometrySetup,
     Point,
-    TINY_MASS,
     bregman_divergence,
     composite_prox_map,
     dgf_grad,
+    floor_simplex_point,
     mirror_map_flat,
 )
 from .operators import OperatorShard
@@ -116,62 +114,6 @@ class CompositeProblem:
         return DualVector(
             tuple(s * (fb + ob) for fb, ob in zip(fv.blocks, self.offset.blocks))
         )
-
-
-def _log_space_ok(problem: CompositeProblem) -> bool:
-    return (
-        problem.geometry.kind is GeometryKind.ENTROPY_SIMPLEX
-        and len(problem.geometry.block_dims) == 2
-        and problem.f1.offset is None
-    )
-
-
-def _log_floored(b: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(b, TINY_MASS))
-
-
-def _log_space_operands(problem: CompositeProblem):
-    """The stacked operands of :func:`_kernels.log_space_loop`.
-
-    With wa = eta/(1+eta), wc = 1/(1+eta) and s = gamma eta wc, a
-    composite prox step from v is the blockwise log-normalisation of
-    wa log(anchor) + wc log(v) - s (F1(v) + offset).  ``SB`` is s times
-    the block operator [[0, M1], [-M1^T, 0]] of F1.  Each block of
-    ``base`` = wa log(anchor) - s offset is shifted to maximum 0 (the shift
-    cancels in the normalisation).  Since s = wc / (2 l_f1) and l_f1 bounds
-    max|M1|, |(SB v)_i| <= 1/2; with log-coordinates in [log TINY_MASS, 0]
-    every block of exp(E) then sums to a normal float, so the loop needs
-    no per-iteration max.
-    """
-    M1 = problem.f1.matrix
-    d1, d2 = M1.shape
-    eta = problem.eta
-    wa, wc = eta / (1.0 + eta), 1.0 / (1.0 + eta)
-    s = problem.gamma * eta * wc
-    SB = np.zeros((d1 + d2, d1 + d2))
-    SB[:d1, d1:] = s * M1
-    SB[d1:, :d1] = -s * M1.T
-    S = np.zeros_like(SB)
-    S[:d1, :d1] = 1.0
-    S[d1:, d1:] = 1.0
-    base = wa * _log_floored(problem.anchor.concat()) - s * problem.offset.concat()
-    base[:d1] -= base[:d1].max()
-    base[d1:] -= base[d1:].max()
-    return SB, S, base, wc
-
-
-def _composite_mp_log(
-    problem: CompositeProblem, v0: Point, max_iters: int, movement_tol: float
-) -> tuple[Point, int]:
-    SB, S, base, wc = _log_space_operands(problem)
-    L, iters = _kernels.log_space_loop(
-        SB, S, base, wc, _log_floored(v0.concat()), max_iters, movement_tol,
-        TINY_MASS,
-    )
-    if not np.all(np.isfinite(L)):
-        raise NumericsError("inner solver produced non-finite iterates")
-    d1 = v0.blocks[0].size
-    return Point.of(np.exp(L[:d1]), np.exp(L[d1:])), iters
 
 
 class NewtonSystem:
@@ -284,8 +226,8 @@ def newton_solve(
     component of G is at round-off, ``NEWTON_RTOL`` times the magnitudes
     it is the difference of.
 
-    A solve that stalls (no decrease down to step ``NEWTON_MIN_STEP``, or a
-    non-finite trial point) or misses its target within
+    A solve that stalls (no decrease down to step ``NEWTON_MIN_STEP``, a
+    non-finite trial point or a singular step) or misses its target within
     ``NEWTON_MAX_STEPS`` steps goes on by continuation in gamma
     (:func:`_continue_in_gamma`): a smaller gamma weakens F1's coupling, so
     damped Newton no longer stalls at a kink of the piecewise-affine
@@ -314,7 +256,7 @@ def newton_solve(
         if u is None:
             u, more = _continue_in_gamma(problem, v0, system)
             steps += more
-    except (ParameterError, NumericsError, LinAlgError):
+    except ParameterError:
         return None
     return None if u is None else (u, steps)
 
@@ -364,7 +306,8 @@ def _damped_newton(
     problem: CompositeProblem, v0: Point, system: NewtonSystem
 ) -> tuple[Point | None, int]:
     """One damped Newton solve from ``v0`` (see :func:`newton_solve`);
-    the answer is None if it stalls or misses its target."""
+    the answer is None if it stalls (a non-finite point or a singular step
+    included) or misses its target."""
     geom, gamma = problem.geometry, problem.gamma
     gB, layout = system.gB, geom.layout
     bounds = layout.bounds
@@ -391,25 +334,29 @@ def _damped_newton(
         done = bool((np.abs(g) <= scale).all())
         return u, diag, rank_one, g, math.sqrt(g @ g), done
 
-    w = c_b - gB @ v0.concat()
-    u, diag, rank_one, g, norm, done = evaluate(w)
     steps = 0
-    while not done:
-        if steps == NEWTON_MAX_STEPS:
-            return None, steps
-        dw = system.step(g, diag, rank_one)
-        t = 1.0
-        while True:
-            w_trial = w + dw if t == 1.0 else w + t * dw
-            trial = evaluate(w_trial)
-            if trial[4] <= (1.0 - 1e-4 * t) * norm:
-                break
-            t *= 0.5
-            if t < NEWTON_MIN_STEP:
+    try:
+        w = c_b - gB @ v0.concat()
+        u, diag, rank_one, g, norm, done = evaluate(w)
+        while not done:
+            if steps == NEWTON_MAX_STEPS:
                 return None, steps
-        w = w_trial
-        u, diag, rank_one, g, norm, done = trial
-        steps += 1
+            dw = system.step(g, diag, rank_one)
+            t = 1.0
+            while True:
+                w_trial = w + dw if t == 1.0 else w + t * dw
+                trial = evaluate(w_trial)
+                if trial[4] <= (1.0 - 1e-4 * t) * norm:
+                    break
+                t *= 0.5
+                if t < NEWTON_MIN_STEP:
+                    return None, steps
+            w = w_trial
+            u, diag, rank_one, g, norm, done = trial
+            steps += 1
+    except (NumericsError, LinAlgError):
+        # a non-finite point (mirror_map_flat) or a singular step: a stall
+        return None, steps
     return layout.split(u), steps
 
 
@@ -418,7 +365,6 @@ def composite_mp(
     v0: Point,
     max_iters: int,
     movement_tol: float = 0.0,
-    force_generic: bool = False,
     record_path: bool = False,
 ) -> tuple[Point, int] | tuple[Point, int, list[Point]]:
     """Run the composite extragradient loop from ``v0``.
@@ -428,11 +374,10 @@ def composite_mp(
     contraction diagnostics).  Stops early once the movement
     V(v^{t+1}, v^t) falls to ``movement_tol``.
 
-    Entropy geometry with a bilinear F1 runs the log-space loop of
-    :mod:`visim._kernels` (compiled when numba is installed), which keeps
-    every coordinate at or above ``TINY_MASS``; ``force_generic`` and
-    ``record_path`` select the block-wise generic loop, which every other
-    setup runs.  The outer solver calls this for the subproblems
+    Entropy full-step iterates are floored at ``TINY_MASS`` by
+    :func:`geometry.floor_simplex_point`, so a coordinate that underflows
+    to 0 stays a valid prox center; a start with an exact zero raises
+    :class:`DomainError`.  The outer solver calls this for the subproblems
     :func:`newton_solve` leaves to it: the a-norm ball, and Newton solves
     that missed their target.
     """
@@ -440,10 +385,8 @@ def composite_mp(
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     if movement_tol < 0.0:
         raise ParameterError("movement_tol must be >= 0")
-    if not record_path and not force_generic and _log_space_ok(problem):
-        return _composite_mp_log(problem, v0, max_iters, movement_tol)
-
     geom = problem.geometry
+    entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
     eta = problem.eta
     v = v0
     path: list[Point] = []
@@ -456,6 +399,8 @@ def composite_mp(
         for b in v_next.blocks:
             if not np.all(np.isfinite(b)):
                 raise NumericsError(f"non-finite inner iterate at step {t}")
+        if entropy:
+            v_next = floor_simplex_point(v_next)
         # the computed movement is cancellation-limited near the solution
         # (it rounds to 0 once coordinates move less than ~sqrt(eps)), so a
         # zero tolerance means "never stop early" rather than "stop at 0"

@@ -132,9 +132,7 @@ def test_criterion_3_inner_linear_rate():
         v0 = uniform_point(geom)
         t_run = 60
         v_star = composite_mp(prob, v0, 10 * t_run, 0.0)[0]
-        _, _, path = composite_mp(
-            prob, v0, t_run, 0.0, force_generic=True, record_path=True
-        )
+        _, _, path = composite_mp(prob, v0, t_run, 0.0, record_path=True)
         v_prev = bregman_divergence(geom, v_star, v0)
         for t, v in enumerate(path, start=1):
             bound = v_prev / (1.0 + eta) ** t

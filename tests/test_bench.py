@@ -301,13 +301,15 @@ def test_euclidean_series_equals_euclidean_paus_run():
 
 
 def test_default_compare_needs_no_extragradient_fallback(monkeypatch):
-    # every paus and euclidean subproblem of the default comparison is
-    # solved exactly; none reaches composite_mp
+    # every paus and euclidean subproblem of the default comparison, with
+    # one sign per matrix or per entry (the game of the paus benchmark
+    # workloads), is solved exactly; none reaches composite_mp
     def fallback(*args, **kwargs):
         raise AssertionError("a subproblem fell back to composite_mp")
 
     monkeypatch.setattr(paus, "composite_mp", fallback)
-    res = run_comparison(GameSpec())
-    assert res.errors == {}
-    assert set(res.series) == {"paus", "mirror-prox", "euclidean"}
-    assert res.inner_fallbacks == {"paus": 0, "euclidean": 0}
+    for per_entry in (False, True):
+        res = run_comparison(GameSpec(per_entry=per_entry))
+        assert res.errors == {}, per_entry
+        assert set(res.series) == {"paus", "mirror-prox", "euclidean"}
+        assert res.inner_fallbacks == {"paus": 0, "euclidean": 0}, per_entry

@@ -164,7 +164,7 @@ def test_newton_agrees_with_the_extragradient_loop(args):
     u, _ = out
     # V(v*, v^T) <= V0 e^{-60}: coordinates within about 1e-12 sqrt(V0)
     T = math.ceil(60.0 / math.log1p(prob.eta))
-    ref, iters = composite_mp(prob, v0, T, 0.0, force_generic=True)
+    ref, iters = composite_mp(prob, v0, T, 0.0)
     assert iters == T
     assert float(np.abs(u.concat() - ref.concat()).max()) <= 1e-9
 
@@ -256,6 +256,48 @@ def test_gamma_continuation_ends_a_cold_start_stall():
     out = newton_solve(prob, v0, system)
     assert out is not None
     assert _prox_residual(prob, out[0]) <= 1e-11
+
+
+def _fail_once(monkeypatch, owner, name, at, fail):
+    """Patch ``owner.name`` so that its call number ``at`` (from 1) goes to
+    ``fail`` instead; the others pass through.  Returns the call log."""
+    original, calls = getattr(owner, name), []
+
+    def patched(*args):
+        calls.append(1)
+        return (fail if len(calls) == at else original)(*args)
+
+    monkeypatch.setattr(owner, name, patched)
+    return calls
+
+
+def test_non_finite_trial_point_goes_on_by_continuation(monkeypatch):
+    # the first trial point is made non-finite, so the mirror map raises
+    # NumericsError: a stall, which the continuation in gamma takes over
+    prob, v0 = _instance("entropy", 5, seed=3, gamma=5.0)
+    original = inner.mirror_map_flat
+
+    def poisoned(geom, w):
+        return original(geom, np.full_like(w, np.nan))
+
+    calls = _fail_once(monkeypatch, inner, "mirror_map_flat", 2, poisoned)
+    out = newton_solve(prob, v0)
+    assert len(calls) > 2
+    assert out is not None and _prox_residual(prob, out[0]) <= 1e-11
+
+
+def test_singular_step_goes_on_by_continuation(monkeypatch):
+    # the first Newton step meets a singular matrix (LinAlgError): a stall,
+    # which the continuation in gamma takes over
+    prob, v0 = _instance("entropy", 5, seed=3, gamma=5.0)
+
+    def singular(system, g, diag, rank_one):
+        return inner._solve(np.zeros((g.size, g.size)), g)
+
+    calls = _fail_once(monkeypatch, NewtonSystem, "step", 1, singular)
+    out = newton_solve(prob, v0)
+    assert len(calls) > 1
+    assert out is not None and _prox_residual(prob, out[0]) <= 1e-11
 
 
 def _jacobian(diag, rank_one):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from visim import _kernels, restart
+from visim import restart
 from visim.cluster import ClusterState, gather_average
-from visim.errors import NumericsError, ParameterError
+from visim.errors import DomainError, NumericsError, ParameterError
 from visim.geometry import (
     Domain,
     DomainKind,
@@ -15,6 +15,7 @@ from visim.geometry import (
     Point,
     TINY_MASS,
     bregman_divergence,
+    composite_prox_map,
     dgf_grad,
     entropy_simplex,
     euclidean_ball,
@@ -23,11 +24,7 @@ from visim.geometry import (
     random_point,
     uniform_point,
 )
-from visim.inner import (
-    CompositeProblem,
-    _log_space_operands,
-    composite_mp,
-)
+from visim.inner import CompositeProblem, composite_mp, newton_solve
 from visim.operators import OperatorShard, saddle_shard
 
 
@@ -73,7 +70,7 @@ def test_zero_operator_anchor_is_stationary():
         geometry=geom,
         l_f1=1.0,
     )
-    v, iters = composite_mp(prob, anchor, 25, 0.0, force_generic=True)
+    v, iters = composite_mp(prob, anchor, 25, 0.0)
     for a, b in zip(v.blocks, anchor.blocks):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -91,7 +88,7 @@ def test_zero_operator_pulls_toward_anchor():
         geometry=geom,
         l_f1=1.0,
     )
-    v, _ = composite_mp(prob, v0, 400, 0.0, force_generic=True)
+    v, _ = composite_mp(prob, v0, 400, 0.0)
     assert bregman_divergence(geom, v, anchor) < 1e-8
 
 
@@ -99,9 +96,7 @@ def _reference_solution(prob, geom):
     """v* from three different starts of a long run; mutual agreement
     asserted before use as an oracle.  The run length follows the linear
     rate: contraction factor 1/(1+eta) per iteration."""
-    # agreement to 1e-10 in coordinates needs V ~ 1e-20: ~50 e-foldings;
-    # the fast path (verified against the generic one elsewhere) keeps the
-    # long reference runs cheap
+    # agreement to 1e-10 in coordinates needs V ~ 1e-20: ~50 e-foldings
     T = min(2_000_000, math.ceil(55.0 / math.log1p(prob.eta)))
     rng = np.random.default_rng(99)
     starts = [uniform_point(geom)] + [random_point(geom, rng) for _ in range(2)]
@@ -118,7 +113,7 @@ def test_linear_contraction_certificate():
     eta = prob.eta
     v_star = _reference_solution(prob, geom)
     _, _, path = composite_mp(
-        prob, uniform_point(geom), 60, 0.0, force_generic=True, record_path=True
+        prob, uniform_point(geom), 60, 0.0, record_path=True
     )
     prev = uniform_point(geom)
     for v in path:
@@ -136,7 +131,7 @@ def test_rate_matches_theory_envelope():
     v0 = uniform_point(geom)
     V0 = bregman_divergence(geom, v_star, v0)
     for T in (10, 25, 50):
-        vT, _ = composite_mp(prob, v0, T, 0.0, force_generic=True)
+        vT, _ = composite_mp(prob, v0, T, 0.0)
         bound = math.exp(-T * delta / (3.0 * l_f1)) * V0
         assert bregman_divergence(geom, v_star, vT) <= bound + 1e-9
 
@@ -145,7 +140,7 @@ def test_line4_vi_residual():
     # <gamma (F1(v)+offset) + grad w(v) - grad w(anchor), z - v> >= -1e-6
     prob, _, _ = _game_problem(d=4, T=60, m=4, seed=3)
     geom = prob.geometry
-    v, _ = composite_mp(prob, uniform_point(geom), 2000, 1e-22, force_generic=True)
+    v, _ = composite_mp(prob, uniform_point(geom), 2000, 1e-22)
     f1v = prob.f1.evaluate(v)
     lhs = DualVector(
         tuple(
@@ -163,61 +158,6 @@ def test_line4_vi_residual():
         z = random_point(geom, rng)
         diff = Point(tuple(zb - vb for zb, vb in zip(z.blocks, v.blocks)))
         assert pairing(lhs, diff) >= -1e-6
-
-
-def test_kernel_agrees_with_generic_path(monkeypatch):
-    prob, _, _ = _game_problem(d=5, T=80, m=4, seed=5)
-    geom = prob.geometry
-    v0 = uniform_point(geom)
-    calls = []
-    loop = _kernels.log_space_loop
-
-    def counted(*args):
-        calls.append(1)
-        return loop(*args)
-
-    monkeypatch.setattr(_kernels, "log_space_loop", counted)
-    for T in (1, 7, 60):
-        fast, it_f = composite_mp(prob, v0, T, 0.0)
-        slow, it_s = composite_mp(prob, v0, T, 0.0, force_generic=True)
-        assert it_f == it_s == T
-        np.testing.assert_allclose(fast.concat(), slow.concat(), atol=1e-12)
-    # the log-space loop ran for every non-generic call, numba or not
-    assert len(calls) == 3
-
-
-def test_kernel_agrees_under_movement_stop():
-    # 1e-14 lies in the range where the stop is resolved: below ~1e-16 the
-    # computed KL movement is at round-off and the two loops' counts split
-    prob, _, _ = _game_problem(d=4, T=40, m=4, seed=6)
-    v0 = uniform_point(prob.geometry)
-    fast, it_f = composite_mp(prob, v0, 5000, 1e-14)
-    slow, it_s = composite_mp(prob, v0, 5000, 1e-14, force_generic=True)
-    assert it_f == it_s
-    np.testing.assert_allclose(fast.concat(), slow.concat(), atol=1e-10)
-
-
-def test_numba_kernel_matches_python_loop():
-    pytest.importorskip("numba")
-    prob, _, _ = _game_problem(d=4, T=40, m=4, seed=6)
-    SB, S, base, wc = _log_space_operands(prob)
-    L0 = np.log(uniform_point(prob.geometry).concat())
-    args = (SB, S, base, wc, L0, 5000, 1e-14, TINY_MASS)
-    L_jit, it_jit = _kernels.log_space_loop(*args)
-    L_py, it_py = _kernels.log_space_loop.py_func(*args)
-    assert it_jit == it_py
-    np.testing.assert_allclose(np.exp(L_jit), np.exp(L_py), atol=1e-10)
-
-
-def _same_as_generic(prob, v0, cap, tol):
-    """Run both loops; assert the same iteration count and the same bits."""
-    fast, it_f = composite_mp(prob, v0, cap, tol)
-    slow, it_s = composite_mp(prob, v0, cap, tol, force_generic=True)
-    assert it_f == it_s
-    assert len(fast.blocks) == len(slow.blocks)
-    for a, b in zip(fast.blocks, slow.blocks):
-        assert np.array_equal(a, b)
-    return slow, it_s
 
 
 def _ball_problem(dim, seed, push=0.0):
@@ -240,21 +180,26 @@ def _ball_problem(dim, seed, push=0.0):
     return prob, random_point(geom, rng)
 
 
-def test_euclidean_loop_leaves_other_setups_to_the_generic_path():
-    # a non-square saddle shard: blocks of sizes 3 and 5
+def test_composite_mp_on_uneven_blocks_and_an_lp_ball():
+    # a non-square saddle shard: blocks of sizes 3 and 5, where the loop
+    # reaches the exact solve's answer
     rng = np.random.default_rng(4)
     geom = GeometrySetup(
         GeometryKind.EUCLIDEAN, (3, 5), Domain(DomainKind.SIMPLEX_PRODUCT)
     )
+    M = rng.uniform(-1.0, 1.0, size=(3, 5))
     prob = CompositeProblem(
-        gamma=1.0, anchor=uniform_point(geom),
-        f1=saddle_shard(rng.uniform(-1.0, 1.0, size=(3, 5))),
+        gamma=1.0, anchor=uniform_point(geom), f1=saddle_shard(M),
         offset=DualVector.of(rng.normal(size=3), rng.normal(size=5)),
-        geometry=geom, l_f1=1.0,
+        geometry=geom, l_f1=float(np.linalg.norm(M, 2)),
     )
     v0 = random_point(geom, rng)
-    _same_as_generic(prob, v0, 40, 1e-12)
-    # an l3 ball has no Euclidean projection, on either path
+    exact, _ = newton_solve(prob, v0)
+    v, iters = composite_mp(prob, v0, 2000, 1e-24)
+    assert iters < 2000
+    assert [b.size for b in v.blocks] == [3, 5]
+    assert float(np.abs(v.concat() - exact.concat()).max()) <= 1e-9
+    # an l3 ball has no Euclidean projection
     geom = GeometrySetup(
         GeometryKind.EUCLIDEAN, (4,), Domain(DomainKind.NORM_BALL, 3.0, 1.0)
     )
@@ -263,9 +208,8 @@ def test_euclidean_loop_leaves_other_setups_to_the_generic_path():
         f1=OperatorShard(np.eye(4), np.ones(4)), offset=DualVector.of(np.ones(4)),
         geometry=geom, l_f1=1.0,
     )
-    for force in (False, True):
-        with pytest.raises(ParameterError):
-            composite_mp(prob, uniform_point(geom), 5, force_generic=force)
+    with pytest.raises(ParameterError):
+        composite_mp(prob, uniform_point(geom), 5)
 
 
 def test_euclidean_loop_rejects_non_finite_offset():
@@ -284,15 +228,14 @@ def test_euclidean_loop_rejects_non_finite_offset():
         ), v0_ball),
     ]
     for bad, v0 in cases:
-        for force in (False, True):
-            with pytest.raises(NumericsError):
-                composite_mp(bad, v0, 5, force_generic=force)
+        with pytest.raises(NumericsError):
+            composite_mp(bad, v0, 5)
 
 
-def test_log_space_floor_keeps_underflowing_coordinates():
+def test_entropy_floor_keeps_underflowing_coordinates():
     # anchor and start at the 1e-300 floor, with the offset pushing the
-    # x-block further out: unfloored, the update sinks below TINY_MASS (as
-    # the generic loop shows); the log-space loop holds it at the floor
+    # x-block further out: one unfloored step sinks below TINY_MASS, and
+    # the loop holds every iterate at the floor
     d = 4
     geom = entropy_simplex(d)
     edge = np.array([1.0 - 3e-300, 1e-300, 1e-300, 1e-300])
@@ -305,14 +248,19 @@ def test_log_space_floor_keeps_underflowing_coordinates():
         geometry=geom,
         l_f1=1.0,
     )
-    slow, _ = composite_mp(prob, anchor, 3, 0.0, force_generic=True)
-    assert slow.blocks[0].min() < TINY_MASS
-    for v0 in (anchor, Point.of([1.0, 0.0, 0.0, 0.0], np.full(d, 1.0 / d))):
-        fast, _ = composite_mp(prob, v0, 3, 0.0)
-        for b in fast.blocks:
+    raw = composite_prox_map(
+        geom, anchor, anchor, prob.gradient(anchor), prob.eta
+    )
+    assert raw.blocks[0].min() < TINY_MASS
+    _, iters, path = composite_mp(prob, anchor, 3, 0.0, record_path=True)
+    assert iters == len(path) == 3
+    for v in path:
+        for b in v.blocks:
             assert np.all(b >= TINY_MASS)
             assert b.sum() == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(fast.concat(), slow.concat(), atol=1e-12)
+    # a start with an exact zero is off the entropy domain
+    with pytest.raises(DomainError):
+        composite_mp(prob, Point.of([1.0, 0.0, 0.0, 0.0], np.full(d, 1.0 / d)), 3)
 
 
 def test_composite_solution_differs_from_f1_solution():
@@ -332,7 +280,7 @@ def test_composite_solution_differs_from_f1_solution():
         geometry=geom,
         l_f1=float(np.abs(M).max()),
     )
-    v, _ = composite_mp(prob, uniform_point(geom), 3000, 1e-24, force_generic=True)
+    v, _ = composite_mp(prob, uniform_point(geom), 3000, 1e-24)
     # the composite stationarity condition holds ...
     f1v = f1.evaluate(v)
     resid = DualVector(
@@ -361,8 +309,7 @@ def test_composite_solution_differs_from_f1_solution():
 def test_iterates_stay_strictly_positive():
     prob, _, _ = _game_problem(d=4, T=60, m=4, seed=8)
     _, _, path = composite_mp(
-        prob, uniform_point(prob.geometry), 50, 0.0,
-        force_generic=True, record_path=True,
+        prob, uniform_point(prob.geometry), 50, 0.0, record_path=True
     )
     for v in path:
         assert all(np.all(b > 0) for b in v.blocks)
