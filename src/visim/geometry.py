@@ -550,7 +550,7 @@ def prox_map(setup: GeometrySetup, center: Point, g: DualVector, step: float) ->
             raise ShapeError("prox center blocks do not match the setup")
         theta = np.log(center.concat())
         theta -= step * g.concat()
-        return setup.layout.split(_softmax_map(theta, setup.layout)[0])
+        return setup.layout.split(softmax_map(theta, setup.layout)[0])
     if setup.kind is GeometryKind.EUCLIDEAN:
         return Point(
             tuple(
@@ -648,15 +648,17 @@ def mirror_map_flat(
         raise NumericsError("non-finite dual vector in mirror map")
     layout = setup.layout
     if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
-        return _softmax_map(theta, layout)
+        return softmax_map(theta, layout)
     if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
         return _simplex_projection_map(theta, layout.bounds)
     return _radial_projection_map(setup, theta, layout.bounds)
 
 
-def _softmax_map(theta, layout):
-    # u = exp(theta - max) / sum per block; D = diag(u) - u u^T per block,
-    # so u serves as diag and its blocks as the rank-one vectors
+def softmax_map(theta: np.ndarray, layout: BlockLayout):
+    """The entropy branch of :func:`mirror_map_flat`, without its checks:
+    u = exp(theta - max) / sum per block of ``layout``.  D = diag(u) - u u^T
+    per block, so u serves as diag and its blocks as the rank-one vectors.
+    A block gets the same bits whatever blocks sit beside it."""
     u = theta - np.maximum.reduceat(theta, layout.starts)[layout.block_of]
     np.exp(u, out=u)
     for lo, hi in layout.bounds:

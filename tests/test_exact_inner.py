@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from visim import inner
 from visim.cluster import ClusterState
@@ -126,9 +126,10 @@ def test_newton_answer_is_a_fixed_point_of_the_prox_map(args):
     out = newton_solve(prob, v0)
     assert out is not None
     u, steps = out
-    direct, direct_steps = inner._damped_newton(
-        prob, v0, NewtonSystem(prob.f1, prob.gamma, prob.geometry)
-    )
+    # the first attempt: Newton on the reduced normal map for entropy, on
+    # the full one otherwise
+    first = inner._reduced_newton if kind.startswith("entropy") else inner._damped_newton
+    direct, direct_steps = first(prob, v0, NewtonSystem(prob.f1, prob.gamma, prob.geometry))
     if direct is None:
         # from a cold start, damped Newton on the piecewise-affine simplex
         # normal map can stall at a kink (about 1 draw in 150 here); the
@@ -271,33 +272,75 @@ def _fail_once(monkeypatch, owner, name, at, fail):
     return calls
 
 
+def _record_attempts(monkeypatch):
+    """Log, for each reduced and each full Newton solve, whether it
+    answered."""
+    log = []
+    for name in ("_reduced_newton", "_damped_newton"):
+        def recorded(*args, _original=getattr(inner, name), _name=name):
+            out = _original(*args)
+            log.append((_name, out[0] is not None))
+            return out
+
+        monkeypatch.setattr(inner, name, recorded)
+    return log
+
+
 def test_non_finite_trial_point_goes_on_by_continuation(monkeypatch):
-    # the first trial point is made non-finite, so the mirror map raises
-    # NumericsError: a stall, which the continuation in gamma takes over
+    # the first Newton step of the reduced attempt and of the full attempt
+    # is made non-finite, so its trial point is non-finite and raises
+    # NumericsError: stalls, which the continuation in gamma takes over
     prob, v0 = _instance("entropy", 5, seed=3, gamma=5.0)
-    original = inner.mirror_map_flat
 
-    def poisoned(geom, w):
-        return original(geom, np.full_like(w, np.nan))
+    def non_finite(system, g, *terms):
+        return np.full_like(g, np.nan)
 
-    calls = _fail_once(monkeypatch, inner, "mirror_map_flat", 2, poisoned)
+    reduced = _fail_once(monkeypatch, NewtonSystem, "reduced_step", 1, non_finite)
+    full = _fail_once(monkeypatch, NewtonSystem, "step", 1, non_finite)
+    attempts = _record_attempts(monkeypatch)
     out = newton_solve(prob, v0)
-    assert len(calls) > 2
+    assert len(reduced) == 1 and len(full) > 1
+    assert attempts[:2] == [("_reduced_newton", False), ("_damped_newton", False)]
+    assert len(attempts) > 2 and attempts[-1] == ("_damped_newton", True)
     assert out is not None and _prox_residual(prob, out[0]) <= 1e-11
 
 
 def test_singular_step_goes_on_by_continuation(monkeypatch):
-    # the first Newton step meets a singular matrix (LinAlgError): a stall,
-    # which the continuation in gamma takes over
+    # the first Newton step of the reduced attempt and of the full attempt
+    # meets a singular matrix (LinAlgError): stalls, which the continuation
+    # in gamma takes over
     prob, v0 = _instance("entropy", 5, seed=3, gamma=5.0)
 
-    def singular(system, g, diag, rank_one):
+    def singular(system, g, *terms):
         return inner._solve(np.zeros((g.size, g.size)), g)
 
-    calls = _fail_once(monkeypatch, NewtonSystem, "step", 1, singular)
+    reduced = _fail_once(monkeypatch, NewtonSystem, "reduced_step", 1, singular)
+    full = _fail_once(monkeypatch, NewtonSystem, "step", 1, singular)
+    attempts = _record_attempts(monkeypatch)
     out = newton_solve(prob, v0)
-    assert len(calls) > 1
+    assert len(reduced) == 1 and len(full) > 1
+    assert attempts[:2] == [("_reduced_newton", False), ("_damped_newton", False)]
+    assert len(attempts) > 2 and attempts[-1] == ("_damped_newton", True)
     assert out is not None and _prox_residual(prob, out[0]) <= 1e-11
+
+
+def test_strong_coupling_hands_a_reduced_stall_to_the_full_newton():
+    # at gamma max|M| of about 150 the reduced iteration misses its target
+    # within NEWTON_MAX_STEPS; the full Newton from v0 then answers, bit for
+    # bit as it does alone
+    prob, v0 = _instance("entropy", 5, seed=0, gamma=150.0)
+    assert prob.gamma * np.abs(prob.f1.matrix).max() >= 100.0
+    system = NewtonSystem(prob.f1, prob.gamma, prob.geometry)
+    reduced, reduced_steps = inner._reduced_newton(prob, v0, system)
+    assert reduced is None
+    full, full_steps = inner._damped_newton(
+        prob, v0, NewtonSystem(prob.f1, prob.gamma, prob.geometry)
+    )
+    assert full is not None
+    u, steps = newton_solve(prob, v0, system)
+    assert np.array_equal(u.concat(), full.concat())
+    assert steps == reduced_steps + full_steps
+    assert _prox_residual(prob, u) <= 1e-11
 
 
 def _jacobian(diag, rank_one):
@@ -573,3 +616,60 @@ def test_newton_solves_rectangular_saddle_subproblems(args):
 def test_singular_newton_system_raises_linalg_error():
     with pytest.raises(np.linalg.LinAlgError):
         inner._solve(np.zeros((3, 3)), np.ones(3))
+
+
+@settings(max_examples=200)
+@given(st.tuples(
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 20.0),
+))
+def test_reduced_newton_solves_uneven_entropy_saddles(args):
+    d1, d2, seed, gamma = args
+    assume(d1 != d2)
+    f1, geom, _, rng = _layout("entropy", d1, d2, seed, gamma)
+    prob = CompositeProblem(
+        gamma=gamma, anchor=random_point(geom, rng), f1=f1,
+        offset=DualVector.of(0.5 * rng.normal(size=d1), 0.5 * rng.normal(size=d2)),
+        geometry=geom, l_f1=float(np.linalg.norm(f1.matrix, 2)),
+    )
+    v0 = random_point(geom, rng)
+    system = NewtonSystem(f1, gamma, geom)
+    # the last two softmax maps of the solve are those of its answer:
+    # u_2 = softmax(w_2), then u_1 = softmax(w_1)
+    thetas = []
+    with pytest.MonkeyPatch.context() as mp:
+        original = inner.softmax_map
+
+        def recording(theta, layout):
+            thetas.append(theta.copy())
+            return original(theta, layout)
+
+        mp.setattr(inner, "softmax_map", recording)
+        u, _ = inner._reduced_newton(prob, v0, system)
+    assert u is not None
+    w2, w1 = thetas[-2:]
+    x, y = u.blocks
+    assert tuple(b.size for b in u.blocks) == (d1, d2)
+    # both rows of the full normal map G(w) = w - c + gamma F1(u), and their
+    # round-off scale |w| + |c| + |gM| (|u| + |D| |w|) with the softmax
+    # Jacobian's magnitudes |D| = diag(u) + u u^T, from dense matrices
+    c = dgf_grad(geom, prob.anchor).concat() - gamma * prob.offset.concat()
+    c1, c2 = c[:d1], c[d1:]
+    g1 = w1 - c1 + system.gM @ y
+    g2 = w2 - c2 - system.gMT @ x
+
+    def spread(z, w):
+        return z + (np.diag(z) + np.outer(z, z)) @ np.abs(w)
+
+    scale1 = np.abs(w1) + np.abs(c1) + np.abs(system.gM) @ spread(y, w2)
+    scale2 = np.abs(w2) + np.abs(c2) + np.abs(system.gMT) @ spread(x, w1)
+    assert np.all(np.abs(g1) <= inner.NEWTON_RTOL * scale1)
+    assert np.all(np.abs(g2) <= inner.NEWTON_RTOL * scale2)
+    assert _prox_residual(prob, u) <= 1e-11
+    # newton_solve answers with this first attempt
+    out = newton_solve(prob, v0, system)
+    assert out is not None and np.array_equal(out[0].concat(), u.concat())
+    for b in u.blocks:
+        assert np.all(b >= 0.0) and abs(b.sum() - 1.0) < 1e-12
