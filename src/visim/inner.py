@@ -185,12 +185,16 @@ class NewtonSystem:
             return dw
         ((beta, v),) = rank_one
         if beta == 0.0 and (diag == 1.0).all():
-            from scipy.linalg import lu_factor, lu_solve
+            from scipy.linalg import lapack, lu_factor
 
             if self._interior_lu is None:
                 J = np.eye(g.size) + self.gB
                 self._interior_lu = lu_factor(J, check_finite=False)
-            return lu_solve(self._interior_lu, -g, check_finite=False)
+            # the routine scipy's lu_solve calls, without its argument checks
+            x, info = lapack.dgetrs(*self._interior_lu, -g)
+            if info != 0:
+                raise LinAlgError(f"dgetrs rejected argument {-info}")
+            return x
         J = self.gB * diag
         J -= (beta * (self.gB @ v))[:, None] * v
         J.ravel()[:: J.shape[0] + 1] += 1.0
