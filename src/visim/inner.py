@@ -12,10 +12,18 @@ map (Robinson 1992; semismooth Newton, Qi & Sun 1993), typically one to
 three linear solves, stopped at a round-off residual.  A run builds one
 :class:`NewtonSystem` for its fixed F1 and gamma, which takes a saddle
 problem's steps through a d x d Schur complement and factors the
-interior-ball matrix once.  :func:`newton_solve` returns None for the
-a-norm ball and for a solve that stalls or misses its target within
-``NEWTON_MAX_STEPS`` steps; the outer solver then runs
-:func:`composite_mp`.
+interior-ball matrix once.  It tries, in turn:
+
+1. for an entropy saddle, Newton on the normal map reduced to the y-block
+   (nonlinear elimination of the x-block row; Lanzkron, Rose & Wilkes
+   1996), whose Jacobian is that Schur complement;
+2. Newton on the full normal map, from the same start;
+3. continuation in gamma, for a full solve that stalls or misses its
+   target within ``NEWTON_MAX_STEPS`` steps.
+
+:func:`newton_solve` returns None for the a-norm ball and for a
+subproblem the continuation does not solve either; the outer solver then
+runs :func:`composite_mp`.
 
 :func:`composite_mp` is the paper's composite extragradient loop.  Each
 iteration takes two composite proximal steps with weight
