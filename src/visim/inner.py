@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -48,6 +49,7 @@ from numpy.linalg._umath_linalg import solve1 as _gesv
 
 from .errors import NumericsError, ParameterError
 from .geometry import (
+    BlockLayout,
     DualVector,
     GeometryKind,
     GeometrySetup,
@@ -138,8 +140,8 @@ class NewtonSystem:
     is nonsingular because Q P = (gamma^2 M^T D_1 M) D_2 is a product of
     two positive semidefinite matrices, whose eigenvalues are real and
     nonnegative.  The same I + Q P is the Jacobian of the reduced normal
-    map in y alone (:meth:`reduced_step`), and the system keeps the
-    one-block layouts that map each block on its own.  An affine
+    map in y alone (:meth:`reduced_step`), whose solve maps each block on
+    its own (:attr:`block_layouts`, built on first use).  An affine
     F1 = A z + b on one block solves with the LU factors of I + gamma A
     whenever the mirror map reports D = I (the interior of the l2 ball),
     factored on first use and kept for the run; any other D gets a dense
@@ -154,18 +156,22 @@ class NewtonSystem:
         if self.saddle:
             d1, d2 = M.shape
             self.gM, self.gMT = gamma * M, gamma * np.ascontiguousarray(M.T)
-            self.abs_gM, self.abs_gMT = np.abs(self.gM), np.abs(self.gMT)
             self.gB = np.zeros((d1 + d2, d1 + d2))
             self.gB[:d1, d1:] = self.gM
             self.gB[d1:, :d1] = -self.gMT
             self.gb = 0.0
-            self.block_layouts = tuple(
-                replace(geometry, block_dims=(n,)).layout for n in geometry.block_dims
-            )
         else:
             self.gB, self.gb = gamma * M, gamma * f1.offset
         self.abs_gB = np.abs(self.gB)
         self._interior_lu = None
+
+    @cached_property
+    def block_layouts(self) -> tuple[BlockLayout, ...]:
+        """A one-block layout per block, for mapping each block on its own."""
+        return tuple(
+            BlockLayout([(0, n)], np.zeros(1, dtype=int), np.zeros(n, dtype=int))
+            for n in self.block_dims
+        )
 
     def schur(self, block1, block2):
         """P = gamma M D_2, Q = gamma M^T D_1 and S = I + Q P, each block's
@@ -425,22 +431,21 @@ def _reduced_newton(
     matrix I + Q P of :meth:`NewtonSystem.schur`.  The solve starts Gauss-
     Seidel style from v0's y-block, x_0 = softmax(c_1 - gM y_0) and
     w_2 = c_2 + gM^T x_0, halves its steps until ||G_2|| decreases, and
-    stops when both rows, G_2 and G_1 = w_1 - c_1 + gM u_2 (round-off of
-    the same product), are at ``NEWTON_RTOL`` of the magnitudes they are
-    the difference of.  The answer is None if it stalls or misses its
+    stops when G_2 is at ``NEWTON_RTOL`` of the magnitudes it is the
+    difference of.  The answer is None if it stalls or misses its
     target."""
     geom, gamma = problem.geometry, problem.gamma
     layout1, layout2 = system.block_layouts
-    gM, gMT, abs_gM, abs_gMT = system.gM, system.gMT, system.abs_gM, system.abs_gMT
+    gM, gMT = system.gM, system.gMT
     c = dgf_grad(geom, problem.anchor).concat() - gamma * problem.offset.concat()
     d1 = geom.block_dims[0]
+    abs_gMT = system.abs_gB[d1:, :d1]
     c1, c2 = c[:d1], c[d1:]
-    abs_c1, abs_c2 = np.abs(c1), np.abs(c2)
+    abs_c2 = np.abs(c2)
 
     def evaluate(w2):
         u2 = softmax_map(w2, layout2)[0]
-        gMu2 = gM @ u2
-        w1 = c1 - gMu2
+        w1 = c1 - gM @ u2
         u1 = softmax_map(w1, layout1)[0]
         g2 = w2 - c2
         g2 -= gMT @ u1
@@ -448,22 +453,17 @@ def _reduced_newton(
         if not math.isfinite(norm):
             # a non-finite iterate, as mirror_map_flat would report it
             raise NumericsError("non-finite residual in the reduced Newton solve")
-        # the round-off scale of _damped_newton, row by row; with the
+        # the round-off scale of _damped_newton on the y-block row; with the
         # softmax Jacobian D = diag(u) - u u^T, |u| + |D| |w| is
-        # u (|w| + 1 + u.|w|)
+        # u (|w| + 1 + u.|w|).  The x-block row G_1 = (c_1 - p) - c_1 + p,
+        # p = gM u_2, is at most about 3 eps (|c_1| + |p|) by construction,
+        # within its scale NEWTON_RTOL (|w_1| + |c_1| + |gM| u_2 (...)) >=
+        # NEWTON_RTOL (|c_1| + |p|), so it is not evaluated
         abs_w1 = np.abs(w1)
         scale = abs_gMT @ (u1 * (abs_w1 + (1.0 + u1 @ abs_w1)))
         scale += np.abs(w2)
         scale += abs_c2
         done = bool((np.abs(g2) <= NEWTON_RTOL * scale).all())
-        if done:
-            g1 = w1 - c1
-            g1 += gMu2
-            abs_w2 = np.abs(w2)
-            scale = abs_gM @ (u2 * (abs_w2 + (1.0 + u2 @ abs_w2)))
-            scale += abs_w1
-            scale += abs_c1
-            done = bool((np.abs(g1) <= NEWTON_RTOL * scale).all())
         return ((u1, u2), g2, norm, done,
                 ((u1, 1.0, u1), (u2, 1.0, u2)))
 

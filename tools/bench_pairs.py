@@ -1,13 +1,13 @@
 """Compare two checkouts of visim with alternating pairs of benchmark runs.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --topic my_topic \\
-        --pairs 10 --first-seed 301 --seconds 25
+        --pairs 10 --first-seed 301
 
-runs ``perfbench/run.py --workload W --seed n --seconds S --trace 0`` in
-each checkout, one workload at a time.  Pair i uses seed
-``first_seed + i`` on both sides; the parent runs first on odd seeds and
-the change first on even seeds, so that a drift of the machine's speed
-does not favour one side.  The result goes to ``BENCH_<topic>.json`` in
+runs ``perfbench/run.py --workload W --seed n --trace 0`` in each
+checkout, for every workload, one workload at a time, each run as long as
+``perfbench`` makes it.  Pair i uses seed ``first_seed + i`` on both
+sides; the parent runs first on odd seeds and the change first on even
+seeds, so that a drift of the machine's speed does not favour one side.  The result goes to ``BENCH_<topic>.json`` in
 the current directory (``--out`` to change it): per workload and
 end-to-end metric the median, quartiles, IQR and every run of each side,
 the change's median relative to the parent's, and in how many pairs the
@@ -35,13 +35,11 @@ WORKLOADS = ("entropy-game", "euclidean-game", "mirror-prox-wide", "restart-ball
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float,
-             trace: bool = False) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: bool = False) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``: its result line, the
     environment line it printed, and its exit code."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload",
-           workload, "--seed", str(seed), "--seconds", str(seconds),
-           "--trace", str(int(trace))]
+           workload, "--seed", str(seed), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(ln.split(":", 1)[1]) for ln in lines
@@ -106,9 +104,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--topic", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS),
-                        help="comma list (default: all four)")
     parser.add_argument("--trace-seed", type=int,
                         help="also one traced run per side and workload")
     parser.add_argument("--describe", default="", help="what the change does")
@@ -118,10 +113,6 @@ def main(argv: list[str] | None = None) -> int:
     for side, path in checkouts.items():
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"--{side} {path} has no perfbench/run.py")
-    workloads = args.workloads.split(",")
-    for w in workloads:
-        if w not in WORKLOADS:
-            parser.error(f"unknown workload {w!r}")
     out = args.out or Path(f"BENCH_{args.topic}.json")
     seeds = range(args.first_seed, args.first_seed + args.pairs)
     doc = {
@@ -131,8 +122,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{args.pairs} pairs of runs per workload, seeds {seeds[0]}-{seeds[-1]}; "
             "the parent ran first on odd seeds and the change first on even "
             "seeds.  Each run is `python3 perfbench/run.py --workload W --seed n "
-            f"--seconds {args.seconds:g} --trace 0` in its checkout, one workload "
-            "at a time.  setup_s and solve_s are perfbench's normalised seconds; "
+            "--trace 0` in its checkout, one workload at a time, with perfbench's "
+            "own run length.  setup_s and solve_s are perfbench's normalised seconds; "
             "peak_rss_mb is the process's peak resident set.  Quartiles: "
             "statistics.quantiles(n=4, method='inclusive'); iqr = q3 - q1.  "
             "pairs_change_better counts pairs where the change's value is lower; "
@@ -146,11 +137,11 @@ def main(argv: list[str] | None = None) -> int:
         doc["workloads"] = summarise(doc["runs"])
         out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
-    for workload in workloads:
+    for workload in WORKLOADS:
         for seed in seeds:
             order = SIDES if seed % 2 else SIDES[::-1]
             for side in order:
-                run = run_once(checkouts[side], workload, seed, args.seconds)
+                run = run_once(checkouts[side], workload, seed)
                 run["side"] = side
                 doc["runs"].append(run)
                 doc["environment"] = doc["environment"] or run["environment"]
@@ -160,8 +151,7 @@ def main(argv: list[str] | None = None) -> int:
             save()
         if args.trace_seed is not None:
             for side in SIDES:
-                run = run_once(checkouts[side], workload, args.trace_seed,
-                               args.seconds, trace=True)
+                run = run_once(checkouts[side], workload, args.trace_seed, trace=True)
                 run["side"] = side
                 doc["runs"].append(run)
             save()
