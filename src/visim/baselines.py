@@ -13,17 +13,19 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .cluster import ClusterState, gather_average
+from .cluster import ClusterState
+from .cluster import gather_average  # noqa: F401  (perfbench's tracer wraps it here)
 from .errors import ParameterError
 from .geometry import (
     GeometryKind,
     GeometrySetup,
     Point,
-    floor_simplex_point,
-    prox_map,
+    floor_simplex_flat,
+    prox_map,  # noqa: F401  (perfbench's tracer wraps baselines.prox_map)
+    prox_map_flat,
 )
 from .inner import InnerSettings
-from .paus import PausConfig, PausResult, _drive, paus_run
+from .paus import PausConfig, PausResult, _drive, _gather, paus_run
 
 
 class BaselineKind(Enum):
@@ -64,16 +66,16 @@ def mirror_prox_run(
     if config.kind is not BaselineKind.MIRROR_PROX:
         raise ParameterError("config.kind must be MIRROR_PROX")
     geom = config.geometry
+    layout = geom.layout
     step = config.stepsize
+    entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
 
-    def extragradient(z: Point, prev_w: Point | None) -> tuple[Point, Point, int]:
-        f_z = gather_average(cluster, [z])[0]
-        w = prox_map(geom, z, f_z, step)
-        f_w = gather_average(cluster, [w])[0]
-        z_next = prox_map(geom, z, f_w, step)
-        if geom.kind is GeometryKind.ENTROPY_SIMPLEX:
-            w = floor_simplex_point(w)  # guard against float underflow to 0
-            z_next = floor_simplex_point(z_next)
+    def extragradient(z, prev_w):
+        w = prox_map_flat(geom, z, _gather(cluster, geom, z), step)
+        z_next = prox_map_flat(geom, z, _gather(cluster, geom, w), step)
+        if entropy:
+            w = floor_simplex_flat(w, layout)  # guard against float underflow to 0
+            z_next = floor_simplex_flat(z_next, layout)
         return w, z_next, 0
 
     return _drive(

@@ -35,7 +35,9 @@ from .paus import PausConfig, RunRecord, duality_gap, paus_run
 SOLVERS = ("paus", "mirror-prox", "euclidean")
 DENSE_LOG_ROUNDS = 1000
 LOG_RATIO = 1.1
-GAMMA_CAP_SCALE = 1e6  # gamma cap = scale / L when delta underflows
+GAMMA_CAP_SCALE = 1e6  # gamma cap = scale / L when delta is round-off
+# a delta at most this many ulps of L (in the same pairing) is round-off
+ROUNDOFF_ULPS = 64
 EPS_ITERS_CAP = 100_000  # largest iteration count run_comparison derives from eps
 # signs drawn at a time by per-entry generation (2 MB of int64 indices)
 _SIGN_CHUNK = 2**18
@@ -195,14 +197,14 @@ class ExperimentResult:
 
 def _stepsize(solver: str, c: float, consts: SimilarityConstants,
               consts_l2: SimilarityConstants) -> float:
-    if solver == "mirror-prox":
-        base = consts.L
-    elif solver == "euclidean":
-        base = consts_l2.delta
-    else:
-        base = consts.delta
-    if base <= 1e-15:
-        return GAMMA_CAP_SCALE / max(consts.L, 1e-15)
+    """c / L for mirror-prox, c / delta for the similarity solvers, with
+    the constants in the solver's pairing (l2 for euclidean).  A delta of
+    at most ``ROUNDOFF_ULPS`` ulps of L is round-off (a shard that holds
+    the global mean), and gets the cap ``GAMMA_CAP_SCALE / L``."""
+    pair = consts_l2 if solver == "euclidean" else consts
+    base = pair.L if solver == "mirror-prox" else pair.delta
+    if base <= ROUNDOFF_ULPS * np.finfo(float).eps * pair.L:
+        return GAMMA_CAP_SCALE / max(pair.L, 1e-15)
     return c / base
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -104,9 +104,29 @@ class BlockLayout:
     starts: np.ndarray
     block_of: np.ndarray
 
+    @property
+    def size(self) -> int:
+        """The length of the concatenated vector."""
+        return self.block_of.size
+
     def split(self, flat: np.ndarray) -> "Point":
         """The point whose blocks are the slices of ``flat``."""
-        return Point(tuple(flat[lo:hi] for lo, hi in self.bounds))
+        return Point(tuple([flat[lo:hi] for lo, hi in self.bounds]))
+
+
+@lru_cache(maxsize=None)
+def block_layout(block_dims: tuple[int, ...]) -> BlockLayout:
+    """The :class:`BlockLayout` of blocks of sizes ``block_dims``, built
+    once per tuple of sizes and shared, so its arrays are read-only."""
+    ends = np.cumsum(block_dims, dtype=int).tolist()
+    starts = [0] + ends[:-1]
+    layout = BlockLayout(
+        list(zip(starts, ends)), np.array(starts, dtype=int),
+        np.repeat(np.arange(len(block_dims)), block_dims),
+    )
+    layout.starts.flags.writeable = False
+    layout.block_of.flags.writeable = False
+    return layout
 
 
 def check_same_shape(u: Point | DualVector, v: Point | DualVector) -> None:
@@ -170,12 +190,12 @@ class GeometrySetup:
     @cached_property
     def layout(self) -> BlockLayout:
         """Where the blocks sit in the concatenated vector."""
-        ends = np.cumsum(self.block_dims).tolist()
-        starts = [0] + ends[:-1]
-        return BlockLayout(
-            list(zip(starts, ends)), np.array(starts),
-            np.repeat(np.arange(len(self.block_dims)), self.block_dims),
-        )
+        return block_layout(self.block_dims)
+
+    @cached_property
+    def center_flat(self) -> np.ndarray | None:
+        """``center`` concatenated as ``layout`` says (None if unshifted)."""
+        return None if self.center is None else np.concatenate(self.center)
 
 
 def entropy_simplex(d: int, blocks: int = 2) -> GeometrySetup:
@@ -305,14 +325,24 @@ def floor_simplex_point(z: Point, floor: float = TINY_MASS) -> Point:
     log-space updates cannot represent.  Flooring at 1e-300 keeps the
     dynamics intact (the perturbation is ~1e-300 per coordinate) while
     keeping every iterate strictly positive, hence interior under
-    :func:`has_mass`.
+    :func:`has_mass`.  This is :func:`floor_simplex_flat` on the
+    concatenated blocks.
     """
-    out = []
-    for b in z.blocks:
-        nb = np.maximum(b, floor)
-        nb /= nb.sum()
-        out.append(nb)
-    return Point(tuple(out))
+    layout = block_layout(tuple(b.size for b in z.blocks))
+    return layout.split(floor_simplex_flat(z.concat(), layout, floor))
+
+
+def floor_simplex_flat(
+    z: np.ndarray, layout: BlockLayout, floor: float = TINY_MASS
+) -> np.ndarray:
+    """:func:`floor_simplex_point` on a point concatenated as ``layout``
+    says: one clamp over all blocks, then each block divided by its own
+    sum.  Returns a new array."""
+    out = np.maximum(z, floor)
+    for lo, hi in layout.bounds:
+        b = out[lo:hi]
+        b /= b.sum()
+    return out
 
 
 def project_block_simplex(v: np.ndarray) -> np.ndarray:
@@ -394,23 +424,27 @@ def _a_norm_grad_inv(s: np.ndarray, a: float) -> np.ndarray:
 
 def dgf_grad(setup: GeometrySetup, z: Point) -> DualVector:
     """The gradient of the DGF (defined on the domain's relative interior
-    for entropy)."""
-    out = []
-    for i, b in enumerate(z.blocks):
-        if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
-            if not has_mass(b).all():
-                raise DomainError("entropy gradient needs strictly positive mass")
-            e = np.log(b)
-            e += 1.0
-            out.append(e)
-        else:
-            s = setup.shift(i)
-            x = b if s is None else b - s
-            if setup.kind is GeometryKind.EUCLIDEAN:
-                out.append(x)
-            else:
-                out.append(_a_norm_grad(x, setup.a))
-    return DualVector(tuple(out))
+    for entropy).  This is :func:`dgf_grad_flat` on the concatenated
+    blocks."""
+    _check_blocks(setup, z)
+    return DualVector(setup.layout.split(dgf_grad_flat(setup, z.concat())).blocks)
+
+
+def dgf_grad_flat(setup: GeometrySetup, z: np.ndarray) -> np.ndarray:
+    """:func:`dgf_grad` on a point concatenated as ``setup.layout`` says.
+    The Euclidean gradient of an unshifted setup is ``z`` itself."""
+    if z.shape != (setup.layout.size,):
+        raise ShapeError(f"a point of shape {z.shape} does not fit the setup")
+    if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
+        if not has_mass(z).all():
+            raise DomainError("entropy gradient needs strictly positive mass")
+        e = np.log(z)
+        e += 1.0
+        return e
+    x = z if setup.center is None else z - setup.center_flat
+    if setup.kind is GeometryKind.EUCLIDEAN:
+        return x
+    return _a_norm_grad(x, setup.a)
 
 
 def bregman_divergence(setup: GeometrySetup, u: Point, v: Point) -> float:
@@ -445,19 +479,29 @@ def bregman_divergence(setup: GeometrySetup, u: Point, v: Point) -> float:
 # proximal maps
 
 
+def _check_blocks(setup: GeometrySetup, z: Point | DualVector) -> None:
+    if tuple(b.size for b in z.blocks) != setup.block_dims:
+        raise ShapeError(
+            f"blocks {tuple(b.size for b in z.blocks)} do not match the "
+            f"setup's {setup.block_dims}"
+        )
+
+
 def _check_prox_args(setup, center, g, step):
-    check_same_shape(center, g)
+    # on the concatenated center and dual vector
+    if center.shape != (setup.layout.size,) or g.shape != center.shape:
+        raise ShapeError(
+            f"prox operands of shapes {center.shape} and {g.shape} do not "
+            "fit the setup"
+        )
     if step <= 0.0:
         raise ParameterError(f"prox step must be positive, got {step}")
-    for b in g.blocks:
-        if not np.isfinite(b).all():
-            raise NumericsError("non-finite dual vector in prox map")
-    if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
-        # exact zeros (underflow) break the log-space update; any strictly
-        # positive float, however tiny, is fine
-        for b in center.blocks:
-            if not has_mass(b).all():
-                raise DomainError("entropy prox center must be strictly positive")
+    if not np.isfinite(g).all():
+        raise NumericsError("non-finite dual vector in prox map")
+    # exact zeros (underflow) break the log-space update; any strictly
+    # positive float, however tiny, is fine
+    if setup.kind is GeometryKind.ENTROPY_SIMPLEX and not has_mass(center).all():
+        raise DomainError("entropy prox center must be strictly positive")
 
 
 def _entropy_step(e: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -542,25 +586,34 @@ def prox_map(setup: GeometrySetup, center: Point, g: DualVector, step: float) ->
 
     Entropy: the closed multiplicative form per block.  Euclidean: gradient
     step followed by exact projection.  A-norm ball: dual-variable solve.
+    This is :func:`prox_map_flat` on the concatenated blocks.
     """
+    check_same_shape(center, g)
+    _check_blocks(setup, center)
+    return setup.layout.split(prox_map_flat(setup, center.concat(), g.concat(), step))
+
+
+def prox_map_flat(
+    setup: GeometrySetup, center: np.ndarray, g: np.ndarray, step: float
+) -> np.ndarray:
+    """:func:`prox_map` on a center and a dual vector concatenated as
+    ``setup.layout`` says, with the bits of the block-by-block map.
+    Returns a new array."""
     _check_prox_args(setup, center, g, step)
     if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
         # the softmax of log(center) - step g, block by block
-        if tuple(b.size for b in center.blocks) != setup.block_dims:
-            raise ShapeError("prox center blocks do not match the setup")
-        theta = np.log(center.concat())
-        theta -= step * g.concat()
-        return setup.layout.split(softmax_map(theta, setup.layout)[0])
+        theta = np.log(center)
+        theta -= step * g
+        return softmax_map(theta, setup.layout)[0]
     if setup.kind is GeometryKind.EUCLIDEAN:
-        return Point(
-            tuple(
-                _project_domain_block(setup, cb - step * gb)
-                for cb, gb in zip(center.blocks, g.blocks)
-            )
-        )
-    gc = dgf_grad(setup, center)
-    target = gc.blocks[0] - step * g.blocks[0]
-    return Point((_ball_constrained_solve(setup, target),))
+        v = center - step * g
+        out = np.empty_like(v)
+        for lo, hi in setup.layout.bounds:
+            out[lo:hi] = _project_domain_block(setup, v[lo:hi])
+        return out
+    target = dgf_grad_flat(setup, center)
+    target -= step * g
+    return _ball_constrained_solve(setup, target)
 
 
 def composite_prox_map(
@@ -654,11 +707,17 @@ def mirror_map_flat(
     return _radial_projection_map(setup, theta, layout.bounds)
 
 
-def softmax_map(theta: np.ndarray, layout: BlockLayout):
+def softmax_map(theta: np.ndarray, layout: BlockLayout | None = None):
     """The entropy branch of :func:`mirror_map_flat`, without its checks:
-    u = exp(theta - max) / sum per block of ``layout``.  D = diag(u) - u u^T
-    per block, so u serves as diag and its blocks as the rank-one vectors.
-    A block gets the same bits whatever blocks sit beside it."""
+    u = exp(theta - max) / sum per block of ``layout`` (the whole vector as
+    one block when ``layout`` is None).  D = diag(u) - u u^T per block, so
+    u serves as diag and its blocks as the rank-one vectors.  A block gets
+    the same bits whatever blocks sit beside it."""
+    if layout is None:
+        u = theta - theta.max()
+        np.exp(u, out=u)
+        u /= u.sum()
+        return u, u, [(1.0, u)]
     u = theta - np.maximum.reduceat(theta, layout.starts)[layout.block_of]
     np.exp(u, out=u)
     for lo, hi in layout.bounds:

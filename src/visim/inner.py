@@ -40,8 +40,7 @@ block-wise loop for every geometry; entropy iterates are floored at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -49,14 +48,13 @@ from numpy.linalg._umath_linalg import solve1 as _gesv
 
 from .errors import NumericsError, ParameterError
 from .geometry import (
-    BlockLayout,
     DualVector,
     GeometryKind,
     GeometrySetup,
     Point,
     bregman_divergence,
     composite_prox_map,
-    dgf_grad,
+    dgf_grad_flat,
     floor_simplex_point,
     mirror_map_flat,
     softmax_map,
@@ -140,20 +138,23 @@ class NewtonSystem:
     is nonsingular because Q P = (gamma^2 M^T D_1 M) D_2 is a product of
     two positive semidefinite matrices, whose eigenvalues are real and
     nonnegative.  The same I + Q P is the Jacobian of the reduced normal
-    map in y alone (:meth:`reduced_step`), whose solve maps each block on
-    its own (:attr:`block_layouts`, built on first use).  An affine
-    F1 = A z + b on one block solves with the LU factors of I + gamma A
-    whenever the mirror map reports D = I (the interior of the l2 ball),
-    factored on first use and kept for the run; any other D gets a dense
-    solve.  Nothing here depends on where the geometry is centred, so the
-    stages of a restarted run, which recentre it, share one system.
+    map in y alone (:meth:`reduced_step`).  An affine F1 = A z + b on one
+    block solves with the LU factors of I + gamma A whenever the mirror
+    map reports D = I (the interior of the l2 ball), factored on first use
+    and kept for the run; any other D gets a dense solve.  Nothing here
+    depends on where the geometry is centred, so the stages of a restarted
+    run, which recentre it, share one system.
     """
 
     def __init__(self, f1: OperatorShard, gamma: float, geometry: GeometrySetup):
         self.f1, self.gamma, self.block_dims = f1, gamma, geometry.block_dims
         M = f1.matrix
+        dims = self.block_dims
         self.saddle = f1.offset is None
+        # F1's matrix fits the block layout: one saddle matrix across two
+        # blocks, or one affine map on a single block
         if self.saddle:
+            self.fits = len(dims) == 2 and M.shape == dims
             d1, d2 = M.shape
             self.gM, self.gMT = gamma * M, gamma * np.ascontiguousarray(M.T)
             self.gB = np.zeros((d1 + d2, d1 + d2))
@@ -161,26 +162,26 @@ class NewtonSystem:
             self.gB[d1:, :d1] = -self.gMT
             self.gb = 0.0
         else:
+            self.fits = len(dims) == 1 and M.shape == dims * 2
             self.gB, self.gb = gamma * M, gamma * f1.offset
         self.abs_gB = np.abs(self.gB)
+        self.max_abs_gB = float(self.abs_gB.max(initial=0.0))
         self._interior_lu = None
 
-    @cached_property
-    def block_layouts(self) -> tuple[BlockLayout, ...]:
-        """A one-block layout per block, for mapping each block on its own."""
-        return tuple(
-            BlockLayout([(0, n)], np.zeros(1, dtype=int), np.zeros(n, dtype=int))
-            for n in self.block_dims
-        )
+    def serves(self, f1: OperatorShard, gamma: float, geometry: GeometrySetup) -> bool:
+        """Whether this system was built for ``f1``, ``gamma`` and the
+        block layout of ``geometry``."""
+        return (self.f1 is f1 and self.gamma == gamma
+                and self.block_dims == geometry.block_dims)
 
-    def schur(self, block1, block2):
-        """P = gamma M D_2, Q = gamma M^T D_1 and S = I + Q P, each block's
-        D given as its ``(diag, beta, v)``."""
-        (a1, b1, v1), (a2, b2, v2) = block1, block2
+    def schur(self, a1, t1, v1, a2, t2, v2):
+        """P = gamma M D_2, Q = gamma M^T D_1 and S = I + Q P for the
+        blocks' D_k = diag(a_k) - beta_k v_k v_k^T, given t_2 = beta_2
+        gamma M v_2 and t_1 = beta_1 gamma M^T v_1."""
         P = self.gM * a2
-        P -= (b2 * (self.gM @ v2))[:, None] * v2
+        P -= t2[:, None] * v2
         Q = self.gMT * a1
-        Q -= (b1 * (self.gMT @ v1))[:, None] * v1
+        Q -= t1[:, None] * v1
         S = Q @ P
         S.ravel()[:: v2.size + 1] += 1.0
         return P, Q, S
@@ -190,7 +191,8 @@ class NewtonSystem:
         if self.saddle:
             (b1, v1), (b2, v2) = rank_one
             d1 = v1.size
-            P, Q, S = self.schur((diag[:d1], b1, v1), (diag[d1:], b2, v2))
+            P, Q, S = self.schur(diag[:d1], b1 * (self.gMT @ v1), v1,
+                                 diag[d1:], b2 * (self.gM @ v2), v2)
             r = -g
             r1 = r[:d1]
             dw = np.empty_like(g)
@@ -214,37 +216,24 @@ class NewtonSystem:
         J.ravel()[:: J.shape[0] + 1] += 1.0
         return _solve(J, -g)
 
-    def reduced_step(self, g2: np.ndarray, block1, block2) -> np.ndarray:
-        """The step dy with (I + Q P) dy = -g2 of the reduced normal map."""
-        _, _, S = self.schur(block1, block2)
+    def reduced_step(self, g2, u1, u2, p, q) -> np.ndarray:
+        """The step dy with (I + Q P) dy = -g2 of the reduced normal map at
+        the softmax points u_1, u_2, given p = gamma M u_2 and
+        q = gamma M^T u_1 (the softmax Jacobians have beta = 1)."""
+        _, _, S = self.schur(u1, q, u1, u2, p, u2)
         return _solve(S, -g2)
 
 
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with A x = b by numpy's LAPACK gesv, the routine np.linalg.solve
     wraps (same bits), without that wrapper's per-call argument handling.
-    It answers a singular A with NaNs, which raise LinAlgError here as in
-    np.linalg.solve."""
-    with np.errstate(invalid="ignore"):
-        x = _gesv(A, b)
+    It answers a singular A with NaNs (and an invalid-value warning, which
+    :func:`_damped` silences for a whole solve), which raise LinAlgError
+    here as in np.linalg.solve."""
+    x = _gesv(A, b)
     if math.isnan(x[0]):
         raise LinAlgError("Singular matrix")
     return x
-
-
-def _fits_layout(problem: CompositeProblem, v0: Point) -> bool:
-    """F1's matrix and the operands fit the geometry's block layout: one
-    saddle matrix across two blocks, or one affine map on a single block."""
-    dims = problem.geometry.block_dims
-    shape = problem.f1.matrix.shape
-    if problem.f1.offset is None:
-        fits = len(dims) == 2 and shape == dims
-    else:
-        fits = len(dims) == 1 and shape == dims * 2
-    return fits and all(
-        tuple(b.size for b in z.blocks) == dims
-        for z in (problem.anchor, problem.offset, v0)
-    )
 
 
 def newton_solve(
@@ -279,7 +268,8 @@ def newton_solve(
 
     ``system`` is the run's :class:`NewtonSystem` for the problem's F1,
     gamma and block layout (built here when omitted); a system built for
-    others raises :class:`ParameterError`.
+    others raises :class:`ParameterError`.  This is
+    :func:`newton_solve_flat` on the concatenated operands.
 
     Returns the solution and the number of Newton steps taken, stalled
     attempts included, or None for a setup it does not cover (one
@@ -290,20 +280,48 @@ def newton_solve(
     geom, gamma = problem.geometry, problem.gamma
     if system is None:
         system = NewtonSystem(problem.f1, gamma, geom)
-    elif (system.f1 is not problem.f1 or system.gamma != gamma
-          or system.block_dims != geom.block_dims):
+    elif not system.serves(problem.f1, gamma, geom):
         raise ParameterError("the Newton system was built for another subproblem")
-    if not _fits_layout(problem, v0):
+    if not system.fits or any(
+        tuple(b.size for b in z.blocks) != geom.block_dims
+        for z in (problem.anchor, problem.offset, v0)
+    ):
         return None
+    out = newton_solve_flat(
+        system, geom, dgf_grad_flat(geom, problem.anchor.concat()),
+        problem.offset.concat(), v0.concat(),
+    )
+    return None if out is None else (geom.layout.split(out[0]), out[1])
+
+
+def newton_solve_flat(
+    system: NewtonSystem,
+    geometry: GeometrySetup,
+    grad: np.ndarray,
+    offset: np.ndarray,
+    v0: np.ndarray,
+) -> tuple[np.ndarray, int] | None:
+    """:func:`newton_solve` on operands concatenated as
+    ``geometry.layout`` says: ``grad`` = grad w(anchor), the offset and the
+    start.  The solve at the system's gamma takes
+    c = grad - gamma * offset; the continuation forms c at each gamma it
+    visits the same way.  Returns the concatenated answer and the steps,
+    or None as :func:`newton_solve` does."""
+    if system.block_dims != geometry.block_dims:
+        raise ParameterError("the Newton system was built for another layout")
+    n = geometry.layout.size
+    if not (system.fits and grad.shape == offset.shape == v0.shape == (n,)):
+        return None
+    c = grad - system.gamma * offset
     u, steps = None, 0
     try:
-        if system.saddle and geom.kind is GeometryKind.ENTROPY_SIMPLEX:
-            u, steps = _reduced_newton(problem, v0, system)
+        if system.saddle and geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
+            u, steps = _reduced_newton(system, c, v0)
         if u is None:
-            u, more = _damped_newton(problem, v0, system)
+            u, more = _damped_newton(system, geometry, c, v0)
             steps += more
         if u is None:
-            u, more = _continue_in_gamma(problem, v0, system)
+            u, more = _continue_in_gamma(system, geometry, grad, offset, v0)
             steps += more
     except ParameterError:
         return None
@@ -311,21 +329,26 @@ def newton_solve(
 
 
 def _continue_in_gamma(
-    problem: CompositeProblem, v0: Point, system: NewtonSystem
-) -> tuple[Point | None, int]:
+    system: NewtonSystem,
+    geometry: GeometrySetup,
+    grad: np.ndarray,
+    offset: np.ndarray,
+    v0: np.ndarray,
+) -> tuple[np.ndarray | None, int]:
     """Halve gamma until a Newton solve from ``v0`` converges, then climb
-    back to ``problem.gamma`` by doubling it, each level warm-started from
-    the last answer; a level that stalls is retried from that answer with
-    the square root of the ratio.  ``system`` serves the last level.  Each
-    phase gives up after ``_GAMMA_CONTINUATION_CAP`` failed solves.
+    back to the system's gamma by doubling it, each level warm-started
+    from the last answer; a level that stalls is retried from that answer
+    with the square root of the ratio.  Each level solves with
+    c = grad - gamma_level * offset, and ``system`` serves the last level.
+    Each phase gives up after ``_GAMMA_CONTINUATION_CAP`` failed solves.
     Returns the answer (None if it gave up) and the steps taken."""
-    gamma, steps = problem.gamma, 0
+    gamma, steps = system.gamma, 0
 
     def solve(g, start):
         nonlocal steps
         level_system = (system if g == gamma
-                        else NewtonSystem(problem.f1, g, problem.geometry))
-        u, more = _damped_newton(replace(problem, gamma=g), start, level_system)
+                        else NewtonSystem(system.f1, g, geometry))
+        u, more = _damped_newton(level_system, geometry, grad - g * offset, start)
         steps += more
         return u
 
@@ -357,42 +380,43 @@ def _damped(evaluate, step, w):
     that ``step(G, *terms)`` takes to give the Newton step.  Each step is
     halved until ||G|| decreases.  Returns the answer (None if the solve
     stalls, a non-finite point or a singular step included, or misses its
-    target within ``NEWTON_MAX_STEPS`` steps) and the steps taken."""
+    target within ``NEWTON_MAX_STEPS`` steps) and the steps taken.
+    Invalid-value warnings are off for the whole solve: a singular step
+    shows as NaNs, which :func:`_solve` raises as LinAlgError."""
     steps = 0
-    try:
-        u, g, norm, done, terms = evaluate(w)
-        while not done:
-            if steps == NEWTON_MAX_STEPS:
-                return None, steps
-            dw = step(g, *terms)
-            t = 1.0
-            while True:
-                w_trial = w + dw if t == 1.0 else w + t * dw
-                trial = evaluate(w_trial)
-                if trial[2] <= (1.0 - 1e-4 * t) * norm:
-                    break
-                t *= 0.5
-                if t < NEWTON_MIN_STEP:
+    with np.errstate(invalid="ignore"):
+        try:
+            u, g, norm, done, terms = evaluate(w)
+            while not done:
+                if steps == NEWTON_MAX_STEPS:
                     return None, steps
-            w = w_trial
-            u, g, norm, done, terms = trial
-            steps += 1
-    except (NumericsError, LinAlgError):
-        # a non-finite point or a singular step: a stall
-        return None, steps
+                dw = step(g, *terms)
+                t = 1.0
+                while True:
+                    w_trial = w + dw if t == 1.0 else w + t * dw
+                    trial = evaluate(w_trial)
+                    if trial[2] <= (1.0 - 1e-4 * t) * norm:
+                        break
+                    t *= 0.5
+                    if t < NEWTON_MIN_STEP:
+                        return None, steps
+                w = w_trial
+                u, g, norm, done, terms = trial
+                steps += 1
+        except (NumericsError, LinAlgError):
+            # a non-finite point or a singular step: a stall
+            return None, steps
     return u, steps
 
 
 def _damped_newton(
-    problem: CompositeProblem, v0: Point, system: NewtonSystem
-) -> tuple[Point | None, int]:
-    """One damped Newton solve of the full normal map from ``v0`` (see
-    :func:`newton_solve`); the answer is None if it stalls or misses its
-    target."""
-    geom, gamma = problem.geometry, problem.gamma
-    gB, layout = system.gB, geom.layout
-    bounds = layout.bounds
-    c = dgf_grad(geom, problem.anchor).concat() - gamma * problem.offset.concat()
+    system: NewtonSystem, geometry: GeometrySetup, c: np.ndarray, v0: np.ndarray
+) -> tuple[np.ndarray | None, int]:
+    """One damped Newton solve of the full normal map from ``v0``, with
+    c = grad w(anchor) - gamma * offset at the system's gamma (see
+    :func:`newton_solve`); the concatenated answer is None if it stalls or
+    misses its target."""
+    gB, bounds = system.gB, geometry.layout.bounds
     # G(w) = w - c + gamma (B u + b) = w - c_b + gB u.  Its round-off scale
     # is |w| + |c| + |gb| + |gB| (|u| + |D| |w|): the magnitudes of the
     # summed terms, with the rounding of w carried through the mirror map
@@ -400,13 +424,14 @@ def _damped_newton(
     abs_gB, abs_c = system.abs_gB, np.abs(c) + np.abs(system.gb)
 
     def evaluate(w):
-        u, diag, rank_one = mirror_map_flat(geom, w)
+        u, diag, rank_one = mirror_map_flat(geometry, w)
         abs_w = np.abs(w)
         spread = diag * abs_w
         spread += np.abs(u)
         for (beta, v), (lo, hi) in zip(rank_one, bounds):
-            abs_v = np.abs(v)
-            spread[lo:hi] += beta * abs_v * (abs_v @ abs_w[lo:hi])
+            if beta:  # a term with beta = 0 (the ball's interior) adds +0.0
+                abs_v = np.abs(v)
+                spread[lo:hi] += beta * abs_v * (abs_v @ abs_w[lo:hi])
         g = w - c_b
         g += gB @ u
         scale = abs_gB @ spread
@@ -415,61 +440,81 @@ def _damped_newton(
         done = bool((np.abs(g) <= scale).all())
         return u, g, math.sqrt(g @ g), done, (diag, rank_one)
 
-    u, steps = _damped(evaluate, system.step, c_b - gB @ v0.concat())
-    return (None if u is None else layout.split(u)), steps
+    return _damped(evaluate, system.step, c_b - gB @ v0)
+
+
+def _reduced_scale_bound(
+    system: NewtonSystem, c1: np.ndarray, abs_c2: np.ndarray
+) -> float:
+    """S, a bound on every component of the round-off scale of
+    :func:`_reduced_newton` at any iterate whose residual is at round-off:
+    S = 2 g + 2.02 g (max|c_1| + g) + 2 max|c_2| with g = max |gamma M|.
+    u_1 and u_2 are probability vectors, so |p|, |q| <= g,
+    u_1.|w_1| <= max|c_1| + g and |w_2| <= |G_2| + |c_2| + g; the factors
+    leave room for rounding."""
+    g = system.max_abs_gB
+    return (2.0 * g + 2.02 * g * (float(np.abs(c1).max()) + g)
+            + 2.0 * float(abs_c2.max()))
 
 
 def _reduced_newton(
-    problem: CompositeProblem, v0: Point, system: NewtonSystem
-) -> tuple[Point | None, int]:
+    system: NewtonSystem, c: np.ndarray, v0: np.ndarray
+) -> tuple[np.ndarray | None, int]:
     """Damped Newton on the normal map of an entropy saddle subproblem
-    reduced to its y-block (see :func:`newton_solve`).
+    reduced to its y-block (see :func:`newton_solve`), with
+    c = grad w(anchor) - gamma * offset concatenated.
 
-    With c_b = (c_1, c_2) and gM = gamma M, an iterate w_2 gives
-    u_2 = softmax(w_2), w_1 = c_1 - gM u_2, u_1 = softmax(w_1) and the
-    residual G_2 = w_2 - c_2 - gM^T u_1, whose Jacobian is the Schur
-    matrix I + Q P of :meth:`NewtonSystem.schur`.  The solve starts Gauss-
-    Seidel style from v0's y-block, x_0 = softmax(c_1 - gM y_0) and
-    w_2 = c_2 + gM^T x_0, halves its steps until ||G_2|| decreases, and
-    stops when G_2 is at ``NEWTON_RTOL`` of the magnitudes it is the
-    difference of.  The answer is None if it stalls or misses its
-    target."""
-    geom, gamma = problem.geometry, problem.gamma
-    layout1, layout2 = system.block_layouts
+    With c = (c_1, c_2) and gM = gamma M, an iterate w_2 gives
+    u_2 = softmax(w_2), w_1 = c_1 - p with p = gM u_2, u_1 = softmax(w_1)
+    and the residual G_2 = w_2 - c_2 - q with q = gM^T u_1, whose Jacobian
+    is the Schur matrix I + Q P of :meth:`NewtonSystem.schur`, built from
+    p and q.  The solve starts Gauss-Seidel style from v0's y-block,
+    x_0 = softmax(c_1 - gM y_0) and w_2 = c_2 + gM^T x_0, halves its steps
+    until ||G_2|| decreases, and stops when G_2 is at ``NEWTON_RTOL`` of
+    the magnitudes it is the difference of.  The concatenated answer is
+    None if it stalls or misses its target."""
     gM, gMT = system.gM, system.gMT
-    c = dgf_grad(geom, problem.anchor).concat() - gamma * problem.offset.concat()
-    d1 = geom.block_dims[0]
+    d1 = gM.shape[0]
     abs_gMT = system.abs_gB[d1:, :d1]
     c1, c2 = c[:d1], c[d1:]
     abs_c2 = np.abs(c2)
+    # a residual with ||G_2|| > sqrt(d_2) NEWTON_RTOL S has a component
+    # above its round-off scale; past twice that (room for rounding) the
+    # scale is not computed
+    far = 2.0 * math.sqrt(c2.size) * NEWTON_RTOL * _reduced_scale_bound(
+        system, c1, abs_c2)
 
     def evaluate(w2):
-        u2 = softmax_map(w2, layout2)[0]
-        w1 = c1 - gM @ u2
-        u1 = softmax_map(w1, layout1)[0]
+        u2 = softmax_map(w2)[0]
+        p = gM @ u2
+        w1 = c1 - p
+        u1 = softmax_map(w1)[0]
+        q = gMT @ u1
         g2 = w2 - c2
-        g2 -= gMT @ u1
+        g2 -= q
         norm = math.sqrt(g2 @ g2)
         if not math.isfinite(norm):
             # a non-finite iterate, as mirror_map_flat would report it
             raise NumericsError("non-finite residual in the reduced Newton solve")
+        if norm > far:
+            return (u1, u2), g2, norm, False, (u1, u2, p, q)
         # the round-off scale of _damped_newton on the y-block row; with the
         # softmax Jacobian D = diag(u) - u u^T, |u| + |D| |w| is
-        # u (|w| + 1 + u.|w|).  The x-block row G_1 = (c_1 - p) - c_1 + p,
-        # p = gM u_2, is at most about 3 eps (|c_1| + |p|) by construction,
-        # within its scale NEWTON_RTOL (|w_1| + |c_1| + |gM| u_2 (...)) >=
+        # u (|w| + 1 + u.|w|).  The x-block row G_1 = (c_1 - p) - c_1 + p
+        # is at most about 3 eps (|c_1| + |p|) by construction, within its
+        # scale NEWTON_RTOL (|w_1| + |c_1| + |gM| u_2 (...)) >=
         # NEWTON_RTOL (|c_1| + |p|), so it is not evaluated
         abs_w1 = np.abs(w1)
         scale = abs_gMT @ (u1 * (abs_w1 + (1.0 + u1 @ abs_w1)))
         scale += np.abs(w2)
         scale += abs_c2
-        done = bool((np.abs(g2) <= NEWTON_RTOL * scale).all())
-        return ((u1, u2), g2, norm, done,
-                ((u1, 1.0, u1), (u2, 1.0, u2)))
+        scale *= NEWTON_RTOL
+        done = bool((np.abs(g2) <= scale).all())
+        return (u1, u2), g2, norm, done, (u1, u2, p, q)
 
-    x0 = softmax_map(c1 - gM @ v0.blocks[1], layout1)[0]
+    x0 = softmax_map(c1 - gM @ v0[d1:])[0]
     u, steps = _damped(evaluate, system.reduced_step, c2 + gMT @ x0)
-    return (None if u is None else Point(u)), steps
+    return (None if u is None else np.concatenate(u)), steps
 
 
 def composite_mp(

@@ -45,14 +45,15 @@ class OperatorShard:
         return self.matrix if self.offset is None else (self.matrix, self.offset)
 
     def evaluate(self, z: Point) -> DualVector:
-        """F(z): (M y, -M^T x) at z = (x, y), or A z + b."""
+        """F(z): (M y, -M^T x) at z = (x, y), or A z + b.  This is
+        :meth:`evaluate_flat` on the concatenated blocks."""
         M = self.matrix
         if self.offset is not None:
             if len(z.blocks) != 1 or z.blocks[0].size != M.shape[1]:
                 raise ShapeError(
                     f"affine operator expects one block of size {M.shape[1]}"
                 )
-            return DualVector((M @ z.blocks[0] + self.offset,))
+            return DualVector((self.evaluate_flat(z.blocks[0]),))
         if len(z.blocks) != 2:
             raise ShapeError("saddle operator expects a two-block point (x, y)")
         x, y = z.blocks
@@ -60,7 +61,30 @@ class OperatorShard:
             raise ShapeError(
                 f"point blocks ({x.size}, {y.size}) do not match matrix {M.shape}"
             )
-        return DualVector((M @ y, -(x @ M)))
+        out = self.evaluate_flat(np.concatenate(z.blocks))
+        return DualVector((out[: x.size], out[x.size :]))
+
+    def evaluate_flat(self, z: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate` on the concatenated point z = (x, y) (or z),
+        with the bits of the block-by-block products."""
+        M = self.matrix
+        if self.offset is not None:
+            if z.shape != (M.shape[1],):
+                raise ShapeError(
+                    f"affine operator expects a point of size {M.shape[1]}"
+                )
+            return M @ z + self.offset
+        d1 = M.shape[0]
+        if z.shape != (d1 + M.shape[1],):
+            raise ShapeError(
+                f"a point of shape {z.shape} does not match matrix {M.shape}"
+            )
+        out = np.empty(z.size)
+        minus_MTx = out[d1:]
+        np.matmul(M, z[d1:], out[:d1])
+        np.matmul(z[:d1], M, minus_MTx)
+        np.negative(minus_MTx, minus_MTx)
+        return out
 
 
 def saddle_shard(M: np.ndarray) -> OperatorShard:

@@ -20,6 +20,18 @@ The outer loop itself (ergodic average, ``keep_iterates`` paths and the
 RunRecord log) lives in one private driver, ``_drive``, which takes the
 solver's step as a function.  ``paus_run`` passes the similarity step
 above; the mirror-prox baseline passes its extragradient step.
+
+The driver and the steps run on flat arrays: z^k, u^k, the ergodic sum
+and every dual vector are one float64 vector each, its blocks in the
+order of ``geometry.layout``, and each operation of a step is the flat
+core of its Point function (``prox_map_flat``, ``dgf_grad_flat``,
+``floor_simplex_flat``, ``OperatorShard.evaluate_flat``,
+``_dual_combine_flat``, ``newton_solve_flat``), with the same bits.
+Points are built, as views of the flat arrays (``layout.split``), only
+where they leave or enter the loop: z^0 in, each logged and the final
+u_avg, the ``keep_iterates`` paths, the points a gather ships (so that
+``gather_average`` counts every round and byte), and a subproblem handed
+to ``composite_mp``.
 """
 
 from __future__ import annotations
@@ -38,9 +50,11 @@ from .geometry import (
     GeometryKind,
     GeometrySetup,
     Point,
-    floor_simplex_point,
+    dgf_grad_flat,
+    floor_simplex_flat,
     max_divergence_bound,
-    prox_map,
+    prox_map,  # noqa: F401  (perfbench's tracer wraps paus.prox_map)
+    prox_map_flat,
     validate_point,
 )
 from .inner import (
@@ -48,14 +62,15 @@ from .inner import (
     InnerSettings,
     NewtonSystem,
     composite_mp,
-    newton_solve,
+    newton_solve_flat,
 )
 
 DEFAULT_INNER_TOL = 1e-10
 MOVEMENT_TOL_FLOOR = 1e-17
 
-# one outer iteration: (z^k, u^{k-1} or None) -> (u^k, z^{k+1}, inner iterations)
-Step = Callable[[Point, Point | None], tuple[Point, Point, int]]
+# one outer iteration on flat arrays:
+# (z^k, u^{k-1} or None) -> (u^k, z^{k+1}, inner iterations)
+Step = Callable[[np.ndarray, np.ndarray | None], tuple[np.ndarray, np.ndarray, int]]
 
 
 @dataclass
@@ -117,19 +132,26 @@ _SIGNED = {1.0: np.add, -1.0: np.subtract}
 
 def _dual_combine(*terms: tuple[float, DualVector]) -> DualVector:
     """Signed sum 0 + s_1 v_1 + s_2 v_2 + ... of dual vectors, blockwise,
-    added left to right.  Each sign is +1 or -1, so each term enters by one
-    exact add or subtract."""
+    added left to right.  This is :func:`_dual_combine_flat` block by
+    block."""
+    return DualVector(tuple(
+        _dual_combine_flat(*((s, v.blocks[i]) for s, v in terms))
+        for i in range(len(terms[0][1].blocks))
+    ))
+
+
+def _dual_combine_flat(*terms: tuple[float, np.ndarray]) -> np.ndarray:
+    """Signed sum 0 + s_1 v_1 + s_2 v_2 + ... of arrays, added left to
+    right into a new array.  Each sign is +1 or -1, so each term enters by
+    one exact add or subtract."""
     try:
         ops = [_SIGNED[s] for s, _ in terms]
     except KeyError:
         raise ParameterError("dual vectors combine with signs +1 or -1") from None
-    out = []
-    for i, first in enumerate(terms[0][1].blocks):
-        acc = ops[0](0.0, first)
-        for op, (_, v) in zip(ops[1:], terms[1:]):
-            op(acc, v.blocks[i], out=acc)
-        out.append(acc)
-    return DualVector(tuple(out))
+    acc = ops[0](0.0, terms[0][1])
+    for op, (_, v) in zip(ops[1:], terms[1:]):
+        op(acc, v, out=acc)
+    return acc
 
 
 def _inner_plan(config: PausConfig) -> tuple[int, float]:
@@ -152,6 +174,12 @@ def _inner_plan(config: PausConfig) -> tuple[int, float]:
     return cap, movement_tol
 
 
+def _gather(cluster: ClusterState, geometry: GeometrySetup, z: np.ndarray) -> np.ndarray:
+    """One communication round at the flat point z, through
+    :func:`gather_average`; the workers' average F(z), flat."""
+    return gather_average(cluster, [geometry.layout.split(z)])[0].concat()
+
+
 def _drive(
     geometry: GeometrySetup,
     z0: Point,
@@ -165,29 +193,30 @@ def _drive(
     """The outer loop shared by every solver: ``iters`` calls of ``step``
     from ``z0``, the ergodic average of the returned u^k, and the log.
 
-    ``step(z, prev_u)`` takes one outer iteration from z^k (``prev_u`` is
-    u^{k-1}, None at k = 0) and returns (u^k, z^{k+1}, inner iterations).
+    ``step(z, prev_u)`` takes one outer iteration from the flat z^k
+    (``prev_u`` is u^{k-1}, None at k = 0) and returns new arrays
+    (u^k, z^{k+1}) and the inner iterations.
     """
     validate_point(geometry, z0)
-    z = z0
-    u_sum = [np.zeros(d) for d in geometry.block_dims]
-    prev_u: Point | None = None
+    layout = geometry.layout
+    z = np.asarray(z0.concat(), dtype=float)
+    u_sum = np.zeros(layout.size)
+    prev_u: np.ndarray | None = None
     records: list[RunRecord] = []
     u_path: list[Point] = []
-    z_path: list[Point] = [z]
+    z_path: list[Point] = [z0]
     start = time.perf_counter()
 
     for k in range(iters):
         u, z, inner_iters = step(z, prev_u)
-        for acc, ub in zip(u_sum, u.blocks):
-            acc += ub
+        u_sum += u
         prev_u = u
         if keep_iterates:
-            u_path.append(u)
-            z_path.append(z)
+            u_path.append(layout.split(u))
+            z_path.append(layout.split(z))
         if log_predicate is None or log_predicate(k):
-            u_avg = Point(tuple(acc / (k + 1) for acc in u_sum))
-            gap = float(gap_fn(u_avg)) if gap_fn is not None else math.nan
+            gap = (float(gap_fn(layout.split(u_sum / (k + 1))))
+                   if gap_fn is not None else math.nan)
             records.append(
                 RunRecord(
                     round=cluster.round_count,
@@ -196,7 +225,7 @@ def _drive(
                     elapsed=time.perf_counter() - start,
                 )
             )
-    u_avg = Point(tuple(acc / iters for acc in u_sum))
+    u_avg = layout.split(u_sum / iters)
     return PausResult(u_avg=u_avg, log=records, u_path=u_path, z_path=z_path)
 
 
@@ -219,42 +248,52 @@ def paus_run(
     ``composite_mp``; ``PausResult.inner_fallbacks`` counts those hand-offs.
     ``system`` is the :class:`inner.NewtonSystem` of the server shard, gamma
     and block layout, when the caller shares one between runs; by default
-    the run builds its own.
+    the run builds its own, and one built for others raises
+    :class:`ParameterError`.
     """
-    geom = config.geometry
+    geom, gamma = config.geometry, config.gamma
+    layout = geom.layout
+    shard = cluster.server_shard
+    entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
     cap, movement_tol = _inner_plan(config)
     if system is None:
-        system = NewtonSystem(cluster.server_shard, config.gamma, geom)
+        system = NewtonSystem(shard, gamma, geom)
+    elif not system.serves(shard, gamma, geom):
+        raise ParameterError("the Newton system was built for another subproblem")
     fallbacks = 0
 
-    def step(z: Point, prev_u: Point | None) -> tuple[Point, Point, int]:
-        nonlocal fallbacks
-        f_z = gather_average(cluster, [z])[0]
-        f1_z = cluster.server_evaluate(z)
-        offset = _dual_combine((1.0, f_z), (-1.0, f1_z))
+    def extragradient_fallback(z, offset, v0):
         problem = CompositeProblem(
-            gamma=config.gamma,
-            anchor=z,
-            f1=cluster.server_shard,
-            offset=offset,
+            gamma=gamma,
+            anchor=layout.split(z),
+            f1=shard,
+            offset=DualVector(layout.split(offset).blocks),
             geometry=geom,
             l_f1=config.l_f1,
         )
+        u, inner_iters = composite_mp(problem, layout.split(v0), cap, movement_tol)
+        return u.concat(), inner_iters
+
+    def step(z, prev_u):
+        nonlocal fallbacks
+        f_z = _gather(cluster, geom, z)
+        f1_z = shard.evaluate_flat(z)
+        offset = _dual_combine_flat((1.0, f_z), (-1.0, f1_z))
         # warm start: the previous subproblem solution
         v0 = prev_u if prev_u is not None else z
-        solved = newton_solve(problem, v0, system)
+        solved = newton_solve_flat(system, geom, dgf_grad_flat(geom, z), offset, v0)
         if solved is None:
             fallbacks += 1
-            solved = composite_mp(problem, v0, cap, movement_tol)
+            solved = extragradient_fallback(z, offset, v0)
         u, inner_iters = solved
-        if geom.kind is GeometryKind.ENTROPY_SIMPLEX:
-            u = floor_simplex_point(u)  # guard against float underflow to 0
-        f1_u = cluster.server_evaluate(u)
-        f_u = gather_average(cluster, [u])[0]
-        g = _dual_combine((1.0, f_u), (-1.0, f1_u), (-1.0, f_z), (1.0, f1_z))
-        z_next = prox_map(geom, u, g, config.gamma)
-        if geom.kind is GeometryKind.ENTROPY_SIMPLEX:
-            z_next = floor_simplex_point(z_next)
+        if entropy:
+            u = floor_simplex_flat(u, layout)  # guard against float underflow to 0
+        f1_u = shard.evaluate_flat(u)
+        f_u = _gather(cluster, geom, u)
+        g = _dual_combine_flat((1.0, f_u), (-1.0, f1_u), (-1.0, f_z), (1.0, f1_z))
+        z_next = prox_map_flat(geom, u, g, gamma)
+        if entropy:
+            z_next = floor_simplex_flat(z_next, layout)
         return u, z_next, inner_iters
 
     result = _drive(

@@ -4,14 +4,28 @@ Nothing here reuses the closed forms under test: simplex minimizations go
 through a damped Newton method on the reduced (d-1)-variable problem,
 Euclidean projections through exact support enumeration, ball proxes
 through scipy's constrained solvers, and the similarity constant through
-random sampling.
+random sampling.  The outer step is written out block by block, each
+block its own array, as the solvers ran it before they ran on flat
+arrays (:func:`per_block_run`).
 """
 
 import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from visim.geometry import Point
+from visim.geometry import (
+    TINY_MASS,
+    DomainKind,
+    DualVector,
+    GeometryKind,
+    Point,
+    project_block_simplex,
+    validate_point,
+)
+from visim.inner import CompositeProblem, composite_mp, newton_solve
+from visim.paus import _inner_plan
 
 
 def newton_simplex(grad_full, hess_diag_full, d, iters=5000, tol=1e-14):
@@ -172,3 +186,146 @@ def sampled_similarity_ratio(f1, f_avg, trials, seed, block_dims):
         if den > 0.0:
             worst = max(worst, num / den)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the outer step block by block
+
+
+def per_block_evaluate(shard, blocks):
+    """A shard's F at a point given as a list of blocks: [M y, -(x M)], or
+    [A z + b]."""
+    M = shard.matrix
+    if shard.offset is not None:
+        return [M @ blocks[0] + shard.offset]
+    x, y = blocks
+    return [M @ y, -(x @ M)]
+
+
+def per_block_combine(*terms):
+    """Signed sums 0 + s_1 v_1 + ... of lists of blocks, block by block,
+    each sign +1 or -1, added left to right."""
+    ops = {1.0: np.add, -1.0: np.subtract}
+    out = []
+    for i in range(len(terms[0][1])):
+        acc = ops[terms[0][0]](0.0, terms[0][1][i])
+        for s, v in terms[1:]:
+            ops[s](acc, v[i], out=acc)
+        out.append(acc)
+    return out
+
+
+def per_block_floor(blocks):
+    """Each block clamped at ``TINY_MASS`` and divided by its own sum."""
+    out = []
+    for b in blocks:
+        nb = np.maximum(b, TINY_MASS)
+        nb /= nb.sum()
+        out.append(nb)
+    return out
+
+
+def per_block_grad(geometry, blocks):
+    """grad w block by block: log(b) + 1 for entropy, b - centre for the
+    Euclidean setups."""
+    if geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
+        return [np.log(b) + 1.0 for b in blocks]
+    return [b if geometry.shift(i) is None else b - geometry.shift(i)
+            for i, b in enumerate(blocks)]
+
+
+def per_block_prox(geometry, center, g, step):
+    """The prox map block by block: the softmax of log(c) - step g for
+    entropy, the projection of c - step g for the Euclidean setups."""
+    out = []
+    for cb, gb in zip(center, g):
+        if geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
+            e = np.log(cb) - step * gb
+            e -= e.max()
+            np.exp(e, out=e)
+            e /= e.sum()
+            out.append(e)
+        elif geometry.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+            out.append(project_block_simplex(cb - step * gb))
+        else:
+            v = cb - step * gb
+            n, r = float(np.linalg.norm(v)), geometry.domain.radius
+            out.append(v if n <= r else v * (r / n))
+    return out
+
+
+def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
+                  log_predicate=None, system=None):
+    """``paus_run`` (``solver`` "paus") or ``mirror_prox_run``
+    ("mirror-prox") written out block by block, each block its own array.
+
+    Every gather is one product by the cluster's average operator at one
+    point; this function counts its rounds and bytes on ``cluster`` itself.
+    A paus subproblem goes to ``newton_solve`` and, when that gives up, to
+    ``composite_mp``.  Returns the ergodic average, the log as (round,
+    gap, inner iterations) tuples, the kept paths and the fallbacks.
+    """
+    geom = config.geometry
+    entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
+    avg, server = cluster.average, cluster.server_shard
+    gamma = config.gamma if solver == "paus" else config.stepsize
+    fallbacks = 0
+
+    def gather(blocks):
+        cluster.round_count += 1
+        cluster.bytes_sent += 2 * cluster.m * sum(b.size for b in blocks) * 8
+        return per_block_evaluate(avg, blocks)
+
+    def paus_step(z, prev_u):
+        nonlocal fallbacks
+        f_z = gather(z)
+        f1_z = per_block_evaluate(server, z)
+        problem = CompositeProblem(
+            gamma=gamma, anchor=Point(tuple(z)), f1=server,
+            offset=DualVector(tuple(per_block_combine((1.0, f_z), (-1.0, f1_z)))),
+            geometry=geom, l_f1=config.l_f1,
+        )
+        v0 = Point(tuple(prev_u if prev_u is not None else z))
+        solved = newton_solve(problem, v0, system)
+        if solved is None:
+            fallbacks += 1
+            solved = composite_mp(problem, v0, *_inner_plan(config))
+        u = list(solved[0].blocks)
+        if entropy:
+            u = per_block_floor(u)
+        f1_u = per_block_evaluate(server, u)
+        f_u = gather(u)
+        g = per_block_combine((1.0, f_u), (-1.0, f1_u), (-1.0, f_z), (1.0, f1_z))
+        z_next = per_block_prox(geom, u, g, gamma)
+        if entropy:
+            z_next = per_block_floor(z_next)
+        return u, z_next, solved[1]
+
+    def extragradient(z, prev_w):
+        w = per_block_prox(geom, z, gather(z), gamma)
+        z_next = per_block_prox(geom, z, gather(w), gamma)
+        if entropy:
+            w, z_next = per_block_floor(w), per_block_floor(z_next)
+        return w, z_next, 0
+
+    step = paus_step if solver == "paus" else extragradient
+    validate_point(geom, config.z0)
+    z, prev_u = [np.asarray(b, dtype=float) for b in config.z0.blocks], None
+    u_sum = [np.zeros(n) for n in geom.block_dims]
+    log, u_path, z_path = [], [], [Point(tuple(z))]
+    for k in range(config.iters):
+        u, z, inner_iters = step(z, prev_u)
+        for acc, ub in zip(u_sum, u):
+            acc += ub
+        prev_u = u
+        if keep_iterates:
+            u_path.append(Point(tuple(u)))
+            z_path.append(Point(tuple(z)))
+        if log_predicate is None or log_predicate(k):
+            u_avg = Point(tuple(acc / (k + 1) for acc in u_sum))
+            gap = float(gap_fn(u_avg)) if gap_fn is not None else math.nan
+            log.append((cluster.round_count, gap, inner_iters))
+    return SimpleNamespace(
+        u_avg=Point(tuple(acc / config.iters for acc in u_sum)), log=log,
+        u_path=u_path, z_path=z_path, inner_fallbacks=fallbacks,
+    )

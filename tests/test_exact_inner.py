@@ -105,6 +105,19 @@ _instances = st.tuples(
 )
 
 
+def _attempt(name, prob, v0, system):
+    """Run ``inner``'s reduced (``"reduced"``) or full (``"full"``) Newton
+    attempt on the subproblem's concatenated operands; returns its answer
+    as a Point (None if it stalled) and its steps."""
+    geom = prob.geometry
+    c = dgf_grad(geom, prob.anchor).concat() - prob.gamma * prob.offset.concat()
+    if name == "reduced":
+        u, steps = inner._reduced_newton(system, c, v0.concat())
+    else:
+        u, steps = inner._damped_newton(system, geom, c, v0.concat())
+    return (None if u is None else geom.layout.split(u)), steps
+
+
 def _prox_residual(prob, u):
     """|| u - prox_map(anchor, gamma (F1(u) + offset), 1) ||_inf"""
     f1u = prob.f1.evaluate(u)
@@ -131,13 +144,14 @@ def test_newton_answer_is_a_fixed_point_of_the_prox_map(args):
     u, steps = out
 
     def run(attempt):
-        return attempt(prob, v0, NewtonSystem(prob.f1, prob.gamma, prob.geometry))
+        system = NewtonSystem(prob.f1, prob.gamma, prob.geometry)
+        return _attempt(attempt, prob, v0, system)
 
-    full, full_steps = run(inner._damped_newton)
+    full, full_steps = run("full")
     if kind.startswith("entropy"):
         # the full Newton, the reduced attempt's fallback, answers on its own
         assert full is not None and _prox_residual(prob, full) <= 1e-11
-        reduced, reduced_steps = run(inner._reduced_newton)
+        reduced, reduced_steps = run("reduced")
         if reduced is not None:
             assert np.array_equal(u.concat(), reduced.concat())
             assert 0 <= steps == reduced_steps <= inner.NEWTON_MAX_STEPS
@@ -268,7 +282,7 @@ def test_gamma_continuation_ends_a_cold_start_stall():
     # at a kink of the simplex normal map; continuation in gamma solves it
     prob, v0 = _instance("simplex", 8, 3777, 14.125)
     system = NewtonSystem(prob.f1, prob.gamma, prob.geometry)
-    assert inner._damped_newton(prob, v0, system)[0] is None
+    assert _attempt("full", prob, v0, system)[0] is None
     out = newton_solve(prob, v0, system)
     assert out is not None
     assert _prox_residual(prob, out[0]) <= 1e-11
@@ -346,10 +360,10 @@ def test_strong_coupling_hands_a_reduced_stall_to_the_full_newton():
     prob, v0 = _instance("entropy", 5, seed=0, gamma=150.0)
     assert prob.gamma * np.abs(prob.f1.matrix).max() >= 100.0
     system = NewtonSystem(prob.f1, prob.gamma, prob.geometry)
-    reduced, reduced_steps = inner._reduced_newton(prob, v0, system)
+    reduced, reduced_steps = _attempt("reduced", prob, v0, system)
     assert reduced is None
-    full, full_steps = inner._damped_newton(
-        prob, v0, NewtonSystem(prob.f1, prob.gamma, prob.geometry)
+    full, full_steps = _attempt(
+        "full", prob, v0, NewtonSystem(prob.f1, prob.gamma, prob.geometry)
     )
     assert full is not None
     u, steps = newton_solve(prob, v0, system)
@@ -634,6 +648,59 @@ def test_newton_solves_rectangular_saddle_subproblems(args):
         _check_reduced_rows(prob, v0, system, u)
 
 
+@settings(max_examples=200)
+@given(st.tuples(
+    st.sampled_from(["entropy", "entropy-floored"]),
+    st.integers(2, 8),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 200.0),
+))
+def test_reduced_solve_skips_its_scale_only_far_from_round_off(args):
+    # the reduced solve computes its round-off scale only once ||G_2|| is
+    # within 2 sqrt(d_2) NEWTON_RTOL S, S = _reduced_scale_bound; every
+    # iterate it calls done must lie within that, with S above each
+    # component of its scale, and never skipping must not change the
+    # answer or the steps
+    prob, v0 = _instance(*args)
+    geom, gamma = prob.geometry, prob.gamma
+    d1 = geom.block_dims[0]
+    system = NewtonSystem(prob.f1, gamma, geom)
+    thetas = []
+    with pytest.MonkeyPatch.context() as mp:
+        original = inner.softmax_map
+
+        def recording(theta, layout=None):
+            thetas.append(theta.copy())
+            return original(theta, layout)
+
+        mp.setattr(inner, "softmax_map", recording)
+        u, steps = _attempt("reduced", prob, v0, system)
+    c = dgf_grad(geom, prob.anchor).concat() - gamma * prob.offset.concat()
+    c1, c2 = c[:d1], c[d1:]
+    bound = inner._reduced_scale_bound(system, c1, np.abs(c2))
+    far = 2.0 * math.sqrt(c2.size) * inner.NEWTON_RTOL * bound
+    # the first softmax map is the start's x_0; then (w_2, w_1) per iterate
+    abs_gMT = np.abs(system.gMT)
+    for w2, w1 in zip(thetas[1::2], thetas[2::2]):
+        u1 = np.exp(w1 - w1.max())
+        u1 /= u1.sum()
+        u2 = np.exp(w2 - w2.max())
+        u2 /= u2.sum()
+        g2 = w2 - c2 - system.gMT @ u1
+        aw1 = np.abs(w1)
+        scale = abs_gMT @ (u1 * (aw1 + 1.0 + u1 @ aw1)) + np.abs(w2) + np.abs(c2)
+        if np.all(np.abs(g2) <= inner.NEWTON_RTOL * scale):
+            assert math.sqrt(g2 @ g2) <= far / 2.0
+            assert scale.max() <= bound
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inner, "_reduced_scale_bound", lambda *args: math.inf)
+        u_full, steps_full = _attempt("reduced", prob, v0, system)
+    assert steps == steps_full
+    assert (u is None) == (u_full is None)
+    if u is not None:
+        assert np.array_equal(u.concat(), u_full.concat())
+
+
 def _check_reduced_rows(prob, v0, system, answer):
     """The reduced attempt's answer, when it gives one, is ``answer``, and
     both rows of the full normal map are at round-off there; a stall leaves
@@ -646,14 +713,14 @@ def _check_reduced_rows(prob, v0, system, answer):
     with pytest.MonkeyPatch.context() as mp:
         original = inner.softmax_map
 
-        def recording(theta, layout):
+        def recording(theta, layout=None):
             thetas.append(theta.copy())
             return original(theta, layout)
 
         mp.setattr(inner, "softmax_map", recording)
-        u, _ = inner._reduced_newton(prob, v0, system)
+        u, _ = _attempt("reduced", prob, v0, system)
     if u is None:
-        full, _ = inner._damped_newton(prob, v0, system)
+        full, _ = _attempt("full", prob, v0, system)
         assert full is not None and np.array_equal(answer.concat(), full.concat())
         return
     assert np.array_equal(answer.concat(), u.concat())
