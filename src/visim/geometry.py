@@ -15,7 +15,11 @@ Every DGF here is 1-strongly convex in the setup's declared norm, so
 the a-norm setup is the a-norm itself (the exact strong-convexity norm);
 block norms combine as the l2 sum of squares.
 
-All operations are pure; setups and points are immutable.
+All operations are pure; setups and points are immutable.  The outer
+solvers run on flat arrays, the blocks concatenated in the order of the
+setup's :class:`BlockLayout`: each operation they call has a ``*_flat``
+core, and its Point function is a wrapper that concatenates, calls the
+core and returns views of the answer, with the same bits.
 """
 
 from __future__ import annotations

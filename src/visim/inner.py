@@ -227,10 +227,10 @@ class NewtonSystem:
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with A x = b by numpy's LAPACK gesv, the routine np.linalg.solve
     wraps (same bits), without that wrapper's per-call argument handling.
-    It answers a singular A with NaNs (and an invalid-value warning, which
-    :func:`_damped` silences for a whole solve), which raise LinAlgError
-    here as in np.linalg.solve."""
-    x = _gesv(A, b)
+    It answers a singular A with NaNs, which raise LinAlgError here as in
+    np.linalg.solve."""
+    with np.errstate(invalid="ignore"):
+        x = _gesv(A, b)
     if math.isnan(x[0]):
         raise LinAlgError("Singular matrix")
     return x
@@ -380,32 +380,29 @@ def _damped(evaluate, step, w):
     that ``step(G, *terms)`` takes to give the Newton step.  Each step is
     halved until ||G|| decreases.  Returns the answer (None if the solve
     stalls, a non-finite point or a singular step included, or misses its
-    target within ``NEWTON_MAX_STEPS`` steps) and the steps taken.
-    Invalid-value warnings are off for the whole solve: a singular step
-    shows as NaNs, which :func:`_solve` raises as LinAlgError."""
+    target within ``NEWTON_MAX_STEPS`` steps) and the steps taken."""
     steps = 0
-    with np.errstate(invalid="ignore"):
-        try:
-            u, g, norm, done, terms = evaluate(w)
-            while not done:
-                if steps == NEWTON_MAX_STEPS:
+    try:
+        u, g, norm, done, terms = evaluate(w)
+        while not done:
+            if steps == NEWTON_MAX_STEPS:
+                return None, steps
+            dw = step(g, *terms)
+            t = 1.0
+            while True:
+                w_trial = w + dw if t == 1.0 else w + t * dw
+                trial = evaluate(w_trial)
+                if trial[2] <= (1.0 - 1e-4 * t) * norm:
+                    break
+                t *= 0.5
+                if t < NEWTON_MIN_STEP:
                     return None, steps
-                dw = step(g, *terms)
-                t = 1.0
-                while True:
-                    w_trial = w + dw if t == 1.0 else w + t * dw
-                    trial = evaluate(w_trial)
-                    if trial[2] <= (1.0 - 1e-4 * t) * norm:
-                        break
-                    t *= 0.5
-                    if t < NEWTON_MIN_STEP:
-                        return None, steps
-                w = w_trial
-                u, g, norm, done, terms = trial
-                steps += 1
-        except (NumericsError, LinAlgError):
-            # a non-finite point or a singular step: a stall
-            return None, steps
+            w = w_trial
+            u, g, norm, done, terms = trial
+            steps += 1
+    except (NumericsError, LinAlgError):
+        # a non-finite point or a singular step: a stall
+        return None, steps
     return u, steps
 
 

@@ -199,7 +199,7 @@ def _drive(
     """
     validate_point(geometry, z0)
     layout = geometry.layout
-    z = np.asarray(z0.concat(), dtype=float)
+    z = z0.concat()
     u_sum = np.zeros(layout.size)
     prev_u: np.ndarray | None = None
     records: list[RunRecord] = []

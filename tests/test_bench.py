@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -131,6 +132,26 @@ def test_constants_edge_cases():
         estimate_constants(mats, 5)
     with pytest.raises(ConfigError):
         estimate_constants(mats, 4, pairing="l7")
+
+
+def test_round_off_delta_gets_the_capped_gamma():
+    # shard 1 of this one-sign game holds the global share of +1 signs, so
+    # its delta is round-off in both pairings (8.9e-16 and 1.6e-15); each
+    # similarity solver gets the cap GAMMA_CAP_SCALE / L of its own pairing
+    mats = generate_game(GameSpec(d=6, T=60, m=4, seed=5))
+    consts = estimate_constants(mats, 4)
+    consts_l2 = estimate_constants(mats, 4, pairing="l2")
+    ulp = np.finfo(float).eps
+    for pair in (consts, consts_l2):
+        assert 0.0 < pair.delta <= bench.ROUNDOFF_ULPS * ulp * pair.L
+    cap = bench.GAMMA_CAP_SCALE
+    assert bench._stepsize("paus", 1.0, consts, consts_l2) == cap / consts.L
+    assert bench._stepsize("euclidean", 1.0, consts, consts_l2) == cap / consts_l2.L
+    assert bench._stepsize("mirror-prox", 0.5, consts, consts_l2) == 0.5 / consts.L
+    # a delta just past round-off gets c / delta
+    above = dataclasses.replace(
+        consts_l2, delta=2.0 * bench.ROUNDOFF_ULPS * ulp * consts_l2.L)
+    assert bench._stepsize("euclidean", 2.0, consts, above) == 2.0 / above.delta
 
 
 def test_log_indices_shape():
