@@ -74,8 +74,9 @@ def mirror_prox_run(
         w = prox_map_flat(geom, z, _gather(cluster, geom, z), step)
         z_next = prox_map_flat(geom, z, _gather(cluster, geom, w), step)
         if entropy:
-            w = floor_simplex_flat(w, layout)  # guard against float underflow to 0
-            z_next = floor_simplex_flat(z_next, layout)
+            # guard against float underflow to 0
+            w = floor_simplex_flat(w, layout.bounds)
+            z_next = floor_simplex_flat(z_next, layout.bounds)
         return w, z_next, 0
 
     return _drive(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -118,21 +118,6 @@ class BlockLayout:
         return Point(tuple([flat[lo:hi] for lo, hi in self.bounds]))
 
 
-@lru_cache(maxsize=None)
-def block_layout(block_dims: tuple[int, ...]) -> BlockLayout:
-    """The :class:`BlockLayout` of blocks of sizes ``block_dims``, built
-    once per tuple of sizes and shared, so its arrays are read-only."""
-    ends = np.cumsum(block_dims, dtype=int).tolist()
-    starts = [0] + ends[:-1]
-    layout = BlockLayout(
-        list(zip(starts, ends)), np.array(starts, dtype=int),
-        np.repeat(np.arange(len(block_dims)), block_dims),
-    )
-    layout.starts.flags.writeable = False
-    layout.block_of.flags.writeable = False
-    return layout
-
-
 def check_same_shape(u: Point | DualVector, v: Point | DualVector) -> None:
     if len(u.blocks) != len(v.blocks) or any(
         a.shape != b.shape for a, b in zip(u.blocks, v.blocks)
@@ -194,7 +179,12 @@ class GeometrySetup:
     @cached_property
     def layout(self) -> BlockLayout:
         """Where the blocks sit in the concatenated vector."""
-        return block_layout(self.block_dims)
+        ends = np.cumsum(self.block_dims).tolist()
+        starts = [0] + ends[:-1]
+        return BlockLayout(
+            list(zip(starts, ends)), np.array(starts),
+            np.repeat(np.arange(len(self.block_dims)), self.block_dims),
+        )
 
     @cached_property
     def center_flat(self) -> np.ndarray | None:
@@ -332,18 +322,20 @@ def floor_simplex_point(z: Point, floor: float = TINY_MASS) -> Point:
     :func:`has_mass`.  This is :func:`floor_simplex_flat` on the
     concatenated blocks.
     """
-    layout = block_layout(tuple(b.size for b in z.blocks))
-    return layout.split(floor_simplex_flat(z.concat(), layout, floor))
+    ends = np.cumsum([b.size for b in z.blocks]).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    out = floor_simplex_flat(z.concat(), bounds, floor)
+    return Point(tuple(out[lo:hi] for lo, hi in bounds))
 
 
 def floor_simplex_flat(
-    z: np.ndarray, layout: BlockLayout, floor: float = TINY_MASS
+    z: np.ndarray, bounds: list[tuple[int, int]], floor: float = TINY_MASS
 ) -> np.ndarray:
-    """:func:`floor_simplex_point` on a point concatenated as ``layout``
-    says: one clamp over all blocks, then each block divided by its own
-    sum.  Returns a new array."""
+    """:func:`floor_simplex_point` on a point concatenated with its blocks
+    at the (lo, hi) slices ``bounds``: one clamp over all blocks, then each
+    block divided by its own sum.  Returns a new array."""
     out = np.maximum(z, floor)
-    for lo, hi in layout.bounds:
+    for lo, hi in bounds:
         b = out[lo:hi]
         b /= b.sum()
     return out

@@ -174,7 +174,9 @@ def _inner_plan(config: PausConfig) -> tuple[int, float]:
     return cap, movement_tol
 
 
-def _gather(cluster: ClusterState, geometry: GeometrySetup, z: np.ndarray) -> np.ndarray:
+def _gather(
+    cluster: ClusterState, geometry: GeometrySetup, z: np.ndarray
+) -> np.ndarray:
     """One communication round at the flat point z, through
     :func:`gather_average`; the workers' average F(z), flat."""
     return gather_average(cluster, [geometry.layout.split(z)])[0].concat()
@@ -287,13 +289,14 @@ def paus_run(
             solved = extragradient_fallback(z, offset, v0)
         u, inner_iters = solved
         if entropy:
-            u = floor_simplex_flat(u, layout)  # guard against float underflow to 0
+            # guard against float underflow to 0
+            u = floor_simplex_flat(u, layout.bounds)
         f1_u = shard.evaluate_flat(u)
         f_u = _gather(cluster, geom, u)
         g = _dual_combine_flat((1.0, f_u), (-1.0, f1_u), (-1.0, f_z), (1.0, f1_z))
         z_next = prox_map_flat(geom, u, g, gamma)
         if entropy:
-            z_next = floor_simplex_flat(z_next, layout)
+            z_next = floor_simplex_flat(z_next, layout.bounds)
         return u, z_next, inner_iters
 
     result = _drive(

@@ -42,7 +42,13 @@ from visim.geometry import (
 )
 from visim.inner import CompositeProblem, NewtonSystem, newton_solve, newton_solve_flat
 from visim.operators import OperatorShard, saddle_shard
-from visim.paus import PausConfig, _dual_combine, _dual_combine_flat, duality_gap, paus_run
+from visim.paus import (
+    PausConfig,
+    _dual_combine,
+    _dual_combine_flat,
+    duality_gap,
+    paus_run,
+)
 from visim.restart import RestartConfig, paus_r, synthetic_strongly_monotone
 
 
@@ -120,7 +126,8 @@ def test_mirror_prox_run_matches_the_per_block_step(game):
                          geometry=geom, z0=uniform_point(geom))
     cluster = ClusterState(shards=[saddle_shard(M) for M in shard_mats])
     ref_cluster = ClusterState(shards=[saddle_shard(M) for M in shard_mats])
-    got = mirror_prox_run(cfg, cluster, gap_fn=gap_fn, log_predicate=lambda k: k % 3 == 0)
+    got = mirror_prox_run(cfg, cluster, gap_fn=gap_fn,
+                          log_predicate=lambda k: k % 3 == 0)
     want = per_block_run("mirror-prox", cfg, ref_cluster, gap_fn=gap_fn,
                          log_predicate=lambda k: k % 3 == 0)
     _assert_same_run(got, want, cluster, ref_cluster, paths=False)
@@ -235,7 +242,8 @@ def _setup(kind, d1, d2, rng):
 
 
 def _same(blocks, flat, layout):
-    return all(np.array_equal(b, flat[lo:hi]) for b, (lo, hi) in zip(blocks, layout.bounds))
+    return all(np.array_equal(b, flat[lo:hi])
+               for b, (lo, hi) in zip(blocks, layout.bounds))
 
 
 @settings(max_examples=200, deadline=None)
@@ -261,7 +269,7 @@ def test_flat_cores_match_their_wrappers(kind, d1, d2, seed, step):
         assert _same(per_block_grad(geom, list(z.blocks)), grad, layout)
 
     if entropy:
-        floored = floor_simplex_flat(zf, layout)
+        floored = floor_simplex_flat(zf, layout.bounds)
         assert _same(floor_simplex_point(z).blocks, floored, layout)
         assert _same(per_block_floor(list(z.blocks)), floored, layout)
 
