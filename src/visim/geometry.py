@@ -17,9 +17,10 @@ block norms combine as the l2 sum of squares.
 
 All operations are pure; setups and points are immutable.  The outer
 solvers run on flat arrays, the blocks concatenated in the order of the
-setup's :class:`BlockLayout`: each operation they call has a ``*_flat``
-core, and its Point function is a wrapper that concatenates, calls the
-core and returns views of the answer, with the same bits.
+setup's :class:`BlockLayout`, through the ``*_flat`` functions.  Point
+functions serve the callers that hold Points (``inner.composite_mp``,
+the checks and tests); the public :func:`prox_map` and :func:`dgf_grad`
+are their flat cores on the concatenated blocks, with the same bits.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class Point:
     @staticmethod
     def of(*blocks) -> "Point":
         return Point(tuple(np.asarray(b, dtype=float) for b in blocks))
-
-    @property
-    def dim(self) -> int:
-        return sum(b.size for b in self.blocks)
 
     def concat(self) -> np.ndarray:
         return np.concatenate(self.blocks)
@@ -311,7 +308,9 @@ def has_mass(b: np.ndarray) -> np.ndarray:
     return b > 0.0
 
 
-def floor_simplex_point(z: Point, floor: float = TINY_MASS) -> Point:
+def floor_simplex_flat(
+    z: np.ndarray, bounds: list[tuple[int, int]], floor: float = TINY_MASS
+) -> np.ndarray:
     """Clamp simplex blocks away from exact zero and renormalize.
 
     Long entropic runs drive losing coordinates toward the boundary
@@ -319,21 +318,10 @@ def floor_simplex_point(z: Point, floor: float = TINY_MASS) -> Point:
     log-space updates cannot represent.  Flooring at 1e-300 keeps the
     dynamics intact (the perturbation is ~1e-300 per coordinate) while
     keeping every iterate strictly positive, hence interior under
-    :func:`has_mass`.  This is :func:`floor_simplex_flat` on the
-    concatenated blocks.
+    :func:`has_mass`.  ``z`` is the point concatenated with its blocks at
+    the (lo, hi) slices ``bounds``: one clamp over all blocks, then each
+    block divided by its own sum.  Returns a new array.
     """
-    ends = np.cumsum([b.size for b in z.blocks]).tolist()
-    bounds = list(zip([0] + ends[:-1], ends))
-    out = floor_simplex_flat(z.concat(), bounds, floor)
-    return Point(tuple(out[lo:hi] for lo, hi in bounds))
-
-
-def floor_simplex_flat(
-    z: np.ndarray, bounds: list[tuple[int, int]], floor: float = TINY_MASS
-) -> np.ndarray:
-    """:func:`floor_simplex_point` on a point concatenated with its blocks
-    at the (lo, hi) slices ``bounds``: one clamp over all blocks, then each
-    block divided by its own sum.  Returns a new array."""
     out = np.maximum(z, floor)
     for lo, hi in bounds:
         b = out[lo:hi]
@@ -500,16 +488,6 @@ def _check_prox_args(setup, center, g, step):
         raise DomainError("entropy prox center must be strictly positive")
 
 
-def _entropy_step(e: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    # multiplicative update in log-space with max-subtraction, computed in
-    # place: overwrites and returns the log-center e
-    e -= shift
-    e -= e.max()
-    np.exp(e, out=e)
-    e /= e.sum()
-    return e
-
-
 def _ball_constrained_solve(
     setup: GeometrySetup, target_dual: np.ndarray
 ) -> np.ndarray:
@@ -639,7 +617,7 @@ def composite_prox_map(
         wc = 1.0 / (1.0 + eta)
         return Point(
             tuple(
-                _entropy_step(wa * np.log(ab) + wc * np.log(cb), wc * gb)
+                softmax_map(wa * np.log(ab) + wc * np.log(cb) - wc * gb)[0]
                 for ab, cb, gb in zip(anchor.blocks, center.blocks, g.blocks)
             )
         )
@@ -661,36 +639,25 @@ def composite_prox_map(
     return Point((_ball_constrained_solve(setup, target),))
 
 
-def mirror_map(
-    setup: GeometrySetup, theta: DualVector
-) -> tuple[Point, np.ndarray, list[tuple[float, np.ndarray]]]:
-    """u = grad w*(theta), the maximiser of <theta, z> - w(z) over the
-    domain, and its (generalised) Jacobian D.
-
-    D is returned as ``(diag, rank_one)``: D = diag(diag) minus, for each
-    block k, beta_k v_k v_k^T on that block, with ``rank_one[k] = (beta_k,
-    v_k)``.  Entropy: softmax per block, D = diag(s) - s s^T.  Euclidean
-    simplex: projection per block, D = diag(1_S) - 1_S 1_S^T / |S| on the
-    support S.  Euclidean l2 ball (recentred or not): radial projection of
-    theta + center, D = I inside the ball and (r/n)(I - x x^T / n^2) for
-    the point x at norm n outside it.  On interior points the map inverts
-    :func:`dgf_grad`.  The a-norm ball has no closed form here.  This is
-    :func:`mirror_map_flat` on the concatenated blocks.
-    """
-    if tuple(t.size for t in theta.blocks) != setup.block_dims:
-        raise ShapeError("dual vector blocks do not match the setup")
-    u, diag, rank_one = mirror_map_flat(setup, theta.concat())
-    return setup.layout.split(u), diag, rank_one
-
-
 def mirror_map_flat(
     setup: GeometrySetup, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[float, np.ndarray]]]:
-    """:func:`mirror_map` on a dual vector concatenated as
-    ``setup.layout`` says.  Returns the concatenated u, ``diag`` and
-    ``rank_one``.  Elementwise work and the blocks' maxima run over all
-    blocks at once, sums block by block, with the bits of the
-    block-by-block map."""
+    """u = grad w*(theta), the maximiser of <theta, z> - w(z) over the
+    domain, and its (generalised) Jacobian D, for a dual vector theta
+    concatenated as ``setup.layout`` says.
+
+    Returns the concatenated u and D as ``(diag, rank_one)``: D =
+    diag(diag) minus, for each block k, beta_k v_k v_k^T on that block,
+    with ``rank_one[k] = (beta_k, v_k)``.  Entropy: softmax per block, D =
+    diag(s) - s s^T.  Euclidean simplex: projection per block,
+    D = diag(1_S) - 1_S 1_S^T / |S| on the support S.  Euclidean l2 ball
+    (recentred or not): radial projection of theta + center, D = I inside
+    the ball and (r/n)(I - x x^T / n^2) for the point x at norm n outside
+    it.  On interior points the map inverts :func:`dgf_grad_flat`.  The
+    a-norm ball has no closed form here and raises :class:`ParameterError`.
+    Elementwise work and the blocks' maxima run over all blocks at once,
+    sums block by block, with the bits of the block-by-block map.
+    """
     if setup.kind is GeometryKind.A_NORM_BALL:
         raise ParameterError("the a-norm ball has no closed-form mirror map")
     if not np.isfinite(theta).all():

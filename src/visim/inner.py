@@ -6,13 +6,13 @@ for all feasible z, where ``offset`` is the constant correction
 F(anchor) - F1(anchor) shipped from the last communication round.
 Everything here runs on the server; no communication rounds are consumed.
 
-:func:`newton_solve` solves it exactly for the entropy and Euclidean
-(simplex or l2-ball) setups: damped Newton on the normal map of the mirror
-map (Robinson 1992; semismooth Newton, Qi & Sun 1993), typically one to
-three linear solves, stopped at a round-off residual.  A run builds one
-:class:`NewtonSystem` for its fixed F1 and gamma, which takes a saddle
-problem's steps through a d x d Schur complement and factors the
-interior-ball matrix once.  It tries, in turn:
+:func:`newton_solve_flat` solves it exactly, on flat arrays, for the
+entropy and Euclidean (simplex or l2-ball) setups: damped Newton on the
+normal map of the mirror map (Robinson 1992; semismooth Newton, Qi & Sun
+1993), typically one to three linear solves, stopped at a round-off
+residual.  A run builds one :class:`NewtonSystem` for its fixed F1 and
+gamma, which takes a saddle problem's steps through a d x d Schur
+complement and factors the interior-ball matrix once.  It tries, in turn:
 
 1. for an entropy saddle, Newton on the normal map reduced to the y-block
    (nonlinear elimination of the x-block row; Lanzkron, Rose & Wilkes
@@ -21,9 +21,9 @@ interior-ball matrix once.  It tries, in turn:
 3. continuation in gamma, for a full solve that stalls or misses its
    target within ``NEWTON_MAX_STEPS`` steps.
 
-:func:`newton_solve` returns None for the a-norm ball and for a
-subproblem the continuation does not solve either; the outer solver then
-runs :func:`composite_mp`.
+It returns None for a subproblem the continuation does not solve
+either; the outer solver then runs :func:`composite_mp`, as it does for
+every subproblem on the a-norm ball, which has no closed-form mirror map.
 
 :func:`composite_mp` is the paper's composite extragradient loop.  Each
 iteration takes two composite proximal steps with weight
@@ -34,7 +34,8 @@ subproblem's solution by 1 / (1 + eta), so
 
 iterations reach Bregman accuracy eps when gamma = 1 / delta.  It is one
 block-wise loop for every geometry; entropy iterates are floored at
-``TINY_MASS`` so that a coordinate that underflows stays interior.
+``TINY_MASS`` so that a coordinate that underflows stays interior.  It
+runs on Points, through the Point maps that the benchmark's tracer times.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ from .geometry import (
     Point,
     bregman_divergence,
     composite_prox_map,
-    dgf_grad_flat,
-    floor_simplex_point,
+    floor_simplex_flat,
     mirror_map_flat,
     softmax_map,
 )
@@ -78,7 +78,7 @@ _GAMMA_CONTINUATION_CAP = 10
 class InnerSettings:
     """The extragradient loop's accuracy.
 
-    Subproblems that :func:`newton_solve` covers are solved to round-off
+    Subproblems that :func:`newton_solve_flat` covers are solved to round-off
     whatever this says.  For the others (the a-norm ball, a Newton solve
     that missed its target) ``tolerance`` is the Bregman accuracy
     eps_inner of :func:`composite_mp`; ``None`` lets the outer solver
@@ -149,12 +149,8 @@ class NewtonSystem:
     def __init__(self, f1: OperatorShard, gamma: float, geometry: GeometrySetup):
         self.f1, self.gamma, self.block_dims = f1, gamma, geometry.block_dims
         M = f1.matrix
-        dims = self.block_dims
         self.saddle = f1.offset is None
-        # F1's matrix fits the block layout: one saddle matrix across two
-        # blocks, or one affine map on a single block
         if self.saddle:
-            self.fits = len(dims) == 2 and M.shape == dims
             d1, d2 = M.shape
             self.gM, self.gMT = gamma * M, gamma * np.ascontiguousarray(M.T)
             self.gB = np.zeros((d1 + d2, d1 + d2))
@@ -162,7 +158,6 @@ class NewtonSystem:
             self.gB[d1:, :d1] = -self.gMT
             self.gb = 0.0
         else:
-            self.fits = len(dims) == 1 and M.shape == dims * 2
             self.gB, self.gb = gamma * M, gamma * f1.offset
         self.abs_gB = np.abs(self.gB)
         self.max_abs_gB = float(self.abs_gB.max(initial=0.0))
@@ -236,14 +231,20 @@ def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def newton_solve(
-    problem: CompositeProblem, v0: Point, system: NewtonSystem | None = None
-) -> tuple[Point, int] | None:
+def newton_solve_flat(
+    system: NewtonSystem,
+    geometry: GeometrySetup,
+    grad: np.ndarray,
+    offset: np.ndarray,
+    v0: np.ndarray,
+) -> tuple[np.ndarray, int] | None:
     """Solve the subproblem exactly by damped Newton on the normal map.
 
-    With F1(u) = B u + b and c = grad w(anchor) - gamma * offset, the
-    solution is u = grad w*(w) (:func:`geometry.mirror_map`) for the root w
-    of  G(w) = w - c + gamma F1(grad w*(w))  (Robinson's normal map).  Each
+    The operands are concatenated as ``geometry.layout`` says: ``grad`` =
+    grad w(anchor), the offset and the start ``v0``.  With
+    F1(u) = B u + b and c = grad - gamma * offset, the solution is
+    u = grad w*(w) (:func:`geometry.mirror_map_flat`) for the root w of
+    G(w) = w - c + gamma F1(grad w*(w))  (Robinson's normal map).  Each
     step solves (I + gamma B D) dw = -G, with D the mirror map's
     (generalised) Jacobian, and halves the step until ||G|| decreases.  The
     matrix is nonsingular: D is symmetric positive semidefinite and B
@@ -264,67 +265,29 @@ def newton_solve(
     misses its target within ``NEWTON_MAX_STEPS`` steps goes on by
     continuation in gamma (:func:`_continue_in_gamma`): a smaller gamma
     weakens F1's coupling, so damped Newton no longer stalls at a kink of
-    the piecewise-affine simplex normal map.
+    the piecewise-affine simplex normal map; it forms c at each gamma it
+    visits the same way.
 
-    ``system`` is the run's :class:`NewtonSystem` for the problem's F1,
-    gamma and block layout (built here when omitted); a system built for
-    others raises :class:`ParameterError`.  This is
-    :func:`newton_solve_flat` on the concatenated operands.
-
-    Returns the solution and the number of Newton steps taken, stalled
-    attempts included, or None for a setup it does not cover (one
-    :func:`geometry.mirror_map_flat` rejects, such as the a-norm ball, or
-    operands outside the block layout) and for a subproblem the
-    continuation does not solve either.
+    ``system`` is the run's :class:`NewtonSystem` for the subproblem's F1,
+    gamma and block layout; one built for another layout raises
+    :class:`ParameterError`, as does the a-norm ball, which
+    :func:`geometry.mirror_map_flat` does not cover.  Returns the
+    concatenated solution and the number of Newton steps taken, stalled
+    attempts included, or None for a subproblem the continuation does not
+    solve either.
     """
-    geom, gamma = problem.geometry, problem.gamma
-    if system is None:
-        system = NewtonSystem(problem.f1, gamma, geom)
-    elif not system.serves(problem.f1, gamma, geom):
-        raise ParameterError("the Newton system was built for another subproblem")
-    if not system.fits or any(
-        tuple(b.size for b in z.blocks) != geom.block_dims
-        for z in (problem.anchor, problem.offset, v0)
-    ):
-        return None
-    out = newton_solve_flat(
-        system, geom, dgf_grad_flat(geom, problem.anchor.concat()),
-        problem.offset.concat(), v0.concat(),
-    )
-    return None if out is None else (geom.layout.split(out[0]), out[1])
-
-
-def newton_solve_flat(
-    system: NewtonSystem,
-    geometry: GeometrySetup,
-    grad: np.ndarray,
-    offset: np.ndarray,
-    v0: np.ndarray,
-) -> tuple[np.ndarray, int] | None:
-    """:func:`newton_solve` on operands concatenated as
-    ``geometry.layout`` says: ``grad`` = grad w(anchor), the offset and the
-    start.  The solve at the system's gamma takes
-    c = grad - gamma * offset; the continuation forms c at each gamma it
-    visits the same way.  Returns the concatenated answer and the steps,
-    or None as :func:`newton_solve` does."""
     if system.block_dims != geometry.block_dims:
         raise ParameterError("the Newton system was built for another layout")
-    n = geometry.layout.size
-    if not (system.fits and grad.shape == offset.shape == v0.shape == (n,)):
-        return None
     c = grad - system.gamma * offset
     u, steps = None, 0
-    try:
-        if system.saddle and geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
-            u, steps = _reduced_newton(system, c, v0)
-        if u is None:
-            u, more = _damped_newton(system, geometry, c, v0)
-            steps += more
-        if u is None:
-            u, more = _continue_in_gamma(system, geometry, grad, offset, v0)
-            steps += more
-    except ParameterError:
-        return None
+    if system.saddle and geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
+        u, steps = _reduced_newton(system, c, v0)
+    if u is None:
+        u, more = _damped_newton(system, geometry, c, v0)
+        steps += more
+    if u is None:
+        u, more = _continue_in_gamma(system, geometry, grad, offset, v0)
+        steps += more
     return None if u is None else (u, steps)
 
 
@@ -411,7 +374,7 @@ def _damped_newton(
 ) -> tuple[np.ndarray | None, int]:
     """One damped Newton solve of the full normal map from ``v0``, with
     c = grad w(anchor) - gamma * offset at the system's gamma (see
-    :func:`newton_solve`); the concatenated answer is None if it stalls or
+    :func:`newton_solve_flat`); the concatenated answer is None if it stalls or
     misses its target."""
     gB, bounds = system.gB, geometry.layout.bounds
     # G(w) = w - c + gamma (B u + b) = w - c_b + gB u.  Its round-off scale
@@ -458,7 +421,7 @@ def _reduced_newton(
     system: NewtonSystem, c: np.ndarray, v0: np.ndarray
 ) -> tuple[np.ndarray | None, int]:
     """Damped Newton on the normal map of an entropy saddle subproblem
-    reduced to its y-block (see :func:`newton_solve`), with
+    reduced to its y-block (see :func:`newton_solve_flat`), with
     c = grad w(anchor) - gamma * offset concatenated.
 
     With c = (c_1, c_2) and gM = gamma M, an iterate w_2 gives
@@ -529,17 +492,18 @@ def composite_mp(
     V(v^{t+1}, v^t) falls to ``movement_tol``.
 
     Entropy full-step iterates are floored at ``TINY_MASS`` by
-    :func:`geometry.floor_simplex_point`, so a coordinate that underflows
+    :func:`geometry.floor_simplex_flat`, so a coordinate that underflows
     to 0 stays a valid prox center; a start with an exact zero raises
     :class:`DomainError`.  The outer solver calls this for the subproblems
-    :func:`newton_solve` leaves to it: the a-norm ball, and Newton solves
-    that missed their target.
+    :func:`newton_solve_flat` leaves to it: the a-norm ball, and Newton
+    solves that missed their target.
     """
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     if movement_tol < 0.0:
         raise ParameterError("movement_tol must be >= 0")
     geom = problem.geometry
+    layout = geom.layout
     entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
     eta = problem.eta
     v = v0
@@ -554,7 +518,7 @@ def composite_mp(
             if not np.all(np.isfinite(b)):
                 raise NumericsError(f"non-finite inner iterate at step {t}")
         if entropy:
-            v_next = floor_simplex_point(v_next)
+            v_next = layout.split(floor_simplex_flat(v_next.concat(), layout.bounds))
         # the computed movement is cancellation-limited near the solution
         # (it rounds to 0 once coordinates move less than ~sqrt(eps)), so a
         # zero tolerance means "never stop early" rather than "stop at 0"

@@ -5,9 +5,9 @@ Each outer iteration costs exactly two communication rounds:
 1. gather F(z^k) from all workers (one round);
 2. the server solves the regularized subproblem
    <gamma * (F1(u) + F(z^k) - F1(z^k)) + grad w(u) - grad w(z^k), z - u> >= 0
-   locally (no rounds): exactly by ``inner.newton_solve`` for the entropy
-   and Euclidean setups, otherwise, and whenever Newton misses its target,
-   with the composite extragradient loop ``inner.composite_mp``;
+   locally (no rounds): exactly by ``inner.newton_solve_flat`` for the
+   entropy and Euclidean setups, otherwise, and whenever Newton misses its
+   target, with the composite extragradient loop ``inner.composite_mp``;
 3. gather F(u^k) (one round);
 4. the server takes the mirror step
    z^{k+1} = prox(u^k, F(u^k) - F1(u^k) - F(z^k) + F1(z^k), gamma).
@@ -23,13 +23,12 @@ above; the mirror-prox baseline passes its extragradient step.
 
 The driver and the steps run on flat arrays: z^k, u^k, the ergodic sum
 and every dual vector are one float64 vector each, its blocks in the
-order of ``geometry.layout``, and each operation of a step is the flat
-core of its Point function (``prox_map_flat``, ``dgf_grad_flat``,
-``floor_simplex_flat``, ``OperatorShard.evaluate_flat``,
-``_dual_combine_flat``, ``newton_solve_flat``), with the same bits.
-Points are built, as views of the flat arrays (``layout.split``), only
-where they leave or enter the loop: z^0 in, each logged and the final
-u_avg, the ``keep_iterates`` paths, the points a gather ships (so that
+order of ``geometry.layout``, and a step calls the flat functions
+(``prox_map_flat``, ``dgf_grad_flat``, ``floor_simplex_flat``,
+``OperatorShard.evaluate_flat``, ``newton_solve_flat``).  Points are
+built, as views of the flat arrays (``layout.split``), only where they
+leave or enter the loop: z^0 in, each logged and the final u_avg, the
+``keep_iterates`` paths, the points a gather ships (so that
 ``gather_average`` counts every round and byte), and a subproblem handed
 to ``composite_mp``.
 """
@@ -127,33 +126,6 @@ class PausResult:
     inner_fallbacks: int = 0
 
 
-_SIGNED = {1.0: np.add, -1.0: np.subtract}
-
-
-def _dual_combine(*terms: tuple[float, DualVector]) -> DualVector:
-    """Signed sum 0 + s_1 v_1 + s_2 v_2 + ... of dual vectors, blockwise,
-    added left to right.  This is :func:`_dual_combine_flat` block by
-    block."""
-    return DualVector(tuple(
-        _dual_combine_flat(*((s, v.blocks[i]) for s, v in terms))
-        for i in range(len(terms[0][1].blocks))
-    ))
-
-
-def _dual_combine_flat(*terms: tuple[float, np.ndarray]) -> np.ndarray:
-    """Signed sum 0 + s_1 v_1 + s_2 v_2 + ... of arrays, added left to
-    right into a new array.  Each sign is +1 or -1, so each term enters by
-    one exact add or subtract."""
-    try:
-        ops = [_SIGNED[s] for s, _ in terms]
-    except KeyError:
-        raise ParameterError("dual vectors combine with signs +1 or -1") from None
-    acc = ops[0](0.0, terms[0][1])
-    for op, (_, v) in zip(ops[1:], terms[1:]):
-        op(acc, v, out=acc)
-    return acc
-
-
 def _inner_plan(config: PausConfig) -> tuple[int, float]:
     """Resolve the extragradient loop's iteration cap and movement stop.
 
@@ -248,6 +220,8 @@ def paus_run(
     Each record's ``inner_iters`` counts the Newton steps of its
     subproblem, or the extragradient iterations when it was handed to
     ``composite_mp``; ``PausResult.inner_fallbacks`` counts those hand-offs.
+    On the a-norm ball, which has no closed-form mirror map, every
+    subproblem goes straight to ``composite_mp``.
     ``system`` is the :class:`inner.NewtonSystem` of the server shard, gamma
     and block layout, when the caller shares one between runs; by default
     the run builds its own, and one built for others raises
@@ -257,6 +231,7 @@ def paus_run(
     layout = geom.layout
     shard = cluster.server_shard
     entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
+    newton = geom.kind is not GeometryKind.A_NORM_BALL
     cap, movement_tol = _inner_plan(config)
     if system is None:
         system = NewtonSystem(shard, gamma, geom)
@@ -280,10 +255,13 @@ def paus_run(
         nonlocal fallbacks
         f_z = _gather(cluster, geom, z)
         f1_z = shard.evaluate_flat(z)
-        offset = _dual_combine_flat((1.0, f_z), (-1.0, f1_z))
+        offset = f_z - f1_z
         # warm start: the previous subproblem solution
         v0 = prev_u if prev_u is not None else z
-        solved = newton_solve_flat(system, geom, dgf_grad_flat(geom, z), offset, v0)
+        solved = None
+        if newton:
+            solved = newton_solve_flat(system, geom, dgf_grad_flat(geom, z),
+                                       offset, v0)
         if solved is None:
             fallbacks += 1
             solved = extragradient_fallback(z, offset, v0)
@@ -293,7 +271,9 @@ def paus_run(
             u = floor_simplex_flat(u, layout.bounds)
         f1_u = shard.evaluate_flat(u)
         f_u = _gather(cluster, geom, u)
-        g = _dual_combine_flat((1.0, f_u), (-1.0, f1_u), (-1.0, f_z), (1.0, f1_z))
+        g = f_u - f1_u
+        g -= f_z
+        g += f1_z
         z_next = prox_map_flat(geom, u, g, gamma)
         if entropy:
             z_next = floor_simplex_flat(z_next, layout.bounds)

@@ -22,9 +22,10 @@ from visim.geometry import (
     GeometryKind,
     Point,
     project_block_simplex,
+    prox_map,
     validate_point,
 )
-from visim.inner import CompositeProblem, composite_mp, newton_solve
+from visim.inner import CompositeProblem, NewtonSystem, composite_mp, newton_solve_flat
 from visim.paus import _inner_plan
 
 
@@ -202,19 +203,6 @@ def per_block_evaluate(shard, blocks):
     return [M @ y, -(x @ M)]
 
 
-def per_block_combine(*terms):
-    """Signed sums 0 + s_1 v_1 + ... of lists of blocks, block by block,
-    each sign +1 or -1, added left to right."""
-    ops = {1.0: np.add, -1.0: np.subtract}
-    out = []
-    for i in range(len(terms[0][1])):
-        acc = ops[terms[0][0]](0.0, terms[0][1][i])
-        for s, v in terms[1:]:
-            ops[s](acc, v[i], out=acc)
-        out.append(acc)
-    return out
-
-
 def per_block_floor(blocks):
     """Each block clamped at ``TINY_MASS`` and divided by its own sum."""
     out = []
@@ -236,10 +224,14 @@ def per_block_grad(geometry, blocks):
 
 def per_block_prox(geometry, center, g, step):
     """The prox map block by block: the softmax of log(c) - step g for
-    entropy, the projection of c - step g for the Euclidean setups."""
+    entropy, the projection of c - step g for the Euclidean setups, and
+    ``prox_map`` itself for the a-norm ball, which has one block."""
     out = []
     for cb, gb in zip(center, g):
-        if geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
+        if geometry.kind is GeometryKind.A_NORM_BALL:
+            out.append(prox_map(geometry, Point((cb,)), DualVector((gb,)),
+                                step).blocks[0])
+        elif geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
             e = np.log(cb) - step * gb
             e -= e.max()
             np.exp(e, out=e)
@@ -261,14 +253,18 @@ def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
 
     Every gather is one product by the cluster's average operator at one
     point; this function counts its rounds and bytes on ``cluster`` itself.
-    A paus subproblem goes to ``newton_solve`` and, when that gives up, to
-    ``composite_mp``.  Returns the ergodic average, the log as (round,
-    gap, inner iterations) tuples, the kept paths and the fallbacks.
+    A paus subproblem goes to ``newton_solve_flat`` (with ``system``, or
+    one built here) and, when that gives up, to ``composite_mp``; on the
+    a-norm ball it goes to ``composite_mp`` at once.  Returns the ergodic
+    average, the log as (round, gap, inner iterations) tuples, the kept
+    paths and the fallbacks.
     """
     geom = config.geometry
     entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
     avg, server = cluster.average, cluster.server_shard
     gamma = config.gamma if solver == "paus" else config.stepsize
+    if system is None:
+        system = NewtonSystem(server, gamma, geom)
     fallbacks = 0
 
     def gather(blocks):
@@ -280,26 +276,35 @@ def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
         nonlocal fallbacks
         f_z = gather(z)
         f1_z = per_block_evaluate(server, z)
-        problem = CompositeProblem(
-            gamma=gamma, anchor=Point(tuple(z)), f1=server,
-            offset=DualVector(tuple(per_block_combine((1.0, f_z), (-1.0, f1_z)))),
-            geometry=geom, l_f1=config.l_f1,
-        )
-        v0 = Point(tuple(prev_u if prev_u is not None else z))
-        solved = newton_solve(problem, v0, system)
+        offset = [a - b for a, b in zip(f_z, f1_z)]
+        v0 = prev_u if prev_u is not None else z
+        solved = None
+        if geom.kind is not GeometryKind.A_NORM_BALL:
+            solved = newton_solve_flat(
+                system, geom, np.concatenate(per_block_grad(geom, z)),
+                np.concatenate(offset), np.concatenate(v0),
+            )
         if solved is None:
             fallbacks += 1
-            solved = composite_mp(problem, v0, *_inner_plan(config))
-        u = list(solved[0].blocks)
+            problem = CompositeProblem(
+                gamma=gamma, anchor=Point(tuple(z)), f1=server,
+                offset=DualVector(tuple(offset)), geometry=geom, l_f1=config.l_f1,
+            )
+            u, inner_iters = composite_mp(problem, Point(tuple(v0)),
+                                          *_inner_plan(config))
+            u = list(u.blocks)
+        else:
+            u = [solved[0][lo:hi] for lo, hi in geom.layout.bounds]
+            inner_iters = solved[1]
         if entropy:
             u = per_block_floor(u)
         f1_u = per_block_evaluate(server, u)
         f_u = gather(u)
-        g = per_block_combine((1.0, f_u), (-1.0, f1_u), (-1.0, f_z), (1.0, f1_z))
+        g = [a - b - c + d for a, b, c, d in zip(f_u, f1_u, f_z, f1_z)]
         z_next = per_block_prox(geom, u, g, gamma)
         if entropy:
             z_next = per_block_floor(z_next)
-        return u, z_next, solved[1]
+        return u, z_next, inner_iters
 
     def extragradient(z, prev_w):
         w = per_block_prox(geom, z, gather(z), gamma)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import per_block_floor
 from visim.baselines import (
     BaselineConfig,
     BaselineKind,
@@ -14,7 +15,6 @@ from visim.geometry import (
     Point,
     entropy_simplex,
     euclidean_simplex,
-    floor_simplex_point,
     prox_map,
     uniform_point,
 )
@@ -112,8 +112,8 @@ def test_mirror_prox_matches_reference_extragradient_loop():
     gaps = []
     for k in range(K):
         w = prox_map(geom, z, f_avg(z), step)
-        z = floor_simplex_point(prox_map(geom, z, f_avg(w), step))
-        w = floor_simplex_point(w)
+        z = Point(tuple(per_block_floor(prox_map(geom, z, f_avg(w), step).blocks)))
+        w = Point(tuple(per_block_floor(w.blocks)))
         for acc, wb in zip(w_sum, w.blocks):
             acc += wb
         u_avg = Point(tuple(acc / (k + 1) for acc in w_sum))

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from visim import inner
 from visim.cluster import ClusterState
-from visim.errors import NumericsError, ParameterError, ShapeError
+from visim.errors import NumericsError, ParameterError
 from visim.geometry import (
     Domain,
     DomainKind,
@@ -22,11 +22,11 @@ from visim.geometry import (
     Point,
     a_norm_ball,
     dgf_grad,
+    dgf_grad_flat,
     entropy_simplex,
     euclidean_ball,
     euclidean_simplex,
-    floor_simplex_point,
-    mirror_map,
+    floor_simplex_flat,
     mirror_map_flat,
     project_block_simplex,
     prox_map,
@@ -34,7 +34,7 @@ from visim.geometry import (
     recenter,
     uniform_point,
 )
-from visim.inner import CompositeProblem, NewtonSystem, composite_mp, newton_solve
+from visim.inner import CompositeProblem, NewtonSystem, composite_mp, newton_solve_flat
 from visim.operators import OperatorShard, saddle_shard
 from visim.paus import PausConfig, paus_run
 from visim.restart import RestartConfig, paus_r, synthetic_strongly_monotone
@@ -47,14 +47,15 @@ BALL_SIZES = {"ball": (0.1, 0.1, 0.1), "ball-sphere": (1.0, 0.1, 10.0),
               "ball-recentred": (2.0, 0.5, 1.0)}
 
 
-def _floored(z, rng):
+def _floored(geom, z, rng):
     """z with a random proper subset of each block's coordinates at 1e-300."""
     blocks = []
     for b in z.blocks:
         b = b.copy()
         b[rng.permutation(b.size)[: rng.integers(1, b.size)]] = 0.0
         blocks.append(b)
-    return floor_simplex_point(Point(tuple(blocks)))
+    layout = geom.layout
+    return layout.split(floor_simplex_flat(np.concatenate(blocks), layout.bounds))
 
 
 def _instance(kind, d, seed, gamma):
@@ -87,7 +88,7 @@ def _instance(kind, d, seed, gamma):
         offset = DualVector.of(0.5 * rng.normal(size=d), 0.5 * rng.normal(size=d))
         anchor = random_point(geom, rng)
         if kind == "entropy-floored":
-            anchor = _floored(anchor, rng)
+            anchor = _floored(geom, anchor, rng)
     l_f1 = float(np.linalg.norm(f1.matrix, 2))
     prob = CompositeProblem(gamma=gamma, anchor=anchor, f1=f1, offset=offset,
                             geometry=geom, l_f1=l_f1)
@@ -103,6 +104,18 @@ _instances = st.tuples(
     st.integers(0, 2**32 - 1),
     st.floats(0.05, 20.0),
 )
+
+
+def _newton(prob, v0, system=None):
+    """``newton_solve_flat`` on the subproblem's concatenated operands, with
+    a system built here when none is given; returns the answer as a Point
+    and its steps, or None."""
+    geom = prob.geometry
+    if system is None:
+        system = NewtonSystem(prob.f1, prob.gamma, geom)
+    out = newton_solve_flat(system, geom, dgf_grad_flat(geom, prob.anchor.concat()),
+                            prob.offset.concat(), v0.concat())
+    return None if out is None else (geom.layout.split(out[0]), out[1])
 
 
 def _attempt(name, prob, v0, system):
@@ -139,7 +152,7 @@ def _prox_residual(prob, u):
 def test_newton_answer_is_a_fixed_point_of_the_prox_map(args):
     kind = args[0]
     prob, v0 = _instance(*args)
-    out = newton_solve(prob, v0)
+    out = _newton(prob, v0)
     assert out is not None
     u, steps = out
 
@@ -189,7 +202,7 @@ def test_newton_answer_is_a_fixed_point_of_the_prox_map(args):
 ))
 def test_newton_agrees_with_the_extragradient_loop(args):
     prob, v0 = _instance(*args)
-    out = newton_solve(prob, v0)
+    out = _newton(prob, v0)
     assert out is not None
     u, _ = out
     # V(v*, v^T) <= V0 e^{-60}: coordinates within about 1e-12 sqrt(V0)
@@ -207,12 +220,11 @@ def test_mirror_map_inverts_dgf_grad(kind, d, seed):
     if kind == "simplex":
         z = Point(tuple(np.maximum(b, 1e-3) / np.maximum(b, 1e-3).sum()
                         for b in z.blocks))
-    u, _, _ = mirror_map(geom, dgf_grad(geom, z))
-    for ub, zb in zip(u.blocks, z.blocks):
-        if kind.startswith("entropy"):
-            np.testing.assert_allclose(ub, zb, rtol=1e-12, atol=0.0)
-        else:
-            np.testing.assert_allclose(ub, zb, rtol=0.0, atol=1e-15)
+    u, _, _ = mirror_map_flat(geom, dgf_grad_flat(geom, z.concat()))
+    if kind.startswith("entropy"):
+        np.testing.assert_allclose(u, z.concat(), rtol=1e-12, atol=0.0)
+    else:
+        np.testing.assert_allclose(u, z.concat(), rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["entropy", "ball", "ball-sphere", "ball-recentred"])
@@ -222,12 +234,7 @@ def test_mirror_jacobian_matches_finite_differences(kind):
     theta = dgf_grad(geom, prob.anchor).concat()
     if kind == "ball-sphere":
         theta = 3.0 * theta / np.linalg.norm(theta)
-    dims = np.cumsum(geom.block_dims)[:-1]
-
-    def mm(t):
-        return mirror_map(geom, DualVector(tuple(np.split(t, dims))))
-
-    _, diag, rank_one = mm(theta)
+    _, diag, rank_one = mirror_map_flat(geom, theta)
     D = np.diag(diag)
     lo = 0
     for beta, v in rank_one:
@@ -237,20 +244,21 @@ def test_mirror_jacobian_matches_finite_differences(kind):
     for j in range(theta.size):
         e = np.zeros(theta.size)
         e[j] = h
-        col = (mm(theta + e)[0].concat() - mm(theta - e)[0].concat()) / (2 * h)
+        col = (mirror_map_flat(geom, theta + e)[0]
+               - mirror_map_flat(geom, theta - e)[0]) / (2 * h)
         np.testing.assert_allclose(D[:, j], col, atol=1e-8)
 
 
 def test_mirror_map_rejects_what_it_cannot_map():
     with pytest.raises(ParameterError):
-        mirror_map(a_norm_ball(4), DualVector.of(np.zeros(4)))
-    with pytest.raises(ShapeError):
-        mirror_map(entropy_simplex(3), DualVector.of(np.zeros(3), np.zeros(4)))
+        mirror_map_flat(a_norm_ball(4), np.zeros(4))
     with pytest.raises(NumericsError):
-        mirror_map(euclidean_ball(2), DualVector.of([np.nan, 0.0]))
+        mirror_map_flat(euclidean_ball(2), np.array([np.nan, 0.0]))
 
 
 def test_newton_leaves_the_a_norm_ball_to_the_extragradient_loop():
+    # the solve refuses the a-norm ball, which has no closed-form mirror
+    # map; paus_run never asks it there (test_flat_step.py)
     geom = a_norm_ball(4)
     rng = np.random.default_rng(0)
     prob = CompositeProblem(
@@ -258,22 +266,23 @@ def test_newton_leaves_the_a_norm_ball_to_the_extragradient_loop():
         f1=OperatorShard(np.eye(4), np.zeros(4)),
         offset=DualVector.of(rng.normal(size=4)), geometry=geom, l_f1=1.0,
     )
-    assert newton_solve(prob, uniform_point(geom)) is None
+    with pytest.raises(ParameterError):
+        _newton(prob, uniform_point(geom))
 
 
 def test_step_cap_hands_the_solve_back(monkeypatch):
     prob, v0 = _instance("entropy", 5, seed=3, gamma=5.0)
-    u, steps = newton_solve(prob, v0)
+    u, steps = _newton(prob, v0)
     assert steps >= 2
     monkeypatch.setattr(inner, "NEWTON_MAX_STEPS", steps - 1)
     # a solve that misses its target goes on by continuation in gamma ...
-    out = newton_solve(prob, v0)
+    out = _newton(prob, v0)
     assert out is not None and _prox_residual(prob, out[0]) <= 1e-11
     # ... and without it, is handed back
     monkeypatch.setattr(inner, "_GAMMA_CONTINUATION_CAP", 0)
-    assert newton_solve(prob, v0) is None
+    assert _newton(prob, v0) is None
     monkeypatch.setattr(inner, "NEWTON_MAX_STEPS", steps)
-    again, _ = newton_solve(prob, v0)
+    again, _ = _newton(prob, v0)
     assert np.array_equal(again.concat(), u.concat())
 
 
@@ -283,7 +292,7 @@ def test_gamma_continuation_ends_a_cold_start_stall():
     prob, v0 = _instance("simplex", 8, 3777, 14.125)
     system = NewtonSystem(prob.f1, prob.gamma, prob.geometry)
     assert _attempt("full", prob, v0, system)[0] is None
-    out = newton_solve(prob, v0, system)
+    out = _newton(prob, v0, system)
     assert out is not None
     assert _prox_residual(prob, out[0]) <= 1e-11
 
@@ -327,7 +336,7 @@ def test_non_finite_trial_point_goes_on_by_continuation(monkeypatch):
     reduced = _fail_once(monkeypatch, NewtonSystem, "reduced_step", 1, non_finite)
     full = _fail_once(monkeypatch, NewtonSystem, "step", 1, non_finite)
     attempts = _record_attempts(monkeypatch)
-    out = newton_solve(prob, v0)
+    out = _newton(prob, v0)
     assert len(reduced) == 1 and len(full) > 1
     assert attempts[:2] == [("_reduced_newton", False), ("_damped_newton", False)]
     assert len(attempts) > 2 and attempts[-1] == ("_damped_newton", True)
@@ -346,7 +355,7 @@ def test_singular_step_goes_on_by_continuation(monkeypatch):
     reduced = _fail_once(monkeypatch, NewtonSystem, "reduced_step", 1, singular)
     full = _fail_once(monkeypatch, NewtonSystem, "step", 1, singular)
     attempts = _record_attempts(monkeypatch)
-    out = newton_solve(prob, v0)
+    out = _newton(prob, v0)
     assert len(reduced) == 1 and len(full) > 1
     assert attempts[:2] == [("_reduced_newton", False), ("_damped_newton", False)]
     assert len(attempts) > 2 and attempts[-1] == ("_damped_newton", True)
@@ -366,7 +375,7 @@ def test_strong_coupling_hands_a_reduced_stall_to_the_full_newton():
         "full", prob, v0, NewtonSystem(prob.f1, prob.gamma, prob.geometry)
     )
     assert full is not None
-    u, steps = newton_solve(prob, v0, system)
+    u, steps = _newton(prob, v0, system)
     assert np.array_equal(u.concat(), full.concat())
     assert steps == reduced_steps + full_steps
     assert _prox_residual(prob, u) <= 1e-11
@@ -396,7 +405,7 @@ def test_schur_step_matches_the_dense_newton_solve(args):
     rng = np.random.default_rng(seed + 1)
     if kind == "entropy-floored":
         # logits of a point with some coordinates at the 1e-300 floor
-        theta = dgf_grad(geom, _floored(random_point(geom, rng), rng))
+        theta = dgf_grad(geom, _floored(geom, random_point(geom, rng), rng))
     else:
         # a simplex point on a random support S (down to |S| = 1), and
         # negative values off it, so that the projection keeps exactly S
@@ -407,7 +416,7 @@ def test_schur_step_matches_the_dense_newton_solve(args):
             b[on] = rng.dirichlet(np.ones(on.size))
             blocks.append(b)
         theta = DualVector(tuple(blocks))
-    _, diag, rank_one = mirror_map(geom, theta)
+    _, diag, rank_one = mirror_map_flat(geom, theta.concat())
     if kind == "simplex":
         assert [v.sum() for _, v in rank_one] == [(b > 0).sum() for b in theta.blocks]
     system = NewtonSystem(prob.f1, gamma, geom)
@@ -477,21 +486,29 @@ def test_active_ball_steps_never_use_the_interior_factor(monkeypatch):
     factors = _count_calls(monkeypatch, "lu_factor")
     solves = _count_calls(monkeypatch, "dgetrs", scipy.linalg.lapack)
     # an interior solve first, so that the system holds the factor
-    u, _ = newton_solve(interior, v0, system)
+    u, _ = _newton(interior, v0, system)
     assert float(np.linalg.norm(u.concat())) < 1.0
     assert len(factors) == 1 and solves
     solves.clear()
-    u, steps = newton_solve(active, v0, system)
+    u, steps = _newton(active, v0, system)
     assert steps >= 1 and solves == [] and len(factors) == 1
     assert float(np.linalg.norm(u.concat())) == pytest.approx(1.0, abs=1e-12)
     assert _prox_residual(active, u) <= 1e-11
 
 
 def test_newton_system_must_match_the_subproblem():
+    # a run checks a shared system against its shard, gamma and layout;
+    # the solve checks the layout on every call
     prob, v0 = _instance("ball", 4, seed=5, gamma=1.0)
-    other = NewtonSystem(prob.f1, 2.0 * prob.gamma, prob.geometry)
+    geom = prob.geometry
+    config = PausConfig(gamma=prob.gamma, iters=1, geometry=geom,
+                        z0=uniform_point(geom), l_f1=prob.l_f1)
+    other = NewtonSystem(prob.f1, 2.0 * prob.gamma, geom)
     with pytest.raises(ParameterError):
-        newton_solve(prob, v0, other)
+        paus_run(config, ClusterState(shards=[prob.f1]), system=other)
+    other = NewtonSystem(prob.f1, prob.gamma, euclidean_ball(5))
+    with pytest.raises(ParameterError):
+        _newton(prob, v0, other)
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +610,6 @@ def test_flat_mirror_map_and_step_match_the_per_block_formulas(args):
     assert len(rank_one) == len(ref_rank_one) == len(bounds)
     for (beta, v), (ref_beta, ref_v) in zip(rank_one, ref_rank_one):
         assert beta == ref_beta and np.array_equal(v, ref_v)
-    # the public wrapper hands out the same bits, block by block
-    point, wrapped_diag, _ = mirror_map(
-        geom, DualVector(tuple(theta[lo:hi] for lo, hi in bounds))
-    )
-    for b, ref in zip(point.blocks, blocks):
-        assert np.array_equal(b, ref)
-    assert np.array_equal(wrapped_diag, ref_diag)
     system = NewtonSystem(f1, gamma, geom)
     g = rng.normal(size=theta.size)
     assert np.array_equal(
@@ -637,7 +647,7 @@ def test_newton_solves_rectangular_saddle_subproblems(args):
     )
     v0 = random_point(geom, rng)
     system = NewtonSystem(f1, gamma, geom)
-    out = newton_solve(prob, v0, system)
+    out = _newton(prob, v0, system)
     assert out is not None
     u, _ = out
     assert tuple(b.size for b in u.blocks) == (d1, d2)

@@ -1,7 +1,8 @@
 """The outer loop on flat arrays: ``paus_run``, ``mirror_prox_run`` and
 ``paus_r`` against the same loop written out block by block
-(``oracles.per_block_run``), and each flat core of a geometry or operator
-function against its Point wrapper, bit for bit."""
+(``oracles.per_block_run``), and each flat function of a step against the
+per-block formulas and, where one remains, its Point function, bit for
+bit."""
 
 import math
 
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
-    per_block_combine,
     per_block_evaluate,
     per_block_floor,
     per_block_grad,
@@ -33,22 +33,15 @@ from visim.geometry import (
     dgf_grad_flat,
     euclidean_ball,
     floor_simplex_flat,
-    floor_simplex_point,
     prox_map,
     prox_map_flat,
     random_point,
     recenter,
     uniform_point,
 )
-from visim.inner import CompositeProblem, NewtonSystem, newton_solve, newton_solve_flat
+from visim.inner import NewtonSystem
 from visim.operators import OperatorShard, saddle_shard
-from visim.paus import (
-    PausConfig,
-    _dual_combine,
-    _dual_combine_flat,
-    duality_gap,
-    paus_run,
-)
+from visim.paus import PausConfig, duality_gap, paus_run
 from visim.restart import RestartConfig, paus_r, synthetic_strongly_monotone
 
 
@@ -166,6 +159,29 @@ def test_restart_matches_the_per_block_step(monkeypatch):
     assert cluster.bytes_sent == ref_cluster.bytes_sent
 
 
+def test_paus_run_sends_the_a_norm_ball_straight_to_composite_mp(monkeypatch):
+    # the a-norm ball has no closed-form mirror map: the run makes no Newton
+    # attempt, counts every subproblem as handed to the extragradient loop,
+    # and keeps the bits of the per-block route, which goes there at once
+    dim, K = 6, 5
+    shards, _, consts = synthetic_strongly_monotone(dim, m=4, mu=0.5, delta=1.0,
+                                                    seed=2)
+    geom = a_norm_ball(dim)
+    cfg = PausConfig(gamma=1.0, iters=K, geometry=geom, z0=uniform_point(geom),
+                     l_f1=consts.L_F1)
+    ref_cluster = ClusterState(shards=list(shards))
+    want = per_block_run("paus", cfg, ref_cluster, keep_iterates=True)
+
+    def no_newton(*args):
+        raise AssertionError("a Newton attempt on the a-norm ball")
+
+    monkeypatch.setattr(paus, "newton_solve_flat", no_newton)
+    cluster = ClusterState(shards=list(shards))
+    got = paus_run(cfg, cluster, keep_iterates=True)
+    assert got.inner_fallbacks == want.inner_fallbacks == K
+    _assert_same_run(got, want, cluster, ref_cluster, paths=True)
+
+
 @pytest.mark.parametrize("game", ["entropy", "euclidean", "ball"])
 def test_kept_iterates_hold_the_values_of_their_own_step(game, monkeypatch):
     # each step's u^k and z^{k+1} are copied as the step returns them; the
@@ -208,7 +224,7 @@ def test_kept_iterates_hold_the_values_of_their_own_step(game, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# each flat core against its Point wrapper and the per-block formulas
+# each flat function against the per-block formulas and its Point function
 
 
 def _setup(kind, d1, d2, rng):
@@ -235,7 +251,8 @@ def _setup(kind, d1, d2, rng):
             if b.size > 1:
                 b[rng.permutation(b.size)[: rng.integers(1, b.size)]] = 0.0
             blocks.append(b)
-        z = floor_simplex_point(Point(tuple(blocks)))
+        z = geom.layout.split(floor_simplex_flat(np.concatenate(blocks),
+                                                 geom.layout.bounds))
     g = DualVector(tuple(rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
                          for n in geom.block_dims))
     return geom, f1, z, g
@@ -270,32 +287,11 @@ def test_flat_cores_match_their_wrappers(kind, d1, d2, seed, step):
 
     if entropy:
         floored = floor_simplex_flat(zf, layout.bounds)
-        assert _same(floor_simplex_point(z).blocks, floored, layout)
         assert _same(per_block_floor(list(z.blocks)), floored, layout)
 
     fz = f1.evaluate_flat(zf)
     assert _same(f1.evaluate(z).blocks, fz, layout)
     assert _same(per_block_evaluate(f1, list(z.blocks)), fz, layout)
-
-    terms = ((1.0, g), (-1.0, f1.evaluate(z)), (-1.0, g), (1.0, g))
-    combined = _dual_combine_flat(*((s, v.concat()) for s, v in terms))
-    assert _same(_dual_combine(*terms).blocks, combined, layout)
-    assert _same(per_block_combine(*((s, list(v.blocks)) for s, v in terms)),
-                 combined, layout)
-
-    gamma = step / 10.0
-    problem = CompositeProblem(gamma=gamma, anchor=z, f1=f1, offset=g, geometry=geom,
-                               l_f1=1.0)
-    v0 = random_point(geom, rng)
-    system = NewtonSystem(f1, gamma, geom)
-    wrapped = newton_solve(problem, v0, system)
-    flat = newton_solve_flat(system, geom, grad, gf, v0.concat())
-    if kind == "a-norm":
-        assert wrapped is None and flat is None
-    elif wrapped is None:
-        assert flat is None
-    else:
-        assert wrapped[1] == flat[1] and _same(wrapped[0].blocks, flat[0], layout)
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (3, 5), (6, 2)])

@@ -26,7 +26,7 @@ from visim.geometry import (
     entropy_simplex,
     euclidean_ball,
     euclidean_simplex,
-    floor_simplex_point,
+    floor_simplex_flat,
     max_divergence_bound,
     omega_d,
     primal_norm,
@@ -424,12 +424,13 @@ def test_simplex_projection_without_threshold_raises():
         prox_map(geom, uniform_point(geom), DualVector.of([-1e17, 0.0, 0.0]), 1.0)
 
 
-def test_floor_simplex_point_restores_positivity():
-    z = Point.of([1.0, 0.0, 0.0])
-    out = floor_simplex_point(z)
-    assert np.all(out.blocks[0] > 0)
-    assert out.blocks[0].sum() == pytest.approx(1.0, abs=1e-15)
-    np.testing.assert_allclose(out.blocks[0], z.blocks[0], atol=1e-12)
+def test_floor_simplex_flat_restores_positivity():
+    z = np.array([1.0, 0.0, 0.0, 0.0, 0.5, 0.5])
+    out = floor_simplex_flat(z, [(0, 3), (3, 6)])
+    assert np.all(out > 0)
+    assert out[:3].sum() == pytest.approx(1.0, abs=1e-15)
+    assert out[3:].sum() == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(out, z, atol=1e-12)
 
 
 def test_validate_point_shapes_and_domains():

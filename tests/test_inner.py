@@ -17,6 +17,7 @@ from visim.geometry import (
     bregman_divergence,
     composite_prox_map,
     dgf_grad,
+    dgf_grad_flat,
     entropy_simplex,
     euclidean_ball,
     euclidean_simplex,
@@ -24,7 +25,7 @@ from visim.geometry import (
     random_point,
     uniform_point,
 )
-from visim.inner import CompositeProblem, composite_mp, newton_solve
+from visim.inner import CompositeProblem, NewtonSystem, composite_mp, newton_solve_flat
 from visim.operators import OperatorShard, saddle_shard
 
 
@@ -194,11 +195,14 @@ def test_composite_mp_on_uneven_blocks_and_an_lp_ball():
         geometry=geom, l_f1=float(np.linalg.norm(M, 2)),
     )
     v0 = random_point(geom, rng)
-    exact, _ = newton_solve(prob, v0)
+    exact, _ = newton_solve_flat(
+        NewtonSystem(prob.f1, prob.gamma, geom), geom,
+        dgf_grad_flat(geom, prob.anchor.concat()), prob.offset.concat(), v0.concat(),
+    )
     v, iters = composite_mp(prob, v0, 2000, 1e-24)
     assert iters < 2000
     assert [b.size for b in v.blocks] == [3, 5]
-    assert float(np.abs(v.concat() - exact.concat()).max()) <= 1e-9
+    assert float(np.abs(v.concat() - exact).max()) <= 1e-9
     # an l3 ball has no Euclidean projection
     geom = GeometrySetup(
         GeometryKind.EUCLIDEAN, (4,), Domain(DomainKind.NORM_BALL, 3.0, 1.0)

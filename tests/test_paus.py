@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import per_block_floor
 from visim import inner
 from visim.cluster import ClusterState, gather_average
 from visim.errors import ParameterError
 from visim.geometry import (
+    DualVector,
+    Point,
     bregman_divergence,
     entropy_simplex,
-    floor_simplex_point,
     max_divergence_bound,
     prox_map,
     uniform_point,
@@ -18,7 +20,6 @@ from visim.inner import CompositeProblem, composite_mp
 from visim.operators import saddle_shard
 from visim.paus import (
     PausConfig,
-    _dual_combine,
     _inner_plan,
     duality_gap,
     paus_run,
@@ -176,16 +177,19 @@ def test_step_cap_zero_is_the_extragradient_route(monkeypatch):
         f1_z = ref.server_evaluate(z)
         problem = CompositeProblem(
             gamma=cfg.gamma, anchor=z, f1=ref.server_shard,
-            offset=_dual_combine((1.0, f_z), (-1.0, f1_z)),
+            offset=DualVector(tuple(a - b for a, b in zip(f_z.blocks, f1_z.blocks))),
             geometry=cfg.geometry, l_f1=l_f1,
         )
         v0 = prev_u if prev_u is not None else z
         u, n = composite_mp(problem, v0, cap, movement_tol)
-        u = floor_simplex_point(u)
+        u = Point(tuple(per_block_floor(u.blocks)))
         f_u = gather_average(ref, [u])[0]
-        g = _dual_combine((1.0, f_u), (-1.0, ref.server_evaluate(u)),
-                          (-1.0, f_z), (1.0, f1_z))
-        z = floor_simplex_point(prox_map(cfg.geometry, u, g, cfg.gamma))
+        g = DualVector(tuple(
+            a - b - c + d for a, b, c, d in zip(
+                f_u.blocks, ref.server_evaluate(u).blocks, f_z.blocks, f1_z.blocks)
+        ))
+        z = prox_map(cfg.geometry, u, g, cfg.gamma)
+        z = Point(tuple(per_block_floor(z.blocks)))
         assert np.array_equal(out.u_path[k].concat(), u.concat())
         assert np.array_equal(out.z_path[k + 1].concat(), z.concat())
         prev_u = u
