@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .cluster import ClusterState
-from .cluster import gather_average  # noqa: F401  (perfbench's tracer wraps it here)
+from .cluster import ClusterState, gather_average
 from .errors import ParameterError
 from .geometry import (
     GeometryKind,
@@ -25,7 +24,7 @@ from .geometry import (
     prox_map_flat,
 )
 from .inner import InnerSettings
-from .paus import PausConfig, PausResult, _drive, _gather, paus_run
+from .paus import PausConfig, PausResult, _drive, paus_run
 
 
 class BaselineKind(Enum):
@@ -71,8 +70,8 @@ def mirror_prox_run(
     entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
 
     def extragradient(z, prev_w):
-        w = prox_map_flat(geom, z, _gather(cluster, geom, z), step)
-        z_next = prox_map_flat(geom, z, _gather(cluster, geom, w), step)
+        w = prox_map_flat(geom, z, gather_average(cluster, [z])[0], step)
+        z_next = prox_map_flat(geom, z, gather_average(cluster, [w])[0], step)
         if entropy:
             # guard against float underflow to 0
             w = floor_simplex_flat(w, layout.bounds)

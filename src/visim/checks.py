@@ -21,7 +21,6 @@ from .geometry import (
     bregman_divergence,
     entropy_simplex,
     euclidean_ball,
-    pairing,
     prox_map,
     uniform_point,
 )
@@ -85,15 +84,14 @@ def check_lemma_certificate(seed: int = 1) -> CheckOutcome:
         l_f1=consts.L_F1, delta=consts.delta,
     )
     result = paus_run(cfg, cluster, keep_iterates=True)
-    f_avg = gather_average(cluster, result.u_path)
+    u_path = [u.concat() for u in result.u_path]
+    f_avg = gather_average(cluster, u_path)
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for _ in range(20):
         z = Point.of(rng.dirichlet(np.ones(spec.d)), rng.dirichlet(np.ones(spec.d)))
-        lhs = sum(
-            pairing(f, Point(tuple(ub - zb for ub, zb in zip(u.blocks, z.blocks))))
-            for f, u in zip(f_avg, result.u_path)
-        ) / K
+        zf = z.concat()
+        lhs = sum(float(f @ (u - zf)) for f, u in zip(f_avg, u_path)) / K
         rhs = bregman_divergence(geom, z, z0) / (K * gamma)
         worst = max(worst, lhs - rhs)
     ok = worst <= 1e-6
@@ -108,23 +106,21 @@ def check_inner_contraction(seed: int = 3) -> CheckOutcome:
     consts = estimate_constants(mats, spec.m)
     cluster = ClusterState(shards=shard_data(mats, spec.m))
     geom = entropy_simplex(spec.d)
-    anchor = uniform_point(geom)
+    anchor = uniform_point(geom).concat()
     gamma = 1.0 / consts.delta
-    f_anchor = gather_average(cluster, [anchor])[0]
-    f1_anchor = cluster.server_evaluate(anchor)
-    offset = DualVector(
-        tuple(a - b for a, b in zip(f_anchor.blocks, f1_anchor.blocks))
-    )
+    offset = (gather_average(cluster, [anchor])[0]
+              - cluster.server_shard.evaluate(anchor))
     prob = CompositeProblem(
         gamma=gamma, anchor=anchor, f1=cluster.server_shard, offset=offset,
         geometry=geom, l_f1=consts.L_F1,
     )
     eta = prob.eta
-    v_star, _ = composite_mp(prob, anchor, 400, 0.0)
+    split = geom.layout.split
+    v_star = split(composite_mp(prob, anchor, 400, 0.0)[0])
     _, _, path = composite_mp(prob, anchor, 40, 0.0, record_path=True)
     worst = -np.inf
-    prev = anchor
-    for v in path:
+    prev = split(anchor)
+    for v in map(split, path):
         lhs = bregman_divergence(geom, v_star, v)
         rhs = bregman_divergence(geom, v_star, prev) / (1.0 + eta)
         worst = max(worst, lhs - rhs)

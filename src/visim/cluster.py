@@ -13,6 +13,11 @@ gather answers each point with that one product.  In exact arithmetic this
 is the mean of the m worker outputs; in floating point the two differ at
 round-off, of order (m + d) eps mean_i |A_i| |z|.  The counters still
 charge every worker's share of each exchange.
+
+Points and dual vectors cross this module as flat arrays, their blocks
+concatenated in the order of ``geometry.layout``; the solvers build
+``Point``s only at the API edge.  The server reads F_1 locally, at no
+cost in rounds, as ``cluster.server_shard.evaluate``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .geometry import DualVector, Point
 from .operators import OperatorShard
 
 
@@ -78,23 +82,23 @@ class ClusterState:
         # worker 1 doubles as the server and keeps local access to its shard
         return self.shards[0]
 
-    def server_evaluate(self, z: Point) -> DualVector:
-        """Server-local F_1 evaluation; costs no communication."""
-        return self.server_shard.evaluate(z)
 
-
-def gather_average(cluster: ClusterState, points: list[Point]) -> list[DualVector]:
+def gather_average(
+    cluster: ClusterState, points: list[np.ndarray]
+) -> list[np.ndarray]:
     """One communication round: every worker evaluates its shard at all
-    ``points``; the server returns the coordinate-wise averages, each
-    computed as one product by the cluster's average operator.
+    ``points``, each a flat array with its blocks in the order of
+    ``geometry.layout``; the server returns the coordinate-wise averages,
+    flat, each computed as one product by the cluster's average operator.
 
     The round counter increments by exactly 1 no matter how many points
-    ride in the exchange.
+    ride in the exchange.  A point that does not fit the operator raises
+    :class:`ShapeError` before any counter moves.
     """
     if not points:
         raise ConfigError("gather_average needs at least one point")
     averages = [cluster.average.evaluate(z) for z in points]
-    coords = sum(b.size for b in points[0].blocks) * len(points)
+    coords = points[0].size * len(points)
     cluster.round_count += 1
     cluster.bytes_sent += 2 * cluster.m * coords * 8  # broadcast + gather
     return averages

@@ -15,12 +15,14 @@ Every DGF here is 1-strongly convex in the setup's declared norm, so
 the a-norm setup is the a-norm itself (the exact strong-convexity norm);
 block norms combine as the l2 sum of squares.
 
-All operations are pure; setups and points are immutable.  The outer
-solvers run on flat arrays, the blocks concatenated in the order of the
-setup's :class:`BlockLayout`, through the ``*_flat`` functions.  Point
-functions serve the callers that hold Points (``inner.composite_mp``,
-the checks and tests); the public :func:`prox_map` and :func:`dgf_grad`
-are their flat cores on the concatenated blocks, with the same bits.
+All operations are pure; setups and points are immutable.  The solvers
+run on flat arrays, the blocks concatenated in the order of the setup's
+:class:`BlockLayout`, through the ``*_flat`` functions and
+:func:`composite_prox_map`.  Points are the public API's currency: the
+public :func:`prox_map` and :func:`dgf_grad` are their flat cores on the
+concatenated blocks, with the same bits, and :func:`bregman_divergence`,
+:func:`validate_point`, :func:`max_divergence_bound`, :func:`omega_d`,
+:func:`recenter`, the DGF value and the norms take Points.
 """
 
 from __future__ import annotations
@@ -122,12 +124,6 @@ def check_same_shape(u: Point | DualVector, v: Point | DualVector) -> None:
         raise ShapeError("block layouts differ")
 
 
-def pairing(g: DualVector, z: Point) -> float:
-    """Dual pairing <g, z> summed over blocks."""
-    check_same_shape(g, z)
-    return float(sum(gb @ zb for gb, zb in zip(g.blocks, z.blocks)))
-
-
 def a_norm_exponent(dim: int) -> float:
     """a = 2 ln d / (2 ln d - 1), natural log; requires d >= 3."""
     if dim < 3:
@@ -155,11 +151,17 @@ class GeometrySetup:
                 raise ParameterError("entropy DGF requires a simplex-product domain")
             if self.center is not None:
                 raise ParameterError("entropy DGF cannot be translated")
+        if self.domain.kind is DomainKind.NORM_BALL:
+            # validate_point and max_divergence_bound measure one block
+            if len(self.block_dims) != 1:
+                raise ParameterError("ball setups use a single block")
+            if self.kind is GeometryKind.EUCLIDEAN and self.domain.p != 2.0:
+                raise ParameterError(
+                    f"the Euclidean DGF needs an l2 ball, got p={self.domain.p}"
+                )
         if self.kind is GeometryKind.A_NORM_BALL:
             if self.domain.kind is not DomainKind.NORM_BALL:
                 raise ParameterError("a-norm DGF requires a ball domain")
-            if len(self.block_dims) != 1:
-                raise ParameterError("ball setups use a single block")
             if not (1.0 <= self.domain.p <= self.a + 1e-12):
                 raise ParameterError(
                     f"ball norm p={self.domain.p} outside [1, a={self.a:.6f}] "
@@ -355,9 +357,7 @@ def project_block_simplex(v: np.ndarray) -> np.ndarray:
 def _project_domain_block(setup: GeometrySetup, b: np.ndarray) -> np.ndarray:
     if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
         return project_block_simplex(b)
-    p, r = setup.domain.p, setup.domain.radius
-    if p != 2.0:
-        raise ParameterError("Euclidean projection is only available for l2 balls")
+    r = setup.domain.radius
     n = float(np.linalg.norm(b))
     return b if n <= r else b * (r / n)
 
@@ -592,51 +592,45 @@ def prox_map_flat(
 
 def composite_prox_map(
     setup: GeometrySetup,
-    anchor: Point,
-    center: Point,
-    g: DualVector,
+    anchor: np.ndarray,
+    center: np.ndarray,
+    g: np.ndarray,
     eta: float,
-) -> Point:
-    """argmin over the domain of  <g, v> + eta * V(v, anchor) + V(v, center).
+) -> np.ndarray:
+    """argmin over the domain of  <g, v> + eta * V(v, anchor) + V(v, center),
+    for operands concatenated as ``setup.layout`` says.  Returns a new
+    array.
 
     For entropy this is the geometric-mean form: anchor weight eta/(1+eta),
     center weight 1/(1+eta), gradient scaled by 1/(1+eta).  ``eta = 0``
-    degenerates to ``prox_map(center, g, 1)``.
+    degenerates to ``prox_map_flat(center, g, 1)``.
     """
-    check_same_shape(anchor, g)
-    check_same_shape(center, g)
+    if anchor.shape != center.shape:
+        raise ShapeError(
+            f"composite prox anchor of shape {anchor.shape} does not fit the "
+            f"center's {center.shape}"
+        )
     if eta < 0.0:
         raise ParameterError(f"composite weight eta must be >= 0, got {eta}")
     if eta == 0.0:
-        return prox_map(setup, center, g, 1.0)
+        return prox_map_flat(setup, center, g, 1.0)
+    # the center's and g's shapes, g finite, an entropy center positive
+    _check_prox_args(setup, center, g, 1.0)
     if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
-        for b in list(anchor.blocks) + list(center.blocks):
-            if not np.all(has_mass(b)):
-                raise DomainError("entropy prox centers must be strictly positive")
+        if not has_mass(anchor).all():
+            raise DomainError("entropy prox centers must be strictly positive")
         wa = eta / (1.0 + eta)
         wc = 1.0 / (1.0 + eta)
-        return Point(
-            tuple(
-                softmax_map(wa * np.log(ab) + wc * np.log(cb) - wc * gb)[0]
-                for ab, cb, gb in zip(anchor.blocks, center.blocks, g.blocks)
-            )
-        )
-    for b in g.blocks:
-        if not np.all(np.isfinite(b)):
-            raise NumericsError("non-finite dual vector in composite prox")
+        return softmax_map(wa * np.log(anchor) + wc * np.log(center) - wc * g,
+                           setup.layout)[0]
     if setup.kind is GeometryKind.EUCLIDEAN:
-        return Point(
-            tuple(
-                _project_domain_block(
-                    setup, (eta * ab + cb - gb) / (1.0 + eta)
-                )
-                for ab, cb, gb in zip(anchor.blocks, center.blocks, g.blocks)
-            )
-        )
-    ga = dgf_grad(setup, anchor)
-    gc = dgf_grad(setup, center)
-    target = (eta * ga.blocks[0] + gc.blocks[0] - g.blocks[0]) / (1.0 + eta)
-    return Point((_ball_constrained_solve(setup, target),))
+        v = (eta * anchor + center - g) / (1.0 + eta)
+        for lo, hi in setup.layout.bounds:
+            v[lo:hi] = _project_domain_block(setup, v[lo:hi])
+        return v
+    target = (eta * dgf_grad_flat(setup, anchor) + dgf_grad_flat(setup, center)
+              - g) / (1.0 + eta)
+    return _ball_constrained_solve(setup, target)
 
 
 def mirror_map_flat(
@@ -705,7 +699,6 @@ def _radial_projection_map(setup, theta, bounds):
     for i, (lo, hi) in enumerate(bounds):
         s = setup.shift(i)
         x = theta[lo:hi] if s is None else theta[lo:hi] + s
-        # raises ParameterError for lp balls with p != 2
         u[lo:hi] = px = _project_domain_block(setup, x)
         if px is x:
             rank_one.append((0.0, np.zeros(hi - lo)))

@@ -33,9 +33,13 @@ subproblem's solution by 1 / (1 + eta), so
     T = ceil((3 L_F1 / delta) * log(V0 / eps))
 
 iterations reach Bregman accuracy eps when gamma = 1 / delta.  It is one
-block-wise loop for every geometry; entropy iterates are floored at
-``TINY_MASS`` so that a coordinate that underflows stays interior.  It
-runs on Points, through the Point maps that the benchmark's tracer times.
+loop for every geometry; entropy iterates are floored at ``TINY_MASS`` so
+that a coordinate that underflows stays interior.
+
+Both solvers take and return flat arrays, their blocks concatenated as
+``geometry.layout`` says, and so does :class:`CompositeProblem`.  Points
+appear only in the loop's movement stop, as views handed to the public
+:func:`geometry.bregman_divergence`.
 """
 
 from __future__ import annotations
@@ -49,10 +53,8 @@ from numpy.linalg._umath_linalg import solve1 as _gesv
 
 from .errors import NumericsError, ParameterError
 from .geometry import (
-    DualVector,
     GeometryKind,
     GeometrySetup,
-    Point,
     bregman_divergence,
     composite_prox_map,
     floor_simplex_flat,
@@ -96,13 +98,14 @@ class CompositeProblem:
 
     F1 is the server's local operator, ``offset`` the fixed dual vector
     F(anchor) - F1(anchor), ``l_f1`` the local Lipschitz constant in the
-    geometry's pairing.
+    geometry's pairing.  ``anchor`` and ``offset`` are flat arrays, their
+    blocks concatenated as ``geometry.layout`` says.
     """
 
     gamma: float
-    anchor: Point
+    anchor: np.ndarray
     f1: OperatorShard
-    offset: DualVector
+    offset: np.ndarray
     geometry: GeometrySetup
     l_f1: float
 
@@ -116,13 +119,9 @@ class CompositeProblem:
     def eta(self) -> float:
         return 1.0 / (2.0 * self.gamma * self.l_f1)
 
-    def gradient(self, v: Point) -> DualVector:
+    def gradient(self, v: np.ndarray) -> np.ndarray:
         """gamma * eta * (F1(v) + offset), the step used by both half-steps."""
-        s = self.gamma * self.eta
-        fv = self.f1.evaluate(v)
-        return DualVector(
-            tuple(s * (fb + ob) for fb, ob in zip(fv.blocks, self.offset.blocks))
-        )
+        return (self.gamma * self.eta) * (self.f1.evaluate(v) + self.offset)
 
 
 class NewtonSystem:
@@ -479,16 +478,16 @@ def _reduced_newton(
 
 def composite_mp(
     problem: CompositeProblem,
-    v0: Point,
+    v0: np.ndarray,
     max_iters: int,
     movement_tol: float = 0.0,
     record_path: bool = False,
-) -> tuple[Point, int] | tuple[Point, int, list[Point]]:
-    """Run the composite extragradient loop from ``v0``.
+) -> tuple[np.ndarray, int] | tuple[np.ndarray, int, list[np.ndarray]]:
+    """Run the composite extragradient loop from the flat ``v0``.
 
-    Returns the final iterate and the number of iterations performed (and,
-    with ``record_path``, the list of full-step iterates v^1..v^T for
-    contraction diagnostics).  Stops early once the movement
+    Returns the final iterate, flat, and the number of iterations
+    performed (and, with ``record_path``, the list of full-step iterates
+    v^1..v^T for contraction diagnostics).  Stops early once the movement
     V(v^{t+1}, v^t) falls to ``movement_tol``.
 
     Entropy full-step iterates are floored at ``TINY_MASS`` by
@@ -502,27 +501,24 @@ def composite_mp(
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
     if movement_tol < 0.0:
         raise ParameterError("movement_tol must be >= 0")
-    geom = problem.geometry
+    geom, anchor, eta = problem.geometry, problem.anchor, problem.eta
     layout = geom.layout
     entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
-    eta = problem.eta
     v = v0
-    path: list[Point] = []
+    path: list[np.ndarray] = []
     iters = 0
     for t in range(max_iters):
-        v_half = composite_prox_map(geom, problem.anchor, v, problem.gradient(v), eta)
-        v_next = composite_prox_map(
-            geom, problem.anchor, v, problem.gradient(v_half), eta
-        )
-        for b in v_next.blocks:
-            if not np.all(np.isfinite(b)):
-                raise NumericsError(f"non-finite inner iterate at step {t}")
+        v_half = composite_prox_map(geom, anchor, v, problem.gradient(v), eta)
+        v_next = composite_prox_map(geom, anchor, v, problem.gradient(v_half), eta)
+        if not np.isfinite(v_next).all():
+            raise NumericsError(f"non-finite inner iterate at step {t}")
         if entropy:
-            v_next = layout.split(floor_simplex_flat(v_next.concat(), layout.bounds))
+            v_next = floor_simplex_flat(v_next, layout.bounds)
         # the computed movement is cancellation-limited near the solution
         # (it rounds to 0 once coordinates move less than ~sqrt(eps)), so a
         # zero tolerance means "never stop early" rather than "stop at 0"
-        move = bregman_divergence(geom, v_next, v) if movement_tol > 0.0 else None
+        move = (bregman_divergence(geom, layout.split(v_next), layout.split(v))
+                if movement_tol > 0.0 else None)
         v = v_next
         iters = t + 1
         if record_path:

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .geometry import DualVector, Point
 
 
 @dataclass(frozen=True)
@@ -44,29 +43,15 @@ class OperatorShard:
         """M for a saddle shard, (A, b) for an affine one."""
         return self.matrix if self.offset is None else (self.matrix, self.offset)
 
-    def evaluate(self, z: Point) -> DualVector:
-        """F(z): (M y, -M^T x) at z = (x, y), or A z + b.  This is
-        :meth:`evaluate_flat` on the concatenated blocks."""
-        M = self.matrix
-        if self.offset is not None:
-            if len(z.blocks) != 1 or z.blocks[0].size != M.shape[1]:
-                raise ShapeError(
-                    f"affine operator expects one block of size {M.shape[1]}"
-                )
-            return DualVector((self.evaluate_flat(z.blocks[0]),))
-        if len(z.blocks) != 2:
-            raise ShapeError("saddle operator expects a two-block point (x, y)")
-        x, y = z.blocks
-        if x.size != M.shape[0] or y.size != M.shape[1]:
-            raise ShapeError(
-                f"point blocks ({x.size}, {y.size}) do not match matrix {M.shape}"
-            )
-        out = self.evaluate_flat(np.concatenate(z.blocks))
-        return DualVector((out[: x.size], out[x.size :]))
+    @property
+    def block_dims(self) -> tuple[int, ...]:
+        """The block sizes of the points F takes: (d1, d2) for a saddle
+        shard's (x, y), (n,) for an affine one."""
+        return self.matrix.shape if self.offset is None else self.matrix.shape[1:]
 
-    def evaluate_flat(self, z: np.ndarray) -> np.ndarray:
-        """:meth:`evaluate` on the concatenated point z = (x, y) (or z),
-        with the bits of the block-by-block products."""
+    def evaluate(self, z: np.ndarray) -> np.ndarray:
+        """F(z): (M y, -M^T x) at the concatenated point z = (x, y), or
+        A z + b, with the bits of the block-by-block products."""
         M = self.matrix
         if self.offset is not None:
             if z.shape != (M.shape[1],):

@@ -23,14 +23,13 @@ above; the mirror-prox baseline passes its extragradient step.
 
 The driver and the steps run on flat arrays: z^k, u^k, the ergodic sum
 and every dual vector are one float64 vector each, its blocks in the
-order of ``geometry.layout``, and a step calls the flat functions
-(``prox_map_flat``, ``dgf_grad_flat``, ``floor_simplex_flat``,
-``OperatorShard.evaluate_flat``, ``newton_solve_flat``).  Points are
-built, as views of the flat arrays (``layout.split``), only where they
-leave or enter the loop: z^0 in, each logged and the final u_avg, the
-``keep_iterates`` paths, the points a gather ships (so that
-``gather_average`` counts every round and byte), and a subproblem handed
-to ``composite_mp``.
+order of ``geometry.layout``, and a step calls flat functions only
+(``gather_average``, ``OperatorShard.evaluate``, ``prox_map_flat``,
+``dgf_grad_flat``, ``floor_simplex_flat``, ``newton_solve_flat`` and
+``composite_mp``).  Points are built, as views of the flat arrays
+(``layout.split``), only where the public API hands them out or takes
+them in: z^0, the running average given to ``gap_fn``, the final u_avg
+and the ``keep_iterates`` paths.
 """
 
 from __future__ import annotations
@@ -43,9 +42,8 @@ from typing import Callable
 import numpy as np
 
 from .cluster import ClusterState, gather_average
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 from .geometry import (
-    DualVector,
     GeometryKind,
     GeometrySetup,
     Point,
@@ -146,14 +144,6 @@ def _inner_plan(config: PausConfig) -> tuple[int, float]:
     return cap, movement_tol
 
 
-def _gather(
-    cluster: ClusterState, geometry: GeometrySetup, z: np.ndarray
-) -> np.ndarray:
-    """One communication round at the flat point z, through
-    :func:`gather_average`; the workers' average F(z), flat."""
-    return gather_average(cluster, [geometry.layout.split(z)])[0].concat()
-
-
 def _drive(
     geometry: GeometrySetup,
     z0: Point,
@@ -172,6 +162,12 @@ def _drive(
     (u^k, z^{k+1}) and the inner iterations.
     """
     validate_point(geometry, z0)
+    # a flat point of the right size can still cut the blocks wrongly
+    if cluster.average.block_dims != geometry.block_dims:
+        raise ShapeError(
+            f"the shards take blocks {cluster.average.block_dims}, the "
+            f"geometry has {geometry.block_dims}"
+        )
     layout = geometry.layout
     z = z0.concat()
     u_sum = np.zeros(layout.size)
@@ -239,22 +235,10 @@ def paus_run(
         raise ParameterError("the Newton system was built for another subproblem")
     fallbacks = 0
 
-    def extragradient_fallback(z, offset, v0):
-        problem = CompositeProblem(
-            gamma=gamma,
-            anchor=layout.split(z),
-            f1=shard,
-            offset=DualVector(layout.split(offset).blocks),
-            geometry=geom,
-            l_f1=config.l_f1,
-        )
-        u, inner_iters = composite_mp(problem, layout.split(v0), cap, movement_tol)
-        return u.concat(), inner_iters
-
     def step(z, prev_u):
         nonlocal fallbacks
-        f_z = _gather(cluster, geom, z)
-        f1_z = shard.evaluate_flat(z)
+        f_z = gather_average(cluster, [z])[0]
+        f1_z = shard.evaluate(z)
         offset = f_z - f1_z
         # warm start: the previous subproblem solution
         v0 = prev_u if prev_u is not None else z
@@ -264,13 +248,16 @@ def paus_run(
                                        offset, v0)
         if solved is None:
             fallbacks += 1
-            solved = extragradient_fallback(z, offset, v0)
+            problem = CompositeProblem(gamma=gamma, anchor=z, f1=shard,
+                                       offset=offset, geometry=geom,
+                                       l_f1=config.l_f1)
+            solved = composite_mp(problem, v0, cap, movement_tol)
         u, inner_iters = solved
         if entropy:
             # guard against float underflow to 0
             u = floor_simplex_flat(u, layout.bounds)
-        f1_u = shard.evaluate_flat(u)
-        f_u = _gather(cluster, geom, u)
+        f1_u = shard.evaluate(u)
+        f_u = gather_average(cluster, [u])[0]
         g = f_u - f1_u
         g -= f_z
         g += f1_z

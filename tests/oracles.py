@@ -21,6 +21,8 @@ from visim.geometry import (
     DualVector,
     GeometryKind,
     Point,
+    _ball_constrained_solve,
+    dgf_grad,
     project_block_simplex,
     prox_map,
     validate_point,
@@ -176,7 +178,7 @@ def sampled_similarity_ratio(f1, f_avg, trials, seed, block_dims):
     rng = np.random.default_rng(seed)
 
     def dev(z):
-        return f1(z).concat() - f_avg(z).concat()
+        return f1(z.concat()) - f_avg(z.concat())
 
     worst = 0.0
     for _ in range(trials):
@@ -246,6 +248,36 @@ def per_block_prox(geometry, center, g, step):
     return out
 
 
+def per_block_composite_prox(geometry, anchor, center, g, eta):
+    """The composite prox map block by block, for eta > 0: the softmax of
+    eta/(1+eta) log(a) + (log(c) - g)/(1+eta) for entropy, the projection
+    of (eta a + c - g)/(1+eta) for the Euclidean setups (a recentred DGF
+    shifts both divergences alike), and for the a-norm ball, which has one
+    block, the ball solve at (eta grad w(a) + grad w(c) - g)/(1+eta)."""
+    out = []
+    for ab, cb, gb in zip(anchor, center, g):
+        if geometry.kind is GeometryKind.A_NORM_BALL:
+            ga = dgf_grad(geometry, Point((ab,))).blocks[0]
+            gc = dgf_grad(geometry, Point((cb,))).blocks[0]
+            out.append(_ball_constrained_solve(
+                geometry, (eta * ga + gc - gb) / (1.0 + eta)))
+        elif geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
+            wa, wc = eta / (1.0 + eta), 1.0 / (1.0 + eta)
+            e = wa * np.log(ab) + wc * np.log(cb) - wc * gb
+            e -= e.max()
+            np.exp(e, out=e)
+            e /= e.sum()
+            out.append(e)
+        else:
+            v = (eta * ab + cb - gb) / (1.0 + eta)
+            if geometry.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+                out.append(project_block_simplex(v))
+            else:
+                n, r = float(np.linalg.norm(v)), geometry.domain.radius
+                out.append(v if n <= r else v * (r / n))
+    return out
+
+
 def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
                   log_predicate=None, system=None):
     """``paus_run`` (``solver`` "paus") or ``mirror_prox_run``
@@ -287,15 +319,12 @@ def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
         if solved is None:
             fallbacks += 1
             problem = CompositeProblem(
-                gamma=gamma, anchor=Point(tuple(z)), f1=server,
-                offset=DualVector(tuple(offset)), geometry=geom, l_f1=config.l_f1,
+                gamma=gamma, anchor=np.concatenate(z), f1=server,
+                offset=np.concatenate(offset), geometry=geom, l_f1=config.l_f1,
             )
-            u, inner_iters = composite_mp(problem, Point(tuple(v0)),
-                                          *_inner_plan(config))
-            u = list(u.blocks)
-        else:
-            u = [solved[0][lo:hi] for lo, hi in geom.layout.bounds]
-            inner_iters = solved[1]
+            solved = composite_mp(problem, np.concatenate(v0), *_inner_plan(config))
+        u = [solved[0][lo:hi] for lo, hi in geom.layout.bounds]
+        inner_iters = solved[1]
         if entropy:
             u = per_block_floor(u)
         f1_u = per_block_evaluate(server, u)

@@ -16,7 +16,7 @@ import pytest
 
 import conftest
 from oracles import entropy_composite_oracle, entropy_prox_oracle
-from test_inner import _game_problem
+from test_inner import _game_problem, _run
 
 from visim.bench import (
     GameSpec,
@@ -37,7 +37,7 @@ from visim.geometry import (
     prox_map,
     uniform_point,
 )
-from visim.inner import InnerSettings, composite_mp
+from visim.inner import InnerSettings
 from visim.operators import saddle_shard
 from visim.paus import PausConfig, paus_run
 from visim.restart import (
@@ -101,14 +101,14 @@ def test_criterion_2_average_regret_certificate():
     out = paus_run(cfg, ClusterState(shards=shard_data(mats, spec.m)),
                    keep_iterates=True)
     mean_op = saddle_shard(mats.mean(axis=0))
-    f_uk = [mean_op.evaluate(u) for u in out.u_path]
+    f_uk = [np.split(mean_op.evaluate(u.concat()), 2) for u in out.u_path]
     rng = np.random.default_rng(0)
     worst_margin = -np.inf
     for _ in range(100):
         z = Point.of(*(rng.dirichlet(np.ones(spec.d)) for _ in range(2)))
         lhs = np.mean([
             sum(float(fb @ (ub - zb)) for fb, ub, zb
-                in zip(f.blocks, u.blocks, z.blocks))
+                in zip(f, u.blocks, z.blocks))
             for f, u in zip(f_uk, out.u_path)
         ])
         rhs = bregman_divergence(geom, z, z0) / (K * cfg.gamma)
@@ -131,8 +131,8 @@ def test_criterion_3_inner_linear_rate():
         eta = prob.eta  # = delta / (2 L_F1) at gamma = 1/delta
         v0 = uniform_point(geom)
         t_run = 60
-        v_star = composite_mp(prob, v0, 10 * t_run, 0.0)[0]
-        _, _, path = composite_mp(prob, v0, t_run, 0.0, record_path=True)
+        v_star = _run(prob, v0, 10 * t_run, 0.0)[0]
+        _, _, path = _run(prob, v0, t_run, 0.0, record_path=True)
         v_prev = bregman_divergence(geom, v_star, v0)
         for t, v in enumerate(path, start=1):
             bound = v_prev / (1.0 + eta) ** t
@@ -237,9 +237,7 @@ def test_criterion_7_prox_oracle_equivalence():
         else:
             anchor = rng.dirichlet(np.ones(d))
             eta = float(10.0 ** rng.uniform(-1.3, 0.7))
-            got = composite_prox_map(
-                geom, Point.of(anchor), Point.of(center), DualVector.of(g), eta
-            )
+            got = Point.of(composite_prox_map(geom, anchor, center, g, eta))
             want = entropy_composite_oracle(anchor, center, g, eta)
         worst = max(worst, float(np.abs(got.blocks[0] - want).max()))
     elapsed = time.perf_counter() - t0

@@ -16,14 +16,19 @@ def _pair(rng, d):
     return Point.of(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d)))
 
 
+def _blocks(flat, z):
+    """The flat array cut into the blocks of the Point z."""
+    return np.split(flat, np.cumsum([b.size for b in z.blocks])[:-1])
+
+
 def test_round_counts_one_per_exchange():
     rng = np.random.default_rng(0)
     cluster = _cluster([rng.normal(size=(3, 3)) for _ in range(4)])
-    z = _pair(rng, 3)
+    z = _pair(rng, 3).concat()
     gather_average(cluster, [z])
     assert cluster.round_count == 1
     # batching: two points still one round
-    gather_average(cluster, [z, _pair(rng, 3)])
+    gather_average(cluster, [z, _pair(rng, 3).concat()])
     assert cluster.round_count == 2
 
 
@@ -33,21 +38,50 @@ def test_gather_average_matches_mean_matrix():
     cluster = _cluster(mats)
     mean_op = saddle_shard(np.mean(mats, axis=0))
     z = _pair(rng, 4)
-    out = gather_average(cluster, [z])[0]
-    want = mean_op.evaluate(z)
-    for a, b in zip(out.blocks, want.blocks):
+    out = gather_average(cluster, [z.concat()])[0]
+    want = mean_op.evaluate(z.concat())
+    for a, b in zip(_blocks(out, z), _blocks(want, z)):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_byte_accounting():
     rng = np.random.default_rng(2)
     cluster = _cluster([rng.normal(size=(3, 3)) for _ in range(4)])
-    z = _pair(rng, 3)
+    z = _pair(rng, 3).concat()
     gather_average(cluster, [z])
     # 2 directions * m workers * 6 coords * 8 bytes
     assert cluster.bytes_sent == 2 * 4 * 6 * 8
     gather_average(cluster, [z, z])
     assert cluster.bytes_sent == 2 * 4 * 6 * 8 * 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_k_point_exchange_is_one_round(k):
+    # one round and 2 m n k 8 bytes: k points of n coordinates, out to and
+    # back from each of the m workers
+    rng = np.random.default_rng(20 + k)
+    m, d = 3, 4
+    cluster = _cluster([rng.normal(size=(d, d)) for _ in range(m)])
+    points = [_pair(rng, d).concat() for _ in range(k)]
+    out = gather_average(cluster, points)
+    assert len(out) == k and all(f.shape == (2 * d,) for f in out)
+    assert cluster.round_count == 1
+    assert cluster.bytes_sent == 2 * m * (2 * d) * k * 8
+
+
+def test_mis_sized_point_moves_no_counter():
+    rng = np.random.default_rng(21)
+    cluster = _cluster([rng.normal(size=(3, 3)) for _ in range(4)])
+    gather_average(cluster, [_pair(rng, 3).concat()])
+    rounds, sent = cluster.round_count, cluster.bytes_sent
+    good = _pair(rng, 3).concat()
+    for bad in (good[:5], np.append(good, 0.0), good.reshape(2, 3)):
+        with pytest.raises(ShapeError):
+            gather_average(cluster, [bad])
+        # a bad point anywhere in the exchange rejects all of it
+        with pytest.raises(ShapeError):
+            gather_average(cluster, [good, bad])
+    assert (cluster.round_count, cluster.bytes_sent) == (rounds, sent)
 
 
 def test_worker_failure_reports_index():
@@ -62,7 +96,7 @@ def test_gather_input_validation():
     with pytest.raises(ConfigError):
         gather_average(cluster, [])
     with pytest.raises(ConfigError):
-        gather_average(ClusterState(shards=[]), [Point.of([1.0, 0.0])])
+        gather_average(ClusterState(shards=[]), [np.array([1.0, 0.0])])
 
 
 def test_shard_data_block_means():
@@ -150,12 +184,12 @@ def test_gather_equals_average_operator_product_bitwise_saddle(m, d):
     cluster = ClusterState(shards=shards)
     for _ in range(5):
         z = _pair(rng, d)
-        got = gather_average(cluster, [z])[0]
-        for a, b in zip(got.blocks, _average_operator_product(shards, z)):
+        got = gather_average(cluster, [z.concat()])[0]
+        for a, b in zip(_blocks(got, z), _average_operator_product(shards, z)):
             np.testing.assert_array_equal(a, b)
         # the server's own shard, a stack of one, is its plain product
-        f1 = cluster.server_evaluate(z)
-        for a, b in zip(f1.blocks, _per_shard_loop(shards[:1], z)):
+        f1 = cluster.server_shard.evaluate(z.concat())
+        for a, b in zip(_blocks(f1, z), _per_shard_loop(shards[:1], z)):
             np.testing.assert_array_equal(a, b)
 
 
@@ -169,9 +203,9 @@ def test_gather_equals_average_operator_product_bitwise_affine():
     cluster = ClusterState(shards=shards)
     for _ in range(5):
         z = Point.of(rng.normal(size=dim))
-        got = gather_average(cluster, [z])[0]
+        got = gather_average(cluster, [z.concat()])[0]
         np.testing.assert_array_equal(
-            got.blocks[0], _average_operator_product(shards, z)[0]
+            _blocks(got, z)[0], _average_operator_product(shards, z)[0]
         )
 
 
@@ -200,12 +234,12 @@ def test_gather_is_one_average_product(m, d, affine, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(OperatorShard, "evaluate",
                    lambda self, p: calls.append(self) or evaluate(self, p))
-        got = gather_average(cluster, [z])[0]
+        got = gather_average(cluster, [z.concat()])[0]
     # one operator evaluated, whatever m is
     assert len(calls) == 1
     assert cluster.round_count == 1
 
-    for a, b in zip(got.blocks, _average_operator_product(shards, z)):
+    for a, b in zip(_blocks(got, z), _average_operator_product(shards, z)):
         np.testing.assert_array_equal(a, b)
 
     # forward error against the worker-order loop: each side is within
@@ -219,5 +253,5 @@ def test_gather_is_one_average_product(m, d, affine, seed):
         x, y = z.blocks
         S = [abs_mean @ np.abs(y), abs_mean.T @ np.abs(x)]
     bound = (m + d + 2) * np.finfo(float).eps
-    for a, b, s in zip(got.blocks, _per_shard_loop(shards, z), S):
+    for a, b, s in zip(_blocks(got, z), _per_shard_loop(shards, z), S):
         assert np.all(np.abs(a - b) <= bound * s)

@@ -30,16 +30,17 @@ from visim.geometry import (
     mirror_map_flat,
     project_block_simplex,
     prox_map,
+    prox_map_flat,
     random_point,
     recenter,
     uniform_point,
 )
-from visim.inner import CompositeProblem, NewtonSystem, composite_mp, newton_solve_flat
+from visim.inner import CompositeProblem, NewtonSystem, newton_solve_flat
 from visim.operators import OperatorShard, saddle_shard
 from visim.paus import PausConfig, paus_run
 from visim.restart import RestartConfig, paus_r, synthetic_strongly_monotone
 
-from test_inner import _ball_problem
+from test_inner import _ball_problem, _run
 
 GEOMETRIES = ["entropy", "entropy-floored", "simplex", "ball", "ball-sphere",
               "ball-recentred"]
@@ -79,16 +80,16 @@ def _instance(kind, d, seed, gamma):
         A *= ga / (gamma * np.linalg.norm(A, 2))
         b *= gb / (gamma * np.linalg.norm(b))
         offset *= go / (gamma * np.linalg.norm(offset))
-        anchor = Point.of(0.5 * random_point(geom, rng).blocks[0])
+        anchor = 0.5 * random_point(geom, rng).blocks[0]
         f1 = OperatorShard(A, b)
-        offset = DualVector.of(offset)
     else:
         geom = (euclidean_simplex(d) if kind == "simplex" else entropy_simplex(d))
         f1 = saddle_shard(rng.uniform(-1.0, 1.0, size=(d, d)))
-        offset = DualVector.of(0.5 * rng.normal(size=d), 0.5 * rng.normal(size=d))
+        offset = np.concatenate([0.5 * rng.normal(size=d), 0.5 * rng.normal(size=d)])
         anchor = random_point(geom, rng)
         if kind == "entropy-floored":
             anchor = _floored(geom, anchor, rng)
+        anchor = anchor.concat()
     l_f1 = float(np.linalg.norm(f1.matrix, 2))
     prob = CompositeProblem(gamma=gamma, anchor=anchor, f1=f1, offset=offset,
                             geometry=geom, l_f1=l_f1)
@@ -113,8 +114,8 @@ def _newton(prob, v0, system=None):
     geom = prob.geometry
     if system is None:
         system = NewtonSystem(prob.f1, prob.gamma, geom)
-    out = newton_solve_flat(system, geom, dgf_grad_flat(geom, prob.anchor.concat()),
-                            prob.offset.concat(), v0.concat())
+    out = newton_solve_flat(system, geom, dgf_grad_flat(geom, prob.anchor),
+                            prob.offset, v0.concat())
     return None if out is None else (geom.layout.split(out[0]), out[1])
 
 
@@ -123,7 +124,7 @@ def _attempt(name, prob, v0, system):
     attempt on the subproblem's concatenated operands; returns its answer
     as a Point (None if it stalled) and its steps."""
     geom = prob.geometry
-    c = dgf_grad(geom, prob.anchor).concat() - prob.gamma * prob.offset.concat()
+    c = dgf_grad_flat(geom, prob.anchor) - prob.gamma * prob.offset
     if name == "reduced":
         u, steps = inner._reduced_newton(system, c, v0.concat())
     else:
@@ -133,11 +134,9 @@ def _attempt(name, prob, v0, system):
 
 def _prox_residual(prob, u):
     """|| u - prox_map(anchor, gamma (F1(u) + offset), 1) ||_inf"""
-    f1u = prob.f1.evaluate(u)
-    g = DualVector(tuple(prob.gamma * (fb + ob)
-                         for fb, ob in zip(f1u.blocks, prob.offset.blocks)))
-    fixed = prox_map(prob.geometry, prob.anchor, g, 1.0)
-    return float(np.abs(u.concat() - fixed.concat()).max())
+    g = prob.gamma * (prob.f1.evaluate(u.concat()) + prob.offset)
+    fixed = prox_map_flat(prob.geometry, prob.anchor, g, 1.0)
+    return float(np.abs(u.concat() - fixed).max())
 
 
 @settings(max_examples=300)
@@ -207,7 +206,7 @@ def test_newton_agrees_with_the_extragradient_loop(args):
     u, _ = out
     # V(v*, v^T) <= V0 e^{-60}: coordinates within about 1e-12 sqrt(V0)
     T = math.ceil(60.0 / math.log1p(prob.eta))
-    ref, iters = composite_mp(prob, v0, T, 0.0)
+    ref, iters = _run(prob, v0, T, 0.0)
     assert iters == T
     assert float(np.abs(u.concat() - ref.concat()).max()) <= 1e-9
 
@@ -216,7 +215,8 @@ def test_newton_agrees_with_the_extragradient_loop(args):
 @given(st.sampled_from(GEOMETRIES), st.integers(2, 8), st.integers(0, 2**32 - 1))
 def test_mirror_map_inverts_dgf_grad(kind, d, seed):
     prob, _ = _instance(kind, d, seed, 1.0)
-    geom, z = prob.geometry, prob.anchor
+    geom = prob.geometry
+    z = geom.layout.split(prob.anchor)
     if kind == "simplex":
         z = Point(tuple(np.maximum(b, 1e-3) / np.maximum(b, 1e-3).sum()
                         for b in z.blocks))
@@ -231,7 +231,7 @@ def test_mirror_map_inverts_dgf_grad(kind, d, seed):
 def test_mirror_jacobian_matches_finite_differences(kind):
     prob, v0 = _instance(kind, 5, seed=11, gamma=1.0)
     geom = prob.geometry
-    theta = dgf_grad(geom, prob.anchor).concat()
+    theta = dgf_grad_flat(geom, prob.anchor)
     if kind == "ball-sphere":
         theta = 3.0 * theta / np.linalg.norm(theta)
     _, diag, rank_one = mirror_map_flat(geom, theta)
@@ -262,9 +262,9 @@ def test_newton_leaves_the_a_norm_ball_to_the_extragradient_loop():
     geom = a_norm_ball(4)
     rng = np.random.default_rng(0)
     prob = CompositeProblem(
-        gamma=1.0, anchor=uniform_point(geom),
+        gamma=1.0, anchor=uniform_point(geom).concat(),
         f1=OperatorShard(np.eye(4), np.zeros(4)),
-        offset=DualVector.of(rng.normal(size=4)), geometry=geom, l_f1=1.0,
+        offset=rng.normal(size=4), geometry=geom, l_f1=1.0,
     )
     with pytest.raises(ParameterError):
         _newton(prob, uniform_point(geom))
@@ -641,8 +641,8 @@ def test_newton_solves_rectangular_saddle_subproblems(args):
     kind, d1, d2, seed, gamma = args
     f1, geom, _, rng = _layout(kind, d1, d2, seed, gamma)
     prob = CompositeProblem(
-        gamma=gamma, anchor=random_point(geom, rng), f1=f1,
-        offset=DualVector.of(0.5 * rng.normal(size=d1), 0.5 * rng.normal(size=d2)),
+        gamma=gamma, anchor=random_point(geom, rng).concat(), f1=f1,
+        offset=np.concatenate([0.5 * rng.normal(size=d1), 0.5 * rng.normal(size=d2)]),
         geometry=geom, l_f1=float(np.linalg.norm(f1.matrix, 2)),
     )
     v0 = random_point(geom, rng)
@@ -685,7 +685,7 @@ def test_reduced_solve_skips_its_scale_only_far_from_round_off(args):
 
         mp.setattr(inner, "softmax_map", recording)
         u, steps = _attempt("reduced", prob, v0, system)
-    c = dgf_grad(geom, prob.anchor).concat() - gamma * prob.offset.concat()
+    c = dgf_grad_flat(geom, prob.anchor) - gamma * prob.offset
     c1, c2 = c[:d1], c[d1:]
     bound = inner._reduced_scale_bound(system, c1, np.abs(c2))
     far = 2.0 * math.sqrt(c2.size) * inner.NEWTON_RTOL * bound
@@ -739,7 +739,7 @@ def _check_reduced_rows(prob, v0, system, answer):
     # both rows of the full normal map G(w) = w - c + gamma F1(u), and their
     # round-off scale |w| + |c| + |gM| (|u| + |D| |w|) with the softmax
     # Jacobian's magnitudes |D| = diag(u) + u u^T, from dense matrices
-    c = dgf_grad(geom, prob.anchor).concat() - gamma * prob.offset.concat()
+    c = dgf_grad_flat(geom, prob.anchor) - gamma * prob.offset
     c1, c2 = c[:d1], c[d1:]
     g1 = w1 - c1 + system.gM @ y
     g2 = w2 - c2 - system.gMT @ x

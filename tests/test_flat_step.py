@@ -1,8 +1,8 @@
 """The outer loop on flat arrays: ``paus_run``, ``mirror_prox_run`` and
 ``paus_r`` against the same loop written out block by block
 (``oracles.per_block_run``), and each flat function of a step against the
-per-block formulas and, where one remains, its Point function, bit for
-bit."""
+per-block formulas and, where one remains, its public Point function, bit
+for bit."""
 
 import math
 
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    per_block_composite_prox,
     per_block_evaluate,
     per_block_floor,
     per_block_grad,
@@ -20,7 +21,7 @@ from oracles import (
 from visim import inner, paus, restart
 from visim.baselines import BaselineConfig, BaselineKind, mirror_prox_run
 from visim.cluster import ClusterState
-from visim.errors import DomainError
+from visim.errors import DomainError, ShapeError
 from visim.geometry import (
     Domain,
     DomainKind,
@@ -29,6 +30,7 @@ from visim.geometry import (
     GeometrySetup,
     Point,
     a_norm_ball,
+    composite_prox_map,
     dgf_grad,
     dgf_grad_flat,
     euclidean_ball,
@@ -96,7 +98,7 @@ def _assert_same_run(got, want, cluster, ref_cluster, paths):
 def test_paus_run_matches_the_per_block_step(game, fallback, monkeypatch):
     if fallback:
         # no Newton step and no continuation: every subproblem goes to the
-        # extragradient loop through Points built at the loop's edge
+        # extragradient loop
         monkeypatch.setattr(inner, "NEWTON_MAX_STEPS", 0)
         monkeypatch.setattr(inner, "_GAMMA_CONTINUATION_CAP", 0)
     shard_mats, geom, gamma, l_f1, _, gap_fn = _game(*GAMES[game], seed=3)
@@ -182,6 +184,24 @@ def test_paus_run_sends_the_a_norm_ball_straight_to_composite_mp(monkeypatch):
     _assert_same_run(got, want, cluster, ref_cluster, paths=True)
 
 
+@pytest.mark.parametrize("solver", ["paus", "mirror-prox"])
+def test_a_layout_the_shards_do_not_fit_is_rejected(solver):
+    # the (5, 3) layout's points have the size of the (3, 5) game's, so
+    # only the block sizes tell them apart; no round may be spent
+    shard_mats, geom, gamma, l_f1, L, _ = _game("euclidean", 3, 5)
+    wrong = GeometrySetup(geom.kind, (5, 3), geom.domain)
+    cluster = ClusterState(shards=[saddle_shard(M) for M in shard_mats])
+    with pytest.raises(ShapeError):
+        if solver == "paus":
+            paus_run(PausConfig(gamma=gamma, iters=2, geometry=wrong,
+                                z0=uniform_point(wrong), l_f1=l_f1), cluster)
+        else:
+            mirror_prox_run(BaselineConfig(
+                kind=BaselineKind.MIRROR_PROX, stepsize=1.0 / L, iters=2,
+                geometry=wrong, z0=uniform_point(wrong)), cluster)
+    assert cluster.round_count == cluster.bytes_sent == 0
+
+
 @pytest.mark.parametrize("game", ["entropy", "euclidean", "ball"])
 def test_kept_iterates_hold_the_values_of_their_own_step(game, monkeypatch):
     # each step's u^k and z^{k+1} are copied as the step returns them; the
@@ -227,10 +247,25 @@ def test_kept_iterates_hold_the_values_of_their_own_step(game, monkeypatch):
 # each flat function against the per-block formulas and its Point function
 
 
+def _point(kind, geom, rng):
+    """A random point of geom; for entropy, with a random proper subset of
+    each block's coordinates floored at 1e-300."""
+    z = random_point(geom, rng)
+    if kind != "entropy":
+        return z
+    blocks = []
+    for b in z.blocks:
+        b = b.copy()
+        if b.size > 1:
+            b[rng.permutation(b.size)[: rng.integers(1, b.size)]] = 0.0
+        blocks.append(b)
+    return geom.layout.split(floor_simplex_flat(np.concatenate(blocks),
+                                                geom.layout.bounds))
+
+
 def _setup(kind, d1, d2, rng):
-    """A geometry of the given kind, a point in it (entropy: with a random
-    proper subset of each block's coordinates floored at 1e-300), a dual
-    vector and an F1 that fits it."""
+    """A geometry of the given kind, a point in it (see :func:`_point`), a
+    dual vector and an F1 that fits it."""
     if kind in ("entropy", "simplex"):
         kind_ = (GeometryKind.ENTROPY_SIMPLEX if kind == "entropy"
                  else GeometryKind.EUCLIDEAN)
@@ -243,16 +278,7 @@ def _setup(kind, d1, d2, rng):
             geom = recenter(geom, random_point(geom, rng), random_point(geom, rng))
         K = rng.normal(size=(dim, dim))
         f1 = OperatorShard(0.5 * (K - K.T) + 0.1 * np.eye(dim), rng.normal(size=dim))
-    z = random_point(geom, rng)
-    if kind == "entropy":
-        blocks = []
-        for b in z.blocks:
-            b = b.copy()
-            if b.size > 1:
-                b[rng.permutation(b.size)[: rng.integers(1, b.size)]] = 0.0
-            blocks.append(b)
-        z = geom.layout.split(floor_simplex_flat(np.concatenate(blocks),
-                                                 geom.layout.bounds))
+    z = _point(kind, geom, rng)
     g = DualVector(tuple(rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
                          for n in geom.block_dims))
     return geom, f1, z, g
@@ -289,9 +315,14 @@ def test_flat_cores_match_their_wrappers(kind, d1, d2, seed, step):
         floored = floor_simplex_flat(zf, layout.bounds)
         assert _same(per_block_floor(list(z.blocks)), floored, layout)
 
-    fz = f1.evaluate_flat(zf)
-    assert _same(f1.evaluate(z).blocks, fz, layout)
+    fz = f1.evaluate(zf)
     assert _same(per_block_evaluate(f1, list(z.blocks)), fz, layout)
+
+    # the composite prox with anchor a, centre z and weight eta = step
+    a = _point(kind, geom, rng)
+    comp = composite_prox_map(geom, a.concat(), zf, gf, step)
+    assert _same(per_block_composite_prox(geom, list(a.blocks), list(z.blocks),
+                                          list(g.blocks), step), comp, layout)
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (3, 5), (6, 2)])

@@ -13,8 +13,11 @@ from visim.errors import (
     UnsupportedRecenterError,
 )
 from visim.geometry import (
+    Domain,
+    DomainKind,
     DualVector,
     GeometryKind,
+    GeometrySetup,
     Point,
     a_norm_ball,
     a_norm_exponent,
@@ -322,9 +325,9 @@ def test_composite_prox_eta_zero_degenerates():
     anchor = Point.of(rng.dirichlet(np.ones(3)))
     center = Point.of(rng.dirichlet(np.ones(3)))
     g = DualVector.of(rng.normal(size=3))
-    a = composite_prox_map(setup, anchor, center, g, 0.0)
+    a = composite_prox_map(setup, anchor.concat(), center.concat(), g.concat(), 0.0)
     b = prox_map(setup, center, g, 1.0)
-    np.testing.assert_allclose(a.blocks[0], b.blocks[0], atol=1e-14)
+    np.testing.assert_allclose(a, b.blocks[0], atol=1e-14)
 
 
 def test_composite_prox_entropy_against_newton_oracle():
@@ -341,11 +344,9 @@ def test_composite_prox_entropy_against_newton_oracle():
         center /= center.sum()
         g = rng.normal(size=d)
         eta = float(rng.uniform(0.01, 5.0))
-        got = composite_prox_map(
-            setup, Point.of(anchor), Point.of(center), DualVector.of(g), eta
-        )
+        got = composite_prox_map(setup, anchor, center, g, eta)
         ref = entropy_composite_oracle(anchor, center, g, eta)
-        worst = max(worst, float(np.abs(got.blocks[0] - ref).max()))
+        worst = max(worst, float(np.abs(got - ref).max()))
     assert worst < 1e-10, worst
 
 
@@ -358,18 +359,16 @@ def test_composite_prox_euclidean_against_oracle():
         center = rng.dirichlet(np.ones(d))
         g = rng.normal(size=d)
         eta = float(rng.uniform(0.05, 4.0))
-        got = composite_prox_map(
-            setup, Point.of(anchor), Point.of(center), DualVector.of(g), eta
-        )
+        got = composite_prox_map(setup, anchor, center, g, eta)
         ref = euclidean_composite_oracle(anchor, center, g, eta)
-        np.testing.assert_allclose(got.blocks[0], ref, atol=1e-12)
+        np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
 def test_composite_prox_rejects_negative_eta():
     setup = entropy_simplex(2, blocks=1)
-    z = Point.of([0.5, 0.5])
+    z = np.array([0.5, 0.5])
     with pytest.raises(ParameterError):
-        composite_prox_map(setup, z, z, DualVector.of([0.0, 0.0]), -0.1)
+        composite_prox_map(setup, z, z, np.array([0.0, 0.0]), -0.1)
 
 
 def test_composite_prox_optimality_first_order():
@@ -389,7 +388,8 @@ def test_composite_prox_optimality_first_order():
             + bregman_divergence(setup, v, center)
         )
 
-    v = composite_prox_map(setup, anchor, center, g, eta)
+    v = Point.of(composite_prox_map(setup, anchor.concat(), center.concat(),
+                                    g.concat(), eta))
     base = obj(v)
     for _ in range(50):
         other = Point.of(rng.dirichlet(np.ones(4)))
@@ -440,6 +440,22 @@ def test_validate_point_shapes_and_domains():
     ball = euclidean_ball(2, radius=1.0)
     with pytest.raises(DomainError):
         validate_point(ball, Point.of([1.0, 1.0]))
+
+
+def test_ball_setups_no_solver_can_run_are_rejected():
+    # validate_point and max_divergence_bound measure only block 0 of a
+    # ball, and the Euclidean prox projects onto l2 balls only
+    for kind, dims, p in [
+        (GeometryKind.EUCLIDEAN, (3, 3), 2.0),
+        (GeometryKind.EUCLIDEAN, (4,), 3.0),
+        (GeometryKind.EUCLIDEAN, (4,), 1.0),
+        (GeometryKind.A_NORM_BALL, (3, 3), 1.5),
+    ]:
+        with pytest.raises(ParameterError):
+            GeometrySetup(kind, dims, Domain(DomainKind.NORM_BALL, p, 1.0))
+    # the setups the solvers run
+    assert euclidean_ball(4, radius=2.0).block_dims == (4,)
+    assert a_norm_ball(6, p=1.0).domain.p == 1.0
 
 
 def test_dgf_grad_inverse_roundtrip_a_norm():

@@ -9,24 +9,21 @@ from visim.errors import DomainError, NumericsError, ParameterError
 from visim.geometry import (
     Domain,
     DomainKind,
-    DualVector,
     GeometryKind,
     GeometrySetup,
     Point,
     TINY_MASS,
     bregman_divergence,
     composite_prox_map,
-    dgf_grad,
     dgf_grad_flat,
     entropy_simplex,
     euclidean_ball,
     euclidean_simplex,
-    pairing,
     random_point,
     uniform_point,
 )
 from visim.inner import CompositeProblem, NewtonSystem, composite_mp, newton_solve_flat
-from visim.operators import OperatorShard, saddle_shard
+from visim.operators import saddle_shard
 
 
 def _game_problem(d, T, m, seed, gamma=None, geometry=entropy_simplex):
@@ -41,14 +38,10 @@ def _game_problem(d, T, m, seed, gamma=None, geometry=entropy_simplex):
     delta = float(np.abs(mean - shard1_mat).max())
     l_f1 = float(np.abs(shard1_mat).max())
     geom = geometry(d)
-    anchor = uniform_point(geom)
+    anchor = uniform_point(geom).concat()
     f1 = saddle_shard(shard1_mat)
     mean_op = saddle_shard(mean)
-    f_anchor = mean_op.evaluate(anchor)
-    f1_anchor = f1.evaluate(anchor)
-    offset = DualVector(
-        tuple(a - b for a, b in zip(f_anchor.blocks, f1_anchor.blocks))
-    )
+    offset = mean_op.evaluate(anchor) - f1.evaluate(anchor)
     prob = CompositeProblem(
         gamma=gamma if gamma is not None else 1.0 / delta,
         anchor=anchor,
@@ -60,18 +53,27 @@ def _game_problem(d, T, m, seed, gamma=None, geometry=entropy_simplex):
     return prob, delta, l_f1
 
 
+def _run(prob, v0, max_iters, movement_tol=0.0, record_path=False):
+    """``composite_mp`` from the Point v0, its iterates split into Points."""
+    split = prob.geometry.layout.split
+    out = composite_mp(prob, v0.concat(), max_iters, movement_tol, record_path)
+    if record_path:
+        return split(out[0]), out[1], [split(v) for v in out[2]]
+    return split(out[0]), out[1]
+
+
 def test_zero_operator_anchor_is_stationary():
     geom = entropy_simplex(3)
     anchor = uniform_point(geom)
     prob = CompositeProblem(
         gamma=1.0,
-        anchor=anchor,
+        anchor=anchor.concat(),
         f1=saddle_shard(np.zeros((3, 3))),
-        offset=DualVector.of(np.zeros(3), np.zeros(3)),
+        offset=np.zeros(6),
         geometry=geom,
         l_f1=1.0,
     )
-    v, iters = composite_mp(prob, anchor, 25, 0.0)
+    v, iters = _run(prob, anchor, 25, 0.0)
     for a, b in zip(v.blocks, anchor.blocks):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -83,13 +85,13 @@ def test_zero_operator_pulls_toward_anchor():
     v0 = Point.of(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3)))
     prob = CompositeProblem(
         gamma=1.0,
-        anchor=anchor,
+        anchor=anchor.concat(),
         f1=saddle_shard(np.zeros((3, 3))),
-        offset=DualVector.of(np.zeros(3), np.zeros(3)),
+        offset=np.zeros(6),
         geometry=geom,
         l_f1=1.0,
     )
-    v, _ = composite_mp(prob, v0, 400, 0.0)
+    v, _ = _run(prob, v0, 400, 0.0)
     assert bregman_divergence(geom, v, anchor) < 1e-8
 
 
@@ -101,7 +103,7 @@ def _reference_solution(prob, geom):
     T = min(2_000_000, math.ceil(55.0 / math.log1p(prob.eta)))
     rng = np.random.default_rng(99)
     starts = [uniform_point(geom)] + [random_point(geom, rng) for _ in range(2)]
-    sols = [composite_mp(prob, s, T, 0.0)[0] for s in starts]
+    sols = [_run(prob, s, T, 0.0)[0] for s in starts]
     for s in sols[1:]:
         assert float(np.abs(s.concat() - sols[0].concat()).max()) < 1e-10
     return sols[0]
@@ -113,7 +115,7 @@ def test_linear_contraction_certificate():
     geom = prob.geometry
     eta = prob.eta
     v_star = _reference_solution(prob, geom)
-    _, _, path = composite_mp(
+    _, _, path = _run(
         prob, uniform_point(geom), 60, 0.0, record_path=True
     )
     prev = uniform_point(geom)
@@ -132,7 +134,7 @@ def test_rate_matches_theory_envelope():
     v0 = uniform_point(geom)
     V0 = bregman_divergence(geom, v_star, v0)
     for T in (10, 25, 50):
-        vT, _ = composite_mp(prob, v0, T, 0.0)
+        vT, _ = _run(prob, v0, T, 0.0)
         bound = math.exp(-T * delta / (3.0 * l_f1)) * V0
         assert bregman_divergence(geom, v_star, vT) <= bound + 1e-9
 
@@ -141,24 +143,15 @@ def test_line4_vi_residual():
     # <gamma (F1(v)+offset) + grad w(v) - grad w(anchor), z - v> >= -1e-6
     prob, _, _ = _game_problem(d=4, T=60, m=4, seed=3)
     geom = prob.geometry
-    v, _ = composite_mp(prob, uniform_point(geom), 2000, 1e-22)
-    f1v = prob.f1.evaluate(v)
-    lhs = DualVector(
-        tuple(
-            prob.gamma * (fb + ob) + gb - ga
-            for fb, ob, gb, ga in zip(
-                f1v.blocks,
-                prob.offset.blocks,
-                dgf_grad(geom, v).blocks,
-                dgf_grad(geom, prob.anchor).blocks,
-            )
-        )
-    )
+    v, _ = _run(prob, uniform_point(geom), 2000, 1e-22)
+    f1v = prob.f1.evaluate(v.concat())
+    lhs = (prob.gamma * (f1v + prob.offset) + dgf_grad_flat(geom, v.concat())
+           - dgf_grad_flat(geom, prob.anchor))
     rng = np.random.default_rng(4)
     for _ in range(200):
         z = random_point(geom, rng)
-        diff = Point(tuple(zb - vb for zb, vb in zip(z.blocks, v.blocks)))
-        assert pairing(lhs, diff) >= -1e-6
+        diff = z.concat() - v.concat()
+        assert float(lhs @ diff) >= -1e-6
 
 
 def _ball_problem(dim, seed, push=0.0):
@@ -170,12 +163,12 @@ def _ball_problem(dim, seed, push=0.0):
     )
     rng = np.random.default_rng(seed)
     geom = euclidean_ball(dim)
-    anchor = random_point(geom, rng)
+    anchor = random_point(geom, rng).concat()
     f_anchor = gather_average(ClusterState(shards=shards), [anchor])[0]
     f1_anchor = shards[0].evaluate(anchor)
-    offset = f_anchor.blocks[0] - f1_anchor.blocks[0] + push * rng.standard_normal(dim)
+    offset = f_anchor - f1_anchor + push * rng.standard_normal(dim)
     prob = CompositeProblem(
-        gamma=1.0, anchor=anchor, f1=shards[0], offset=DualVector.of(offset),
+        gamma=1.0, anchor=anchor, f1=shards[0], offset=offset,
         geometry=geom, l_f1=consts.L_F1,
     )
     return prob, random_point(geom, rng)
@@ -190,30 +183,24 @@ def test_composite_mp_on_uneven_blocks_and_an_lp_ball():
     )
     M = rng.uniform(-1.0, 1.0, size=(3, 5))
     prob = CompositeProblem(
-        gamma=1.0, anchor=uniform_point(geom), f1=saddle_shard(M),
-        offset=DualVector.of(rng.normal(size=3), rng.normal(size=5)),
+        gamma=1.0, anchor=uniform_point(geom).concat(), f1=saddle_shard(M),
+        offset=np.concatenate([rng.normal(size=3), rng.normal(size=5)]),
         geometry=geom, l_f1=float(np.linalg.norm(M, 2)),
     )
     v0 = random_point(geom, rng)
     exact, _ = newton_solve_flat(
         NewtonSystem(prob.f1, prob.gamma, geom), geom,
-        dgf_grad_flat(geom, prob.anchor.concat()), prob.offset.concat(), v0.concat(),
+        dgf_grad_flat(geom, prob.anchor), prob.offset, v0.concat(),
     )
-    v, iters = composite_mp(prob, v0, 2000, 1e-24)
+    v, iters = _run(prob, v0, 2000, 1e-24)
     assert iters < 2000
     assert [b.size for b in v.blocks] == [3, 5]
     assert float(np.abs(v.concat() - exact).max()) <= 1e-9
-    # an l3 ball has no Euclidean projection
-    geom = GeometrySetup(
-        GeometryKind.EUCLIDEAN, (4,), Domain(DomainKind.NORM_BALL, 3.0, 1.0)
-    )
-    prob = CompositeProblem(
-        gamma=1.0, anchor=uniform_point(geom),
-        f1=OperatorShard(np.eye(4), np.ones(4)), offset=DualVector.of(np.ones(4)),
-        geometry=geom, l_f1=1.0,
-    )
+    # an l3 ball has no Euclidean projection: the setup itself is refused
     with pytest.raises(ParameterError):
-        composite_mp(prob, uniform_point(geom), 5)
+        GeometrySetup(
+            GeometryKind.EUCLIDEAN, (4,), Domain(DomainKind.NORM_BALL, 3.0, 1.0)
+        )
 
 
 def test_euclidean_loop_rejects_non_finite_offset():
@@ -222,14 +209,14 @@ def test_euclidean_loop_rejects_non_finite_offset():
     cases = [
         (CompositeProblem(
             gamma=prob.gamma, anchor=prob.anchor, f1=prob.f1,
-            offset=DualVector.of([0.0, np.inf, 0.0, 0.0], np.zeros(4)),
+            offset=np.concatenate([[0.0, np.inf, 0.0, 0.0], np.zeros(4)]),
             geometry=prob.geometry, l_f1=prob.l_f1,
         ), prob.anchor),
         (CompositeProblem(
             gamma=ball.gamma, anchor=ball.anchor, f1=ball.f1,
-            offset=DualVector.of(np.full(5, np.nan)),
+            offset=np.full(5, np.nan),
             geometry=ball.geometry, l_f1=ball.l_f1,
-        ), v0_ball),
+        ), v0_ball.concat()),
     ]
     for bad, v0 in cases:
         with pytest.raises(NumericsError):
@@ -244,19 +231,20 @@ def test_entropy_floor_keeps_underflowing_coordinates():
     geom = entropy_simplex(d)
     edge = np.array([1.0 - 3e-300, 1e-300, 1e-300, 1e-300])
     anchor = Point.of(edge, np.full(d, 1.0 / d))
+    a = anchor.concat()
     prob = CompositeProblem(
         gamma=1.0,
-        anchor=anchor,
+        anchor=a,
         f1=saddle_shard(np.ones((d, d))),
-        offset=DualVector.of([0.0, 5.0, 5.0, 5.0], np.zeros(d)),
+        offset=np.concatenate([[0.0, 5.0, 5.0, 5.0], np.zeros(d)]),
         geometry=geom,
         l_f1=1.0,
     )
-    raw = composite_prox_map(
-        geom, anchor, anchor, prob.gradient(anchor), prob.eta
-    )
+    raw = geom.layout.split(composite_prox_map(
+        geom, a, a, prob.gradient(a), prob.eta
+    ))
     assert raw.blocks[0].min() < TINY_MASS
-    _, iters, path = composite_mp(prob, anchor, 3, 0.0, record_path=True)
+    _, iters, path = _run(prob, anchor, 3, 0.0, record_path=True)
     assert iters == len(path) == 3
     for v in path:
         for b in v.blocks:
@@ -264,7 +252,7 @@ def test_entropy_floor_keeps_underflowing_coordinates():
             assert b.sum() == pytest.approx(1.0, abs=1e-15)
     # a start with an exact zero is off the entropy domain
     with pytest.raises(DomainError):
-        composite_mp(prob, Point.of([1.0, 0.0, 0.0, 0.0], np.full(d, 1.0 / d)), 3)
+        _run(prob, Point.of([1.0, 0.0, 0.0, 0.0], np.full(d, 1.0 / d)), 3)
 
 
 def test_composite_solution_differs_from_f1_solution():
@@ -278,33 +266,24 @@ def test_composite_solution_differs_from_f1_solution():
     f1 = saddle_shard(M)
     prob = CompositeProblem(
         gamma=0.25,
-        anchor=anchor,
+        anchor=anchor.concat(),
         f1=f1,
-        offset=DualVector.of(np.zeros(d), np.zeros(d)),
+        offset=np.zeros(2 * d),
         geometry=geom,
         l_f1=float(np.abs(M).max()),
     )
-    v, _ = composite_mp(prob, uniform_point(geom), 3000, 1e-24)
+    v, _ = _run(prob, uniform_point(geom), 3000, 1e-24)
     # the composite stationarity condition holds ...
-    f1v = f1.evaluate(v)
-    resid = DualVector(
-        tuple(
-            prob.gamma * fb + gb - ga
-            for fb, gb, ga in zip(
-                f1v.blocks, dgf_grad(geom, v).blocks, dgf_grad(geom, anchor).blocks
-            )
-        )
-    )
+    f1v = f1.evaluate(v.concat())
+    resid = (prob.gamma * f1v + dgf_grad_flat(geom, v.concat())
+             - dgf_grad_flat(geom, anchor.concat()))
     for _ in range(100):
         z = random_point(geom, rng)
-        diff = Point(tuple(zb - vb for zb, vb in zip(z.blocks, v.blocks)))
-        assert pairing(resid, diff) >= -1e-6
+        diff = z.concat() - v.concat()
+        assert float(resid @ diff) >= -1e-6
     # ... while the plain-F1 residual is decisively violated somewhere
     worst = min(
-        pairing(
-            f1v,
-            Point(tuple(zb - vb for zb, vb in zip(z.blocks, v.blocks))),
-        )
+        float(f1v @ (z.concat() - v.concat()))
         for z in (random_point(geom, rng) for _ in range(300))
     )
     assert worst < -1e-3
@@ -312,7 +291,7 @@ def test_composite_solution_differs_from_f1_solution():
 
 def test_iterates_stay_strictly_positive():
     prob, _, _ = _game_problem(d=4, T=60, m=4, seed=8)
-    _, _, path = composite_mp(
+    _, _, path = _run(
         prob, uniform_point(prob.geometry), 50, 0.0, record_path=True
     )
     for v in path:
@@ -323,11 +302,11 @@ def test_input_validation():
     prob, _, _ = _game_problem(d=3, T=40, m=4, seed=9)
     v0 = uniform_point(prob.geometry)
     with pytest.raises(ParameterError):
-        composite_mp(prob, v0, 0)
+        _run(prob, v0, 0)
     with pytest.raises(ParameterError):
-        composite_mp(prob, v0, 5, movement_tol=-1.0)
+        _run(prob, v0, 5, movement_tol=-1.0)
     with pytest.raises(ParameterError):
         CompositeProblem(
-            gamma=-1.0, anchor=v0, f1=prob.f1, offset=prob.offset,
+            gamma=-1.0, anchor=v0.concat(), f1=prob.f1, offset=prob.offset,
             geometry=prob.geometry, l_f1=1.0,
         )

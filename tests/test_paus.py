@@ -171,22 +171,30 @@ def test_step_cap_zero_is_the_extragradient_route(monkeypatch):
 
     ref = ClusterState(shards=[saddle_shard(M) for M in shard_mats])
     cap, movement_tol = _inner_plan(cfg)
+    split = cfg.geometry.layout.split
+
+    def gather(p):
+        return split(gather_average(ref, [p.concat()])[0])
+
+    def server_evaluate(p):
+        return split(ref.server_shard.evaluate(p.concat()))
+
     z, prev_u, iters = cfg.z0, None, []
     for k in range(K):
-        f_z = gather_average(ref, [z])[0]
-        f1_z = ref.server_evaluate(z)
+        f_z = gather(z)
+        f1_z = server_evaluate(z)
         problem = CompositeProblem(
-            gamma=cfg.gamma, anchor=z, f1=ref.server_shard,
-            offset=DualVector(tuple(a - b for a, b in zip(f_z.blocks, f1_z.blocks))),
+            gamma=cfg.gamma, anchor=z.concat(), f1=ref.server_shard,
+            offset=np.concatenate([a - b for a, b in zip(f_z.blocks, f1_z.blocks)]),
             geometry=cfg.geometry, l_f1=l_f1,
         )
         v0 = prev_u if prev_u is not None else z
-        u, n = composite_mp(problem, v0, cap, movement_tol)
-        u = Point(tuple(per_block_floor(u.blocks)))
-        f_u = gather_average(ref, [u])[0]
+        u, n = composite_mp(problem, v0.concat(), cap, movement_tol)
+        u = Point(tuple(per_block_floor(split(u).blocks)))
+        f_u = gather(u)
         g = DualVector(tuple(
             a - b - c + d for a, b, c, d in zip(
-                f_u.blocks, ref.server_evaluate(u).blocks, f_z.blocks, f1_z.blocks)
+                f_u.blocks, server_evaluate(u).blocks, f_z.blocks, f1_z.blocks)
         ))
         z = prox_map(cfg.geometry, u, g, cfg.gamma)
         z = Point(tuple(per_block_floor(z.blocks)))

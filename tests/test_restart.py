@@ -213,7 +213,7 @@ def test_synthetic_family_properties():
     assert consts.mu == mu and consts.norm_tag == "l2"
     # the average operator vanishes at z_star
     avg = np.mean(
-        [s.evaluate(z_star).blocks[0] for s in shards], axis=0
+        [s.evaluate(z_star.concat()) for s in shards], axis=0
     )
     np.testing.assert_allclose(avg, 0.0, atol=1e-12)
     # server deviation has spectral norm exactly delta
