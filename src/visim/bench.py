@@ -107,7 +107,8 @@ def base_matrix(spec: GameSpec) -> np.ndarray:
 def generate_game(spec: GameSpec) -> np.ndarray:
     """T payoff matrices A_t = (1 + xi_t) C, xi_t Rademacher.
 
-    One xi per matrix by default (so each A_t is 0 or 2C); ``per_entry``
+    One xi per matrix by default (so each A_t is 0 or 2C, copied from
+    those two products with the bits of ``(1 + xi) * C``); ``per_entry``
     draws an independent sign per entry instead.  Per-entry games are
     written into the one T x d x d output in chunks of about
     ``_SIGN_CHUNK`` signs, so generation peaks at the output plus one
@@ -122,8 +123,10 @@ def generate_game(spec: GameSpec) -> np.ndarray:
     C = base_matrix(spec)
     rng = np.random.default_rng(spec.seed)
     if not spec.per_entry:
-        xi = rng.choice([-1.0, 1.0], size=(spec.T, 1, 1))
-        return (1.0 + xi) * C[None, :, :]
+        # each matrix is one of the two products (1 - 1) C and (1 + 1) C,
+        # copied by the index rng.choice([-1., 1.], ...) would draw
+        products = np.stack(((1.0 - 1.0) * C, (1.0 + 1.0) * C))
+        return np.take(products, rng.integers(0, 2, size=spec.T), axis=0)
     out = np.empty((spec.T, spec.d, spec.d))
     twice_C = 2.0 * C
     rows = max(1, _SIGN_CHUNK // (spec.d * spec.d))

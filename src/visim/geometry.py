@@ -327,7 +327,7 @@ def floor_simplex_flat(
     out = np.maximum(z, floor)
     for lo, hi in bounds:
         b = out[lo:hi]
-        b /= b.sum()
+        b /= np.add.reduce(b)
     return out
 
 
@@ -420,7 +420,7 @@ def dgf_grad_flat(setup: GeometrySetup, z: np.ndarray) -> np.ndarray:
     if z.shape != (setup.layout.size,):
         raise ShapeError(f"a point of shape {z.shape} does not fit the setup")
     if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
-        if not has_mass(z).all():
+        if not np.logical_and.reduce(has_mass(z)):
             raise DomainError("entropy gradient needs strictly positive mass")
         e = np.log(z)
         e += 1.0
@@ -480,11 +480,12 @@ def _check_prox_args(setup, center, g, step):
         )
     if step <= 0.0:
         raise ParameterError(f"prox step must be positive, got {step}")
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g)):
         raise NumericsError("non-finite dual vector in prox map")
     # exact zeros (underflow) break the log-space update; any strictly
     # positive float, however tiny, is fine
-    if setup.kind is GeometryKind.ENTROPY_SIMPLEX and not has_mass(center).all():
+    if (setup.kind is GeometryKind.ENTROPY_SIMPLEX
+            and not np.logical_and.reduce(has_mass(center))):
         raise DomainError("entropy prox center must be strictly positive")
 
 
@@ -671,25 +672,49 @@ def softmax_map(theta: np.ndarray, layout: BlockLayout | None = None):
     u serves as diag and its blocks as the rank-one vectors.  A block gets
     the same bits whatever blocks sit beside it."""
     if layout is None:
-        u = theta - theta.max()
+        u = theta - np.maximum.reduce(theta)
         np.exp(u, out=u)
-        u /= u.sum()
+        u /= np.add.reduce(u)
         return u, u, [(1.0, u)]
     u = theta - np.maximum.reduceat(theta, layout.starts)[layout.block_of]
     np.exp(u, out=u)
     for lo, hi in layout.bounds:
         b = u[lo:hi]
-        b /= b.sum()
+        b /= np.add.reduce(b)
     return u, u, [(1.0, u[lo:hi]) for lo, hi in layout.bounds]
 
 
-def _simplex_projection_map(theta, bounds):
+def mirror_jacobian_at(
+    setup: GeometrySetup, z: np.ndarray
+) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
+    """D of :func:`mirror_map_flat` at theta = grad w(z), where the map
+    gives the feasible point ``z`` back, in the same ``(diag, rank_one)``
+    form, from ``z`` alone (no projection).  Euclidean setups only:
+    on a simplex product D is built from the support of z in each block;
+    in the l2 ball D = I inside and the radial form (r/n)(I - z z^T / n^2)
+    for z at norm n on the sphere, within ``BALL_TOL`` of it."""
+    if setup.kind is not GeometryKind.EUCLIDEAN:
+        raise ParameterError("the mirror Jacobian at a point needs a Euclidean setup")
+    if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+        return _simplex_jacobian(z, setup.layout.bounds)
+    r = setup.domain.radius
+    n = math.sqrt(z @ z)
+    if n < r - BALL_TOL:
+        return np.ones(z.size), [(0.0, np.zeros(z.size))]
+    return np.full(z.size, r / n), [(r / n, z / n)]
+
+
+def _simplex_jacobian(u, bounds):
     # D = diag(1_S) - 1_S 1_S^T / |S| per block, S the block's support
+    a = (u > 0.0).astype(float)
+    return a, [(1.0 / a[lo:hi].sum(), a[lo:hi]) for lo, hi in bounds]
+
+
+def _simplex_projection_map(theta, bounds):
     u = np.empty_like(theta)
     for lo, hi in bounds:
         u[lo:hi] = project_block_simplex(theta[lo:hi])
-    a = (u > 0.0).astype(float)
-    return u, a, [(1.0 / a[lo:hi].sum(), a[lo:hi]) for lo, hi in bounds]
+    return (u, *_simplex_jacobian(u, bounds))
 
 
 def _radial_projection_map(setup, theta, bounds):
@@ -769,6 +794,7 @@ def recenter(
         - shift_to.blocks[i]
         for i, d in enumerate(setup.block_dims)
     )
-    if all(np.allclose(c, 0.0, atol=0.0) for c in new):
+    # exactly zero (-0.0 included); a NaN centre is not
+    if not any(c.any() for c in new):
         return replace(setup, center=None)
     return replace(setup, center=new)

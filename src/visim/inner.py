@@ -10,7 +10,11 @@ Everything here runs on the server; no communication rounds are consumed.
 entropy and Euclidean (simplex or l2-ball) setups: damped Newton on the
 normal map of the mirror map (Robinson 1992; semismooth Newton, Qi & Sun
 1993), typically one to three linear solves, stopped at a round-off
-residual.  A run builds one :class:`NewtonSystem` for its fixed F1 and
+residual.  On the Euclidean setups that normal map is piecewise affine,
+and the first step is taken on the affine piece of the warm start, where
+it lands on the root whenever the answer lies on that piece (the primal-
+dual active set view of semismooth Newton, Hintermueller, Ito & Kunisch
+2002).  A run builds one :class:`NewtonSystem` for its fixed F1 and
 gamma, which takes a saddle problem's steps through a d x d Schur
 complement and factors the interior-ball matrix once.  It tries, in turn:
 
@@ -57,7 +61,9 @@ from .geometry import (
     GeometrySetup,
     bregman_divergence,
     composite_prox_map,
+    dgf_grad_flat,
     floor_simplex_flat,
+    mirror_jacobian_at,
     mirror_map_flat,
     softmax_map,
 )
@@ -195,13 +201,15 @@ class NewtonSystem:
             return dw
         ((beta, v),) = rank_one
         if beta == 0.0 and (diag == 1.0).all():
-            from scipy.linalg import lapack, lu_factor
-
             if self._interior_lu is None:
+                from scipy.linalg import lapack, lu_factor
+
                 J = np.eye(g.size) + self.gB
                 self._interior_lu = lu_factor(J, check_finite=False)
-            # the routine scipy's lu_solve calls, without its argument checks
-            x, info = lapack.dgetrs(*self._interior_lu, -g)
+                # the routine scipy's lu_solve calls, without its argument
+                # checks
+                self._getrs = lapack.dgetrs
+            x, info = self._getrs(*self._interior_lu, -g)
             if info != 0:
                 raise LinAlgError(f"dgetrs rejected argument {-info}")
             return x
@@ -222,9 +230,9 @@ def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with A x = b by numpy's LAPACK gesv, the routine np.linalg.solve
     wraps (same bits), without that wrapper's per-call argument handling.
     It answers a singular A with NaNs, which raise LinAlgError here as in
-    np.linalg.solve."""
-    with np.errstate(invalid="ignore"):
-        x = _gesv(A, b)
+    np.linalg.solve; :func:`newton_solve_flat` runs it with the invalid
+    flag that gesv raises then ignored."""
+    x = _gesv(A, b)
     if math.isnan(x[0]):
         raise LinAlgError("Singular matrix")
     return x
@@ -247,10 +255,21 @@ def newton_solve_flat(
     step solves (I + gamma B D) dw = -G, with D the mirror map's
     (generalised) Jacobian, and halves the step until ||G|| decreases.  The
     matrix is nonsingular: D is symmetric positive semidefinite and B
-    monotone.  The solve starts from w = c - gamma F1(v0), so that
-    grad w*(w) is one fixed-point step from ``v0``, and stops once every
-    component of G is at round-off, ``NEWTON_RTOL`` times the magnitudes
-    it is the difference of.
+    monotone.  It stops once every component of G is at round-off,
+    ``NEWTON_RTOL`` times the magnitudes it is the difference of; a trial
+    point at round-off is taken even if ||G|| did not decrease.
+
+    A Euclidean solve starts at w0 = grad w(v0), where the mirror map
+    gives ``v0`` back, so G(w0) = w0 - c_b + gamma B v0 (c_b = c - gamma b)
+    and D there (:func:`geometry.mirror_jacobian_at`: v0's support on the
+    simplex; I inside the l2 ball, the radial form on its sphere) come
+    from ``v0`` alone, without a mirror-map evaluation.  That first step
+    counts as Newton step 1.  On the affine piece of ``v0`` the normal map
+    is affine, so when the answer lies on it the step lands on the root:
+    one step and one mirror-map evaluation.  Entropy solves, whose mirror
+    map is smooth, and every solve under a zero ``NEWTON_MAX_STEPS`` start
+    from w = c - gamma F1(v0), so that grad w*(w) is one fixed-point step
+    from ``v0``.
 
     An entropy saddle subproblem first runs the same Newton iteration on
     the y-block alone (:func:`_reduced_newton`): the x-block row of G is
@@ -265,7 +284,7 @@ def newton_solve_flat(
     continuation in gamma (:func:`_continue_in_gamma`): a smaller gamma
     weakens F1's coupling, so damped Newton no longer stalls at a kink of
     the piecewise-affine simplex normal map; it forms c at each gamma it
-    visits the same way.
+    visits the same way, and starts each level as above.
 
     ``system`` is the run's :class:`NewtonSystem` for the subproblem's F1,
     gamma and block layout; one built for another layout raises
@@ -279,14 +298,18 @@ def newton_solve_flat(
         raise ParameterError("the Newton system was built for another layout")
     c = grad - system.gamma * offset
     u, steps = None, 0
-    if system.saddle and geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
-        u, steps = _reduced_newton(system, c, v0)
-    if u is None:
-        u, more = _damped_newton(system, geometry, c, v0)
-        steps += more
-    if u is None:
-        u, more = _continue_in_gamma(system, geometry, grad, offset, v0)
-        steps += more
+    # a singular gesv solve answers NaNs and raises the invalid flag; the
+    # NaNs are caught explicitly (_solve, mirror_map_flat, the reduced
+    # residual), so the flag is ignored for the whole solve
+    with np.errstate(invalid="ignore"):
+        if system.saddle and geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
+            u, steps = _reduced_newton(system, c, v0)
+        if u is None:
+            u, more = _damped_newton(system, geometry, c, v0)
+            steps += more
+        if u is None:
+            u, more = _continue_in_gamma(system, geometry, grad, offset, v0)
+            steps += more
     return None if u is None else (u, steps)
 
 
@@ -336,16 +359,18 @@ def _continue_in_gamma(
     return u, steps
 
 
-def _damped(evaluate, step, w):
+def _damped(evaluate, step, w, start=None):
     """Damped Newton from ``w``.  ``evaluate(w)`` returns the answer at w,
     the residual G, ||G||, whether G is at round-off and the Jacobian terms
-    that ``step(G, *terms)`` takes to give the Newton step.  Each step is
-    halved until ||G|| decreases.  Returns the answer (None if the solve
-    stalls, a non-finite point or a singular step included, or misses its
-    target within ``NEWTON_MAX_STEPS`` steps) and the steps taken."""
+    that ``step(G, *terms)`` takes to give the Newton step; ``start``, when
+    given, is that tuple at w, formed without ``evaluate``.  Each step is
+    halved until ||G|| decreases or is at round-off.  Returns the answer
+    (None if the solve stalls, a non-finite point or a singular step
+    included, or misses its target within ``NEWTON_MAX_STEPS`` steps) and
+    the steps taken."""
     steps = 0
     try:
-        u, g, norm, done, terms = evaluate(w)
+        u, g, norm, done, terms = evaluate(w) if start is None else start
         while not done:
             if steps == NEWTON_MAX_STEPS:
                 return None, steps
@@ -354,7 +379,9 @@ def _damped(evaluate, step, w):
             while True:
                 w_trial = w + dw if t == 1.0 else w + t * dw
                 trial = evaluate(w_trial)
-                if trial[2] <= (1.0 - 1e-4 * t) * norm:
+                # a trial at round-off ends the solve even without a
+                # decrease, which a start already at round-off may not give
+                if trial[2] <= (1.0 - 1e-4 * t) * norm or trial[3]:
                     break
                 t *= 0.5
                 if t < NEWTON_MIN_STEP:
@@ -399,6 +426,15 @@ def _damped_newton(
         done = bool((np.abs(g) <= scale).all())
         return u, g, math.sqrt(g @ g), done, (diag, rank_one)
 
+    if NEWTON_MAX_STEPS and geometry.kind is GeometryKind.EUCLIDEAN:
+        # on the warm start's affine piece: the mirror map takes
+        # w0 = grad w(v0) back to v0, so G(w0) and D come from v0 alone
+        w0 = dgf_grad_flat(geometry, v0)
+        g = w0 - c_b
+        g += gB @ v0
+        jacobian = mirror_jacobian_at(geometry, v0)
+        return _damped(evaluate, system.step, w0,
+                       (v0, g, math.sqrt(g @ g), False, jacobian))
     return _damped(evaluate, system.step, c_b - gB @ v0)
 
 

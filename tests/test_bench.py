@@ -82,6 +82,25 @@ def test_chunked_generation_is_one_draw(d, seed, per_entry, rows, spare, where):
     assert np.array_equal(mats, expected)
 
 
+@pytest.mark.parametrize("per_entry", [False, True])
+def test_generation_keeps_the_bits_of_the_signed_product(tmp_path, per_entry):
+    # a --matrix-file base with negative entries, a -0.0 and a NaN: 0 * C
+    # keeps its signed zeros and NaNs, bit for bit
+    d, T, seed = 4, 30, 9
+    C = np.random.default_rng(0).uniform(-1.0, 1.0, size=(d, d))
+    C[0, 1], C[2, 3] = -0.0, np.nan
+    path = tmp_path / "base.txt"
+    path.write_text(f"{d}\n" + "\n".join(" ".join(repr(float(x)) for x in row)
+                                         for row in C))
+    spec = GameSpec(d=d, T=T, m=1, seed=seed, per_entry=per_entry,
+                    matrix_path=str(path))
+    shape = (T, d, d) if per_entry else (T, 1, 1)
+    xi = np.random.default_rng(seed).choice([-1.0, 1.0], shape)
+    expected = (1.0 + xi) * base_matrix(spec)[None]
+    assert np.signbit(expected).any() and np.isnan(expected).any()
+    assert generate_game(spec).tobytes() == expected.tobytes()
+
+
 def test_per_entry_generation_peaks_near_one_tensor():
     spec = GameSpec(d=25, T=4000, m=5, per_entry=True)
     tracemalloc.start()
@@ -177,6 +196,10 @@ def test_run_comparison_series_start_at_round_zero():
         assert rounds == sorted(rounds) and len(set(rounds)) == len(rounds)
         assert all(rec.iterate_gap >= 0.0 for rec in series)
     assert res.errors == {}
+    # this game's delta is at round-off (test_round_off_delta_gets_the_capped_gamma),
+    # so both similarity solvers run at the capped gamma; the Newton solve
+    # answers every subproblem of both
+    assert res.inner_fallbacks == {"paus": 0, "euclidean": 0}
     # paus improves on the starting gap
     assert res.series["paus"][-1].iterate_gap < res.series["paus"][0].iterate_gap
 

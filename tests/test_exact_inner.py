@@ -2,18 +2,20 @@
 solve on the normal map, checked against independent routes (``prox_map``,
 ``dgf_grad`` and the extragradient loop run to a tight tolerance)."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from visim import inner
+from visim import inner, paus
 from visim.cluster import ClusterState
 from visim.errors import NumericsError, ParameterError
 from visim.geometry import (
+    BALL_TOL,
     Domain,
     DomainKind,
     DualVector,
@@ -287,9 +289,11 @@ def test_step_cap_hands_the_solve_back(monkeypatch):
 
 
 def test_gamma_continuation_ends_a_cold_start_stall():
-    # damped Newton from this start stops decreasing ||G|| near 22 (from 34)
-    # at a kink of the simplex normal map; continuation in gamma solves it
-    prob, v0 = _instance("simplex", 8, 3777, 14.125)
+    # damped Newton from the affine piece of this start (full support,
+    # where the answer has 3 and 3 coordinates) stops decreasing ||G||
+    # near 37.2 (from 38.5) at a kink of the simplex normal map;
+    # continuation in gamma solves it
+    prob, v0 = _instance("simplex", 8, 15, 14.125)
     system = NewtonSystem(prob.f1, prob.gamma, prob.geometry)
     assert _attempt("full", prob, v0, system)[0] is None
     out = _newton(prob, v0, system)
@@ -490,10 +494,156 @@ def test_active_ball_steps_never_use_the_interior_factor(monkeypatch):
     assert float(np.linalg.norm(u.concat())) < 1.0
     assert len(factors) == 1 and solves
     solves.clear()
+    # the start's step is taken on the affine piece of v0, inside the ball,
+    # with the factor; every later step is on the sphere's pieces
+    per_step = []
+    step = NewtonSystem.step
+
+    def logged(self, *args):
+        before = len(solves)
+        out = step(self, *args)
+        per_step.append(len(solves) - before)
+        return out
+
+    monkeypatch.setattr(NewtonSystem, "step", logged)
+    assert float(np.linalg.norm(v0.concat())) < 1.0
     u, steps = _newton(active, v0, system)
-    assert steps >= 1 and solves == [] and len(factors) == 1
+    assert steps >= 2 and len(per_step) == steps
+    assert per_step[0] == 1 and per_step[1:] == [0] * (steps - 1)
+    assert len(factors) == 1
     assert float(np.linalg.norm(u.concat())) == pytest.approx(1.0, abs=1e-12)
     assert _prox_residual(active, u) <= 1e-11
+
+
+def _mirror_calls(monkeypatch):
+    """Log the calls of the mirror map the Newton solve makes."""
+    calls, original = [], inner.mirror_map_flat
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(inner, "mirror_map_flat", counted)
+    return calls
+
+
+def _warm_solve(kind, d, seed, gamma):
+    """A subproblem, its warm start (the answer of the same subproblem with
+    a nearby offset), and the Newton solve from that start as a Point, its
+    steps and its mirror-map evaluations."""
+    prob, v0 = _instance(kind, d, seed, gamma)
+    rng = np.random.default_rng(seed)
+    nearby = dataclasses.replace(
+        prob, offset=prob.offset + 1e-3 * rng.normal(size=prob.offset.size))
+    warm, _ = _newton(nearby, v0)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _mirror_calls(mp)
+        u, steps = _newton(prob, warm)
+    return prob, warm, u, steps, len(calls)
+
+
+def _on_the_warm_starts_piece(kind, warm, u):
+    """Whether the answer lies on the warm start's affine piece: the same
+    support on the simplex; both inside the unit ball, by the margin
+    ``BALL_TOL`` the start uses to tell the inside from the sphere."""
+    if kind == "simplex":
+        return np.array_equal(u.concat() > 0.0, warm.concat() > 0.0)
+    return all(float(np.linalg.norm(p.concat())) < 1.0 - BALL_TOL for p in (warm, u))
+
+
+@pytest.mark.parametrize("kind", ["simplex", "ball", "ball-recentred"])
+def test_an_answer_on_the_warm_starts_piece_takes_one_step(kind):
+    # the solve's first step is taken on the affine piece of its warm start
+    # v0.  When the answer lies on that piece, the step lands on it: one
+    # step, and one mirror-map evaluation finds G at round-off
+    prob, warm, u, steps, calls = _warm_solve(kind, 6, 11, 2.0)
+    assert _on_the_warm_starts_piece(kind, warm, u)
+    assert steps == 1 and calls == 1
+    assert _prox_residual(prob, u) <= 1e-11
+
+
+@settings(max_examples=100)
+@given(st.tuples(
+    st.sampled_from(["simplex", "ball", "ball-recentred"]),
+    st.integers(2, 8),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 20.0),
+))
+# the step lands at a residual of 4.8e-13 from ||G(w0)|| = 26, above its
+# round-off scale; a second step reaches it
+@example(("simplex", 6, 6, 15.0))
+def test_an_answer_on_the_warm_starts_piece_takes_at_most_two_steps(args):
+    # the step from the warm start's piece carries the round-off of its
+    # linear solve, which at gamma >= 10 on the simplex can leave G just
+    # above its round-off scale (4 of about 3000 draws); a second full step
+    # ends it.  No step backtracks
+    kind = args[0]
+    prob, warm, u, steps, calls = _warm_solve(*args)
+    assume(_on_the_warm_starts_piece(kind, warm, u))
+    assert 1 <= steps == calls <= 2
+    assert _prox_residual(prob, u) <= 1e-11
+
+
+@pytest.mark.parametrize("args", [
+    ("simplex", 6, 11, 2.0),
+    ("ball", 2, 0, 0.05),
+    ("ball-sphere", 4, 3, 1.0),
+    ("ball-recentred", 3, 1, 1.05),
+])
+def test_a_start_at_the_answer_takes_one_step(args):
+    # from the answer itself G(w0) is at round-off, and so is G after the
+    # step, which need not have decreased ||G||: the trial point is taken
+    # and the solve ends (on these ball draws a line search that demands a
+    # decrease backtracks into a second step)
+    prob, v0 = _instance(*args)
+    u, _ = _newton(prob, v0)
+    again, steps = _newton(prob, u)
+    assert steps == 1
+    assert _prox_residual(prob, again) <= 1e-11
+
+
+@pytest.mark.parametrize("kind", ["simplex", "ball-recentred"])
+def test_a_zero_step_cap_keeps_the_fixed_point_start(monkeypatch, kind):
+    # with no step allowed a Euclidean solve starts one fixed-point step
+    # from v0, at w = c - gamma F1(v0); from the answer that is the root,
+    # so the solve answers without a step.  The piece start takes a step
+    # first, so under a zero cap it would answer nothing
+    prob, v0 = _instance(kind, 5, seed=4, gamma=2.0)
+    u, _ = _newton(prob, v0)
+    monkeypatch.setattr(inner, "NEWTON_MAX_STEPS", 0)
+    again, steps = _newton(prob, u)
+    assert steps == 0
+    assert _prox_residual(prob, again) <= 1e-11
+
+
+def test_every_restart_subproblem_takes_one_step(monkeypatch):
+    # the restarted run of the restart-ball benchmark (dim 200, m 5,
+    # mu 0.5, delta 1, eps 8e-5, inner tolerance 1e-16): every subproblem's
+    # answer is inside the ball, where the normal map is affine, so each
+    # takes one step from its warm start and one mirror-map evaluation
+    dim = 200
+    shards, z_star, consts = synthetic_strongly_monotone(
+        dim, m=5, mu=0.5, delta=1.0, seed=11
+    )
+    geom = euclidean_ball(dim)
+    z0 = uniform_point(geom)
+    config = RestartConfig(mu=0.5, delta=1.0, eps=8e-5, geometry=geom, z0=z0,
+                           r0_sq=float(z_star.concat() @ z_star.concat()),
+                           l_f1=consts.L_F1,
+                           inner=inner.InnerSettings(tolerance=1e-16))
+    steps, solve = [], paus.newton_solve_flat
+
+    def logged(*args):
+        out = solve(*args)
+        steps.append(None if out is None else out[1])
+        return out
+
+    monkeypatch.setattr(paus, "newton_solve_flat", logged)
+    calls = _mirror_calls(monkeypatch)
+    out = paus_r(config, ClusterState(shards=shards), z_star=z_star)
+    assert len(out.stages) >= 3 and out.inner_fallbacks == 0
+    assert steps == [1] * sum(stage.iters for stage in out.stages)
+    assert len(calls) == len(steps)
 
 
 def test_newton_system_must_match_the_subproblem():
@@ -754,5 +904,6 @@ def _check_reduced_rows(prob, v0, system, answer):
 
 
 def test_singular_newton_system_raises_linalg_error():
-    with pytest.raises(np.linalg.LinAlgError):
+    # under the flag newton_solve_flat ignores for the whole solve
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
         inner._solve(np.zeros((3, 3)), np.ones(3))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -509,6 +510,18 @@ def test_recenter_translates_dgf():
     # undoing the shift restores a center-free setup
     back = recenter(moved, origin, shift)
     assert back.center is None
+
+
+def test_recenter_drops_only_an_exactly_zero_center():
+    setup = euclidean_ball(3)
+    zero, neg_zero = Point.of(np.zeros(3)), Point.of(np.full(3, -0.0))
+    # a centre of -0.0 (-0.0 + -0.0 - 0.0) is exactly zero
+    signed = replace(setup, center=(np.full(3, -0.0),))
+    assert recenter(signed, neg_zero, zero).center is None
+    # a tiny or a NaN centre is kept
+    for value in (1e-300, np.nan):
+        kept = recenter(setup, Point.of([value, 0.0, 0.0]), zero).center
+        assert kept is not None and np.array_equal(kept[0][1:], [0.0, 0.0])
 
 
 def test_recenter_rejected_on_simplex():
