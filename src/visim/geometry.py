@@ -327,7 +327,7 @@ def floor_simplex_flat(
     out = np.maximum(z, floor)
     for lo, hi in bounds:
         b = out[lo:hi]
-        b /= np.add.reduce(b)
+        b /= b.sum()
     return out
 
 
@@ -420,7 +420,7 @@ def dgf_grad_flat(setup: GeometrySetup, z: np.ndarray) -> np.ndarray:
     if z.shape != (setup.layout.size,):
         raise ShapeError(f"a point of shape {z.shape} does not fit the setup")
     if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
-        if not np.logical_and.reduce(has_mass(z)):
+        if not has_mass(z).all():
             raise DomainError("entropy gradient needs strictly positive mass")
         e = np.log(z)
         e += 1.0
@@ -480,12 +480,11 @@ def _check_prox_args(setup, center, g, step):
         )
     if step <= 0.0:
         raise ParameterError(f"prox step must be positive, got {step}")
-    if not np.logical_and.reduce(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericsError("non-finite dual vector in prox map")
     # exact zeros (underflow) break the log-space update; any strictly
     # positive float, however tiny, is fine
-    if (setup.kind is GeometryKind.ENTROPY_SIMPLEX
-            and not np.logical_and.reduce(has_mass(center))):
+    if setup.kind is GeometryKind.ENTROPY_SIMPLEX and not has_mass(center).all():
         raise DomainError("entropy prox center must be strictly positive")
 
 
@@ -684,37 +683,46 @@ def softmax_map(theta: np.ndarray, layout: BlockLayout | None = None):
     return u, u, [(1.0, u[lo:hi]) for lo, hi in layout.bounds]
 
 
-def mirror_jacobian_at(
-    setup: GeometrySetup, z: np.ndarray
-) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
-    """D of :func:`mirror_map_flat` at theta = grad w(z), where the map
-    gives the feasible point ``z`` back, in the same ``(diag, rank_one)``
-    form, from ``z`` alone (no projection).  Euclidean setups only:
-    on a simplex product D is built from the support of z in each block;
-    in the l2 ball D = I inside and the radial form (r/n)(I - z z^T / n^2)
-    for z at norm n on the sphere, within ``BALL_TOL`` of it."""
+def piece_map(
+    setup: GeometrySetup, z: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[tuple[float, np.ndarray]]] | None:
+    """:func:`mirror_map_flat` at ``theta``, in its form, if theta lies on
+    the map's affine piece through the feasible point ``z``, else None;
+    without a sort or a projection.  Euclidean setups only.  On a simplex
+    product the piece is the set of theta whose projection keeps z's
+    support S in every block: u = max(theta - tau, 0) with the threshold
+    tau = (sum_S theta - 1) / |S| that S gives.  In the l2 ball the map is
+    affine only inside, the piece of every feasible z: theta + center
+    within the radius, u = theta + center and D = I."""
     if setup.kind is not GeometryKind.EUCLIDEAN:
-        raise ParameterError("the mirror Jacobian at a point needs a Euclidean setup")
+        raise ParameterError("affine pieces need a Euclidean setup")
     if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
-        return _simplex_jacobian(z, setup.layout.bounds)
-    r = setup.domain.radius
-    n = math.sqrt(z @ z)
-    if n < r - BALL_TOL:
-        return np.ones(z.size), [(0.0, np.zeros(z.size))]
-    return np.full(z.size, r / n), [(r / n, z / n)]
-
-
-def _simplex_jacobian(u, bounds):
-    # D = diag(1_S) - 1_S 1_S^T / |S| per block, S the block's support
-    a = (u > 0.0).astype(float)
-    return a, [(1.0 / a[lo:hi].sum(), a[lo:hi]) for lo, hi in bounds]
+        layout = setup.layout
+        on = z > 0.0
+        a = on.astype(float)
+        size = np.add.reduceat(a, layout.starts)
+        tau = np.add.reduceat(a * theta, layout.starts)
+        tau -= 1.0
+        tau /= size
+        u = theta - tau[layout.block_of]
+        if ((u > 0.0) != on).any():
+            return None
+        np.maximum(u, 0.0, out=u)
+        # D as on the projection's support S, which is z's
+        return u, a, [(1.0 / n, a[lo:hi]) for n, (lo, hi) in zip(size, layout.bounds)]
+    x = theta if setup.center is None else theta + setup.center_flat
+    if not math.sqrt(x @ x) <= setup.domain.radius:
+        return None
+    return x, np.ones(x.size), [(0.0, np.zeros(x.size))]
 
 
 def _simplex_projection_map(theta, bounds):
+    # D = diag(1_S) - 1_S 1_S^T / |S| per block, S the block's support
     u = np.empty_like(theta)
     for lo, hi in bounds:
         u[lo:hi] = project_block_simplex(theta[lo:hi])
-    return (u, *_simplex_jacobian(u, bounds))
+    a = (u > 0.0).astype(float)
+    return u, a, [(1.0 / a[lo:hi].sum(), a[lo:hi]) for lo, hi in bounds]
 
 
 def _radial_projection_map(setup, theta, bounds):

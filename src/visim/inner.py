@@ -10,18 +10,22 @@ Everything here runs on the server; no communication rounds are consumed.
 entropy and Euclidean (simplex or l2-ball) setups: damped Newton on the
 normal map of the mirror map (Robinson 1992; semismooth Newton, Qi & Sun
 1993), typically one to three linear solves, stopped at a round-off
-residual.  On the Euclidean setups that normal map is piecewise affine,
-and the first step is taken on the affine piece of the warm start, where
-it lands on the root whenever the answer lies on that piece (the primal-
-dual active set view of semismooth Newton, Hintermueller, Ito & Kunisch
-2002).  A run builds one :class:`NewtonSystem` for its fixed F1 and
-gamma, which takes a saddle problem's steps through a d x d Schur
-complement and factors the interior-ball matrix once.  It tries, in turn:
+residual.  On the Euclidean setups that normal map is piecewise affine;
+when the fixed-point start lies on the affine piece of the warm start,
+the first step is taken from a dual point of the warm start itself,
+which needs no mirror-map evaluation, and lands on the root whenever the
+answer lies on that piece (the primal-dual active set view of semismooth
+Newton, Hintermueller, Ito & Kunisch 2002).  A run builds one
+:class:`NewtonSystem` for its fixed F1 and gamma, which takes a saddle
+problem's steps through a d x d Schur complement and factors the
+interior-ball matrix once.  It tries, in turn:
 
 1. for an entropy saddle, Newton on the normal map reduced to the y-block
    (nonlinear elimination of the x-block row; Lanzkron, Rose & Wilkes
    1996), whose Jacobian is that Schur complement;
-2. Newton on the full normal map, from the same start;
+2. Newton on the full normal map, from the same start; on a Euclidean
+   setup whose fixed-point start is off the warm start's piece and
+   stalls, once more from grad w(v0);
 3. continuation in gamma, for a full solve that stalls or misses its
    target within ``NEWTON_MAX_STEPS`` steps.
 
@@ -63,8 +67,8 @@ from .geometry import (
     composite_prox_map,
     dgf_grad_flat,
     floor_simplex_flat,
-    mirror_jacobian_at,
     mirror_map_flat,
+    piece_map,
     softmax_map,
 )
 from .operators import OperatorShard
@@ -230,9 +234,9 @@ def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with A x = b by numpy's LAPACK gesv, the routine np.linalg.solve
     wraps (same bits), without that wrapper's per-call argument handling.
     It answers a singular A with NaNs, which raise LinAlgError here as in
-    np.linalg.solve; :func:`newton_solve_flat` runs it with the invalid
-    flag that gesv raises then ignored."""
-    x = _gesv(A, b)
+    np.linalg.solve."""
+    with np.errstate(invalid="ignore"):
+        x = _gesv(A, b)
     if math.isnan(x[0]):
         raise LinAlgError("Singular matrix")
     return x
@@ -259,17 +263,22 @@ def newton_solve_flat(
     ``NEWTON_RTOL`` times the magnitudes it is the difference of; a trial
     point at round-off is taken even if ||G|| did not decrease.
 
-    A Euclidean solve starts at w0 = grad w(v0), where the mirror map
-    gives ``v0`` back, so G(w0) = w0 - c_b + gamma B v0 (c_b = c - gamma b)
-    and D there (:func:`geometry.mirror_jacobian_at`: v0's support on the
-    simplex; I inside the l2 ball, the radial form on its sphere) come
-    from ``v0`` alone, without a mirror-map evaluation.  That first step
-    counts as Newton step 1.  On the affine piece of ``v0`` the normal map
-    is affine, so when the answer lies on it the step lands on the root:
-    one step and one mirror-map evaluation.  Entropy solves, whose mirror
-    map is smooth, and every solve under a zero ``NEWTON_MAX_STEPS`` start
-    from w = c - gamma F1(v0), so that grad w*(w) is one fixed-point step
-    from ``v0``.
+    The solve starts from w = c - gamma F1(v0), so that grad w*(w) is one
+    fixed-point step from ``v0``.  On a Euclidean setup the normal map is
+    piecewise affine.  If w lies on the affine piece of ``v0``
+    (:func:`geometry.piece_map`: the projection keeps v0's support on the
+    simplex; w + center is inside the l2 ball), the map there, u(w) and
+    D, comes without a sort or a projection, and the solve starts instead
+    at w0 = w + v0 - u(w), which the map takes to ``v0``: G(w0) =
+    v0 - u(w).  On that piece G is affine, so the first Newton step is the
+    one a start at w would take, and it lands on the root when the answer
+    lies on the piece: one step and one mirror-map evaluation instead of
+    two evaluations.  That start takes a step before any residual test,
+    so under a zero ``NEWTON_MAX_STEPS`` it answers nothing.  If w is off
+    that piece and the solve from it fails, as a fixed-point step far
+    from the answer can at a large gamma, it starts once more from
+    grad w(v0), where the map gives ``v0`` back, with a step cap of its
+    own.  Entropy solves, whose mirror map is smooth, start from w only.
 
     An entropy saddle subproblem first runs the same Newton iteration on
     the y-block alone (:func:`_reduced_newton`): the x-block row of G is
@@ -280,11 +289,11 @@ def newton_solve_flat(
 
     A full solve that stalls (no decrease down to step
     ``NEWTON_MIN_STEP``, a non-finite trial point or a singular step) or
-    misses its target within ``NEWTON_MAX_STEPS`` steps goes on by
-    continuation in gamma (:func:`_continue_in_gamma`): a smaller gamma
-    weakens F1's coupling, so damped Newton no longer stalls at a kink of
-    the piecewise-affine simplex normal map; it forms c at each gamma it
-    visits the same way, and starts each level as above.
+    misses its target within ``NEWTON_MAX_STEPS`` steps from its last
+    start goes on by continuation in gamma (:func:`_continue_in_gamma`): a
+    smaller gamma weakens F1's coupling, so damped Newton no longer stalls
+    at a kink of the piecewise-affine simplex normal map; it forms c at
+    each gamma it visits the same way, and starts each level as above.
 
     ``system`` is the run's :class:`NewtonSystem` for the subproblem's F1,
     gamma and block layout; one built for another layout raises
@@ -298,18 +307,14 @@ def newton_solve_flat(
         raise ParameterError("the Newton system was built for another layout")
     c = grad - system.gamma * offset
     u, steps = None, 0
-    # a singular gesv solve answers NaNs and raises the invalid flag; the
-    # NaNs are caught explicitly (_solve, mirror_map_flat, the reduced
-    # residual), so the flag is ignored for the whole solve
-    with np.errstate(invalid="ignore"):
-        if system.saddle and geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
-            u, steps = _reduced_newton(system, c, v0)
-        if u is None:
-            u, more = _damped_newton(system, geometry, c, v0)
-            steps += more
-        if u is None:
-            u, more = _continue_in_gamma(system, geometry, grad, offset, v0)
-            steps += more
+    if system.saddle and geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
+        u, steps = _reduced_newton(system, c, v0)
+    if u is None:
+        u, more = _damped_newton(system, geometry, c, v0)
+        steps += more
+    if u is None:
+        u, more = _continue_in_gamma(system, geometry, grad, offset, v0)
+        steps += more
     return None if u is None else (u, steps)
 
 
@@ -426,16 +431,27 @@ def _damped_newton(
         done = bool((np.abs(g) <= scale).all())
         return u, g, math.sqrt(g @ g), done, (diag, rank_one)
 
-    if NEWTON_MAX_STEPS and geometry.kind is GeometryKind.EUCLIDEAN:
-        # on the warm start's affine piece: the mirror map takes
-        # w0 = grad w(v0) back to v0, so G(w0) and D come from v0 alone
-        w0 = dgf_grad_flat(geometry, v0)
-        g = w0 - c_b
-        g += gB @ v0
-        jacobian = mirror_jacobian_at(geometry, v0)
-        return _damped(evaluate, system.step, w0,
-                       (v0, g, math.sqrt(g @ g), False, jacobian))
-    return _damped(evaluate, system.step, c_b - gB @ v0)
+    # one fixed-point step from v0: grad w*(w) = u(c_b - gB v0)
+    w = c_b - gB @ v0
+    if geometry.kind is GeometryKind.EUCLIDEAN:
+        # if w lies on the affine piece of v0, a step from anywhere on that
+        # piece gives the same iterate.  Take it from w0 = w + v0 - u(w),
+        # which the map takes to v0: G(w0) = w0 - w = v0 - u(w), and u(w)
+        # and D on the piece need no projection
+        mapped = piece_map(geometry, v0, w)
+        if mapped is not None:
+            u, diag, rank_one = mapped
+            g = v0 - u
+            return _damped(evaluate, system.step, w + g,
+                           (v0, g, math.sqrt(g @ g), False, (diag, rank_one)))
+    u, steps = _damped(evaluate, system.step, w)
+    if u is None and geometry.kind is GeometryKind.EUCLIDEAN:
+        # off v0's piece the fixed-point step can land far from the answer
+        # (on a vertex of the simplex at a large gamma) and stall at a kink;
+        # start once more from grad w(v0), where the map gives v0 back
+        u, more = _damped(evaluate, system.step, dgf_grad_flat(geometry, v0))
+        steps += more
+    return u, steps
 
 
 def _reduced_scale_bound(

@@ -289,11 +289,11 @@ def test_step_cap_hands_the_solve_back(monkeypatch):
 
 
 def test_gamma_continuation_ends_a_cold_start_stall():
-    # damped Newton from the affine piece of this start (full support,
-    # where the answer has 3 and 3 coordinates) stops decreasing ||G||
-    # near 37.2 (from 38.5) at a kink of the simplex normal map;
-    # continuation in gamma solves it
-    prob, v0 = _instance("simplex", 8, 15, 14.125)
+    # damped Newton stops decreasing ||G|| at a kink of the simplex normal
+    # map from both of its starts: near 4.0 (from 36.7) from the fixed-point
+    # start, near 19.2 (from 28.6) from grad w(v0).  Continuation in gamma
+    # solves it
+    prob, v0 = _instance("simplex", 8, 5, 14.125)
     system = NewtonSystem(prob.f1, prob.gamma, prob.geometry)
     assert _attempt("full", prob, v0, system)[0] is None
     out = _newton(prob, v0, system)
@@ -494,23 +494,8 @@ def test_active_ball_steps_never_use_the_interior_factor(monkeypatch):
     assert float(np.linalg.norm(u.concat())) < 1.0
     assert len(factors) == 1 and solves
     solves.clear()
-    # the start's step is taken on the affine piece of v0, inside the ball,
-    # with the factor; every later step is on the sphere's pieces
-    per_step = []
-    step = NewtonSystem.step
-
-    def logged(self, *args):
-        before = len(solves)
-        out = step(self, *args)
-        per_step.append(len(solves) - before)
-        return out
-
-    monkeypatch.setattr(NewtonSystem, "step", logged)
-    assert float(np.linalg.norm(v0.concat())) < 1.0
     u, steps = _newton(active, v0, system)
-    assert steps >= 2 and len(per_step) == steps
-    assert per_step[0] == 1 and per_step[1:] == [0] * (steps - 1)
-    assert len(factors) == 1
+    assert steps >= 1 and solves == [] and len(factors) == 1
     assert float(np.linalg.norm(u.concat())) == pytest.approx(1.0, abs=1e-12)
     assert _prox_residual(active, u) <= 1e-11
 
@@ -542,22 +527,29 @@ def _warm_solve(kind, d, seed, gamma):
     return prob, warm, u, steps, len(calls)
 
 
-def _on_the_warm_starts_piece(kind, warm, u):
-    """Whether the answer lies on the warm start's affine piece: the same
-    support on the simplex; both inside the unit ball, by the margin
-    ``BALL_TOL`` the start uses to tell the inside from the sphere."""
-    if kind == "simplex":
-        return np.array_equal(u.concat() > 0.0, warm.concat() > 0.0)
-    return all(float(np.linalg.norm(p.concat())) < 1.0 - BALL_TOL for p in (warm, u))
+def _on_the_warm_starts_piece(prob, warm, u):
+    """Whether the answer ``u`` and the solve's fixed-point start from
+    ``warm`` (the map at w = c - gamma F1(warm)) lie on the warm start's
+    affine piece: the same support on the simplex; inside the unit ball,
+    by a margin of ``BALL_TOL`` off its sphere."""
+    geom = prob.geometry
+    g = prob.gamma * (prob.f1.evaluate(warm.concat()) + prob.offset)
+    start = mirror_map_flat(geom, dgf_grad_flat(geom, prob.anchor) - g)[0]
+    points = (u.concat(), start)
+    if geom.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+        return all(np.array_equal(p > 0.0, warm.concat() > 0.0) for p in points)
+    return all(float(np.linalg.norm(p)) < 1.0 - BALL_TOL
+               for p in points + (warm.concat(),))
 
 
 @pytest.mark.parametrize("kind", ["simplex", "ball", "ball-recentred"])
 def test_an_answer_on_the_warm_starts_piece_takes_one_step(kind):
-    # the solve's first step is taken on the affine piece of its warm start
-    # v0.  When the answer lies on that piece, the step lands on it: one
-    # step, and one mirror-map evaluation finds G at round-off
+    # the fixed-point start lies on the affine piece of the warm start v0,
+    # so the solve's first step is taken from v0's dual point on it.  When
+    # the answer lies on that piece too, the step lands on it: one step,
+    # and one mirror-map evaluation finds G at round-off
     prob, warm, u, steps, calls = _warm_solve(kind, 6, 11, 2.0)
-    assert _on_the_warm_starts_piece(kind, warm, u)
+    assert _on_the_warm_starts_piece(prob, warm, u)
     assert steps == 1 and calls == 1
     assert _prox_residual(prob, u) <= 1e-11
 
@@ -569,25 +561,20 @@ def test_an_answer_on_the_warm_starts_piece_takes_one_step(kind):
     st.integers(0, 2**32 - 1),
     st.floats(0.05, 20.0),
 ))
-# the step lands at a residual of 4.8e-13 from ||G(w0)|| = 26, above its
-# round-off scale; a second step reaches it
+# from grad w(v0) = v0, where ||G|| = 26, the step carries enough round-off
+# to land at 4.8e-13, above G's round-off scale; from v0's dual point
+# nearest the fixed-point start, where ||G|| is small, it does not
 @example(("simplex", 6, 6, 15.0))
-def test_an_answer_on_the_warm_starts_piece_takes_at_most_two_steps(args):
-    # the step from the warm start's piece carries the round-off of its
-    # linear solve, which at gamma >= 10 on the simplex can leave G just
-    # above its round-off scale (4 of about 3000 draws); a second full step
-    # ends it.  No step backtracks
-    kind = args[0]
+def test_an_answer_on_the_warm_starts_piece_always_takes_one_step(args):
     prob, warm, u, steps, calls = _warm_solve(*args)
-    assume(_on_the_warm_starts_piece(kind, warm, u))
-    assert 1 <= steps == calls <= 2
+    assume(_on_the_warm_starts_piece(prob, warm, u))
+    assert steps == calls == 1
     assert _prox_residual(prob, u) <= 1e-11
 
 
 @pytest.mark.parametrize("args", [
     ("simplex", 6, 11, 2.0),
     ("ball", 2, 0, 0.05),
-    ("ball-sphere", 4, 3, 1.0),
     ("ball-recentred", 3, 1, 1.05),
 ])
 def test_a_start_at_the_answer_takes_one_step(args):
@@ -602,18 +589,38 @@ def test_a_start_at_the_answer_takes_one_step(args):
     assert _prox_residual(prob, again) <= 1e-11
 
 
-@pytest.mark.parametrize("kind", ["simplex", "ball-recentred"])
-def test_a_zero_step_cap_keeps_the_fixed_point_start(monkeypatch, kind):
-    # with no step allowed a Euclidean solve starts one fixed-point step
-    # from v0, at w = c - gamma F1(v0); from the answer that is the root,
-    # so the solve answers without a step.  The piece start takes a step
-    # first, so under a zero cap it would answer nothing
-    prob, v0 = _instance(kind, 5, seed=4, gamma=2.0)
+def test_a_start_off_every_affine_piece_keeps_the_fixed_point_start(monkeypatch):
+    # from an answer on the sphere the fixed-point start w is the root,
+    # outside the ball, where the map is not affine: the solve evaluates
+    # the map there and answers without a step
+    prob, v0 = _instance("ball-sphere", 4, 3, 1.0)
     u, _ = _newton(prob, v0)
-    monkeypatch.setattr(inner, "NEWTON_MAX_STEPS", 0)
+    assert float(np.linalg.norm(u.concat())) == pytest.approx(1.0, abs=1e-12)
+    calls = _mirror_calls(monkeypatch)
     again, steps = _newton(prob, u)
-    assert steps == 0
+    assert steps == 0 and len(calls) == 1
     assert _prox_residual(prob, again) <= 1e-11
+
+
+def test_a_stalled_fixed_point_start_starts_again_at_the_warm_start():
+    # damped Newton from the fixed-point start stalls at a kink after 19
+    # steps; from grad w(v0) it solves the subproblem in 11 more, without
+    # the continuation
+    prob, v0 = _instance("simplex", 6, 11, 14.125)
+    system = NewtonSystem(prob.f1, prob.gamma, prob.geometry)
+    starts, damped = [], inner._damped
+
+    def logged(evaluate, step, w, start=None):
+        out = damped(evaluate, step, w, start)
+        starts.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inner, "_damped", logged)
+        u, steps = _attempt("full", prob, v0, system)
+    assert [s[0] is None for s in starts] == [True, False]
+    assert steps == sum(s[1] for s in starts)
+    assert _prox_residual(prob, u) <= 1e-11
 
 
 def test_every_restart_subproblem_takes_one_step(monkeypatch):
@@ -904,6 +911,5 @@ def _check_reduced_rows(prob, v0, system, answer):
 
 
 def test_singular_newton_system_raises_linalg_error():
-    # under the flag newton_solve_flat ignores for the whole solve
-    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(np.linalg.LinAlgError):
         inner._solve(np.zeros((3, 3)), np.ones(3))

@@ -32,7 +32,9 @@ from visim.geometry import (
     euclidean_simplex,
     floor_simplex_flat,
     max_divergence_bound,
+    mirror_map_flat,
     omega_d,
+    piece_map,
     primal_norm,
     project_block_simplex,
     prox_map,
@@ -522,6 +524,41 @@ def test_recenter_drops_only_an_exactly_zero_center():
     for value in (1e-300, np.nan):
         kept = recenter(setup, Point.of([value, 0.0, 0.0]), zero).center
         assert kept is not None and np.array_equal(kept[0][1:], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("kind", ["simplex", "ball", "ball-recentred"])
+def test_piece_map_is_the_mirror_map_on_the_piece_of_its_point(kind):
+    # theta on the affine piece of u(theta) gets the map's answer and
+    # Jacobian; a theta off it gets None: on the simplex, the piece of a
+    # point of another support; in the ball, a theta + center beyond the
+    # radius, where the map is not affine
+    rng = np.random.default_rng(3)
+    if kind == "simplex":
+        setup = euclidean_simplex(7)
+        thetas = rng.normal(size=(3, setup.layout.size))
+    else:
+        setup = euclidean_ball(7)
+        if kind == "ball-recentred":
+            setup = recenter(setup, random_point(setup, rng), random_point(setup, rng))
+        shift = 0.0 if setup.center is None else setup.center_flat
+        unit = rng.normal(size=(3, 7))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        thetas = unit * np.array([[0.5], [0.999], [3.0]]) - shift
+    for theta in thetas:
+        u, diag, rank_one = mirror_map_flat(setup, theta)
+        if kind != "simplex" and rank_one[0][0]:
+            assert piece_map(setup, u, theta) is None
+            continue
+        got, got_diag, got_rank_one = piece_map(setup, u, theta)
+        assert np.allclose(got, u, rtol=0.0, atol=1e-15)
+        assert np.array_equal(got_diag, diag)
+        assert [b for b, _ in got_rank_one] == [b for b, _ in rank_one]
+        for (_, v), (_, ref) in zip(got_rank_one, rank_one):
+            assert np.array_equal(v, ref)
+        if kind == "simplex":
+            other = np.concatenate([np.roll(b, 1) for b in np.split(u, 2)])
+            assert (other > 0).tolist() != (u > 0).tolist()
+            assert piece_map(setup, other, theta) is None
 
 
 def test_recenter_rejected_on_simplex():
