@@ -358,7 +358,9 @@ def _project_domain_block(setup: GeometrySetup, b: np.ndarray) -> np.ndarray:
     if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
         return project_block_simplex(b)
     r = setup.domain.radius
-    n = float(np.linalg.norm(b))
+    # the arithmetic of np.linalg.norm on a 1-d float vector, without its
+    # wrapper
+    n = math.sqrt(b @ b)
     return b if n <= r else b * (r / n)
 
 
@@ -736,7 +738,7 @@ def _radial_projection_map(setup, theta, bounds):
         if px is x:
             rank_one.append((0.0, np.zeros(hi - lo)))
         else:
-            n = float(np.linalg.norm(x))
+            n = math.sqrt(x @ x)
             diag[lo:hi] = r / n
             rank_one.append((r / n, x / n))
     return u, diag, rank_one

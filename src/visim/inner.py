@@ -10,12 +10,17 @@ Everything here runs on the server; no communication rounds are consumed.
 entropy and Euclidean (simplex or l2-ball) setups: damped Newton on the
 normal map of the mirror map (Robinson 1992; semismooth Newton, Qi & Sun
 1993), typically one to three linear solves, stopped at a round-off
-residual.  On the Euclidean setups that normal map is piecewise affine;
-when the fixed-point start lies on the affine piece of the warm start,
-the first step is taken from a dual point of the warm start itself,
-which needs no mirror-map evaluation, and lands on the root whenever the
-answer lies on that piece (the primal-dual active set view of semismooth
-Newton, Hintermueller, Ito & Kunisch 2002).  A run builds one
+residual.  Each evaluation of the normal map takes F1 once, as
+``OperatorShard.evaluate``; the solve takes F1 at its warm start from the
+caller, which already holds it, and returns F1 at its answer, so that
+the outer step evaluates F1 once per point.  On the Euclidean setups
+that normal map is piecewise affine; when the fixed-point start lies on
+the affine piece of the warm start, the first step is taken from a dual
+point of the warm start itself, and every evaluation tries that piece
+(:func:`geometry.piece_map`) before the mirror map, so a step that lands
+on the root inside the piece makes no projection (the primal-dual
+active set view of semismooth Newton, Hintermueller, Ito & Kunisch
+2002).  A run builds one
 :class:`NewtonSystem` for its fixed F1 and gamma, which takes a saddle
 problem's steps through a d x d Schur complement and factors the
 interior-ball matrix once.  It tries, in turn:
@@ -26,8 +31,9 @@ interior-ball matrix once.  It tries, in turn:
 2. Newton on the full normal map, from the same start; on a Euclidean
    setup whose fixed-point start is off the warm start's piece and
    stalls, once more from grad w(v0);
-3. continuation in gamma, for a full solve that stalls or misses its
-   target within ``NEWTON_MAX_STEPS`` steps.
+3. continuation in gamma from min(gamma / 2, 1 / max|B|), for a full
+   solve that stalls or misses its target within ``NEWTON_MAX_STEPS``
+   steps.
 
 It returns None for a subproblem the continuation does not solve
 either; the outer solver then runs :func:`composite_mp`, as it does for
@@ -137,7 +143,8 @@ class CompositeProblem:
 class NewtonSystem:
     """What every Newton solve of one run shares, built once per run from
     the fixed F1, gamma and block layout of the geometry: the block matrix
-    gB = gamma B, the offset gb = gamma b, |gB|, and the linear solve
+    gB = gamma B, the offset gb = gamma b, |gB| (with |gb|, the round-off
+    scale of the residual's gamma F1 term), and the linear solve
     (I + gB D) dw = r of each step, where D = diag(a) - beta_k v_k v_k^T
     per block comes from :func:`geometry.mirror_map_flat`.
 
@@ -248,14 +255,18 @@ def newton_solve_flat(
     grad: np.ndarray,
     offset: np.ndarray,
     v0: np.ndarray,
-) -> tuple[np.ndarray, int] | None:
+    f1_v0: np.ndarray,
+) -> tuple[np.ndarray, int, np.ndarray | None] | None:
     """Solve the subproblem exactly by damped Newton on the normal map.
 
     The operands are concatenated as ``geometry.layout`` says: ``grad`` =
-    grad w(anchor), the offset and the start ``v0``.  With
-    F1(u) = B u + b and c = grad - gamma * offset, the solution is
-    u = grad w*(w) (:func:`geometry.mirror_map_flat`) for the root w of
-    G(w) = w - c + gamma F1(grad w*(w))  (Robinson's normal map).  Each
+    grad w(anchor), the offset, the start ``v0`` and ``f1_v0`` = F1(v0),
+    which the caller already holds (the outer step keeps F1 at the point
+    it warm-starts from).  With F1(u) = B u + b and
+    c = grad - gamma * offset, the solution is u = grad w*(w)
+    (:func:`geometry.mirror_map_flat`) for the root w of
+    G(w) = w - c + gamma F1(grad w*(w))  (Robinson's normal map); each
+    evaluation of G takes F1(u) as ``system.f1.evaluate(u)``.  Each
     step solves (I + gamma B D) dw = -G, with D the mirror map's
     (generalised) Jacobian, and halves the step until ||G|| decreases.  The
     matrix is nonsingular: D is symmetric positive semidefinite and B
@@ -264,21 +275,24 @@ def newton_solve_flat(
     point at round-off is taken even if ||G|| did not decrease.
 
     The solve starts from w = c - gamma F1(v0), so that grad w*(w) is one
-    fixed-point step from ``v0``.  On a Euclidean setup the normal map is
-    piecewise affine.  If w lies on the affine piece of ``v0``
-    (:func:`geometry.piece_map`: the projection keeps v0's support on the
-    simplex; w + center is inside the l2 ball), the map there, u(w) and
-    D, comes without a sort or a projection, and the solve starts instead
-    at w0 = w + v0 - u(w), which the map takes to ``v0``: G(w0) =
-    v0 - u(w).  On that piece G is affine, so the first Newton step is the
-    one a start at w would take, and it lands on the root when the answer
-    lies on the piece: one step and one mirror-map evaluation instead of
-    two evaluations.  That start takes a step before any residual test,
-    so under a zero ``NEWTON_MAX_STEPS`` it answers nothing.  If w is off
-    that piece and the solve from it fails, as a fixed-point step far
-    from the answer can at a large gamma, it starts once more from
-    grad w(v0), where the map gives ``v0`` back, with a step cap of its
-    own.  Entropy solves, whose mirror map is smooth, start from w only.
+    fixed-point step from ``v0``; it takes no product with B.  On a
+    Euclidean setup the normal map is piecewise affine.  If w lies on the
+    affine piece of ``v0`` (:func:`geometry.piece_map`: the projection
+    keeps v0's support on the simplex; w + center is inside the l2 ball),
+    the map there, u(w) and D, comes without a sort or a projection, and
+    the solve starts instead at w0 = w + v0 - u(w), which the map takes to
+    ``v0``: G(w0) = v0 - u(w).  On that piece G is affine, so the first
+    Newton step is the one a start at w would take, and it lands on the
+    root when the answer lies on the piece: one step, one evaluation of
+    F1 and no projection.  Every evaluation on a Euclidean setup tries
+    v0's piece first and calls the mirror map only off it; inside the l2
+    ball that gives the radial map's own bits.  That start takes a step
+    before any residual test, so under a zero ``NEWTON_MAX_STEPS`` it
+    answers nothing.  If w is off that piece and the solve from it fails,
+    as a fixed-point step far from the answer can at a large gamma, it
+    starts once more from grad w(v0), where the map gives ``v0`` back,
+    with a step cap of its own.  Entropy solves, whose mirror map is
+    smooth, start from w only.
 
     An entropy saddle subproblem first runs the same Newton iteration on
     the y-block alone (:func:`_reduced_newton`): the x-block row of G is
@@ -299,23 +313,26 @@ def newton_solve_flat(
     gamma and block layout; one built for another layout raises
     :class:`ParameterError`, as does the a-norm ball, which
     :func:`geometry.mirror_map_flat` does not cover.  Returns the
-    concatenated solution and the number of Newton steps taken, stalled
-    attempts included, or None for a subproblem the continuation does not
-    solve either.
+    concatenated solution, the number of Newton steps taken, stalled
+    attempts included, and F1 at the solution (the full iteration's last
+    evaluation; None when the reduced attempt answered), or None for a
+    subproblem the continuation does not solve either.
     """
     if system.block_dims != geometry.block_dims:
         raise ParameterError("the Newton system was built for another layout")
     c = grad - system.gamma * offset
-    u, steps = None, 0
+    answer, steps = None, 0
     if system.saddle and geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
         u, steps = _reduced_newton(system, c, v0)
-    if u is None:
-        u, more = _damped_newton(system, geometry, c, v0)
+        if u is not None:
+            answer = (u, None)
+    if answer is None:
+        answer, more = _damped_newton(system, geometry, c, v0, f1_v0)
         steps += more
-    if u is None:
-        u, more = _continue_in_gamma(system, geometry, grad, offset, v0)
+    if answer is None:
+        answer, more = _continue_in_gamma(system, geometry, grad, offset, v0, f1_v0)
         steps += more
-    return None if u is None else (u, steps)
+    return None if answer is None else (answer[0], steps, answer[1])
 
 
 def _continue_in_gamma(
@@ -324,44 +341,51 @@ def _continue_in_gamma(
     grad: np.ndarray,
     offset: np.ndarray,
     v0: np.ndarray,
-) -> tuple[np.ndarray | None, int]:
-    """Halve gamma until a Newton solve from ``v0`` converges, then climb
-    back to the system's gamma by doubling it, each level warm-started
-    from the last answer; a level that stalls is retried from that answer
-    with the square root of the ratio.  Each level solves with
+    f1_v0: np.ndarray,
+) -> tuple[tuple[np.ndarray, np.ndarray] | None, int]:
+    """Solve from ``v0`` at gamma_0 = min(gamma / 2, 1 / max|B|), where
+    gamma |B| is at most 1 and F1's coupling weak, halving gamma until a
+    Newton solve converges, then climb back to the system's gamma by
+    doubling it, each level warm-started from the last answer and F1
+    there; a level that stalls is retried from that answer with the
+    square root of the ratio.  gamma_0 stays below the gamma whose solve
+    from ``v0`` has just failed.  Each level solves with
     c = grad - gamma_level * offset, and ``system`` serves the last level.
     Each phase gives up after ``_GAMMA_CONTINUATION_CAP`` failed solves.
-    Returns the answer (None if it gave up) and the steps taken."""
+    Returns the answer and F1 there (None if it gave up) and the steps
+    taken."""
     gamma, steps = system.gamma, 0
 
     def solve(g, start):
         nonlocal steps
         level_system = (system if g == gamma
                         else NewtonSystem(system.f1, g, geometry))
-        u, more = _damped_newton(level_system, geometry, grad - g * offset, start)
+        answer, more = _damped_newton(level_system, geometry, grad - g * offset,
+                                      *start)
         steps += more
-        return u
+        return answer
 
-    lo = gamma
+    # max|gamma B| / gamma = max|B|
+    lo = gamma / max(2.0, system.max_abs_gB)
     for _ in range(_GAMMA_CONTINUATION_CAP):
-        lo /= 2.0
-        u = solve(lo, v0)
-        if u is not None:
+        answer = solve(lo, (v0, f1_v0))
+        if answer is not None:
             break
+        lo /= 2.0
     else:
         return None, steps
     ratio, failures = 2.0, 0
     while lo < gamma:
         g = gamma if lo * ratio >= gamma else lo * ratio
-        nxt = solve(g, u)
+        nxt = solve(g, answer)
         if nxt is not None:
-            lo, u = g, nxt
+            lo, answer = g, nxt
             continue
         failures += 1
         if failures == _GAMMA_CONTINUATION_CAP:
             return None, steps
         ratio = math.sqrt(ratio)
-    return u, steps
+    return answer, steps
 
 
 def _damped(evaluate, step, w, start=None):
@@ -401,21 +425,28 @@ def _damped(evaluate, step, w, start=None):
 
 
 def _damped_newton(
-    system: NewtonSystem, geometry: GeometrySetup, c: np.ndarray, v0: np.ndarray
-) -> tuple[np.ndarray | None, int]:
-    """One damped Newton solve of the full normal map from ``v0``, with
-    c = grad w(anchor) - gamma * offset at the system's gamma (see
-    :func:`newton_solve_flat`); the concatenated answer is None if it stalls or
-    misses its target."""
-    gB, bounds = system.gB, geometry.layout.bounds
-    # G(w) = w - c + gamma (B u + b) = w - c_b + gB u.  Its round-off scale
-    # is |w| + |c| + |gb| + |gB| (|u| + |D| |w|): the magnitudes of the
-    # summed terms, with the rounding of w carried through the mirror map
-    c_b = c - system.gb
+    system: NewtonSystem,
+    geometry: GeometrySetup,
+    c: np.ndarray,
+    v0: np.ndarray,
+    f1_v0: np.ndarray,
+) -> tuple[tuple[np.ndarray, np.ndarray] | None, int]:
+    """One damped Newton solve of the full normal map from ``v0``, given
+    F1(v0), with c = grad w(anchor) - gamma * offset at the system's gamma
+    (see :func:`newton_solve_flat`).  Returns the concatenated answer and
+    F1 there (None if it stalls or misses its target) and the steps."""
+    f1, gamma, bounds = system.f1, system.gamma, geometry.layout.bounds
+    euclidean = geometry.kind is GeometryKind.EUCLIDEAN
+    # G(w) = w - c + gamma F1(u).  Its round-off scale is
+    # |w| + |c| + |gb| + |gB| (|u| + |D| |w|): the magnitudes of the summed
+    # terms, with the rounding of w carried through the mirror map
     abs_gB, abs_c = system.abs_gB, np.abs(c) + np.abs(system.gb)
 
     def evaluate(w):
-        u, diag, rank_one = mirror_map_flat(geometry, w)
+        # on v0's affine piece the map needs no sort or projection
+        mapped = piece_map(geometry, v0, w) if euclidean else None
+        u, diag, rank_one = mirror_map_flat(geometry, w) if mapped is None else mapped
+        f1_u = f1.evaluate(u)
         abs_w = np.abs(w)
         spread = diag * abs_w
         spread += np.abs(u)
@@ -423,17 +454,17 @@ def _damped_newton(
             if beta:  # a term with beta = 0 (the ball's interior) adds +0.0
                 abs_v = np.abs(v)
                 spread[lo:hi] += beta * abs_v * (abs_v @ abs_w[lo:hi])
-        g = w - c_b
-        g += gB @ u
+        g = w - c
+        g += gamma * f1_u
         scale = abs_gB @ spread
         scale += abs_w + abs_c
         scale *= NEWTON_RTOL
         done = bool((np.abs(g) <= scale).all())
-        return u, g, math.sqrt(g @ g), done, (diag, rank_one)
+        return (u, f1_u), g, math.sqrt(g @ g), done, (diag, rank_one)
 
-    # one fixed-point step from v0: grad w*(w) = u(c_b - gB v0)
-    w = c_b - gB @ v0
-    if geometry.kind is GeometryKind.EUCLIDEAN:
+    # one fixed-point step from v0: grad w*(w) = u(c - gamma F1(v0))
+    w = c - gamma * f1_v0
+    if euclidean:
         # if w lies on the affine piece of v0, a step from anywhere on that
         # piece gives the same iterate.  Take it from w0 = w + v0 - u(w),
         # which the map takes to v0: G(w0) = w0 - w = v0 - u(w), and u(w)
@@ -443,15 +474,16 @@ def _damped_newton(
             u, diag, rank_one = mapped
             g = v0 - u
             return _damped(evaluate, system.step, w + g,
-                           (v0, g, math.sqrt(g @ g), False, (diag, rank_one)))
-    u, steps = _damped(evaluate, system.step, w)
-    if u is None and geometry.kind is GeometryKind.EUCLIDEAN:
+                           ((v0, f1_v0), g, math.sqrt(g @ g), False,
+                            (diag, rank_one)))
+    answer, steps = _damped(evaluate, system.step, w)
+    if answer is None and euclidean:
         # off v0's piece the fixed-point step can land far from the answer
         # (on a vertex of the simplex at a large gamma) and stall at a kink;
         # start once more from grad w(v0), where the map gives v0 back
-        u, more = _damped(evaluate, system.step, dgf_grad_flat(geometry, v0))
+        answer, more = _damped(evaluate, system.step, dgf_grad_flat(geometry, v0))
         steps += more
-    return u, steps
+    return answer, steps
 
 
 def _reduced_scale_bound(

@@ -12,6 +12,14 @@ Each outer iteration costs exactly two communication rounds:
 4. the server takes the mirror step
    z^{k+1} = prox(u^k, F(u^k) - F1(u^k) - F(z^k) + F1(z^k), gamma).
 
+The server evaluates its F1 once per point.  F1(z^k) gives the offset of
+step 2 and the dual vector of step 4.  The Newton solve of step 2 starts
+from F1 at its warm start, u^{k-1} (z^0 at k = 0), which the previous step
+kept, and hands back F1(u^k) from its last evaluation, which steps 4 and
+the next warm start reuse; F1(u^k) is evaluated again only at a floored
+entropy point or after ``composite_mp``.  On the interior of an l2 ball
+an outer step thus takes two products by the server's matrix.
+
 The returned point is the uniform (ergodic) average of u^0..u^{K-1},
 which carries the gap guarantee  Gap(u_avg) <= max_z V(z, z^0) / (K gamma)
 when gamma <= 1/delta.
@@ -234,29 +242,35 @@ def paus_run(
     elif not system.serves(shard, gamma, geom):
         raise ParameterError("the Newton system was built for another subproblem")
     fallbacks = 0
+    # the last step's u^k and F1(u^k): the next step's warm start
+    warm: tuple[np.ndarray, np.ndarray] | None = None
 
     def step(z, prev_u):
-        nonlocal fallbacks
+        nonlocal fallbacks, warm
         f_z = gather_average(cluster, [z])[0]
         f1_z = shard.evaluate(z)
         offset = f_z - f1_z
-        # warm start: the previous subproblem solution
-        v0 = prev_u if prev_u is not None else z
+        # warm start: the previous subproblem solution (z^0 at first), with
+        # F1 there, so that the solve's start needs no product
+        v0, f1_v0 = (z, f1_z) if prev_u is None else warm
         solved = None
         if newton:
             solved = newton_solve_flat(system, geom, dgf_grad_flat(geom, z),
-                                       offset, v0)
+                                       offset, v0, f1_v0)
         if solved is None:
             fallbacks += 1
             problem = CompositeProblem(gamma=gamma, anchor=z, f1=shard,
                                        offset=offset, geometry=geom,
                                        l_f1=config.l_f1)
-            solved = composite_mp(problem, v0, cap, movement_tol)
-        u, inner_iters = solved
+            solved = (*composite_mp(problem, v0, cap, movement_tol), None)
+        u, inner_iters, f1_u = solved
         if entropy:
             # guard against float underflow to 0
             u = floor_simplex_flat(u, layout.bounds)
-        f1_u = shard.evaluate(u)
+        if entropy or f1_u is None:
+            # F1 at the floored point, or where the solve gave none
+            f1_u = shard.evaluate(u)
+        warm = (u, f1_u)
         f_u = gather_average(cluster, [u])[0]
         g = f_u - f1_u
         g -= f_z

@@ -287,7 +287,10 @@ def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
     point; this function counts its rounds and bytes on ``cluster`` itself.
     A paus subproblem goes to ``newton_solve_flat`` (with ``system``, or
     one built here) and, when that gives up, to ``composite_mp``; on the
-    a-norm ball it goes to ``composite_mp`` at once.  Returns the ergodic
+    a-norm ball it goes to ``composite_mp`` at once.  F1 is evaluated once
+    per point: the solve gets F1 at its warm start (z^0's at first, then
+    the last u's) and gives back F1 at its answer, which the step keeps
+    unless it floored u or the solve gave none.  Returns the ergodic
     average, the log as (round, gap, inner iterations) tuples, the kept
     paths and the fallbacks.
     """
@@ -298,23 +301,28 @@ def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
     if system is None:
         system = NewtonSystem(server, gamma, geom)
     fallbacks = 0
+    warm = None
 
     def gather(blocks):
         cluster.round_count += 1
         cluster.bytes_sent += 2 * cluster.m * sum(b.size for b in blocks) * 8
         return per_block_evaluate(avg, blocks)
 
+    def split(flat):
+        return [flat[lo:hi] for lo, hi in geom.layout.bounds]
+
     def paus_step(z, prev_u):
-        nonlocal fallbacks
+        nonlocal fallbacks, warm
         f_z = gather(z)
         f1_z = per_block_evaluate(server, z)
         offset = [a - b for a, b in zip(f_z, f1_z)]
-        v0 = prev_u if prev_u is not None else z
+        # the warm start and F1 there: z^0 at first, then the last step's u
+        v0, f1_v0 = (z, f1_z) if prev_u is None else warm
         solved = None
         if geom.kind is not GeometryKind.A_NORM_BALL:
             solved = newton_solve_flat(
                 system, geom, np.concatenate(per_block_grad(geom, z)),
-                np.concatenate(offset), np.concatenate(v0),
+                np.concatenate(offset), np.concatenate(v0), np.concatenate(f1_v0),
             )
         if solved is None:
             fallbacks += 1
@@ -322,12 +330,17 @@ def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
                 gamma=gamma, anchor=np.concatenate(z), f1=server,
                 offset=np.concatenate(offset), geometry=geom, l_f1=config.l_f1,
             )
-            solved = composite_mp(problem, np.concatenate(v0), *_inner_plan(config))
-        u = [solved[0][lo:hi] for lo, hi in geom.layout.bounds]
-        inner_iters = solved[1]
+            solved = (*composite_mp(problem, np.concatenate(v0), *_inner_plan(config)),
+                      None)
+        flat_u, inner_iters, flat_f1_u = solved
+        u = split(flat_u)
         if entropy:
             u = per_block_floor(u)
-        f1_u = per_block_evaluate(server, u)
+        # F1 at the Newton answer, from the solve's last evaluation, unless
+        # u was floored or the solve gave none
+        f1_u = (per_block_evaluate(server, u) if entropy or flat_f1_u is None
+                else split(flat_f1_u))
+        warm = (u, f1_u)
         f_u = gather(u)
         g = [a - b - c + d for a, b, c, d in zip(f_u, f1_u, f_z, f1_z)]
         z_next = per_block_prox(geom, u, g, gamma)

@@ -200,6 +200,12 @@ def test_run_comparison_series_start_at_round_zero():
     # so both similarity solvers run at the capped gamma; the Newton solve
     # answers every subproblem of both
     assert res.inner_fallbacks == {"paus": 0, "euclidean": 0}
+    # paus's first subproblem goes on by continuation in gamma; started at
+    # 1 / max|M|, where the coupling is weak, it takes 125 Newton steps (329
+    # from gamma / 2), and the run 297 (492)
+    steps = {name: sum(rec.inner_iters for rec in res.series[name])
+             for name in ("paus", "euclidean")}
+    assert steps == {"paus": 297, "euclidean": 24}
     # paus improves on the starting gap
     assert res.series["paus"][-1].iterate_gap < res.series["paus"][0].iterate_gap
 

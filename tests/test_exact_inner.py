@@ -116,8 +116,9 @@ def _newton(prob, v0, system=None):
     geom = prob.geometry
     if system is None:
         system = NewtonSystem(prob.f1, prob.gamma, geom)
+    v0 = v0.concat()
     out = newton_solve_flat(system, geom, dgf_grad_flat(geom, prob.anchor),
-                            prob.offset, v0.concat())
+                            prob.offset, v0, prob.f1.evaluate(v0))
     return None if out is None else (geom.layout.split(out[0]), out[1])
 
 
@@ -130,7 +131,10 @@ def _attempt(name, prob, v0, system):
     if name == "reduced":
         u, steps = inner._reduced_newton(system, c, v0.concat())
     else:
-        u, steps = inner._damped_newton(system, geom, c, v0.concat())
+        v0 = v0.concat()
+        answer, steps = inner._damped_newton(system, geom, c, v0,
+                                             prob.f1.evaluate(v0))
+        u = None if answer is None else answer[0]
     return (None if u is None else geom.layout.split(u)), steps
 
 
@@ -515,7 +519,7 @@ def _mirror_calls(monkeypatch):
 def _warm_solve(kind, d, seed, gamma):
     """A subproblem, its warm start (the answer of the same subproblem with
     a nearby offset), and the Newton solve from that start as a Point, its
-    steps and its mirror-map evaluations."""
+    steps and its mirror-map evaluations (the projections it made)."""
     prob, v0 = _instance(kind, d, seed, gamma)
     rng = np.random.default_rng(seed)
     nearby = dataclasses.replace(
@@ -547,10 +551,11 @@ def test_an_answer_on_the_warm_starts_piece_takes_one_step(kind):
     # the fixed-point start lies on the affine piece of the warm start v0,
     # so the solve's first step is taken from v0's dual point on it.  When
     # the answer lies on that piece too, the step lands on it: one step,
-    # and one mirror-map evaluation finds G at round-off
+    # and one evaluation on the piece, without a projection, finds G at
+    # round-off
     prob, warm, u, steps, calls = _warm_solve(kind, 6, 11, 2.0)
     assert _on_the_warm_starts_piece(prob, warm, u)
-    assert steps == 1 and calls == 1
+    assert steps == 1 and calls == 0
     assert _prox_residual(prob, u) <= 1e-11
 
 
@@ -568,7 +573,7 @@ def test_an_answer_on_the_warm_starts_piece_takes_one_step(kind):
 def test_an_answer_on_the_warm_starts_piece_always_takes_one_step(args):
     prob, warm, u, steps, calls = _warm_solve(*args)
     assume(_on_the_warm_starts_piece(prob, warm, u))
-    assert steps == calls == 1
+    assert steps == 1 and calls == 0
     assert _prox_residual(prob, u) <= 1e-11
 
 
@@ -627,7 +632,8 @@ def test_every_restart_subproblem_takes_one_step(monkeypatch):
     # the restarted run of the restart-ball benchmark (dim 200, m 5,
     # mu 0.5, delta 1, eps 8e-5, inner tolerance 1e-16): every subproblem's
     # answer is inside the ball, where the normal map is affine, so each
-    # takes one step from its warm start and one mirror-map evaluation
+    # takes one step from its warm start, and its one evaluation, on the
+    # warm start's piece, makes no projection
     dim = 200
     shards, z_star, consts = synthetic_strongly_monotone(
         dim, m=5, mu=0.5, delta=1.0, seed=11
@@ -650,7 +656,58 @@ def test_every_restart_subproblem_takes_one_step(monkeypatch):
     out = paus_r(config, ClusterState(shards=shards), z_star=z_star)
     assert len(out.stages) >= 3 and out.inner_fallbacks == 0
     assert steps == [1] * sum(stage.iters for stage in out.stages)
-    assert len(calls) == len(steps)
+    assert calls == []
+
+
+class _CountedMatrix(np.ndarray):
+    """A matrix view that logs, in its ``products`` list, each matrix
+    product it is an operand of; every result is a plain array."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:
+            self.products.append(1)
+
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, _CountedMatrix) else a
+
+        if out is not None:
+            kwargs["out"] = tuple(plain(a) for a in out)
+        return getattr(ufunc, method)(*(plain(a) for a in inputs), **kwargs)
+
+
+def test_an_interior_ball_step_takes_two_products_by_the_server_matrix():
+    # F1 once per point: F1(z^k) for the offset, and F1(u^k) in the
+    # solve's one evaluation, which the step keeps.  The start
+    # w = c - gamma F1(v0) reuses the last step's F1(u^{k-1}), and no
+    # product by gamma A forms the residual (4 products per step before)
+    dim, K = 20, 12
+    shards, _, consts = synthetic_strongly_monotone(
+        dim, m=4, mu=0.5, delta=1.0, seed=7
+    )
+    geom = euclidean_ball(dim)
+    config = PausConfig(gamma=1.0 / consts.delta, iters=K, geometry=geom,
+                        z0=uniform_point(geom), l_f1=consts.L_F1)
+    cluster = ClusterState(shards=list(shards))
+    server = cluster.server_shard
+    system = NewtonSystem(server, config.gamma, geom)
+    products = []
+    for owner, name in ((server, "matrix"), (system, "gB")):
+        counted = getattr(owner, name).view(_CountedMatrix)
+        counted.products = products
+        object.__setattr__(owner, name, counted)
+    steps, solve = [], paus.newton_solve_flat
+
+    def logged(*args):
+        out = solve(*args)
+        steps.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paus, "newton_solve_flat", logged)
+        calls = _mirror_calls(mp)
+        result = paus_run(config, cluster, system=system)
+    assert result.inner_fallbacks == 0 and steps == [1] * K and calls == []
+    assert len(products) == 2 * K
 
 
 def test_newton_system_must_match_the_subproblem():
@@ -908,6 +965,28 @@ def _check_reduced_rows(prob, v0, system, answer):
     scale2 = np.abs(w2) + np.abs(c2) + np.abs(system.gMT) @ spread(x, w1)
     assert np.all(np.abs(g1) <= inner.NEWTON_RTOL * scale1)
     assert np.all(np.abs(g2) <= inner.NEWTON_RTOL * scale2)
+
+
+def test_the_private_gesv_gives_numpy_solves_bits():
+    # inner._solve calls numpy's private gesv gufunc by this name, without
+    # np.linalg.solve's wrapper; a numpy release that moves or changes it
+    # fails here
+    from numpy.linalg._umath_linalg import solve1
+
+    assert inner._gesv is solve1
+    rng = np.random.default_rng(17)
+    for n in range(1, 61):
+        A = rng.normal(size=(n, n))
+        b = rng.normal(size=n)
+        want = np.linalg.solve(A, b)
+        assert np.array_equal(solve1(A, b), want)
+        assert np.array_equal(inner._solve(A, b), want)
+    # a singular system (an exact zero pivot): gesv answers NaNs, which
+    # _solve turns into LinAlgError as np.linalg.solve does
+    singular = np.diag([1.0, 2.0, 0.0, 3.0])
+    for solve in (np.linalg.solve, inner._solve):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(singular, np.ones(4))
 
 
 def test_singular_newton_system_raises_linalg_error():

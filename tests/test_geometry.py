@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from visim.errors import (
     DivergenceInfinite,
@@ -559,6 +560,39 @@ def test_piece_map_is_the_mirror_map_on_the_piece_of_its_point(kind):
             other = np.concatenate([np.roll(b, 1) for b in np.split(u, 2)])
             assert (other > 0).tolist() != (u > 0).tolist()
             assert piece_map(setup, other, theta) is None
+
+
+@settings(max_examples=200)
+@given(st.tuples(
+    st.booleans(),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-3, 1e3),
+    st.floats(0.0, 1.0),
+))
+def test_piece_map_has_the_mirror_maps_bits_inside_the_ball(args):
+    # the Newton solve evaluates the map on its warm start's piece, so
+    # inside the ball (plain or recentred) piece_map must give the radial
+    # map's bits; both measure a norm as math.sqrt(x @ x), the arithmetic
+    # of np.linalg.norm on a 1-d float vector
+    recentred, dim, seed, radius, depth = args
+    rng = np.random.default_rng(seed)
+    setup = euclidean_ball(dim, radius)
+    if recentred:
+        setup = recenter(setup, random_point(setup, rng), random_point(setup, rng))
+    x = rng.normal(size=dim)
+    assert math.sqrt(x @ x) == np.linalg.norm(x)
+    x *= depth * radius / np.linalg.norm(x)
+    theta = x if setup.center is None else x - setup.center_flat
+    u, diag, rank_one = mirror_map_flat(setup, theta)
+    mapped = piece_map(setup, random_point(setup, rng).concat(), theta)
+    if rank_one[0][0]:
+        # theta + center rounded to just beyond the sphere
+        assert mapped is None
+        return
+    got, got_diag, ((beta, v),) = mapped
+    assert np.array_equal(got, u) and np.array_equal(got_diag, diag)
+    assert beta == rank_one[0][0] == 0.0 and np.array_equal(v, rank_one[0][1])
 
 
 def test_recenter_rejected_on_simplex():

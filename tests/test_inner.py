@@ -188,9 +188,10 @@ def test_composite_mp_on_uneven_blocks_and_an_lp_ball():
         geometry=geom, l_f1=float(np.linalg.norm(M, 2)),
     )
     v0 = random_point(geom, rng)
-    exact, _ = newton_solve_flat(
+    exact, _, _ = newton_solve_flat(
         NewtonSystem(prob.f1, prob.gamma, geom), geom,
         dgf_grad_flat(geom, prob.anchor), prob.offset, v0.concat(),
+        prob.f1.evaluate(v0.concat()),
     )
     v, iters = _run(prob, v0, 2000, 1e-24)
     assert iters < 2000
