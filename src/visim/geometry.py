@@ -28,9 +28,10 @@ concatenated blocks, with the same bits, and :func:`bregman_divergence`,
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -103,7 +104,7 @@ class BlockLayout:
     of each block, the index each block starts at, and the block of each
     coordinate."""
 
-    bounds: list[tuple[int, int]]
+    bounds: tuple[tuple[int, int], ...]
     starts: np.ndarray
     block_of: np.ndarray
 
@@ -177,18 +178,28 @@ class GeometrySetup:
 
     @cached_property
     def layout(self) -> BlockLayout:
-        """Where the blocks sit in the concatenated vector."""
-        ends = np.cumsum(self.block_dims).tolist()
-        starts = [0] + ends[:-1]
-        return BlockLayout(
-            list(zip(starts, ends)), np.array(starts),
-            np.repeat(np.arange(len(self.block_dims)), self.block_dims),
-        )
+        """Where the blocks sit in the concatenated vector; setups with the
+        same ``block_dims`` share one."""
+        return _block_layout(self.block_dims)
 
     @cached_property
     def center_flat(self) -> np.ndarray | None:
         """``center`` concatenated as ``layout`` says (None if unshifted)."""
         return None if self.center is None else np.concatenate(self.center)
+
+
+@lru_cache
+def _block_layout(block_dims: tuple[int, ...]) -> BlockLayout:
+    """The one layout of ``block_dims``, shared by every setup that has
+    them (a restarted run recentres its setup every stage), immutable."""
+    ends = np.cumsum(block_dims).tolist()
+    starts = [0] + ends[:-1]
+    layout = BlockLayout(
+        tuple(zip(starts, ends)), np.array(starts),
+        np.repeat(np.arange(len(block_dims)), block_dims),
+    )
+    layout.starts.flags.writeable = layout.block_of.flags.writeable = False
+    return layout
 
 
 def entropy_simplex(d: int, blocks: int = 2) -> GeometrySetup:
@@ -270,7 +281,11 @@ def validate_point(setup: GeometrySetup, z: Point) -> None:
                 raise DomainError("block is not on the probability simplex")
     else:
         p, r = setup.domain.p, setup.domain.radius
-        n = float(np.sum(np.abs(z.blocks[0]) ** p) ** (1.0 / p))
+        b = z.blocks[0]
+        # for p = 2 the arithmetic of np.linalg.norm, as in
+        # _project_domain_block
+        n = (math.sqrt(b @ b) if p == 2.0
+             else float(np.sum(np.abs(b) ** p) ** (1.0 / p)))
         if n > r + BALL_TOL:
             raise DomainError(f"||z||_{p} = {n} exceeds radius {r}")
 
@@ -311,7 +326,7 @@ def has_mass(b: np.ndarray) -> np.ndarray:
 
 
 def floor_simplex_flat(
-    z: np.ndarray, bounds: list[tuple[int, int]], floor: float = TINY_MASS
+    z: np.ndarray, bounds: Sequence[tuple[int, int]], floor: float = TINY_MASS
 ) -> np.ndarray:
     """Clamp simplex blocks away from exact zero and renormalize.
 
@@ -687,7 +702,7 @@ def softmax_map(theta: np.ndarray, layout: BlockLayout | None = None):
 
 def piece_map(
     setup: GeometrySetup, z: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[tuple[float, np.ndarray]]] | None:
+) -> tuple[np.ndarray, np.ndarray, Sequence[tuple[float, np.ndarray]]] | None:
     """:func:`mirror_map_flat` at ``theta``, in its form, if theta lies on
     the map's affine piece through the feasible point ``z``, else None;
     without a sort or a projection.  Euclidean setups only.  On a simplex
@@ -695,7 +710,8 @@ def piece_map(
     support S in every block: u = max(theta - tau, 0) with the threshold
     tau = (sum_S theta - 1) / |S| that S gives.  In the l2 ball the map is
     affine only inside, the piece of every feasible z: theta + center
-    within the radius, u = theta + center and D = I."""
+    within the radius, u = theta + center and D = I, whose read-only
+    terms are shared by every call of the same size."""
     if setup.kind is not GeometryKind.EUCLIDEAN:
         raise ParameterError("affine pieces need a Euclidean setup")
     if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
@@ -715,7 +731,15 @@ def piece_map(
     x = theta if setup.center is None else theta + setup.center_flat
     if not math.sqrt(x @ x) <= setup.domain.radius:
         return None
-    return x, np.ones(x.size), [(0.0, np.zeros(x.size))]
+    return (x, *_identity_jacobian(x.size))
+
+
+@lru_cache
+def _identity_jacobian(n: int) -> tuple[np.ndarray, tuple[tuple[float, np.ndarray]]]:
+    """D = I on n coordinates in :func:`mirror_map_flat`'s form, immutable."""
+    ones, zeros = np.ones(n), np.zeros(n)
+    ones.flags.writeable = zeros.flags.writeable = False
+    return ones, ((0.0, zeros),)
 
 
 def _simplex_projection_map(theta, bounds):

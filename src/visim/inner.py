@@ -10,8 +10,12 @@ Everything here runs on the server; no communication rounds are consumed.
 entropy and Euclidean (simplex or l2-ball) setups: damped Newton on the
 normal map of the mirror map (Robinson 1992; semismooth Newton, Qi & Sun
 1993), typically one to three linear solves, stopped at a round-off
-residual.  Each evaluation of the normal map takes F1 once, as
-``OperatorShard.evaluate``; the solve takes F1 at its warm start from the
+residual.  The stop is tested in two tiers: first against the part of
+the round-off scale that takes O(n) work, and only when that fails
+against the full scale, whose term |gamma B| (|u| + |D| |w|) takes a
+product by an n x n matrix; a first-tier pass is a full pass, so the
+stop is the full test's.  Each evaluation of the normal map takes F1
+once, as ``OperatorShard.evaluate``; the solve takes F1 at its warm start from the
 caller, which already holds it, and returns F1 at its answer, so that
 the outer step evaluates F1 once per point.  On the Euclidean setups
 that normal map is piecewise affine; when the fixed-point start lies on
@@ -143,9 +147,10 @@ class CompositeProblem:
 class NewtonSystem:
     """What every Newton solve of one run shares, built once per run from
     the fixed F1, gamma and block layout of the geometry: the block matrix
-    gB = gamma B, the offset gb = gamma b, |gB| (with |gb|, the round-off
-    scale of the residual's gamma F1 term), and the linear solve
-    (I + gB D) dw = r of each step, where D = diag(a) - beta_k v_k v_k^T
+    gB = gamma B, the offset gb = gamma b, |gb| and |gB| (the round-off
+    scale of the residual's gamma F1 term: |gb| enters the first tier of
+    the stop, |gB| only the second, see :func:`_at_round_off`), and the
+    linear solve (I + gB D) dw = r of each step, where D = diag(a) - beta_k v_k v_k^T
     per block comes from :func:`geometry.mirror_map_flat`.
 
     A saddle F1 = (M y, -M^T x) on two blocks takes the d x d Schur
@@ -175,7 +180,7 @@ class NewtonSystem:
             self.gb = 0.0
         else:
             self.gB, self.gb = gamma * M, gamma * f1.offset
-        self.abs_gB = np.abs(self.gB)
+        self.abs_gB, self.abs_gb = np.abs(self.gB), np.abs(self.gb)
         self.max_abs_gB = float(self.abs_gB.max(initial=0.0))
         self._interior_lu = None
 
@@ -272,7 +277,13 @@ def newton_solve_flat(
     matrix is nonsingular: D is symmetric positive semidefinite and B
     monotone.  It stops once every component of G is at round-off,
     ``NEWTON_RTOL`` times the magnitudes it is the difference of; a trial
-    point at round-off is taken even if ||G|| did not decrease.
+    point at round-off is taken even if ||G|| did not decrease.  Those
+    magnitudes are |w| + |c| + |gamma b| and |gamma B| (|u| + |D| |w|);
+    each evaluation first tests G against the first part alone, O(n), and
+    forms the second, a product by an n x n matrix, only when that test
+    fails or ||G|| is not finite (:func:`_at_round_off`).  A pass of the
+    first test is a pass of the full one, so each stop, step and bit is
+    the full test's.
 
     The solve starts from w = c - gamma F1(v0), so that grad w*(w) is one
     fixed-point step from ``v0``; it takes no product with B.  On a
@@ -424,6 +435,69 @@ def _damped(evaluate, step, w, start=None):
     return u, steps
 
 
+def _at_round_off(
+    g: np.ndarray, norm: float, part: np.ndarray, product
+) -> bool:
+    """Whether every component of the residual ``g`` of
+    :func:`_damped_newton`, whose norm is ``norm``, is at round-off:
+    |G| <= NEWTON_RTOL (|gB| spread + part), with ``part`` =
+    |w| + |c| + |gb| and ``product()`` giving |gB| spread, the one term
+    that takes a product by an n x n matrix.  The first tier asks
+    |G| <= NEWTON_RTOL part: |gB| spread is nonnegative and IEEE rounding
+    monotone, so a pass there is a pass of the full test.  Only a residual
+    that fails it, or whose norm is not finite (a w with an infinite
+    coordinate can pass it, where the full scale is NaN, a fail), forms
+    the product for the full test.  The verdict is the full test's unless
+    |gB| spread overflows, which takes terms near the largest double."""
+    abs_g = np.abs(g)
+    if math.isfinite(norm) and (abs_g <= NEWTON_RTOL * part).all():
+        return True
+    scale = product()
+    scale += part
+    scale *= NEWTON_RTOL
+    return bool((abs_g <= scale).all())
+
+
+def _normal_map(
+    system: NewtonSystem, geometry: GeometrySetup, c: np.ndarray, v0: np.ndarray
+):
+    """The evaluation ``evaluate(w)`` that :func:`_damped` takes for the
+    full normal map G(w) = w - c + gamma F1(u(w)) of a solve from ``v0``
+    (see :func:`newton_solve_flat`): it returns (u, F1(u)), G, ||G||,
+    whether G is at round-off (:func:`_at_round_off`) and the mirror
+    map's Jacobian terms (diag, rank_one)."""
+    f1, gamma, bounds = system.f1, system.gamma, geometry.layout.bounds
+    euclidean = geometry.kind is GeometryKind.EUCLIDEAN
+    # G(w) = w - c + gamma F1(u).  Its round-off scale is
+    # |w| + |c| + |gb| + |gB| (|u| + |D| |w|): the magnitudes of the summed
+    # terms, with the rounding of w carried through the mirror map
+    abs_gB, abs_c = system.abs_gB, np.abs(c) + system.abs_gb
+
+    def evaluate(w):
+        # on v0's affine piece the map needs no sort or projection
+        mapped = piece_map(geometry, v0, w) if euclidean else None
+        u, diag, rank_one = mirror_map_flat(geometry, w) if mapped is None else mapped
+        f1_u = f1.evaluate(u)
+        g = w - c
+        g += gamma * f1_u
+        norm = math.sqrt(g @ g)
+        abs_w = np.abs(w)
+
+        def product():
+            spread = diag * abs_w
+            spread += np.abs(u)
+            for (beta, v), (lo, hi) in zip(rank_one, bounds):
+                if beta:  # a term with beta = 0 (the ball's interior) adds +0.0
+                    abs_v = np.abs(v)
+                    spread[lo:hi] += beta * abs_v * (abs_v @ abs_w[lo:hi])
+            return abs_gB @ spread
+
+        done = _at_round_off(g, norm, abs_w + abs_c, product)
+        return (u, f1_u), g, norm, done, (diag, rank_one)
+
+    return evaluate
+
+
 def _damped_newton(
     system: NewtonSystem,
     geometry: GeometrySetup,
@@ -435,33 +509,8 @@ def _damped_newton(
     F1(v0), with c = grad w(anchor) - gamma * offset at the system's gamma
     (see :func:`newton_solve_flat`).  Returns the concatenated answer and
     F1 there (None if it stalls or misses its target) and the steps."""
-    f1, gamma, bounds = system.f1, system.gamma, geometry.layout.bounds
-    euclidean = geometry.kind is GeometryKind.EUCLIDEAN
-    # G(w) = w - c + gamma F1(u).  Its round-off scale is
-    # |w| + |c| + |gb| + |gB| (|u| + |D| |w|): the magnitudes of the summed
-    # terms, with the rounding of w carried through the mirror map
-    abs_gB, abs_c = system.abs_gB, np.abs(c) + np.abs(system.gb)
-
-    def evaluate(w):
-        # on v0's affine piece the map needs no sort or projection
-        mapped = piece_map(geometry, v0, w) if euclidean else None
-        u, diag, rank_one = mirror_map_flat(geometry, w) if mapped is None else mapped
-        f1_u = f1.evaluate(u)
-        abs_w = np.abs(w)
-        spread = diag * abs_w
-        spread += np.abs(u)
-        for (beta, v), (lo, hi) in zip(rank_one, bounds):
-            if beta:  # a term with beta = 0 (the ball's interior) adds +0.0
-                abs_v = np.abs(v)
-                spread[lo:hi] += beta * abs_v * (abs_v @ abs_w[lo:hi])
-        g = w - c
-        g += gamma * f1_u
-        scale = abs_gB @ spread
-        scale += abs_w + abs_c
-        scale *= NEWTON_RTOL
-        done = bool((np.abs(g) <= scale).all())
-        return (u, f1_u), g, math.sqrt(g @ g), done, (diag, rank_one)
-
+    gamma, euclidean = system.gamma, geometry.kind is GeometryKind.EUCLIDEAN
+    evaluate = _normal_map(system, geometry, c, v0)
     # one fixed-point step from v0: grad w*(w) = u(c - gamma F1(v0))
     w = c - gamma * f1_v0
     if euclidean:

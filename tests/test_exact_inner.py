@@ -42,6 +42,7 @@ from visim.operators import OperatorShard, saddle_shard
 from visim.paus import PausConfig, paus_run
 from visim.restart import RestartConfig, paus_r, synthetic_strongly_monotone
 
+from test_baselines import _game_cluster
 from test_inner import _ball_problem, _run
 
 GEOMETRIES = ["entropy", "entropy-floored", "simplex", "ball", "ball-sphere",
@@ -679,7 +680,10 @@ def test_an_interior_ball_step_takes_two_products_by_the_server_matrix():
     # F1 once per point: F1(z^k) for the offset, and F1(u^k) in the
     # solve's one evaluation, which the step keeps.  The start
     # w = c - gamma F1(v0) reuses the last step's F1(u^{k-1}), and no
-    # product by gamma A forms the residual (4 products per step before)
+    # product by gamma A forms the residual (4 products per step before).
+    # The evaluation certifies its stop on the round-off scale's first
+    # tier, so no product by |gamma A| forms the full scale (1 per step
+    # before)
     dim, K = 20, 12
     shards, _, consts = synthetic_strongly_monotone(
         dim, m=4, mu=0.5, delta=1.0, seed=7
@@ -690,10 +694,11 @@ def test_an_interior_ball_step_takes_two_products_by_the_server_matrix():
     cluster = ClusterState(shards=list(shards))
     server = cluster.server_shard
     system = NewtonSystem(server, config.gamma, geom)
-    products = []
-    for owner, name in ((server, "matrix"), (system, "gB")):
+    products, abs_products = [], []
+    for owner, name, log in ((server, "matrix", products), (system, "gB", products),
+                             (system, "abs_gB", abs_products)):
         counted = getattr(owner, name).view(_CountedMatrix)
-        counted.products = products
+        counted.products = log
         object.__setattr__(owner, name, counted)
     steps, solve = [], paus.newton_solve_flat
 
@@ -707,7 +712,32 @@ def test_an_interior_ball_step_takes_two_products_by_the_server_matrix():
         calls = _mirror_calls(mp)
         result = paus_run(config, cluster, system=system)
     assert result.inner_fallbacks == 0 and steps == [1] * K and calls == []
-    assert len(products) == 2 * K
+    assert len(products) == 2 * K and abs_products == []
+
+
+def test_a_simplex_run_forms_the_full_round_off_scale_at_few_evaluations(
+        monkeypatch):
+    # a Euclidean simplex run: most of its Newton evaluations are decided
+    # by the round-off scale's first tier, and only the others take a
+    # product by |gamma B| (one per evaluation before)
+    cluster, _, _, delta_l2, l_f1_l2 = _game_cluster(d=5, T=60, m=4, seed=2)
+    geom = euclidean_simplex(5)
+    config = PausConfig(gamma=1.0 / delta_l2, iters=25, geometry=geom,
+                        z0=uniform_point(geom), l_f1=l_f1_l2)
+    system = NewtonSystem(cluster.server_shard, config.gamma, geom)
+    products = []
+    system.abs_gB = system.abs_gB.view(_CountedMatrix)
+    system.abs_gB.products = products
+    verdicts, at_round_off = [], inner._at_round_off
+
+    def logged(*args):
+        verdicts.append(1)
+        return at_round_off(*args)
+
+    monkeypatch.setattr(inner, "_at_round_off", logged)
+    result = paus_run(config, cluster, system=system)
+    assert result.inner_fallbacks == 0
+    assert (len(products), len(verdicts)) == (10, 35)
 
 
 def test_newton_system_must_match_the_subproblem():
@@ -723,6 +753,105 @@ def test_newton_system_must_match_the_subproblem():
     other = NewtonSystem(prob.f1, prob.gamma, euclidean_ball(5))
     with pytest.raises(ParameterError):
         _newton(prob, v0, other)
+
+
+# ---------------------------------------------------------------------------
+# the two-tier round-off stop of the full Newton solve
+
+
+def _round_off_terms(system, geom, c, w, u, diag, rank_one):
+    """The full normal map's round-off scale at w, restated: part =
+    |w| + |c| + |gb| and the product |gB| spread, spread = |u| + |D| |w|
+    for the mirror map's Jacobian D = diag - beta v v^T per block."""
+    abs_w = np.abs(w)
+    spread = diag * abs_w + np.abs(u)
+    for (beta, v), (lo, hi) in zip(rank_one, geom.layout.bounds):
+        if beta:
+            abs_v = np.abs(v)
+            spread[lo:hi] += beta * abs_v * (abs_v @ abs_w[lo:hi])
+    return abs_w + (np.abs(c) + np.abs(system.gb)), system.abs_gB @ spread
+
+
+def _two_tier_verdicts(args, exponent):
+    """The round-off verdicts of the full normal map of a subproblem at the
+    dual point of its answer, w* = c - gamma F1(u*), and at w* perturbed
+    by a relative 10**exponent (an infinite exponent puts +inf in w's first
+    coordinate instead).  Per point: the first tier's comparison, whether
+    ||G|| is finite (the first tier's guard), the full scale's verdict,
+    ``inner._at_round_off``'s, and the solve's own evaluation's (None at a
+    non-finite point, which the mirror map rejects; G is then taken with
+    the answer's map)."""
+    prob, v0 = _instance(*args)
+    out = _newton(prob, v0)
+    assert out is not None
+    geom, gamma = prob.geometry, prob.gamma
+    system = NewtonSystem(prob.f1, gamma, geom)
+    c = dgf_grad_flat(geom, prob.anchor) - gamma * prob.offset
+    evaluate = inner._normal_map(system, geom, c, v0.concat())
+    root = c - gamma * prob.f1.evaluate(out[0].concat())
+    if math.isinf(exponent):
+        w = root.copy()
+        w[0] = math.inf
+    else:
+        rng = np.random.default_rng(args[2])
+        w = root * (1.0 + 10.0**exponent * rng.uniform(-1.0, 1.0, root.size))
+    verdicts = []
+    for point in (root, w):
+        try:
+            with np.errstate(invalid="ignore"):
+                (u, f1_u), g, norm, done, (diag, rank_one) = evaluate(point)
+        except NumericsError:
+            assert not np.isfinite(point).all()
+            u, diag, rank_one = mirror_map_flat(geom, root)
+            g = point - c + gamma * prob.f1.evaluate(u)
+            norm, done = math.sqrt(g @ g), None
+        with np.errstate(invalid="ignore"):
+            part, product = _round_off_terms(system, geom, c, point, u, diag,
+                                             rank_one)
+            first = bool((np.abs(g) <= inner.NEWTON_RTOL * part).all())
+            full = bool((np.abs(g) <= (product + part) * inner.NEWTON_RTOL).all())
+            two_tier = inner._at_round_off(g, norm, part, product.copy)
+        verdicts.append((first, math.isfinite(norm), full, two_tier, done))
+    return verdicts
+
+
+# the first tier fails where the full scale passes: at w* of "simplex", and
+# at the perturbed w of the others
+_FULL_TIER_PASSES = [(("simplex", 5, 606, 14.6), -8.0),
+                     (("entropy", 2, 299, 8.48), -15.7),
+                     (("ball-recentred", 2, 562, 5.21), -13.6)]
+# an infinite coordinate of w: the first tier alone would pass, the full
+# scale is NaN (|gB| has zero blocks on a saddle)
+_NON_FINITE = (("simplex", 3, 615, 7.7), math.inf)
+
+
+@settings(max_examples=200)
+@given(_instances, st.floats(-16.0, -6.0))
+@example(*_FULL_TIER_PASSES[0])
+@example(*_FULL_TIER_PASSES[1])
+@example(*_FULL_TIER_PASSES[2])
+@example(*_NON_FINITE)
+def test_the_two_tier_stop_gives_the_full_scales_verdict(args, exponent):
+    # the solve's stop asks the O(n) first tier, |G| <= NEWTON_RTOL part,
+    # before it forms |gB| spread: at the answer and near it, on every
+    # geometry the solve covers, its verdict is the full scale's, and a
+    # first-tier pass is a full pass
+    for first, finite, full, two_tier, done in _two_tier_verdicts(args, exponent):
+        assert two_tier == full
+        assert done in (None, full)
+        assert full or not (first and finite)
+
+
+def test_the_two_tier_examples_reach_the_full_tier():
+    # the examples above keep their meaning: each has a finite point that
+    # fails the first tier and passes the full one; at the non-finite w
+    # the first tier's comparison passes, and only its finite-norm guard
+    # keeps the verdict at the full scale's "not done"
+    for args, exponent in _FULL_TIER_PASSES:
+        verdicts = _two_tier_verdicts(args, exponent)
+        assert (False, True, True, True, True) in verdicts
+    _, at_inf = _two_tier_verdicts(*_NON_FINITE)
+    assert at_inf == (True, False, False, False, None)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from visim.errors import (
     UnsupportedRecenterError,
 )
 from visim.geometry import (
+    BALL_TOL,
     Domain,
     DomainKind,
     DualVector,
@@ -446,6 +447,44 @@ def test_validate_point_shapes_and_domains():
         validate_point(ball, Point.of([1.0, 1.0]))
 
 
+@settings(max_examples=200)
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+def test_ball_membership_gives_np_linalg_norms_verdict(dim, seed, radius):
+    # validate_point measures an l2 ball's point as math.sqrt(b @ b), the
+    # arithmetic of np.linalg.norm: points a few ulps either side of
+    # r + BALL_TOL get the verdict that np.linalg.norm gives them
+    setup = euclidean_ball(dim, radius)
+    x = np.random.default_rng(seed).normal(size=dim)
+    edge = radius + BALL_TOL
+    scale = edge / np.linalg.norm(x)
+    for k in range(-4, 5):
+        b = x * (scale + k * math.ulp(scale))
+        if float(np.linalg.norm(b)) > edge:
+            with pytest.raises(DomainError):
+                validate_point(setup, Point.of(b))
+        else:
+            validate_point(setup, Point.of(b))
+
+
+def test_setups_with_the_same_blocks_share_one_layout():
+    # a restarted run recentres its setup every stage; every setup with
+    # the same block_dims shares one immutable layout
+    rng = np.random.default_rng(4)
+    ball = euclidean_ball(5)
+    moved = recenter(ball, random_point(ball, rng), random_point(ball, rng))
+    again = recenter(moved, random_point(ball, rng), random_point(ball, rng))
+    assert moved is not ball and moved.center is not None
+    layout = ball.layout
+    for setup in (moved, again, euclidean_ball(5, radius=2.0), a_norm_ball(5)):
+        assert setup.layout is layout
+    assert entropy_simplex(4).layout is euclidean_simplex(4).layout
+    assert entropy_simplex(4).layout is not entropy_simplex(5).layout
+    assert layout.bounds == ((0, 5),)
+    for array in (layout.starts, layout.block_of):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
 def test_ball_setups_no_solver_can_run_are_rejected():
     # validate_point and max_divergence_bound measure only block 0 of a
     # ball, and the Euclidean prox projects onto l2 balls only
@@ -593,6 +632,20 @@ def test_piece_map_has_the_mirror_maps_bits_inside_the_ball(args):
     got, got_diag, ((beta, v),) = mapped
     assert np.array_equal(got, u) and np.array_equal(got_diag, diag)
     assert beta == rank_one[0][0] == 0.0 and np.array_equal(v, rank_one[0][1])
+
+
+def test_piece_map_shares_a_read_only_identity_jacobian_inside_the_ball():
+    # inside the ball D = I: every call of a size returns the same
+    # read-only diag and rank-one term, which no caller can write
+    setup = euclidean_ball(4)
+    z = np.zeros(4)
+    _, diag, ((beta, v),) = piece_map(setup, z, np.full(4, 0.1))
+    _, again, ((_, v_again),) = piece_map(setup, z, np.full(4, -0.2))
+    assert diag is again and v is v_again and beta == 0.0
+    assert np.array_equal(diag, np.ones(4)) and np.array_equal(v, np.zeros(4))
+    for array in (diag, v):
+        with pytest.raises(ValueError):
+            array[0] = 2.0
 
 
 def test_recenter_rejected_on_simplex():
