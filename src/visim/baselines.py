@@ -69,7 +69,7 @@ def mirror_prox_run(
     step = config.stepsize
     entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
 
-    def extragradient(z, prev_w):
+    def extragradient(z):
         w = prox_map_flat(geom, z, gather_average(cluster, [z])[0], step)
         z_next = prox_map_flat(geom, z, gather_average(cluster, [w])[0], step)
         if entropy:

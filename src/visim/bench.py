@@ -211,6 +211,11 @@ def _stepsize(solver: str, c: float, consts: SimilarityConstants,
     return c / base
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ParameterError(f"{name} must be finite and positive, got {value}")
+
+
 def run_comparison(
     spec: GameSpec,
     solvers: tuple[str, ...] = SOLVERS,
@@ -231,10 +236,11 @@ def run_comparison(
     for s in solvers:
         if s not in SOLVERS:
             raise ConfigError(f"unknown solver {s!r}; pick from {SOLVERS}")
-    if iters < 1 or c <= 0.0:
-        raise ParameterError("need iters >= 1 and c > 0")
-    if eps is not None and eps <= 0.0:
-        raise ParameterError("eps must be positive")
+    if iters < 1:
+        raise ParameterError(f"need iters >= 1, got {iters}")
+    _check_positive("c", c)
+    if eps is not None:
+        _check_positive("eps", eps)
     mats = generate_game(spec)
     shards = shard_data(mats, spec.m)
     mean = mats.mean(axis=0)
@@ -359,6 +365,8 @@ def run_sweep(
     gamma = c * gamma_theoretical."""
     if not c_values:
         raise ConfigError("sweep needs at least one c value")
+    for c in c_values:
+        _check_positive("c", c)
     out = {}
     for c in c_values:
         out[c] = run_comparison(

@@ -25,7 +25,7 @@ from .bench import (
     run_comparison,
     run_sweep,
 )
-from .errors import VisimError
+from .errors import ConfigError, VisimError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,7 +129,10 @@ def _merge_settings(args: argparse.Namespace) -> dict:
 def _c_list(value) -> tuple[float, ...]:
     if isinstance(value, (int, float)):
         return (float(value),)
-    return tuple(float(tok) for tok in str(value).split(",") if tok.strip())
+    cs = tuple(float(tok) for tok in str(value).split(",") if tok.strip())
+    if not cs:
+        raise ConfigError(f"--c needs at least one value, got {value!r}")
+    return cs
 
 
 def _spec_from(settings: dict) -> GameSpec:

@@ -23,6 +23,12 @@ public :func:`prox_map` and :func:`dgf_grad` are their flat cores on the
 concatenated blocks, with the same bits, and :func:`bregman_divergence`,
 :func:`validate_point`, :func:`max_divergence_bound`, :func:`omega_d`,
 :func:`recenter`, the DGF value and the norms take Points.
+
+Each Euclidean fact lives once: ``_project`` projects onto a Euclidean
+domain, ``_ball_interior`` maps the l2 ball's interior for both
+:func:`piece_map` and :func:`mirror_map_flat`, a recentred ball's
+``GeometrySetup.center`` is one flat array, and ``_lp_norm`` takes every
+vector norm.
 """
 
 from __future__ import annotations
@@ -137,21 +143,20 @@ def a_norm_exponent(dim: int) -> float:
 class GeometrySetup:
     """A DGF + norm + domain configuration.
 
-    ``center`` is the translation of the DGF (ball setups only): the
-    effective DGF is ``w_base(z - center)``.  ``None`` means no shift.
+    ``center`` is the translation of the DGF (ball setups only), one array
+    of the ball's size: the effective DGF is ``w_base(z - center)``.
+    ``None`` means no shift.
     """
 
     kind: GeometryKind
     block_dims: tuple[int, ...]
     domain: Domain
-    center: tuple[np.ndarray, ...] | None = None
+    center: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind is GeometryKind.ENTROPY_SIMPLEX:
             if self.domain.kind is not DomainKind.SIMPLEX_PRODUCT:
                 raise ParameterError("entropy DGF requires a simplex-product domain")
-            if self.center is not None:
-                raise ParameterError("entropy DGF cannot be translated")
         if self.domain.kind is DomainKind.NORM_BALL:
             # validate_point and max_divergence_bound measure one block
             if len(self.block_dims) != 1:
@@ -160,6 +165,12 @@ class GeometrySetup:
                 raise ParameterError(
                     f"the Euclidean DGF needs an l2 ball, got p={self.domain.p}"
                 )
+            if self.center is not None and not (
+                    isinstance(self.center, np.ndarray)
+                    and self.center.shape == self.block_dims):
+                raise ShapeError("a ball's centre is one array of the ball's size")
+        elif self.center is not None:
+            raise ParameterError("only ball setups can be translated")
         if self.kind is GeometryKind.A_NORM_BALL:
             if self.domain.kind is not DomainKind.NORM_BALL:
                 raise ParameterError("a-norm DGF requires a ball domain")
@@ -173,19 +184,11 @@ class GeometrySetup:
     def a(self) -> float:
         return a_norm_exponent(sum(self.block_dims))
 
-    def shift(self, i: int) -> np.ndarray | None:
-        return None if self.center is None else self.center[i]
-
     @cached_property
     def layout(self) -> BlockLayout:
         """Where the blocks sit in the concatenated vector; setups with the
         same ``block_dims`` share one."""
         return _block_layout(self.block_dims)
-
-    @cached_property
-    def center_flat(self) -> np.ndarray | None:
-        """``center`` concatenated as ``layout`` says (None if unshifted)."""
-        return None if self.center is None else np.concatenate(self.center)
 
 
 @lru_cache
@@ -234,31 +237,38 @@ def a_norm_ball(dim: int, radius: float = 1.0, p: float | None = None) -> Geomet
 # norms
 
 
-def _block_norm(setup: GeometrySetup, b: np.ndarray) -> float:
+def _lp_norm(x: np.ndarray, p: float) -> float:
+    """||x||_p of a vector.  p = 2 takes math.sqrt(x @ x), the arithmetic
+    of np.linalg.norm on a 1-d float vector without its wrapper; p = inf
+    the largest |x_i| (0 for an empty x)."""
+    if p == 2.0:
+        return math.sqrt(x @ x)
+    if p == math.inf:
+        return float(np.abs(x).max()) if x.size else 0.0
+    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+
+
+def _block_norm_exponent(setup: GeometrySetup, dual: bool = False) -> float:
+    """p of the setup's declared block norm (l1, l2 or the a-norm), or of
+    its dual."""
     if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
-        return float(np.abs(b).sum())
+        return math.inf if dual else 1.0
     if setup.kind is GeometryKind.EUCLIDEAN:
-        return float(np.linalg.norm(b))
-    return float(np.sum(np.abs(b) ** setup.a) ** (1.0 / setup.a))
+        return 2.0
+    a = setup.a
+    return a / (a - 1.0) if dual else a
 
 
 def primal_norm(setup: GeometrySetup, diff: Point) -> float:
     """The setup's declared norm of a difference of points."""
-    return math.sqrt(sum(_block_norm(setup, b) ** 2 for b in diff.blocks))
+    p = _block_norm_exponent(setup)
+    return math.sqrt(sum(_lp_norm(b, p) ** 2 for b in diff.blocks))
 
 
 def dual_norm(setup: GeometrySetup, g: DualVector) -> float:
     """Dual of :func:`primal_norm` (blockwise dual norms, l2-combined)."""
-    vals = []
-    for b in g.blocks:
-        if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
-            vals.append(float(np.abs(b).max()) if b.size else 0.0)
-        elif setup.kind is GeometryKind.EUCLIDEAN:
-            vals.append(float(np.linalg.norm(b)))
-        else:
-            a = setup.a
-            q = a / (a - 1.0)
-            vals.append(float(np.sum(np.abs(b) ** q) ** (1.0 / q)))
+    q = _block_norm_exponent(setup, dual=True)
+    vals = [_lp_norm(b, q) for b in g.blocks]
     return math.sqrt(sum(v * v for v in vals))
 
 
@@ -267,11 +277,7 @@ def dual_norm(setup: GeometrySetup, g: DualVector) -> float:
 
 
 def validate_point(setup: GeometrySetup, z: Point) -> None:
-    if tuple(b.size for b in z.blocks) != setup.block_dims:
-        raise ShapeError(
-            f"point blocks {tuple(b.size for b in z.blocks)} "
-            f"!= setup blocks {setup.block_dims}"
-        )
+    _check_blocks(setup, z)
     for b in z.blocks:
         if not np.all(np.isfinite(b)):
             raise NumericsError("non-finite point coordinates")
@@ -281,11 +287,7 @@ def validate_point(setup: GeometrySetup, z: Point) -> None:
                 raise DomainError("block is not on the probability simplex")
     else:
         p, r = setup.domain.p, setup.domain.radius
-        b = z.blocks[0]
-        # for p = 2 the arithmetic of np.linalg.norm, as in
-        # _project_domain_block
-        n = (math.sqrt(b @ b) if p == 2.0
-             else float(np.sum(np.abs(b) ** p) ** (1.0 / p)))
+        n = _lp_norm(z.blocks[0], p)
         if n > r + BALL_TOL:
             raise DomainError(f"||z||_{p} = {n} exceeds radius {r}")
 
@@ -306,8 +308,7 @@ def random_point(setup: GeometrySetup, rng: np.random.Generator) -> Point:
     p, r = setup.domain.p, setup.domain.radius
     y = rng.standard_normal(dim)
     scale = r * rng.uniform() ** (1.0 / dim)
-    n = np.sum(np.abs(y) ** p) ** (1.0 / p)
-    return Point.of(y * (scale / n))
+    return Point.of(y * (scale / _lp_norm(y, p)))
 
 
 TINY_MASS = 1e-300
@@ -326,7 +327,7 @@ def has_mass(b: np.ndarray) -> np.ndarray:
 
 
 def floor_simplex_flat(
-    z: np.ndarray, bounds: Sequence[tuple[int, int]], floor: float = TINY_MASS
+    z: np.ndarray, bounds: Sequence[tuple[int, int]]
 ) -> np.ndarray:
     """Clamp simplex blocks away from exact zero and renormalize.
 
@@ -339,7 +340,7 @@ def floor_simplex_flat(
     the (lo, hi) slices ``bounds``: one clamp over all blocks, then each
     block divided by its own sum.  Returns a new array.
     """
-    out = np.maximum(z, floor)
+    out = np.maximum(z, TINY_MASS)
     for lo, hi in bounds:
         b = out[lo:hi]
         b /= b.sum()
@@ -369,14 +370,18 @@ def project_block_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _project_domain_block(setup: GeometrySetup, b: np.ndarray) -> np.ndarray:
+def _project(setup: GeometrySetup, v: np.ndarray) -> np.ndarray:
+    """The Euclidean projection onto the domain of a fresh vector ``v``
+    concatenated as ``setup.layout`` says, in place and returned: onto the
+    simplex block by block, or radially onto the l2 ball."""
     if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
-        return project_block_simplex(b)
-    r = setup.domain.radius
-    # the arithmetic of np.linalg.norm on a 1-d float vector, without its
-    # wrapper
-    n = math.sqrt(b @ b)
-    return b if n <= r else b * (r / n)
+        for lo, hi in setup.layout.bounds:
+            v[lo:hi] = project_block_simplex(v[lo:hi])
+        return v
+    r, n = setup.domain.radius, _lp_norm(v, 2.0)
+    if not n <= r:
+        v *= r / n
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -394,21 +399,17 @@ def dgf_value(setup: GeometrySetup, z: Point) -> float:
     validate_point(setup, z)
     if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
         return sum(_entropy_block_value(b) for b in z.blocks)
-    total = 0.0
-    for i, b in enumerate(z.blocks):
-        s = setup.shift(i)
-        x = b if s is None else b - s
-        if setup.kind is GeometryKind.EUCLIDEAN:
-            total += 0.5 * float(x @ x)
-        else:
-            a = setup.a
-            total += float(np.sum(np.abs(x) ** a) ** (2.0 / a)) / (2.0 * (a - 1.0))
-    return total
+    # only a ball, which has one block, has a centre; the a-norm's is a ball
+    blocks = z.blocks if setup.center is None else (z.blocks[0] - setup.center,)
+    if setup.kind is GeometryKind.EUCLIDEAN:
+        return sum(0.5 * float(x @ x) for x in blocks)
+    a = setup.a
+    return float(np.sum(np.abs(blocks[0]) ** a) ** (2.0 / a)) / (2.0 * (a - 1.0))
 
 
 def _a_norm_grad(x: np.ndarray, a: float) -> np.ndarray:
     # grad of ||x||_a^2 / (2(a-1)); zero at the origin
-    na = float(np.sum(np.abs(x) ** a) ** (1.0 / a))
+    na = _lp_norm(x, a)
     if na == 0.0:
         return np.zeros_like(x)
     return np.sign(x) * np.abs(x) ** (a - 1.0) * na ** (2.0 - a) / (a - 1.0)
@@ -417,7 +418,7 @@ def _a_norm_grad(x: np.ndarray, a: float) -> np.ndarray:
 def _a_norm_grad_inv(s: np.ndarray, a: float) -> np.ndarray:
     # inverse of _a_norm_grad: (a-1) * sign(s)|s|^{q-1} ||s||_q^{2-q}, q = a/(a-1)
     q = a / (a - 1.0)
-    nq = float(np.sum(np.abs(s) ** q) ** (1.0 / q))
+    nq = _lp_norm(s, q)
     if nq == 0.0:
         return np.zeros_like(s)
     return (a - 1.0) * np.sign(s) * np.abs(s) ** (q - 1.0) * nq ** (2.0 - q)
@@ -442,7 +443,7 @@ def dgf_grad_flat(setup: GeometrySetup, z: np.ndarray) -> np.ndarray:
         e = np.log(z)
         e += 1.0
         return e
-    x = z if setup.center is None else z - setup.center_flat
+    x = z if setup.center is None else z - setup.center
     if setup.kind is GeometryKind.EUCLIDEAN:
         return x
     return _a_norm_grad(x, setup.a)
@@ -519,25 +520,22 @@ def _ball_constrained_solve(
     a = setup.a
     p, r = setup.domain.p, setup.domain.radius
     z_unc = _a_norm_grad_inv(target_dual, a)
-    shift = setup.shift(0)
+    shift = setup.center
     if shift is not None:
         z_unc = z_unc + shift
-    norm_p = float(np.sum(np.abs(z_unc) ** p) ** (1.0 / p))
+    norm_p = _lp_norm(z_unc, p)
     if norm_p <= r + BALL_TOL:
         return z_unc
     if abs(p - a) <= 1e-12 and shift is None:
         # z(lam) = grad w*(s) / (1 + lam (a-1)); bisection on the multiplier
         lo, hi = 0.0, 1.0
         for _ in range(200):
-            if np.sum(np.abs(z_unc / (1.0 + hi * (a - 1.0))) ** p) ** (1.0 / p) <= r:
+            if _lp_norm(z_unc / (1.0 + hi * (a - 1.0)), p) <= r:
                 break
             hi *= 2.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            zn = float(
-                np.sum(np.abs(z_unc / (1.0 + mid * (a - 1.0))) ** p) ** (1.0 / p)
-            )
-            if zn > r:
+            if _lp_norm(z_unc / (1.0 + mid * (a - 1.0)), p) > r:
                 lo = mid
             else:
                 hi = mid
@@ -552,7 +550,7 @@ def _ball_constrained_solve(
             2.0 * (a - 1.0)
         ) - float(target_dual @ (z if shift is None else z - shift))
 
-    cons = {"type": "ineq", "fun": lambda z: r - np.sum(np.abs(z) ** p) ** (1.0 / p)}
+    cons = {"type": "ineq", "fun": lambda z: r - _lp_norm(z, p)}
     res = minimize(
         obj, z_unc * (r / norm_p), method="SLSQP", constraints=[cons],
         options={"maxiter": 500, "ftol": 1e-14},
@@ -561,7 +559,7 @@ def _ball_constrained_solve(
     # solves whose point is fine, and success says nothing about round-off
     # past the sphere.  Feasibility decides.
     z = np.asarray(res.x, dtype=float)
-    norm_z = float(np.sum(np.abs(z) ** p) ** (1.0 / p))
+    norm_z = _lp_norm(z, p)
     if not np.all(np.isfinite(z)) or norm_z > r * (1.0 + SLSQP_OVERSHOOT_TOL):
         raise NumericsError(
             f"ball prox fallback left the ball (||z||_{p} = {norm_z!r}, "
@@ -597,11 +595,7 @@ def prox_map_flat(
         theta -= step * g
         return softmax_map(theta, setup.layout)[0]
     if setup.kind is GeometryKind.EUCLIDEAN:
-        v = center - step * g
-        out = np.empty_like(v)
-        for lo, hi in setup.layout.bounds:
-            out[lo:hi] = _project_domain_block(setup, v[lo:hi])
-        return out
+        return _project(setup, center - step * g)
     target = dgf_grad_flat(setup, center)
     target -= step * g
     return _ball_constrained_solve(setup, target)
@@ -641,10 +635,7 @@ def composite_prox_map(
         return softmax_map(wa * np.log(anchor) + wc * np.log(center) - wc * g,
                            setup.layout)[0]
     if setup.kind is GeometryKind.EUCLIDEAN:
-        v = (eta * anchor + center - g) / (1.0 + eta)
-        for lo, hi in setup.layout.bounds:
-            v[lo:hi] = _project_domain_block(setup, v[lo:hi])
-        return v
+        return _project(setup, (eta * anchor + center - g) / (1.0 + eta))
     target = (eta * dgf_grad_flat(setup, anchor) + dgf_grad_flat(setup, center)
               - g) / (1.0 + eta)
     return _ball_constrained_solve(setup, target)
@@ -662,10 +653,11 @@ def mirror_map_flat(
     with ``rank_one[k] = (beta_k, v_k)``.  Entropy: softmax per block, D =
     diag(s) - s s^T.  Euclidean simplex: projection per block,
     D = diag(1_S) - 1_S 1_S^T / |S| on the support S.  Euclidean l2 ball
-    (recentred or not): radial projection of theta + center, D = I inside
-    the ball and (r/n)(I - x x^T / n^2) for the point x at norm n outside
-    it.  On interior points the map inverts :func:`dgf_grad_flat`.  The
-    a-norm ball has no closed form here and raises :class:`ParameterError`.
+    (recentred or not): radial projection of x = theta + center, D = I
+    inside the ball (``_ball_interior``: u may be theta itself, D is
+    read-only) and (r/n)(I - x x^T / n^2) for x at norm n outside it.  On
+    interior points the map inverts :func:`dgf_grad_flat`.  The a-norm
+    ball has no closed form here and raises :class:`ParameterError`.
     Elementwise work and the blocks' maxima run over all blocks at once,
     sums block by block, with the bits of the block-by-block map.
     """
@@ -677,8 +669,14 @@ def mirror_map_flat(
     if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
         return softmax_map(theta, layout)
     if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
-        return _simplex_projection_map(theta, layout.bounds)
-    return _radial_projection_map(setup, theta, layout.bounds)
+        u = _project(setup, theta.copy())
+        a = (u > 0.0).astype(float)
+        return u, a, [(1.0 / a[lo:hi].sum(), a[lo:hi]) for lo, hi in layout.bounds]
+    x, n, inside = _ball_interior(setup, theta)
+    if inside is not None:
+        return inside
+    s = setup.domain.radius / n
+    return x * s, np.full_like(x, s), ((s, x / n),)
 
 
 def softmax_map(theta: np.ndarray, layout: BlockLayout | None = None):
@@ -709,9 +707,8 @@ def piece_map(
     product the piece is the set of theta whose projection keeps z's
     support S in every block: u = max(theta - tau, 0) with the threshold
     tau = (sum_S theta - 1) / |S| that S gives.  In the l2 ball the map is
-    affine only inside, the piece of every feasible z: theta + center
-    within the radius, u = theta + center and D = I, whose read-only
-    terms are shared by every call of the same size."""
+    affine only inside, the piece of every feasible z: there the map is
+    :func:`mirror_map_flat`'s own interior."""
     if setup.kind is not GeometryKind.EUCLIDEAN:
         raise ParameterError("affine pieces need a Euclidean setup")
     if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
@@ -728,10 +725,19 @@ def piece_map(
         np.maximum(u, 0.0, out=u)
         # D as on the projection's support S, which is z's
         return u, a, [(1.0 / n, a[lo:hi]) for n, (lo, hi) in zip(size, layout.bounds)]
-    x = theta if setup.center is None else theta + setup.center_flat
-    if not math.sqrt(x @ x) <= setup.domain.radius:
-        return None
-    return (x, *_identity_jacobian(x.size))
+    return _ball_interior(setup, theta)[2]
+
+
+def _ball_interior(setup: GeometrySetup, theta: np.ndarray):
+    """The l2 ball's mirror map inside the ball: x = theta + center (theta
+    itself in an unshifted ball), its norm n, and (u, diag, rank_one) =
+    (x, D = I) if x lies within the radius, else None.  D's read-only
+    terms are shared by every call of the same size."""
+    x = theta if setup.center is None else theta + setup.center
+    n = _lp_norm(x, 2.0)
+    if not n <= setup.domain.radius:
+        return x, n, None
+    return x, n, (x, *_identity_jacobian(x.size))
 
 
 @lru_cache
@@ -740,32 +746,6 @@ def _identity_jacobian(n: int) -> tuple[np.ndarray, tuple[tuple[float, np.ndarra
     ones, zeros = np.ones(n), np.zeros(n)
     ones.flags.writeable = zeros.flags.writeable = False
     return ones, ((0.0, zeros),)
-
-
-def _simplex_projection_map(theta, bounds):
-    # D = diag(1_S) - 1_S 1_S^T / |S| per block, S the block's support
-    u = np.empty_like(theta)
-    for lo, hi in bounds:
-        u[lo:hi] = project_block_simplex(theta[lo:hi])
-    a = (u > 0.0).astype(float)
-    return u, a, [(1.0 / a[lo:hi].sum(), a[lo:hi]) for lo, hi in bounds]
-
-
-def _radial_projection_map(setup, theta, bounds):
-    # D = I inside the ball, (r/n)(I - x x^T / n^2) for x at norm n > r
-    r = setup.domain.radius
-    u, diag, rank_one = np.empty_like(theta), np.ones_like(theta), []
-    for i, (lo, hi) in enumerate(bounds):
-        s = setup.shift(i)
-        x = theta[lo:hi] if s is None else theta[lo:hi] + s
-        u[lo:hi] = px = _project_domain_block(setup, x)
-        if px is x:
-            rank_one.append((0.0, np.zeros(hi - lo)))
-        else:
-            n = math.sqrt(x @ x)
-            diag[lo:hi] = r / n
-            rank_one.append((r / n, x / n))
-    return u, diag, rank_one
 
 
 def max_divergence_bound(setup: GeometrySetup, z0: Point) -> float:
@@ -821,14 +801,9 @@ def recenter(
     """A setup whose DGF is w(z - shift_from + shift_to)."""
     if setup.domain.kind is not DomainKind.NORM_BALL:
         raise UnsupportedRecenterError("only ball setups support DGF translation")
-    check_same_shape(shift_from, shift_to)
-    old = setup.center
-    new = tuple(
-        (np.zeros(d) if old is None else old[i]) + shift_from.blocks[i]
-        - shift_to.blocks[i]
-        for i, d in enumerate(setup.block_dims)
-    )
+    _check_blocks(setup, shift_from)
+    _check_blocks(setup, shift_to)
+    old = np.zeros(setup.layout.size) if setup.center is None else setup.center
+    new = old + shift_from.concat() - shift_to.concat()
     # exactly zero (-0.0 included); a NaN centre is not
-    if not any(c.any() for c in new):
-        return replace(setup, center=None)
-    return replace(setup, center=new)
+    return replace(setup, center=new if new.any() else None)

@@ -73,9 +73,8 @@ from .inner import (
 DEFAULT_INNER_TOL = 1e-10
 MOVEMENT_TOL_FLOOR = 1e-17
 
-# one outer iteration on flat arrays:
-# (z^k, u^{k-1} or None) -> (u^k, z^{k+1}, inner iterations)
-Step = Callable[[np.ndarray, np.ndarray | None], tuple[np.ndarray, np.ndarray, int]]
+# one outer iteration on flat arrays: z^k -> (u^k, z^{k+1}, inner iterations)
+Step = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, int]]
 
 
 @dataclass
@@ -96,8 +95,8 @@ class PausConfig:
     inner: InnerSettings = field(default_factory=InnerSettings)
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ParameterError(f"gamma must be finite and > 0, got {self.gamma}")
         if self.iters < 1:
             raise ParameterError(f"need at least one iteration, got {self.iters}")
         if self.l_f1 <= 0.0:
@@ -165,9 +164,8 @@ def _drive(
     """The outer loop shared by every solver: ``iters`` calls of ``step``
     from ``z0``, the ergodic average of the returned u^k, and the log.
 
-    ``step(z, prev_u)`` takes one outer iteration from the flat z^k
-    (``prev_u`` is u^{k-1}, None at k = 0) and returns new arrays
-    (u^k, z^{k+1}) and the inner iterations.
+    ``step(z)`` takes one outer iteration from the flat z^k and returns
+    new arrays (u^k, z^{k+1}) and the inner iterations.
     """
     validate_point(geometry, z0)
     # a flat point of the right size can still cut the blocks wrongly
@@ -179,16 +177,14 @@ def _drive(
     layout = geometry.layout
     z = z0.concat()
     u_sum = np.zeros(layout.size)
-    prev_u: np.ndarray | None = None
     records: list[RunRecord] = []
     u_path: list[Point] = []
     z_path: list[Point] = [z0]
     start = time.perf_counter()
 
     for k in range(iters):
-        u, z, inner_iters = step(z, prev_u)
+        u, z, inner_iters = step(z)
         u_sum += u
-        prev_u = u
         if keep_iterates:
             u_path.append(layout.split(u))
             z_path.append(layout.split(z))
@@ -245,14 +241,14 @@ def paus_run(
     # the last step's u^k and F1(u^k): the next step's warm start
     warm: tuple[np.ndarray, np.ndarray] | None = None
 
-    def step(z, prev_u):
+    def step(z):
         nonlocal fallbacks, warm
         f_z = gather_average(cluster, [z])[0]
         f1_z = shard.evaluate(z)
         offset = f_z - f1_z
         # warm start: the previous subproblem solution (z^0 at first), with
         # F1 there, so that the solve's start needs no product
-        v0, f1_v0 = (z, f1_z) if prev_u is None else warm
+        v0, f1_v0 = (z, f1_z) if warm is None else warm
         solved = None
         if newton:
             solved = newton_solve_flat(system, geom, dgf_grad_flat(geom, z),

@@ -42,7 +42,6 @@ class RestartConfig:
     z0: Point
     r0_sq: float
     l_f1: float
-    gamma: float | None = None  # None -> 1/delta
     inner: InnerSettings = field(default_factory=InnerSettings)
 
     def __post_init__(self):
@@ -52,14 +51,17 @@ class RestartConfig:
             raise ParameterError("delta, eps and r0_sq must be positive")
         if self.geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
             raise ConfigError("the entropy setup supports neither omega nor recentering")
-        if self.gamma is None:
-            self.gamma = 1.0 / self.delta
         om = omega_d(self.geometry, self.z0)
         if self.mu > self.delta * om * (1.0 + 1e-9):
             raise ConfigError(
                 f"mu = {self.mu} exceeds delta * omega = {self.delta * om}; "
                 "a restart stage would be shorter than one iteration block"
             )
+
+    @property
+    def gamma(self) -> float:
+        """The outer stepsize of every stage, 1/delta."""
+        return 1.0 / self.delta
 
 
 @dataclass(frozen=True)

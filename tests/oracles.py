@@ -220,8 +220,8 @@ def per_block_grad(geometry, blocks):
     Euclidean setups."""
     if geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
         return [np.log(b) + 1.0 for b in blocks]
-    return [b if geometry.shift(i) is None else b - geometry.shift(i)
-            for i, b in enumerate(blocks)]
+    return [b if geometry.center is None else b - geometry.center
+            for b in blocks]
 
 
 def per_block_prox(geometry, center, g, step):

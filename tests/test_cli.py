@@ -104,6 +104,30 @@ def test_invalid_instance_exits_two(tmp_path):
     assert rc == EXIT_SOLVER
 
 
+@pytest.mark.parametrize("sub, flags", [
+    ("compare", ["--c", ","]),
+    ("sweep", ["--c", " , "]),
+    ("run", ["--c", "inf", "--K", "2"]),
+    ("run", ["--c", "nan"]),
+    ("run", ["--c", "0"]),
+    ("sweep", ["--c", "0.5,nan"]),
+    ("compare", ["--eps", "nan"]),
+    ("run", ["--eps", "inf"]),
+    ("run", ["--eps", "-1"]),
+])
+def test_bad_step_size_input_exits_two_with_one_line(sub, flags, tmp_path, capsys):
+    # an empty --c list, or a c or eps that is non-finite or not positive,
+    # is a configuration error, not a traceback
+    out = str(tmp_path / "res")
+    argv = [sub, "--d", "5", "--T", "40", "--m", "4", "--out", out] + flags
+    assert main(argv) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and captured.out == ""
+    assert err[0].startswith(("visim: ConfigError", "visim: ParameterError"))
+    assert not os.path.exists(out)
+
+
 def test_check_subcommand(capsys):
     assert main(["check"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()

@@ -882,7 +882,7 @@ def _layout(kind, d1, d2, seed, gamma):
 def _per_block_mirror_map(geom, theta):
     """The mirror map block by block, each block its own array."""
     blocks, diag, rank_one = [], [], []
-    for i, t in enumerate(np.split(theta, np.cumsum(geom.block_dims)[:-1])):
+    for t in np.split(theta, np.cumsum(geom.block_dims)[:-1]):
         if geom.kind is GeometryKind.ENTROPY_SIMPLEX:
             e = t - t.max()
             w = np.exp(e)
@@ -893,8 +893,7 @@ def _per_block_mirror_map(geom, theta):
             a = (u > 0.0).astype(float)
             beta, v = 1.0 / a.sum(), a
         else:
-            s = geom.shift(i)
-            x = t.copy() if s is None else t + s
+            x = t.copy() if geom.center is None else t + geom.center
             n, r = float(np.linalg.norm(x)), geom.domain.radius
             if n <= r:
                 u, a, beta, v = x, np.ones_like(x), 0.0, np.zeros_like(x)

@@ -211,8 +211,8 @@ def test_kept_iterates_hold_the_values_of_their_own_step(game, monkeypatch):
     drive = paus._drive
 
     def copying_drive(geometry, z0, iters, step, *rest):
-        def copying_step(z, prev_u):
-            u, z_next, n = step(z, prev_u)
+        def copying_step(z):
+            u, z_next, n = step(z)
             copies.append((u.copy(), z_next.copy()))
             return u, z_next, n
 

@@ -45,6 +45,7 @@ from visim.geometry import (
     uniform_point,
     validate_point,
 )
+from visim.geometry import _lp_norm, _project
 
 from oracles import (
     entropy_composite_oracle,
@@ -558,12 +559,12 @@ def test_recenter_drops_only_an_exactly_zero_center():
     setup = euclidean_ball(3)
     zero, neg_zero = Point.of(np.zeros(3)), Point.of(np.full(3, -0.0))
     # a centre of -0.0 (-0.0 + -0.0 - 0.0) is exactly zero
-    signed = replace(setup, center=(np.full(3, -0.0),))
+    signed = replace(setup, center=np.full(3, -0.0))
     assert recenter(signed, neg_zero, zero).center is None
     # a tiny or a NaN centre is kept
     for value in (1e-300, np.nan):
         kept = recenter(setup, Point.of([value, 0.0, 0.0]), zero).center
-        assert kept is not None and np.array_equal(kept[0][1:], [0.0, 0.0])
+        assert kept is not None and np.array_equal(kept[1:], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("kind", ["simplex", "ball", "ball-recentred"])
@@ -580,7 +581,7 @@ def test_piece_map_is_the_mirror_map_on_the_piece_of_its_point(kind):
         setup = euclidean_ball(7)
         if kind == "ball-recentred":
             setup = recenter(setup, random_point(setup, rng), random_point(setup, rng))
-        shift = 0.0 if setup.center is None else setup.center_flat
+        shift = 0.0 if setup.center is None else setup.center
         unit = rng.normal(size=(3, 7))
         unit /= np.linalg.norm(unit, axis=1)[:, None]
         thetas = unit * np.array([[0.5], [0.999], [3.0]]) - shift
@@ -601,37 +602,105 @@ def test_piece_map_is_the_mirror_map_on_the_piece_of_its_point(kind):
             assert piece_map(setup, other, theta) is None
 
 
+def _reference_ball_map(setup, theta):
+    """The l2 ball's mirror map written out: x = theta + center in a fresh
+    array, its norm by np.linalg.norm, D = I inside and (r/n)(I - x x^T /
+    n^2) outside, every term a fresh array."""
+    x = theta.copy() if setup.center is None else theta + setup.center
+    n, r = float(np.linalg.norm(x)), setup.domain.radius
+    if n <= r:
+        return x, np.ones_like(x), 0.0, np.zeros_like(x)
+    return x * (r / n), np.full_like(x, r / n), r / n, x / n
+
+
 @settings(max_examples=200)
 @given(st.tuples(
     st.booleans(),
     st.integers(1, 300),
     st.integers(0, 2**32 - 1),
     st.floats(1e-3, 1e3),
-    st.floats(0.0, 1.0),
+    st.one_of(st.floats(0.0, 3.0), st.just(1.0)),
 ))
 def test_piece_map_has_the_mirror_maps_bits_inside_the_ball(args):
-    # the Newton solve evaluates the map on its warm start's piece, so
-    # inside the ball (plain or recentred) piece_map must give the radial
-    # map's bits; both measure a norm as math.sqrt(x @ x), the arithmetic
-    # of np.linalg.norm on a 1-d float vector
+    # inside, on and outside the sphere of a plain or recentred ball,
+    # mirror_map_flat gives the written-out map's bits, and piece_map gives
+    # them inside and None outside; depth 1 puts theta + center within
+    # round-off of the sphere, on either side
     recentred, dim, seed, radius, depth = args
     rng = np.random.default_rng(seed)
     setup = euclidean_ball(dim, radius)
     if recentred:
         setup = recenter(setup, random_point(setup, rng), random_point(setup, rng))
     x = rng.normal(size=dim)
-    assert math.sqrt(x @ x) == np.linalg.norm(x)
     x *= depth * radius / np.linalg.norm(x)
-    theta = x if setup.center is None else x - setup.center_flat
-    u, diag, rank_one = mirror_map_flat(setup, theta)
+    theta = x if setup.center is None else x - setup.center
+    want_u, want_diag, want_beta, want_v = _reference_ball_map(setup, theta)
+    u, diag, ((beta, v),) = mirror_map_flat(setup, theta)
+    assert np.array_equal(u, want_u) and np.array_equal(diag, want_diag)
+    assert beta == want_beta and np.array_equal(v, want_v)
     mapped = piece_map(setup, random_point(setup, rng).concat(), theta)
-    if rank_one[0][0]:
-        # theta + center rounded to just beyond the sphere
+    if want_beta:
         assert mapped is None
         return
-    got, got_diag, ((beta, v),) = mapped
-    assert np.array_equal(got, u) and np.array_equal(got_diag, diag)
-    assert beta == rank_one[0][0] == 0.0 and np.array_equal(v, rank_one[0][1])
+    if setup.center is None:
+        assert u is theta  # the unshifted interior map is the identity
+    got, got_diag, ((got_beta, got_v),) = mapped
+    assert np.array_equal(got, want_u) and np.array_equal(got_diag, want_diag)
+    assert got_beta == 0.0 and np.array_equal(got_v, want_v)
+
+
+@settings(max_examples=200)
+@given(st.tuples(
+    st.sampled_from(["simplex", "ball", "ball-recentred"]),
+    st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.floats(1e-3, 1e3), st.just(1.0)),
+))
+def test_project_gives_the_per_block_projections_bits(args):
+    # the one Euclidean projection, in place on the concatenated vector,
+    # against the projection block by block: sort-threshold per simplex
+    # block of an uneven product, or the radial map by np.linalg.norm onto
+    # a plain or recentred ball (the centre moves the DGF, not the ball);
+    # a ball's v lies at `scale` times the radius, within round-off of the
+    # sphere at scale 1
+    kind, dims, seed, scale = args
+    rng = np.random.default_rng(seed)
+    if kind == "simplex":
+        setup = GeometrySetup(GeometryKind.EUCLIDEAN, tuple(dims),
+                              Domain(DomainKind.SIMPLEX_PRODUCT))
+    else:
+        setup = euclidean_ball(sum(dims), radius=float(rng.uniform(0.1, 3.0)))
+        if kind == "ball-recentred":
+            setup = recenter(setup, random_point(setup, rng),
+                             random_point(setup, rng))
+    v = rng.normal(size=setup.layout.size)
+    v *= scale if kind == "simplex" else scale * setup.domain.radius / np.linalg.norm(v)
+    want = []
+    for lo, hi in setup.layout.bounds:
+        b = v[lo:hi].copy()
+        if kind == "simplex":
+            want.append(project_block_simplex(b))
+        else:
+            n, r = float(np.linalg.norm(b)), setup.domain.radius
+            want.append(b if n <= r else b * (r / n))
+    fresh = v.copy()
+    got = _project(setup, fresh)
+    assert got is fresh and np.array_equal(got, np.concatenate(want))
+
+
+@settings(max_examples=200)
+@given(st.integers(3, 300), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+def test_lp_norm_gives_the_bits_of_the_expressions_it_replaced(dim, seed, scale):
+    # p = 2 takes math.sqrt(x @ x), np.linalg.norm's arithmetic; p = 1, a
+    # and a/(a-1) the power sum; p = inf the largest |x_i|
+    x = np.random.default_rng(seed).normal(size=dim) * scale
+    a = a_norm_exponent(dim)
+    assert _lp_norm(x, 2.0) == float(np.linalg.norm(x))
+    for p in (1.0, a, a / (a - 1.0)):
+        assert _lp_norm(x, p) == float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+    assert _lp_norm(x, 1.0) == float(np.abs(x).sum())
+    assert _lp_norm(x, math.inf) == float(np.abs(x).max())
+    assert _lp_norm(np.zeros(0), math.inf) == 0.0
 
 
 def test_piece_map_shares_a_read_only_identity_jacobian_inside_the_ball():
@@ -646,6 +715,30 @@ def test_piece_map_shares_a_read_only_identity_jacobian_inside_the_ball():
     for array in (diag, v):
         with pytest.raises(ValueError):
             array[0] = 2.0
+
+
+def test_recenter_checks_both_points_against_the_balls_block():
+    # a point of another size neither broadcasts into the centre nor
+    # reaches numpy's own shape error
+    setup = euclidean_ball(3)
+    origin = Point.of([0.0, 0.0, 0.0])
+    for wrong in (Point.of([0.5]), Point.of([0.1, 0.2, 0.3, 0.4])):
+        with pytest.raises(ShapeError):
+            recenter(setup, wrong, origin)
+        with pytest.raises(ShapeError):
+            recenter(setup, origin, wrong)
+
+
+def test_a_centre_is_one_array_of_the_balls_size():
+    ball = euclidean_ball(3)
+    for centre in ((np.full(3, 0.1),), np.full(4, 0.1), np.full((1, 3), 0.1)):
+        with pytest.raises(ShapeError):
+            replace(ball, center=centre)
+    for simplex in (euclidean_simplex(3), entropy_simplex(3)):
+        with pytest.raises(ParameterError):
+            replace(simplex, center=np.full(6, 0.1))
+    moved = replace(ball, center=np.full(3, 0.1))
+    assert dgf_value(moved, Point.of([0.1, 0.1, 0.1])) == 0.0
 
 
 def test_recenter_rejected_on_simplex():

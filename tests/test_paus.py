@@ -146,6 +146,16 @@ def test_gamma_above_one_over_delta_rejected():
                    z0=uniform_point(geom), l_f1=1.0)
 
 
+def test_non_finite_or_non_positive_gamma_rejected():
+    # a NaN passes a `<= 0` test and an infinite gamma divides the inner
+    # plan's accuracy target down to zero
+    geom = entropy_simplex(3)
+    for gamma in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ParameterError):
+            PausConfig(gamma=gamma, iters=1, geometry=geom,
+                       z0=uniform_point(geom), l_f1=1.0)
+
+
 def test_duality_gap_examples():
     # rock-paper-scissors: uniform play is the equilibrium
     rps = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
