@@ -60,8 +60,10 @@ class GameSpec:
     def __post_init__(self):
         if self.d < 2:
             raise ConfigError(f"need d >= 2, got {self.d}")
-        if self.m < 1 or self.T % self.m != 0:
-            raise ConfigError(f"T = {self.T} not divisible by m = {self.m}")
+        # T = 0 and T = -m are multiples of m too, but give a worker no data
+        if self.m < 1 or self.T < self.m or self.T % self.m != 0:
+            raise ConfigError(
+                f"T = {self.T} is not a positive multiple of m = {self.m}")
 
 
 def load_matrix(path: str) -> np.ndarray:

@@ -27,17 +27,16 @@ active set view of semismooth Newton, Hintermueller, Ito & Kunisch
 2002).  A run builds one
 :class:`NewtonSystem` for its fixed F1 and gamma, which takes a saddle
 problem's steps through a d x d Schur complement and factors the
-interior-ball matrix once.  It tries, in turn:
+interior-ball matrix once.  A solve makes one attempt and has one
+recovery:
 
-1. for an entropy saddle, Newton on the normal map reduced to the y-block
-   (nonlinear elimination of the x-block row; Lanzkron, Rose & Wilkes
-   1996), whose Jacobian is that Schur complement;
-2. Newton on the full normal map, from the same start; on a Euclidean
-   setup whose fixed-point start is off the warm start's piece and
-   stalls, once more from grad w(v0);
-3. continuation in gamma from min(gamma / 2, 1 / max|B|), for a full
-   solve that stalls or misses its target within ``NEWTON_MAX_STEPS``
-   steps.
+1. the attempt: for an entropy saddle, Newton on the normal map reduced
+   to the y-block (nonlinear elimination of the x-block row; Lanzkron,
+   Rose & Wilkes 1996), whose Jacobian is that Schur complement; for
+   every other setup, Newton on the full normal map;
+2. for an attempt that stalls or misses its target within
+   ``NEWTON_MAX_STEPS`` steps, continuation in gamma from
+   min(gamma / 2, 1 / max|B|), each level a full Newton solve.
 
 It returns None for a subproblem the continuation does not solve
 either; the outer solver then runs :func:`composite_mp`, as it does for
@@ -75,7 +74,6 @@ from .geometry import (
     GeometrySetup,
     bregman_divergence,
     composite_prox_map,
-    dgf_grad_flat,
     floor_simplex_flat,
     mirror_map_flat,
     piece_map,
@@ -299,47 +297,39 @@ def newton_solve_flat(
     v0's piece first and calls the mirror map only off it; inside the l2
     ball that gives the radial map's own bits.  That start takes a step
     before any residual test, so under a zero ``NEWTON_MAX_STEPS`` it
-    answers nothing.  If w is off that piece and the solve from it fails,
-    as a fixed-point step far from the answer can at a large gamma, it
-    starts once more from grad w(v0), where the map gives ``v0`` back,
-    with a step cap of its own.  Entropy solves, whose mirror map is
-    smooth, start from w only.
+    answers nothing.
 
-    An entropy saddle subproblem first runs the same Newton iteration on
-    the y-block alone (:func:`_reduced_newton`): the x-block row of G is
-    solved exactly at every iterate (nonlinear elimination, Lanzkron, Rose
-    & Wilkes 1996), which takes fewer steps from the same warm start.
-    Strong coupling can stall it; the subproblem then goes to the full
-    iteration above.
+    An entropy saddle subproblem runs the same Newton iteration on the
+    y-block alone instead (:func:`_reduced_newton`): the x-block row of G
+    is solved exactly at every iterate (nonlinear elimination, Lanzkron,
+    Rose & Wilkes 1996), which takes fewer steps from the same warm start.
 
-    A full solve that stalls (no decrease down to step
-    ``NEWTON_MIN_STEP``, a non-finite trial point or a singular step) or
-    misses its target within ``NEWTON_MAX_STEPS`` steps from its last
-    start goes on by continuation in gamma (:func:`_continue_in_gamma`): a
-    smaller gamma weakens F1's coupling, so damped Newton no longer stalls
-    at a kink of the piecewise-affine simplex normal map; it forms c at
-    each gamma it visits the same way, and starts each level as above.
+    That one attempt either answers or fails: it stalls (no decrease down
+    to step ``NEWTON_MIN_STEP``, a non-finite trial point or a singular
+    step) or misses its target within ``NEWTON_MAX_STEPS`` steps.  A failed
+    attempt goes on by continuation in gamma (:func:`_continue_in_gamma`):
+    a smaller gamma weakens F1's coupling, so damped Newton no longer
+    stalls at a kink of the piecewise-affine simplex normal map or creeps
+    under strong coupling; each level is a full Newton solve, which forms c
+    at its gamma the same way and starts as above.
 
     ``system`` is the run's :class:`NewtonSystem` for the subproblem's F1,
     gamma and block layout; one built for another layout raises
     :class:`ParameterError`, as does the a-norm ball, which
     :func:`geometry.mirror_map_flat` does not cover.  Returns the
-    concatenated solution, the number of Newton steps taken, stalled
-    attempts included, and F1 at the solution (the full iteration's last
+    concatenated solution, the number of Newton steps taken, a failed
+    attempt's included, and F1 at the solution (the full iteration's last
     evaluation; None when the reduced attempt answered), or None for a
     subproblem the continuation does not solve either.
     """
     if system.block_dims != geometry.block_dims:
         raise ParameterError("the Newton system was built for another layout")
     c = grad - system.gamma * offset
-    answer, steps = None, 0
     if system.saddle and geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
         u, steps = _reduced_newton(system, c, v0)
-        if u is not None:
-            answer = (u, None)
-    if answer is None:
-        answer, more = _damped_newton(system, geometry, c, v0, f1_v0)
-        steps += more
+        answer = None if u is None else (u, None)
+    else:
+        answer, steps = _damped_newton(system, geometry, c, v0, f1_v0)
     if answer is None:
         answer, more = _continue_in_gamma(system, geometry, grad, offset, v0, f1_v0)
         steps += more
@@ -509,11 +499,10 @@ def _damped_newton(
     F1(v0), with c = grad w(anchor) - gamma * offset at the system's gamma
     (see :func:`newton_solve_flat`).  Returns the concatenated answer and
     F1 there (None if it stalls or misses its target) and the steps."""
-    gamma, euclidean = system.gamma, geometry.kind is GeometryKind.EUCLIDEAN
     evaluate = _normal_map(system, geometry, c, v0)
     # one fixed-point step from v0: grad w*(w) = u(c - gamma F1(v0))
-    w = c - gamma * f1_v0
-    if euclidean:
+    w = c - system.gamma * f1_v0
+    if geometry.kind is GeometryKind.EUCLIDEAN:
         # if w lies on the affine piece of v0, a step from anywhere on that
         # piece gives the same iterate.  Take it from w0 = w + v0 - u(w),
         # which the map takes to v0: G(w0) = w0 - w = v0 - u(w), and u(w)
@@ -525,14 +514,7 @@ def _damped_newton(
             return _damped(evaluate, system.step, w + g,
                            ((v0, f1_v0), g, math.sqrt(g @ g), False,
                             (diag, rank_one)))
-    answer, steps = _damped(evaluate, system.step, w)
-    if answer is None and euclidean:
-        # off v0's piece the fixed-point step can land far from the answer
-        # (on a vertex of the simplex at a large gamma) and stall at a kink;
-        # start once more from grad w(v0), where the map gives v0 back
-        answer, more = _damped(evaluate, system.step, dgf_grad_flat(geometry, v0))
-        steps += more
-    return answer, steps
+    return _damped(evaluate, system.step, w)
 
 
 def _reduced_scale_bound(

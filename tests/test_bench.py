@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from visim import bench, paus
+from visim import bench, inner, paus
 from visim.baselines import BaselineConfig, BaselineKind, euclidean_paus_run
 from visim.bench import (
     GameSpec,
@@ -200,12 +200,14 @@ def test_run_comparison_series_start_at_round_zero():
     # so both similarity solvers run at the capped gamma; the Newton solve
     # answers every subproblem of both
     assert res.inner_fallbacks == {"paus": 0, "euclidean": 0}
-    # paus's first subproblem goes on by continuation in gamma; started at
-    # 1 / max|M|, where the coupling is weak, it takes 125 Newton steps (329
-    # from gamma / 2), and the run 297 (492)
+    # every paus subproblem's reduced attempt fails at this gamma, and each
+    # goes on by continuation in gamma: the first, started at 1 / max|M|
+    # where the coupling is weak, takes 125 Newton steps, the others 20 to
+    # 33.  The euclidean run's first full attempt stalls at a kink, and the
+    # continuation answers in 47 steps.  The runs take 407 and 69 steps
     steps = {name: sum(rec.inner_iters for rec in res.series[name])
              for name in ("paus", "euclidean")}
-    assert steps == {"paus": 297, "euclidean": 24}
+    assert steps == {"paus": 407, "euclidean": 69}
     # paus improves on the starting gap
     assert res.series["paus"][-1].iterate_gap < res.series["paus"][0].iterate_gap
 
@@ -309,6 +311,11 @@ def test_spec_validation():
         GameSpec(d=1)
     with pytest.raises(ConfigError):
         GameSpec(T=10, m=3)
+    # T = 0 and T = -m are multiples of m, but leave a worker no matrices
+    for T in (0, -4, 3):
+        with pytest.raises(ConfigError, match="T"):
+            GameSpec(T=T, m=4)
+    assert GameSpec(T=4, m=4).T == 4
 
 
 def test_run_sweep_keys_and_gammas():
@@ -353,10 +360,15 @@ def test_euclidean_series_equals_euclidean_paus_run():
 def test_default_compare_needs_no_extragradient_fallback(monkeypatch):
     # every paus and euclidean subproblem of the default comparison, with
     # one sign per matrix or per entry (the game of the paus benchmark
-    # workloads), is solved exactly; none reaches composite_mp
+    # workloads), is solved exactly by its first Newton attempt; none
+    # reaches the continuation in gamma or composite_mp
+    def continuation(*args, **kwargs):
+        raise AssertionError("a first Newton attempt failed")
+
     def fallback(*args, **kwargs):
         raise AssertionError("a subproblem fell back to composite_mp")
 
+    monkeypatch.setattr(inner, "_continue_in_gamma", continuation)
     monkeypatch.setattr(paus, "composite_mp", fallback)
     for per_entry in (False, True):
         res = run_comparison(GameSpec(per_entry=per_entry))

@@ -97,11 +97,22 @@ def test_usage_errors_exit_one():
     assert exc.value.code == EXIT_USAGE
 
 
-def test_invalid_instance_exits_two(tmp_path):
+def test_invalid_instance_exits_two(tmp_path, capsys):
     # T not divisible by m is a solver-side configuration failure
     rc = main(["run", "--d", "5", "--T", "41", "--m", "4",
                "--out", str(tmp_path / "res")])
     assert rc == EXIT_SOLVER
+    # so are T = 0 and T = -m, multiples of m that give a worker no data:
+    # one stderr line, not numpy's warnings and a traceback
+    capsys.readouterr()
+    for T in ("0", "-5"):
+        out = str(tmp_path / f"res{T}")
+        assert main(["compare", "--T", T, "--K", "3", "--out", out]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and captured.out == ""
+        assert err[0].startswith("visim: ConfigError")
+        assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("sub, flags", [

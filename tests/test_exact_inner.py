@@ -12,6 +12,7 @@ import scipy.linalg.lapack
 from hypothesis import assume, example, given, settings, strategies as st
 
 from visim import inner, paus
+from visim.bench import GAMMA_CAP_SCALE
 from visim.cluster import ClusterState
 from visim.errors import NumericsError, ParameterError
 from visim.geometry import (
@@ -125,16 +126,22 @@ def _newton(prob, v0, system=None):
 
 def _attempt(name, prob, v0, system):
     """Run ``inner``'s reduced (``"reduced"``) or full (``"full"``) Newton
-    attempt on the subproblem's concatenated operands; returns its answer
-    as a Point (None if it stalled) and its steps."""
+    attempt, or its continuation in gamma (``"continuation"``), on the
+    subproblem's concatenated operands; returns its answer as a Point (None
+    if it failed) and its steps."""
     geom = prob.geometry
-    c = dgf_grad_flat(geom, prob.anchor) - prob.gamma * prob.offset
+    grad = dgf_grad_flat(geom, prob.anchor)
+    c = grad - prob.gamma * prob.offset
+    v0 = v0.concat()
     if name == "reduced":
-        u, steps = inner._reduced_newton(system, c, v0.concat())
-    else:
-        v0 = v0.concat()
+        u, steps = inner._reduced_newton(system, c, v0)
+    elif name == "full":
         answer, steps = inner._damped_newton(system, geom, c, v0,
                                              prob.f1.evaluate(v0))
+        u = None if answer is None else answer[0]
+    else:
+        answer, steps = inner._continue_in_gamma(
+            system, geom, grad, prob.offset, v0, prob.f1.evaluate(v0))
         u = None if answer is None else answer[0]
     return (None if u is None else geom.layout.split(u)), steps
 
@@ -153,8 +160,13 @@ def _prox_residual(prob, u):
 # round-off
 @example(("entropy-floored", 5, 352, 20.0))
 @example(("entropy", 5, 5, 16.0))
-# the reduced attempt misses its target here; the full Newton answers
+# the reduced attempt misses its target here; the continuation answers
 @example(("entropy", 6, 956112514, 19.68261186308525))
+# the full attempt stalls at a kink after 20, 28 and 14 steps; the
+# continuation answers, in 40, 39 and 40 steps in all
+@example(("simplex", 8, 1696, 19.0))
+@example(("simplex", 8, 33627, 19.850621638192163))
+@example(("simplex", 6, 937, 18.583057723742908))
 def test_newton_answer_is_a_fixed_point_of_the_prox_map(args):
     kind = args[0]
     prob, v0 = _instance(*args)
@@ -166,26 +178,27 @@ def test_newton_answer_is_a_fixed_point_of_the_prox_map(args):
         system = NewtonSystem(prob.f1, prob.gamma, prob.geometry)
         return _attempt(attempt, prob, v0, system)
 
-    full, full_steps = run("full")
     if kind.startswith("entropy"):
-        # the full Newton, the reduced attempt's fallback, answers on its own
+        # the full Newton, which each level of the continuation runs,
+        # answers on its own
+        full, _ = run("full")
         assert full is not None and _prox_residual(prob, full) <= 1e-11
-        reduced, reduced_steps = run("reduced")
-        if reduced is not None:
-            assert np.array_equal(u.concat(), reduced.concat())
-            assert 0 <= steps == reduced_steps <= inner.NEWTON_MAX_STEPS
-        else:
-            # a stall: about 1 draw in 6,000 at gamma 10 to 20
-            assert np.array_equal(u.concat(), full.concat())
-            assert steps == reduced_steps + full_steps
-    elif full is None:
-        # from a cold start, damped Newton on the piecewise-affine simplex
-        # normal map can stall at a kink (about 1 draw in 150 here); the
-        # continuation in gamma answers instead
-        assert kind == "simplex"
+        first, first_steps = run("reduced")
     else:
-        assert np.array_equal(u.concat(), full.concat())
-        assert 0 <= steps == full_steps <= inner.NEWTON_MAX_STEPS
+        first, first_steps = run("full")
+    assert 0 <= first_steps <= inner.NEWTON_MAX_STEPS
+    if first is not None:
+        assert np.array_equal(u.concat(), first.concat())
+        assert steps == first_steps
+    else:
+        # from a cold start, damped Newton on the piecewise-affine simplex
+        # normal map can stall at a kink (about 1 draw in 150 here), and the
+        # reduced attempt can miss its target (about 1 draw in 6,000 at gamma
+        # 10 to 20); the continuation in gamma answers instead
+        assert not kind.startswith("ball")
+        answer, more = run("continuation")
+        assert np.array_equal(u.concat(), answer.concat())
+        assert steps == first_steps + more
     assert _prox_residual(prob, u) <= 1e-11
     norm = float(np.linalg.norm(u.concat()))
     if kind == "ball":
@@ -293,11 +306,40 @@ def test_step_cap_hands_the_solve_back(monkeypatch):
     assert np.array_equal(again.concat(), u.concat())
 
 
+@settings(max_examples=80)
+@given(st.tuples(
+    st.sampled_from(["simplex", "entropy", "entropy-floored"]),
+    st.integers(2, 8),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, math.log10(GAMMA_CAP_SCALE)),
+))
+def test_newton_answers_at_every_gamma_a_run_can_choose(args):
+    # a similarity solver's gamma is c / delta, and GAMMA_CAP_SCALE / L when
+    # delta is at round-off, so gamma max|M| runs from about 1 up to
+    # GAMMA_CAP_SCALE.  Over that range the first attempt or the
+    # continuation in gamma answers; no subproblem is left to the
+    # extragradient loop.  The prox residual grows with the coupling (to
+    # about 1e-4 at 1e6), so only feasibility is asserted here.  A simplex
+    # answer is the projection of the root w = c - gamma F1(u), whose
+    # entries are at most 1 + gamma (max|offset| + max|M|), so its sum is 1
+    # up to the round-off of d such entries in the projection's cumulative
+    # sum and threshold; a softmax sums to 1 within d eps
+    kind, d, seed, exponent = args
+    prob, v0 = _instance(kind, d, seed, 1.0)
+    max_m = float(np.abs(prob.f1.matrix).max())
+    prob = dataclasses.replace(prob, gamma=10.0**exponent / max_m)
+    out = _newton(prob, v0)
+    assert out is not None
+    w_max = 1.0 + prob.gamma * (float(np.abs(prob.offset).max()) + max_m)
+    for b in out[0].blocks:
+        assert np.all(b >= 0.0)
+        assert abs(b.sum() - 1.0) <= 2.0 * d * np.finfo(float).eps * w_max
+
+
 def test_gamma_continuation_ends_a_cold_start_stall():
-    # damped Newton stops decreasing ||G|| at a kink of the simplex normal
-    # map from both of its starts: near 4.0 (from 36.7) from the fixed-point
-    # start, near 19.2 (from 28.6) from grad w(v0).  Continuation in gamma
-    # solves it
+    # damped Newton from the fixed-point start stops decreasing ||G|| at a
+    # kink of the simplex normal map, near 4.0 (from 36.7).  Continuation in
+    # gamma solves it
     prob, v0 = _instance("simplex", 8, 5, 14.125)
     system = NewtonSystem(prob.f1, prob.gamma, prob.geometry)
     assert _attempt("full", prob, v0, system)[0] is None
@@ -371,22 +413,22 @@ def test_singular_step_goes_on_by_continuation(monkeypatch):
     assert out is not None and _prox_residual(prob, out[0]) <= 1e-11
 
 
-def test_strong_coupling_hands_a_reduced_stall_to_the_full_newton():
+def test_strong_coupling_hands_a_reduced_stall_to_the_continuation():
     # at gamma max|M| of about 150 the reduced iteration misses its target
-    # within NEWTON_MAX_STEPS; the full Newton from v0 then answers, bit for
-    # bit as it does alone
+    # within NEWTON_MAX_STEPS; the continuation in gamma from v0 then
+    # answers, bit for bit as it does alone
     prob, v0 = _instance("entropy", 5, seed=0, gamma=150.0)
     assert prob.gamma * np.abs(prob.f1.matrix).max() >= 100.0
     system = NewtonSystem(prob.f1, prob.gamma, prob.geometry)
     reduced, reduced_steps = _attempt("reduced", prob, v0, system)
-    assert reduced is None
-    full, full_steps = _attempt(
-        "full", prob, v0, NewtonSystem(prob.f1, prob.gamma, prob.geometry)
+    assert reduced is None and reduced_steps == inner.NEWTON_MAX_STEPS
+    continued, continued_steps = _attempt(
+        "continuation", prob, v0, NewtonSystem(prob.f1, prob.gamma, prob.geometry)
     )
-    assert full is not None
+    assert continued is not None
     u, steps = _newton(prob, v0, system)
-    assert np.array_equal(u.concat(), full.concat())
-    assert steps == reduced_steps + full_steps
+    assert np.array_equal(u.concat(), continued.concat())
+    assert steps == reduced_steps + continued_steps
     assert _prox_residual(prob, u) <= 1e-11
 
 
@@ -608,24 +650,28 @@ def test_a_start_off_every_affine_piece_keeps_the_fixed_point_start(monkeypatch)
     assert _prox_residual(prob, again) <= 1e-11
 
 
-def test_a_stalled_fixed_point_start_starts_again_at_the_warm_start():
+def test_a_stalled_fixed_point_start_goes_on_by_continuation():
     # damped Newton from the fixed-point start stalls at a kink after 19
-    # steps; from grad w(v0) it solves the subproblem in 11 more, without
-    # the continuation
+    # steps: the attempt is that one damped solve, and the continuation in
+    # gamma, whose levels each make one more, solves the subproblem
     prob, v0 = _instance("simplex", 6, 11, 14.125)
     system = NewtonSystem(prob.f1, prob.gamma, prob.geometry)
-    starts, damped = [], inner._damped
+    solves, damped = [], inner._damped
 
     def logged(evaluate, step, w, start=None):
         out = damped(evaluate, step, w, start)
-        starts.append(out)
+        solves.append(out)
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inner, "_damped", logged)
-        u, steps = _attempt("full", prob, v0, system)
-    assert [s[0] is None for s in starts] == [True, False]
-    assert steps == sum(s[1] for s in starts)
+        first, first_steps = _attempt("full", prob, v0, system)
+        assert first is None and len(solves) == 1
+        assert first_steps == solves[0][1] <= inner.NEWTON_MAX_STEPS
+        u, steps = _newton(prob, v0, system)
+    assert solves[1] == (None, first_steps)
+    assert len(solves) > 2 and solves[-1][0] is not None
+    assert steps == sum(s[1] for s in solves[1:])
     assert _prox_residual(prob, u) <= 1e-11
 
 
@@ -977,7 +1023,7 @@ def test_flat_mirror_map_and_step_match_the_per_block_formulas(args):
     st.integers(0, 2**32 - 1),
     st.floats(0.05, 20.0),
 ))
-# the reduced attempt misses its target here; the full Newton answers
+# the reduced attempt misses its target here; the continuation answers
 @example(("entropy", 4, 8, 2107774175, 17.81881289206966))
 def test_newton_solves_rectangular_saddle_subproblems(args):
     kind, d1, d2, seed, gamma = args
@@ -1056,7 +1102,7 @@ def test_reduced_solve_skips_its_scale_only_far_from_round_off(args):
 def _check_reduced_rows(prob, v0, system, answer):
     """The reduced attempt's answer, when it gives one, is ``answer``, and
     both rows of the full normal map are at round-off there; a stall leaves
-    ``answer`` to the full Newton."""
+    ``answer`` to the continuation in gamma."""
     geom, gamma = prob.geometry, prob.gamma
     d1 = geom.block_dims[0]
     # the last two softmax maps of the solve are those of its answer:
@@ -1072,8 +1118,9 @@ def _check_reduced_rows(prob, v0, system, answer):
         mp.setattr(inner, "softmax_map", recording)
         u, _ = _attempt("reduced", prob, v0, system)
     if u is None:
-        full, _ = _attempt("full", prob, v0, system)
-        assert full is not None and np.array_equal(answer.concat(), full.concat())
+        continued, _ = _attempt("continuation", prob, v0, system)
+        assert continued is not None
+        assert np.array_equal(answer.concat(), continued.concat())
         return
     assert np.array_equal(answer.concat(), u.concat())
     w2, w1 = thetas[-2:]
