@@ -7,9 +7,14 @@ Subcommands:
 * ``sweep``   — stepsize-multiplier study (gamma = c * gamma_theoretical).
 * ``check``   — built-in invariant suites; nonzero exit on failure.
 
-Exit codes: 0 success, 1 usage error, 2 numeric/solver failure,
-3 check failure.  Precedence: flags > config file (key=value lines) >
-defaults; defaults reproduce the standard d=25, T=10^4, m=5, seed=1 game.
+Each of ``run``, ``compare`` and ``sweep`` takes only the settings it
+uses (``SUBCOMMANDS``), as flags or as ``key=value`` lines of a
+``--config`` file.  Precedence: flags > config file > defaults; defaults
+reproduce the standard d=25, T=10^4, m=5, seed=1 game.
+
+Exit codes: 0 success, 1 usage error (an unknown flag or flag value),
+2 configuration, numeric or solver failure (a bad config file included),
+3 check failure.
 """
 
 from __future__ import annotations
@@ -32,25 +37,36 @@ EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_CHECK = 3
 
-DEFAULTS = {
-    "d": 25,
-    "T": 10_000,
-    "m": 5,
-    "seed": 1,
-    "K": 100,
-    "c": 1.0,
-    "eps": None,
-    "solver": "paus",
-    "geometry": "entropy",
-    "out": "results",
-    "per_entry": False,
-    "timing": False,
-    "matrix_file": None,
+# Every setting of run, compare and sweep: its default, and the argparse
+# keywords of its flag --<name> (with "-" for "_").  A config file key is
+# the name, and its value is typed from the same entry, choices included.
+SETTINGS = {
+    "d": (25, {"type": int, "help": "game dimension"}),
+    "T": (10_000, {"type": int, "help": "number of sampled matrices"}),
+    "m": (5, {"type": int, "help": "number of workers"}),
+    "seed": (1, {"type": int, "help": "RNG seed"}),
+    "K": (100, {"type": int, "help": "outer iterations"}),
+    "out": ("results", {"help": "output directory"}),
+    "per_entry": (False, {"action": "store_const", "const": True,
+                          "help": "independent Rademacher sign per matrix entry"}),
+    "timing": (False, {"action": "store_const", "const": True,
+                       "help": "write measured elapsed_ms (breaks byte determinism)"}),
+    "matrix_file": (None, {"help": "base matrix from file instead of the seeded synthetic"}),
+    "solver": ("paus", {"choices": SOLVERS, "help": "solver"}),
+    "geometry": (None, {"choices": ("entropy", "euclidean"),
+                        "help": "Bregman geometry of the paus solver (default entropy)"}),
+    "c": ("1", {"help": "stepsize multiplier; sweep takes a comma list"}),
+    "eps": (None, {"type": float, "help": "target duality gap (sets K from theory)"}),
 }
 
-_INT_KEYS = {"d", "T", "m", "seed", "K"}
-_FLOAT_KEYS = {"c", "eps"}
-_BOOL_KEYS = {"per_entry", "timing"}
+_COMMON = ("d", "T", "m", "seed", "K", "out", "per_entry", "timing", "matrix_file")
+SUBCOMMANDS = {
+    "run": _COMMON + ("solver", "geometry", "c", "eps"),
+    "compare": _COMMON + ("c", "eps"),
+    "sweep": _COMMON + ("solver", "c"),
+}
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,39 +75,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, help="game dimension (default 25)")
-    p.add_argument("--T", type=int, help="number of sampled matrices (default 10000)")
-    p.add_argument("--m", type=int, help="number of workers (default 5)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 1)")
-    p.add_argument("--eps", type=float, help="target duality gap (sets K from theory)")
-    p.add_argument("--K", type=int, help="outer iterations (default 100)")
-    p.add_argument("--c", help="stepsize multiplier (comma list for sweep)")
-    p.add_argument("--solver", choices=SOLVERS, help="solver (default paus)")
-    p.add_argument(
-        "--geometry", choices=("entropy", "euclidean"),
-        help="Bregman geometry for `run` (default entropy)",
-    )
-    p.add_argument("--out", help="output directory (default results/)")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--per-entry", dest="per_entry", action="store_const", const=True,
-                   help="independent Rademacher sign per matrix entry")
-    p.add_argument("--timing", action="store_const", const=True,
-                   help="write measured elapsed_ms (breaks byte determinism)")
-    p.add_argument("--matrix-file", dest="matrix_file",
-                   help="base matrix from file instead of the seeded synthetic")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="visim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("run", "compare", "sweep"):
-        _add_common(sub.add_parser(name))
+    for name, keys in SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        for key in keys:
+            default, kw = SETTINGS[key]
+            if default not in (None, False):
+                kw = dict(kw, help=f"{kw['help']} (default {default})")
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **kw)
+        p.add_argument("--config", help="key=value file of this subcommand's settings")
     sub.add_parser("check", help="run the invariant suites")
     return parser
 
 
-def _parse_config_file(path: str) -> dict:
+def _typed(key: str, val: str, where: str):
+    kw = SETTINGS[key][1]
+    if kw.get("action") == "store_const":
+        if val.lower() not in _BOOLEANS:
+            raise ConfigError(
+                f"{where}: {key} takes one of {'/'.join(_BOOLEANS)}, got {val!r}")
+        return _BOOLEANS[val.lower()]
+    try:
+        value = kw.get("type", str)(val)
+    except ValueError:
+        raise ConfigError(
+            f"{where}: cannot read {key} = {val!r} as {kw['type'].__name__}") from None
+    if value not in kw.get("choices", (value,)):
+        raise ConfigError(f"{where}: {key} takes one of {kw['choices']}, got {val!r}")
+    return value
+
+
+def _parse_config_file(path: str, subcommand: str) -> dict:
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -99,40 +115,33 @@ def _parse_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise VisimError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in DEFAULTS:
-                raise VisimError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in _INT_KEYS:
-                out[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(val)
-            elif key in _BOOL_KEYS:
-                out[key] = val.lower() in ("1", "true", "yes")
-            else:
-                out[key] = val
+            if key not in SUBCOMMANDS[subcommand]:
+                raise ConfigError(f"{path}:{lineno}: {subcommand} has no setting {key!r}")
+            out[key] = _typed(key, val, f"{path}:{lineno}")
     return out
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
-    merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        merged.update(_parse_config_file(args.config))
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
-
-
-def _c_list(value) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    cs = tuple(float(tok) for tok in str(value).split(",") if tok.strip())
+    """The subcommand's settings, flags over the config file over the
+    defaults, with ``c`` as a tuple of floats."""
+    keys = SUBCOMMANDS[args.subcommand]
+    merged = {key: SETTINGS[key][0] for key in keys}
+    if args.config:
+        merged.update(_parse_config_file(args.config, args.subcommand))
+    merged.update((key, getattr(args, key)) for key in keys
+                  if getattr(args, key) is not None)
+    cs = tuple(float(tok) for tok in merged["c"].split(",") if tok.strip())
     if not cs:
-        raise ConfigError(f"--c needs at least one value, got {value!r}")
-    return cs
+        raise ConfigError(f"--c needs at least one value, got {merged['c']!r}")
+    if len(cs) > 1 and args.subcommand != "sweep":
+        raise ConfigError(f"--c takes one value outside sweep, got {merged['c']!r}")
+    merged["c"] = cs
+    if merged.get("geometry") and merged["solver"] != "paus":
+        raise ConfigError(f"--geometry needs the paus solver, got {merged['solver']!r}")
+    return merged
 
 
 def _spec_from(settings: dict) -> GameSpec:
@@ -160,14 +169,13 @@ def _report_fallbacks(fallbacks: dict[str, int]) -> None:
 
 def _do_run(settings: dict) -> int:
     solver = settings["solver"]
-    if solver == "paus" and settings["geometry"] == "euclidean":
+    if settings["geometry"] == "euclidean":
         solver = "euclidean"
-    cs = _c_list(settings["c"])
     result = run_comparison(
         _spec_from(settings),
         solvers=(solver,),
         iters=settings["K"],
-        c=cs[0],
+        c=settings["c"][0],
         eps=settings["eps"],
         timing=settings["timing"],
     )
@@ -181,12 +189,11 @@ def _do_run(settings: dict) -> int:
 
 
 def _do_compare(settings: dict) -> int:
-    cs = _c_list(settings["c"])
     result = run_comparison(
         _spec_from(settings),
         solvers=SOLVERS,
         iters=settings["K"],
-        c=cs[0],
+        c=settings["c"][0],
         eps=settings["eps"],
         timing=settings["timing"],
     )
@@ -200,10 +207,9 @@ def _do_compare(settings: dict) -> int:
 
 
 def _do_sweep(settings: dict) -> int:
-    cs = _c_list(settings["c"])
     spec = _spec_from(settings)
     runs = run_sweep(
-        spec, cs, solver=settings["solver"], iters=settings["K"],
+        spec, settings["c"], solver=settings["solver"], iters=settings["K"],
         timing=settings["timing"],
     )
     solver = settings["solver"]
@@ -248,11 +254,8 @@ def main(argv: list[str] | None = None) -> int:
         return _do_check()
     try:
         settings = _merge_settings(args)
-        if args.subcommand == "run":
-            return _do_run(settings)
-        if args.subcommand == "compare":
-            return _do_compare(settings)
-        return _do_sweep(settings)
+        do = {"run": _do_run, "compare": _do_compare, "sweep": _do_sweep}
+        return do[args.subcommand](settings)
     except (VisimError, ValueError, OSError) as exc:
         print(f"visim: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER

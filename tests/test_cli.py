@@ -1,6 +1,9 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from visim.cli import EXIT_CHECK, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
@@ -158,3 +161,107 @@ def test_compare_byte_identical(tmp_path):
         )
         blobs.append(blob)
     assert blobs[0] == blobs[1]
+
+
+def test_python_dash_m_visim_runs(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = tmp_path / "res"
+    proc = subprocess.run(
+        [sys.executable, "-m", "visim", *_args("run", str(out))],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert sorted(os.listdir(out)) == ["constants.csv", "paus.csv"]
+
+
+# a value other than the default for every setting, on the tiny game of _args
+_VALUES = {
+    "d": "4", "T": "48", "m": "2", "seed": "2", "K": "3", "out": "elsewhere",
+    "per_entry": True, "timing": True, "matrix_file": "base.txt",
+    "solver": "mirror-prox", "geometry": "euclidean", "c": "0.5", "eps": "0.5",
+}
+_UNUSED = [("compare", "solver"), ("compare", "geometry"),
+           ("sweep", "geometry"), ("sweep", "eps")]
+
+
+def _tiny_argv(sub, without, flags):
+    argv = [sub]
+    for key, val in {"d": "5", "T": "40", "m": "4", "K": "4", "out": "res"}.items():
+        if key != without:
+            argv += [f"--{key}", val]
+    return argv + flags
+
+
+def _without_elapsed(written):
+    out, blobs = written
+    return out, {name: b"\n".join(row.rsplit(b",", 1)[0] for row in blob.splitlines())
+                 for name, blob in blobs.items()}
+
+
+@pytest.mark.parametrize("sub, key", [
+    (sub, key) for sub in ("run", "compare", "sweep") for key in _VALUES
+    if (sub, key) not in _UNUSED
+])
+def test_a_setting_writes_the_same_from_flag_and_config(sub, key, tmp_path, monkeypatch):
+    val = "0.5,2" if (sub, key) == ("sweep", "c") else _VALUES[key]
+    flag = f"--{key.replace('_', '-')}"
+    sources = {"default": [], "flag": [flag] if val is True else [flag, val],
+               "config": ["--config", "exp.cfg"]}
+    written = {}
+    for source, flags in sources.items():
+        (tmp_path / source).mkdir()
+        monkeypatch.chdir(tmp_path / source)
+        np.savetxt("base.txt", np.random.default_rng(0).uniform(size=(5, 5)),
+                   header="5", comments="")
+        Path("exp.cfg").write_text(f"{key} = {'true' if val is True else val}\n")
+        assert main(_tiny_argv(sub, key, flags)) == EXIT_OK
+        [out] = [p for p in Path().iterdir() if p.is_dir()]
+        written[source] = out.name, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    same = _without_elapsed if key == "timing" else (lambda w: w)
+    assert same(written["flag"]) == same(written["config"])
+    assert written["flag"] != written["default"]
+
+
+@pytest.mark.parametrize("sub, key", _UNUSED)
+def test_a_setting_the_subcommand_does_not_use_is_refused(sub, key, tmp_path, capsys):
+    out, val = tmp_path / "res", _VALUES[key]
+    with pytest.raises(SystemExit) as exc:
+        main(_args(sub, str(out), **{key: val}))
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key} = {val}\n")
+    assert main(_args(sub, str(out)) + ["--config", str(cfg)]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"visim: ConfigError: {cfg}:1: {sub} has no setting {key!r}"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("sub, flags, config", [
+    ("run", ["--solver", "mirror-prox", "--geometry", "euclidean"], ""),
+    ("run", ["--solver", "euclidean", "--geometry", "entropy"], ""),
+    ("run", ["--solver", "mirror-prox"], "geometry = euclidean"),
+    ("run", [], "solver = euclidean\ngeometry = entropy"),
+    ("compare", ["--c", "0.5,2"], ""),
+    ("run", [], "c = 0.5,2"),
+    ("run", [], "geometry = Euclidean"),
+    ("run", [], "solver = PAUS"),
+    ("compare", [], "per_entry = on"),
+    ("sweep", [], "timing = 2"),
+    ("sweep", [], "d = five"),
+])
+def test_refused_settings_exit_two_with_one_line(sub, flags, config, tmp_path, capsys):
+    # a broken rule of the geometry or of --c, or a config value outside
+    # its setting's type, choices or booleans, is a configuration error
+    out = tmp_path / "res"
+    argv = _args(sub, str(out)) + flags
+    if config:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(config + "\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("visim: ConfigError")
+    assert captured.out == "" and not out.exists()

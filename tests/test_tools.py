@@ -1,0 +1,27 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, workload, expected", [
+    # 9 of 10 pairs worse, but the medians differ by 0.27 parent IQRs
+    ("BENCH_one_recovery.json", "entropy-game", "unresolved"),
+    # 10 of 10 pairs better, by 1.72 parent IQRs
+    ("BENCH_two_tier_stop.json", "restart-ball", "better"),
+])
+def test_bench_pairs_verdict_of_a_committed_file(name, workload, expected):
+    doc = json.loads((ROOT / name).read_text(encoding="utf-8"))
+    summary = _bench_pairs().summarise(doc["runs"])
+    assert summary[workload]["end_to_end"]["solve_s"]["verdict"] == expected

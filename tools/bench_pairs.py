@@ -10,11 +10,11 @@ sides; the parent runs first on odd seeds and the change first on even
 seeds, so that a drift of the machine's speed does not favour one side.  The result goes to ``BENCH_<topic>.json`` in
 the current directory (``--out`` to change it): per workload and
 end-to-end metric the median, quartiles, IQR and every run of each side,
-the change's median relative to the parent's, and in how many pairs the
-change was better or worse; the operations attempted and failed; every
-run as ``perfbench/run.py`` reported it; and the environment block of the
-runs.  The file is rewritten after every pair, so a run cut short keeps
-what it measured.  ``--trace-seed n`` adds one traced run per side
+the change's median relative to the parent's, in how many pairs the
+change was better or worse, and a verdict (``verdict``, also printed);
+the operations attempted and failed; every run as ``perfbench/run.py``
+reported it; and the environment block of the runs.  The file is
+rewritten after every pair, so a run cut short keeps what it measured.  ``--trace-seed n`` adds one traced run per side
 (``--trace 1``) for the per-layer metrics.
 
 A checkout is any directory with ``src/visim`` and ``perfbench/`` (``git
@@ -60,6 +60,21 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
+def verdict(entry: dict) -> str:
+    """``better`` or ``worse`` when at least nine tenths of the pairs go
+    that way and the medians differ by more than the parent's IQR,
+    ``equal`` when every pair ties, ``unresolved`` otherwise."""
+    pairs = len(entry["parent"]["runs"])
+    gain = entry["parent"]["median"] - entry["change"]["median"]
+    if 10 * entry["pairs_change_better"] >= 9 * pairs and gain > entry["parent"]["iqr"]:
+        return "better"
+    if 10 * entry["pairs_change_worse"] >= 9 * pairs and -gain > entry["parent"]["iqr"]:
+        return "worse"
+    if entry["pairs_change_better"] == entry["pairs_change_worse"] == 0:
+        return "equal"
+    return "unresolved"
+
+
 def summarise(runs: list[dict]) -> dict:
     """Per workload: every end-to-end metric of both sides over the pairs
     both sides completed, and the operations."""
@@ -85,6 +100,7 @@ def summarise(runs: list[dict]) -> dict:
                 c < p for p, c in zip(sides["parent"], sides["change"]))
             entry["pairs_change_worse"] = sum(
                 c > p for p, c in zip(sides["parent"], sides["change"]))
+            entry["verdict"] = verdict(entry)
             metrics[name] = entry
         ops = {side: {"attempted": sum(p[side]["attempted"] for p in pairs.values()),
                       "failed": sum(p[side]["failed"] for p in pairs.values()),
@@ -127,7 +143,10 @@ def main(argv: list[str] | None = None) -> int:
             "peak_rss_mb is the process's peak resident set.  Quartiles: "
             "statistics.quantiles(n=4, method='inclusive'); iqr = q3 - q1.  "
             "pairs_change_better counts pairs where the change's value is lower; "
-            "ties count for neither side.  Written by tools/bench_pairs.py."),
+            "ties count for neither side.  verdict: better or worse when at least "
+            "9 in 10 pairs go that way and the medians differ by more than the "
+            "parent's iqr, equal when every pair ties, unresolved otherwise.  "
+            "Written by tools/bench_pairs.py."),
         "environment": None,
         "workloads": {},
         "runs": [],
@@ -160,6 +179,9 @@ def main(argv: list[str] | None = None) -> int:
             if r["environment"]}
     if len(envs) > 1:
         print("warning: the runs report different environments", file=sys.stderr)
+    for workload, summary in doc["workloads"].items():
+        print(f"{workload}: " + ", ".join(
+            f"{name} {m['verdict']}" for name, m in summary["end_to_end"].items()))
     failed = [r for r in doc["runs"] if r["returncode"]]
     print(f"wrote {out}: {len(doc['runs'])} runs, {len(failed)} exited non-zero")
     return 1 if failed else 0
