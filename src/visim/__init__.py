@@ -17,7 +17,7 @@ from .bench import (
     generate_game,
     rounds_to_eps,
     run_comparison,
-    run_sweep,
+    run_experiment,
 )
 from .cluster import ClusterState, gather_average, shard_data
 from .errors import VisimError
@@ -82,7 +82,7 @@ __all__ = [
     "gather_average", "generate_game", "lipschitz_matrix_game",
     "max_divergence_bound", "mirror_prox_run", "num_restarts",
     "omega_d", "paus_r", "paus_run", "prox_map", "recenter",
-    "rounds_to_eps", "run_comparison", "run_sweep", "saddle_shard",
+    "rounds_to_eps", "run_comparison", "run_experiment", "saddle_shard",
     "shard_data", "similarity_matrix_game", "stage_length",
     "synthetic_strongly_monotone", "uniform_point",
 ]

@@ -38,7 +38,7 @@ LOG_RATIO = 1.1
 GAMMA_CAP_SCALE = 1e6  # gamma cap = scale / L when delta is round-off
 # a delta at most this many ulps of L (in the same pairing) is round-off
 ROUNDOFF_ULPS = 64
-EPS_ITERS_CAP = 100_000  # largest iteration count run_comparison derives from eps
+EPS_ITERS_CAP = 100_000  # largest iteration count run_experiment derives from eps
 # signs drawn at a time by per-entry generation (2 MB of int64 indices)
 _SIGN_CHUNK = 2**18
 
@@ -195,8 +195,8 @@ class ExperimentResult:
     gammas: dict[str, float] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
     timing: bool = False
-    # per paus solver: subproblems handed to the extragradient loop, whose
-    # logged inner_iters count extragradient iterations, not Newton steps
+    # per run of a paus solver: subproblems handed to the extragradient loop,
+    # whose logged inner_iters count extragradient iterations, not Newton steps
     inner_fallbacks: dict[str, int] = field(default_factory=dict)
 
 
@@ -226,21 +226,41 @@ def run_comparison(
     eps: float | None = None,
     timing: bool = False,
 ) -> ExperimentResult:
-    """Run the selected solvers on identical shards and record their
-    gap-vs-rounds series.  Each solver gets a fresh cluster over the same
-    shard list, so round counters never mix.  Every series starts with a
-    round-0 record holding the gap at the uniform start.
+    """Run the selected solvers on one game, each tagged by its name, with
+    stepsize multiplier ``c`` (see ``run_experiment``)."""
+    return run_experiment(spec, [(s, s, c) for s in solvers], iters, eps, timing)
 
-    With ``eps`` set, each solver's iteration count is taken from its gap
+
+def run_experiment(
+    spec: GameSpec,
+    runs: list[tuple[str, str, float]],
+    iters: int = 100,
+    eps: float | None = None,
+    timing: bool = False,
+) -> ExperimentResult:
+    """Run each ``(tag, solver, c)`` of ``runs`` on one game, and record its
+    gap-vs-rounds series, stepsize c / L or c / delta, fallbacks and error
+    under its tag.  The game is generated, sharded and measured once; each
+    run gets a fresh cluster over the same shard list, so round counters
+    never mix.  Every series starts with a round-0 record holding the gap
+    at the uniform start.  A run whose solver raises a ``VisimError`` keeps
+    its gamma and gets an error in place of a series.
+
+    With ``eps`` set, each run's iteration count is taken from its gap
     envelope K = ceil(maxV / (gamma eps)) (capped at ``EPS_ITERS_CAP``),
     overriding ``iters``.
     """
-    for s in solvers:
-        if s not in SOLVERS:
-            raise ConfigError(f"unknown solver {s!r}; pick from {SOLVERS}")
+    if not runs:
+        raise ConfigError("an experiment needs at least one run")
+    tags = [tag for tag, _, _ in runs]
+    if len(set(tags)) != len(tags):
+        raise ConfigError(f"run tags must be distinct, got {tags}")
+    for _, solver, c in runs:
+        if solver not in SOLVERS:
+            raise ConfigError(f"unknown solver {solver!r}; pick from {SOLVERS}")
+        _check_positive("c", c)
     if iters < 1:
         raise ParameterError(f"need iters >= 1, got {iters}")
-    _check_positive("c", c)
     if eps is not None:
         _check_positive("eps", eps)
     mats = generate_game(spec)
@@ -253,28 +273,28 @@ def run_comparison(
     def gap_fn(u):
         return duality_gap(mean, u.blocks[0], u.blocks[1])
 
-    for solver in solvers:
+    for tag, solver, c in runs:
         cluster = ClusterState(shards=list(shards))
         gamma = _stepsize(solver, c, consts, consts_l2)
-        result.gammas[solver] = gamma
+        result.gammas[tag] = gamma
         geom = (
             euclidean_simplex(spec.d) if solver == "euclidean"
             else entropy_simplex(spec.d)
         )
         z0 = uniform_point(geom)
-        solver_iters = iters
+        run_iters = iters
         if eps is not None:
             max_v = max_divergence_bound(geom, z0)
-            solver_iters = min(
+            run_iters = min(
                 EPS_ITERS_CAP, max(1, math.ceil(max_v / (gamma * eps)))
             )
-        logged = log_indices(solver_iters)
+        logged = log_indices(run_iters)
         try:
             if solver == "mirror-prox":
                 cfg = BaselineConfig(
                     kind=BaselineKind.MIRROR_PROX,
                     stepsize=gamma,
-                    iters=solver_iters,
+                    iters=run_iters,
                     geometry=geom,
                     z0=z0,
                 )
@@ -287,7 +307,7 @@ def run_comparison(
                 pair = consts_l2 if solver == "euclidean" else consts
                 cfg = PausConfig(
                     gamma=gamma,
-                    iters=solver_iters,
+                    iters=run_iters,
                     geometry=geom,
                     z0=z0,
                     l_f1=pair.L_F1,
@@ -299,12 +319,12 @@ def run_comparison(
                 run = paus_run(
                     cfg, cluster, gap_fn=gap_fn, log_predicate=logged.__contains__
                 )
-                result.inner_fallbacks[solver] = run.inner_fallbacks
+                result.inner_fallbacks[tag] = run.inner_fallbacks
         except VisimError as exc:
-            result.errors[solver] = f"{type(exc).__name__}: {exc}"
+            result.errors[tag] = f"{type(exc).__name__}: {exc}"
             continue
         head = RunRecord(round=0, iterate_gap=gap_fn(z0), inner_iters=0, elapsed=0.0)
-        result.series[solver] = [head] + run.log
+        result.series[tag] = [head] + run.log
     return result
 
 
@@ -354,24 +374,3 @@ def emit_csv(result: ExperimentResult, out_dir: str) -> list[str]:
         return paths
     except OSError as exc:
         raise IoError(f"cannot write results under {out_dir}: {exc}") from exc
-
-
-def run_sweep(
-    spec: GameSpec,
-    c_values: tuple[float, ...],
-    solver: str = "paus",
-    iters: int = 100,
-    timing: bool = False,
-) -> dict[float, ExperimentResult]:
-    """The stepsize-multiplier study: one comparison run per c with
-    gamma = c * gamma_theoretical."""
-    if not c_values:
-        raise ConfigError("sweep needs at least one c value")
-    for c in c_values:
-        _check_positive("c", c)
-    out = {}
-    for c in c_values:
-        out[c] = run_comparison(
-            spec, solvers=(solver,), iters=iters, c=c, timing=timing
-        )
-    return out

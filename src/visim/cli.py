@@ -10,9 +10,11 @@ Subcommands:
 Each of ``run``, ``compare`` and ``sweep`` takes only the settings it
 uses (``SUBCOMMANDS``), as flags or as ``key=value`` lines of a
 ``--config`` file.  Precedence: flags > config file > defaults; defaults
-reproduce the standard d=25, T=10^4, m=5, seed=1 game.
+reproduce the standard d=25, T=10^4, m=5, seed=1 game.  All three are one
+loop over (tag, solver, c) runs on one game (``bench.run_experiment``).
 
-Exit codes: 0 success, 1 usage error (an unknown flag or flag value),
+Exit codes: 0 success, 1 usage error (an unknown or abbreviated flag, or
+a flag value outside its type or choices),
 2 configuration, numeric or solver failure (a bad config file included),
 3 check failure.
 """
@@ -22,14 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (
-    ExperimentResult,
-    GameSpec,
-    SOLVERS,
-    emit_csv,
-    run_comparison,
-    run_sweep,
-)
+from .bench import GameSpec, SOLVERS, emit_csv, run_experiment
 from .errors import ConfigError, VisimError
 
 EXIT_OK = 0
@@ -53,15 +48,13 @@ SETTINGS = {
                        "help": "write measured elapsed_ms (breaks byte determinism)"}),
     "matrix_file": (None, {"help": "base matrix from file instead of the seeded synthetic"}),
     "solver": ("paus", {"choices": SOLVERS, "help": "solver"}),
-    "geometry": (None, {"choices": ("entropy", "euclidean"),
-                        "help": "Bregman geometry of the paus solver (default entropy)"}),
     "c": ("1", {"help": "stepsize multiplier; sweep takes a comma list"}),
     "eps": (None, {"type": float, "help": "target duality gap (sets K from theory)"}),
 }
 
 _COMMON = ("d", "T", "m", "seed", "K", "out", "per_entry", "timing", "matrix_file")
 SUBCOMMANDS = {
-    "run": _COMMON + ("solver", "geometry", "c", "eps"),
+    "run": _COMMON + ("solver", "c", "eps"),
     "compare": _COMMON + ("c", "eps"),
     "sweep": _COMMON + ("solver", "c"),
 }
@@ -76,17 +69,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="visim", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="visim", description=__doc__.splitlines()[0],
+                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, keys in SUBCOMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         for key in keys:
             default, kw = SETTINGS[key]
             if default not in (None, False):
                 kw = dict(kw, help=f"{kw['help']} (default {default})")
             p.add_argument("--" + key.replace("_", "-"), dest=key, **kw)
         p.add_argument("--config", help="key=value file of this subcommand's settings")
-    sub.add_parser("check", help="run the invariant suites")
+    sub.add_parser("check", allow_abbrev=False, help="run the invariant suites")
     return parser
 
 
@@ -139,8 +133,6 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     if len(cs) > 1 and args.subcommand != "sweep":
         raise ConfigError(f"--c takes one value outside sweep, got {merged['c']!r}")
     merged["c"] = cs
-    if merged.get("geometry") and merged["solver"] != "paus":
-        raise ConfigError(f"--geometry needs the paus solver, got {merged['solver']!r}")
     return merged
 
 
@@ -167,71 +159,29 @@ def _report_fallbacks(fallbacks: dict[str, int]) -> None:
             )
 
 
-def _do_run(settings: dict) -> int:
-    solver = settings["solver"]
-    if settings["geometry"] == "euclidean":
-        solver = "euclidean"
-    result = run_comparison(
+def _do_experiment(subcommand: str, settings: dict) -> int:
+    """One run per solver and c: the three solvers for ``compare``, one
+    solver otherwise, and each c of a ``sweep`` tagged ``<solver>_c<c>``.
+    Successful runs' series are written; if any run failed, the command
+    exits 2 with one stderr line naming the failed runs."""
+    solvers = SOLVERS if subcommand == "compare" else (settings["solver"],)
+    runs = [(f"{s}_c{c:g}" if subcommand == "sweep" else s, s, c)
+            for s in solvers for c in settings["c"]]
+    result = run_experiment(
         _spec_from(settings),
-        solvers=(solver,),
+        runs,
         iters=settings["K"],
-        c=settings["c"][0],
-        eps=settings["eps"],
+        eps=settings.get("eps"),
         timing=settings["timing"],
     )
+    if result.series:
+        for path in emit_csv(result, settings["out"]):
+            print(path)
+        _report_fallbacks(result.inner_fallbacks)
     if result.errors:
-        print(f"solver failed: {result.errors}", file=sys.stderr)
-        return EXIT_SOLVER
-    for path in emit_csv(result, settings["out"]):
-        print(path)
-    _report_fallbacks(result.inner_fallbacks)
-    return EXIT_OK
-
-
-def _do_compare(settings: dict) -> int:
-    result = run_comparison(
-        _spec_from(settings),
-        solvers=SOLVERS,
-        iters=settings["K"],
-        c=settings["c"][0],
-        eps=settings["eps"],
-        timing=settings["timing"],
-    )
-    for path in emit_csv(result, settings["out"]):
-        print(path)
-    _report_fallbacks(result.inner_fallbacks)
-    if result.errors:
-        print(f"some solvers failed: {result.errors}", file=sys.stderr)
-        return EXIT_SOLVER
-    return EXIT_OK
-
-
-def _do_sweep(settings: dict) -> int:
-    spec = _spec_from(settings)
-    runs = run_sweep(
-        spec, settings["c"], solver=settings["solver"], iters=settings["K"],
-        timing=settings["timing"],
-    )
-    solver = settings["solver"]
-    merged = ExperimentResult(
-        spec=spec,
-        constants=next(iter(runs.values())).constants,
-        timing=settings["timing"],
-    )
-    failed = {}
-    for c, res in runs.items():
-        tag = f"{solver}_c{c:g}"
-        if solver in res.errors:
-            failed[tag] = res.errors[solver]
-            continue
-        merged.series[tag] = res.series[solver]
-        merged.gammas[tag] = res.gammas[solver]
-        merged.inner_fallbacks[tag] = res.inner_fallbacks.get(solver, 0)
-    for path in emit_csv(merged, settings["out"]):
-        print(path)
-    _report_fallbacks(merged.inner_fallbacks)
-    if failed:
-        print(f"some sweep points failed: {failed}", file=sys.stderr)
+        failed = "; ".join(f"{tag} ({err})" for tag, err in result.errors.items())
+        print(f"visim: {len(result.errors)} of {len(runs)} runs failed: {failed}",
+              file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 
@@ -253,9 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.subcommand == "check":
         return _do_check()
     try:
-        settings = _merge_settings(args)
-        do = {"run": _do_run, "compare": _do_compare, "sweep": _do_sweep}
-        return do[args.subcommand](settings)
+        return _do_experiment(args.subcommand, _merge_settings(args))
     except (VisimError, ValueError, OSError) as exc:
         print(f"visim: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER

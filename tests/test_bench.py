@@ -20,7 +20,7 @@ from visim.bench import (
     log_indices,
     rounds_to_eps,
     run_comparison,
-    run_sweep,
+    run_experiment,
 )
 from visim.cluster import ClusterState, shard_data
 from visim.errors import ConfigError, IoError, ParameterError
@@ -319,13 +319,23 @@ def test_spec_validation():
 
 
 def test_run_sweep_keys_and_gammas():
+    # a sweep's run list on one game: each run under its tag, the same
+    # series as a comparison run at its c
     spec = GameSpec(d=5, T=40, m=4, seed=10)
-    runs = run_sweep(spec, (0.5, 2.0), solver="paus", iters=4)
-    assert set(runs) == {0.5, 2.0}
-    g = {c: r.gammas["paus"] for c, r in runs.items()}
-    assert g[2.0] == pytest.approx(4.0 * g[0.5])
+    runs = [("paus_c0.5", "paus", 0.5), ("paus_c2", "paus", 2.0)]
+    res = run_experiment(spec, runs, iters=4)
+    assert set(res.series) == set(res.gammas) == {"paus_c0.5", "paus_c2"}
+    g = res.gammas
+    assert g["paus_c2"] == pytest.approx(4.0 * g["paus_c0.5"])
+    alone = run_comparison(spec, solvers=("paus",), iters=4, c=2.0)
+    def rows(series):
+        return [(r.round, r.iterate_gap, r.inner_iters) for r in series]
+
+    assert rows(res.series["paus_c2"]) == rows(alone.series["paus"])
     with pytest.raises(ConfigError):
-        run_sweep(spec, ())
+        run_experiment(spec, [])
+    with pytest.raises(ConfigError, match="distinct"):
+        run_experiment(spec, runs + runs[:1])
 
 
 def test_euclidean_series_equals_euclidean_paus_run():

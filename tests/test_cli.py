@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from visim.cli import EXIT_CHECK, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
+from visim import bench
+from visim.cli import EXIT_CHECK, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, SUBCOMMANDS, main
+from visim.errors import NumericsError
 
 
 def _args(sub, out, **kw):
@@ -41,15 +43,10 @@ def test_fallbacks_are_reported(tmp_path, capsys, monkeypatch):
 
 
 def test_run_single_solver(tmp_path):
-    out = str(tmp_path / "res")
-    assert main(_args("run", out, solver="mirror-prox")) == EXIT_OK
-    assert sorted(os.listdir(out)) == ["constants.csv", "mirror-prox.csv"]
-
-
-def test_run_euclidean_geometry_switches_solver(tmp_path):
-    out = str(tmp_path / "res")
-    assert main(_args("run", out, geometry="euclidean")) == EXIT_OK
-    assert "euclidean.csv" in os.listdir(out)
+    for solver in ("mirror-prox", "euclidean"):
+        out = str(tmp_path / solver)
+        assert main(_args("run", out, solver=solver)) == EXIT_OK
+        assert sorted(os.listdir(out)) == ["constants.csv", f"{solver}.csv"]
 
 
 def test_sweep_one_file_per_c(tmp_path):
@@ -59,6 +56,75 @@ def test_sweep_one_file_per_c(tmp_path):
     assert names == [
         "constants.csv", "paus_c0.5.csv", "paus_c1.csv", "paus_c2.csv",
     ]
+
+
+def test_one_invocation_builds_one_game(tmp_path, monkeypatch):
+    games = []
+
+    def counted(spec):
+        games.append(spec)
+        return generate(spec)
+
+    generate = bench.generate_game
+    monkeypatch.setattr(bench, "generate_game", counted)
+    assert main(_args("sweep", str(tmp_path / "res"), c="0.5,1,2")) == EXIT_OK
+    assert len(games) == 1
+
+
+def _fail_calls(monkeypatch, name, calls=None):
+    """Make bench.<name> raise NumericsError on the given 1-based calls,
+    or on every call."""
+    real, seen = getattr(bench, name), []
+
+    def failing(*args, **kwargs):
+        seen.append(None)
+        if calls is None or len(seen) in calls:
+            raise NumericsError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, name, failing)
+
+
+@pytest.mark.parametrize("argv, fail, calls, files, runs, failed", [
+    (["compare"], "mirror_prox_run", None,
+     ["constants.csv", "euclidean.csv", "paus.csv"],
+     ["euclidean", "mirror-prox", "paus"], "1 of 3 runs failed: mirror-prox"),
+    (["sweep", "--c", "0.5,2"], "paus_run", (2,),
+     ["constants.csv", "paus_c0.5.csv"],
+     ["paus_c0.5", "paus_c2"], "1 of 2 runs failed: paus_c2"),
+], ids=["compare", "sweep"])
+def test_a_failed_run_writes_no_series(argv, fail, calls, files, runs, failed,
+                                       tmp_path, capsys, monkeypatch):
+    # the other runs' series are written, constants.csv keeps the gamma of
+    # every run, failed ones included, and the exit is 2 with one line
+    _fail_calls(monkeypatch, fail, calls)
+    out = tmp_path / "res"
+    assert main(_args(argv[0], str(out)) + argv[1:]) == EXIT_SOLVER
+    assert sorted(os.listdir(out)) == files
+    rows = (out / "constants.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == runs
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [str(out / name) for name in files[1:] + files[:1]]
+    assert captured.err.splitlines() == [f"visim: {failed} (NumericsError: injected)"]
+
+
+@pytest.mark.parametrize("argv, failed", [
+    (["run", "--solver", "mirror-prox"], ["mirror-prox"]),
+    (["compare"], ["paus", "mirror-prox", "euclidean"]),
+    (["sweep", "--solver", "mirror-prox", "--c", "0.5,2"],
+     ["mirror-prox_c0.5", "mirror-prox_c2"]),
+], ids=["run", "compare", "sweep"])
+def test_every_run_failed_writes_nothing(argv, failed, tmp_path, capsys, monkeypatch):
+    _fail_calls(monkeypatch, "mirror_prox_run")
+    _fail_calls(monkeypatch, "paus_run")
+    out = tmp_path / "res"
+    assert main(_args(argv[0], str(out)) + argv[1:]) == EXIT_SOLVER
+    assert not out.exists()
+    captured = capsys.readouterr()
+    named = "; ".join(f"{tag} (NumericsError: injected)" for tag in failed)
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"visim: {len(failed)} of {len(failed)} runs failed: {named}"]
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -88,7 +154,7 @@ def test_config_file_errors(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == EXIT_SOLVER
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--no-such-flag"])
     assert exc.value.code == EXIT_USAGE
@@ -98,6 +164,15 @@ def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == EXIT_USAGE
+    # a flag is spelt in full: no prefix of it stands for it
+    out = tmp_path / "res"
+    for argv in (["run", "--se", "2"], ["compare", "--s", "3"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_instance_exits_two(tmp_path, capsys):
@@ -174,14 +249,16 @@ def test_python_dash_m_visim_runs(tmp_path):
     assert sorted(os.listdir(out)) == ["constants.csv", "paus.csv"]
 
 
-# a value other than the default for every setting, on the tiny game of _args
+# a value other than the default for every setting, on the tiny game of _args,
+# and for geometry, which no subcommand takes (run --solver euclidean is
+# the Euclidean setup)
 _VALUES = {
     "d": "4", "T": "48", "m": "2", "seed": "2", "K": "3", "out": "elsewhere",
     "per_entry": True, "timing": True, "matrix_file": "base.txt",
     "solver": "mirror-prox", "geometry": "euclidean", "c": "0.5", "eps": "0.5",
 }
-_UNUSED = [("compare", "solver"), ("compare", "geometry"),
-           ("sweep", "geometry"), ("sweep", "eps")]
+_UNUSED = [(sub, key) for sub in SUBCOMMANDS for key in _VALUES
+           if key not in SUBCOMMANDS[sub]]
 
 
 def _tiny_argv(sub, without, flags):
@@ -199,8 +276,7 @@ def _without_elapsed(written):
 
 
 @pytest.mark.parametrize("sub, key", [
-    (sub, key) for sub in ("run", "compare", "sweep") for key in _VALUES
-    if (sub, key) not in _UNUSED
+    (sub, key) for sub, keys in SUBCOMMANDS.items() for key in keys
 ])
 def test_a_setting_writes_the_same_from_flag_and_config(sub, key, tmp_path, monkeypatch):
     val = "0.5,2" if (sub, key) == ("sweep", "c") else _VALUES[key]
@@ -239,8 +315,8 @@ def test_a_setting_the_subcommand_does_not_use_is_refused(sub, key, tmp_path, ca
 
 
 @pytest.mark.parametrize("sub, flags, config", [
-    ("run", ["--solver", "mirror-prox", "--geometry", "euclidean"], ""),
-    ("run", ["--solver", "euclidean", "--geometry", "entropy"], ""),
+    ("run", ["--c", "0.5,2"], ""),
+    ("run", ["--d", "1"], ""),
     ("run", ["--solver", "mirror-prox"], "geometry = euclidean"),
     ("run", [], "solver = euclidean\ngeometry = entropy"),
     ("compare", ["--c", "0.5,2"], ""),
@@ -250,10 +326,13 @@ def test_a_setting_the_subcommand_does_not_use_is_refused(sub, key, tmp_path, ca
     ("compare", [], "per_entry = on"),
     ("sweep", [], "timing = 2"),
     ("sweep", [], "d = five"),
+    ("sweep", ["--c", "1,1.0"], ""),
 ])
 def test_refused_settings_exit_two_with_one_line(sub, flags, config, tmp_path, capsys):
-    # a broken rule of the geometry or of --c, or a config value outside
-    # its setting's type, choices or booleans, is a configuration error
+    # a broken rule of --c, two sweep values of one tag, a game too small,
+    # a config key the subcommand does not take (geometry), or a config
+    # value outside its setting's type, choices or booleans, is a
+    # configuration error
     out = tmp_path / "res"
     argv = _args(sub, str(out)) + flags
     if config:

@@ -4,12 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from visim.cli import build_parser
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location(
-        "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -23,5 +24,13 @@ def _bench_pairs():
 ])
 def test_bench_pairs_verdict_of_a_committed_file(name, workload, expected):
     doc = json.loads((ROOT / name).read_text(encoding="utf-8"))
-    summary = _bench_pairs().summarise(doc["runs"])
+    summary = _tool("bench_pairs").summarise(doc["runs"])
     assert summary[workload]["end_to_end"]["solve_s"]["verdict"] == expected
+
+
+def test_csv_hashes_commands_parse():
+    # every command the refactor oracle runs is one the CLI still takes
+    parser = build_parser()
+    for args in _tool("csv_hashes").COMMANDS:
+        parsed = parser.parse_args([*args, "--out", "x"])
+        assert parsed.subcommand == args[0] and parsed.out == "x"

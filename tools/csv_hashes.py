@@ -8,7 +8,7 @@ into its own temporary directory:
 - ``compare``
 - ``compare --per-entry``
 - ``sweep --c 0.5,2 --K 50``
-- ``run --geometry euclidean --K 50``
+- ``run --solver euclidean --K 50``
 
 and prints one line per CSV written (13 in all): the command, the file
 name and the first 8 hex digits of the file's sha256.  A change that
@@ -30,7 +30,7 @@ COMMANDS = (
     ("compare",),
     ("compare", "--per-entry"),
     ("sweep", "--c", "0.5,2", "--K", "50"),
-    ("run", "--geometry", "euclidean", "--K", "50"),
+    ("run", "--solver", "euclidean", "--K", "50"),
 )
 SRC = Path(__file__).resolve().parents[1] / "src"
 
