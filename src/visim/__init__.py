@@ -22,8 +22,6 @@ from .bench import (
 from .cluster import ClusterState, gather_average, shard_data
 from .errors import VisimError
 from .geometry import (
-    Domain,
-    DomainKind,
     DualVector,
     GeometryKind,
     GeometrySetup,
@@ -70,7 +68,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineConfig", "BaselineKind", "ClusterState",
-    "CompositeProblem", "Domain", "DomainKind", "DualVector",
+    "CompositeProblem", "DualVector",
     "ExperimentResult", "GameSpec", "GeometryKind", "GeometrySetup",
     "InnerSettings", "OperatorShard", "PausConfig", "PausResult",
     "Point", "RestartConfig", "RestartResult", "RunRecord",

@@ -16,7 +16,6 @@ from typing import Callable
 from .cluster import ClusterState, gather_average
 from .errors import ParameterError
 from .geometry import (
-    GeometryKind,
     GeometrySetup,
     Point,
     floor_simplex_flat,
@@ -67,7 +66,7 @@ def mirror_prox_run(
     geom = config.geometry
     layout = geom.layout
     step = config.stepsize
-    entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
+    entropy = geom.kind.entropy
 
     def extragradient(z):
         w = prox_map_flat(geom, z, gather_average(cluster, [z])[0], step)
@@ -96,7 +95,7 @@ def euclidean_paus_run(
     run — the geometry is the only variable."""
     if config.kind is not BaselineKind.EUCLIDEAN_PAUS:
         raise ParameterError("config.kind must be EUCLIDEAN_PAUS")
-    if config.geometry.kind is not GeometryKind.EUCLIDEAN:
+    if not config.geometry.kind.euclidean:
         raise ParameterError("the Euclidean baseline needs a Euclidean geometry")
     if config.l_f1 is None:
         raise ParameterError("the Euclidean baseline needs l_f1 (l2 pairing)")

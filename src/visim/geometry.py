@@ -1,14 +1,17 @@
 """Distance generating functions, Bregman divergences and proximal maps.
 
-Three setups are supported:
+Four setups are supported, one :class:`GeometryKind` each:
 
 * ``ENTROPY_SIMPLEX`` -- negative entropy on a product of probability
   simplices.  The Bregman divergence is the (blockwise) KL divergence and
   both proximal maps have closed multiplicative forms.
-* ``EUCLIDEAN`` -- half squared l2 norm, on either a simplex product
-  (projection-based prox) or an l2 ball.
+* ``EUCLIDEAN_SIMPLEX`` -- half squared l2 norm on a simplex product
+  (projection-based prox).
+* ``EUCLIDEAN_BALL`` -- half squared l2 norm on the l2 ball of
+  ``GeometrySetup.radius``.
 * ``A_NORM_BALL`` -- the scaled squared a-norm ``||z||_a^2 / (2(a-1))``
-  with ``a = 2 ln d / (2 ln d - 1)`` (natural log), on an lp ball.
+  with ``a = 2 ln d / (2 ln d - 1)`` (natural log), on the lp ball of
+  ``GeometrySetup.radius`` and ``GeometrySetup.p``.
 
 Every DGF here is 1-strongly convex in the setup's declared norm, so
 ``V(u, v) >= 0.5 * ||u - v||^2`` holds throughout.  The declared norm of
@@ -59,21 +62,22 @@ SLSQP_OVERSHOOT_TOL = 1e-9
 
 
 class GeometryKind(Enum):
-    EUCLIDEAN = "euclidean"
-    ENTROPY_SIMPLEX = "entropy_simplex"
-    A_NORM_BALL = "a_norm_ball"
+    """The supported setups, one per (domain, norm, DGF) triple.  Each
+    member carries its facts as plain attributes, set once and read on
+    every prox and mirror-map call: ``ball`` (an l2 or lp ball, else a
+    simplex product), ``euclidean`` (the half squared l2 DGF) and
+    ``entropy`` (neither)."""
 
+    def __new__(cls, value: str, ball: bool, euclidean: bool):
+        kind = object.__new__(cls)
+        kind._value_, kind.ball, kind.euclidean = value, ball, euclidean
+        kind.entropy = not (ball or euclidean)
+        return kind
 
-class DomainKind(Enum):
-    SIMPLEX_PRODUCT = "simplex_product"
-    NORM_BALL = "norm_ball"
-
-
-@dataclass(frozen=True)
-class Domain:
-    kind: DomainKind
-    p: float = 2.0
-    radius: float = 1.0
+    ENTROPY_SIMPLEX = "entropy_simplex", False, False
+    EUCLIDEAN_SIMPLEX = "euclidean_simplex", False, True
+    EUCLIDEAN_BALL = "euclidean_ball", True, True
+    A_NORM_BALL = "a_norm_ball", True, False
 
 
 @dataclass(frozen=True)
@@ -141,44 +145,45 @@ def a_norm_exponent(dim: int) -> float:
 
 @dataclass(frozen=True)
 class GeometrySetup:
-    """A DGF + norm + domain configuration.
+    """A setup: its kind and block sizes, and the ball's size.
 
-    ``center`` is the translation of the DGF (ball setups only), one array
-    of the ball's size: the effective DGF is ``w_base(z - center)``.
-    ``None`` means no shift.
+    ``radius`` is the ball's radius (ball setups only), ``p`` the norm of
+    the a-norm setup's lp ball, in [1, a] (the a-norm ball only; the
+    Euclidean ball is the l2 ball).  ``center`` is the translation of the
+    DGF (ball setups only), one array of the ball's size: the effective
+    DGF is ``w_base(z - center)``.  ``None`` means no shift.
     """
 
     kind: GeometryKind
     block_dims: tuple[int, ...]
-    domain: Domain
+    radius: float | None = None
+    p: float | None = None
     center: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind is GeometryKind.ENTROPY_SIMPLEX:
-            if self.domain.kind is not DomainKind.SIMPLEX_PRODUCT:
-                raise ParameterError("entropy DGF requires a simplex-product domain")
-        if self.domain.kind is DomainKind.NORM_BALL:
-            # validate_point and max_divergence_bound measure one block
-            if len(self.block_dims) != 1:
-                raise ParameterError("ball setups use a single block")
-            if self.kind is GeometryKind.EUCLIDEAN and self.domain.p != 2.0:
+        if not self.kind.ball:
+            if any(v is not None for v in (self.radius, self.p, self.center)):
+                raise ParameterError("a simplex setup takes no radius, p or centre")
+            return
+        # validate_point and max_divergence_bound measure one block
+        if len(self.block_dims) != 1:
+            raise ParameterError("ball setups use a single block")
+        if self.radius is None or not 0.0 < self.radius < math.inf:
+            raise ParameterError(
+                f"a ball's radius must be finite and positive, got {self.radius}")
+        if self.kind.euclidean:
+            if self.p is not None:
                 raise ParameterError(
-                    f"the Euclidean DGF needs an l2 ball, got p={self.domain.p}"
-                )
-            if self.center is not None and not (
-                    isinstance(self.center, np.ndarray)
-                    and self.center.shape == self.block_dims):
-                raise ShapeError("a ball's centre is one array of the ball's size")
-        elif self.center is not None:
-            raise ParameterError("only ball setups can be translated")
-        if self.kind is GeometryKind.A_NORM_BALL:
-            if self.domain.kind is not DomainKind.NORM_BALL:
-                raise ParameterError("a-norm DGF requires a ball domain")
-            if not (1.0 <= self.domain.p <= self.a + 1e-12):
-                raise ParameterError(
-                    f"ball norm p={self.domain.p} outside [1, a={self.a:.6f}] "
-                    "for the a-norm DGF"
-                )
+                    f"the Euclidean ball is the l2 ball, got p={self.p}")
+        elif self.p is None or not 1.0 <= self.p <= self.a + 1e-12:
+            raise ParameterError(
+                f"ball norm p={self.p} outside [1, a={self.a:.6f}] "
+                "for the a-norm DGF"
+            )
+        if self.center is not None and not (
+                isinstance(self.center, np.ndarray)
+                and self.center.shape == self.block_dims):
+            raise ShapeError("a ball's centre is one array of the ball's size")
 
     @property
     def a(self) -> float:
@@ -206,31 +211,21 @@ def _block_layout(block_dims: tuple[int, ...]) -> BlockLayout:
 
 
 def entropy_simplex(d: int, blocks: int = 2) -> GeometrySetup:
-    return GeometrySetup(
-        GeometryKind.ENTROPY_SIMPLEX,
-        (d,) * blocks,
-        Domain(DomainKind.SIMPLEX_PRODUCT),
-    )
+    return GeometrySetup(GeometryKind.ENTROPY_SIMPLEX, (d,) * blocks)
 
 
 def euclidean_simplex(d: int, blocks: int = 2) -> GeometrySetup:
-    return GeometrySetup(
-        GeometryKind.EUCLIDEAN, (d,) * blocks, Domain(DomainKind.SIMPLEX_PRODUCT)
-    )
+    return GeometrySetup(GeometryKind.EUCLIDEAN_SIMPLEX, (d,) * blocks)
 
 
 def euclidean_ball(dim: int, radius: float = 1.0) -> GeometrySetup:
-    return GeometrySetup(
-        GeometryKind.EUCLIDEAN, (dim,), Domain(DomainKind.NORM_BALL, 2.0, radius)
-    )
+    return GeometrySetup(GeometryKind.EUCLIDEAN_BALL, (dim,), radius)
 
 
 def a_norm_ball(dim: int, radius: float = 1.0, p: float | None = None) -> GeometrySetup:
     if p is None:
         p = a_norm_exponent(dim)
-    return GeometrySetup(
-        GeometryKind.A_NORM_BALL, (dim,), Domain(DomainKind.NORM_BALL, p, radius)
-    )
+    return GeometrySetup(GeometryKind.A_NORM_BALL, (dim,), radius, p)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +246,9 @@ def _lp_norm(x: np.ndarray, p: float) -> float:
 def _block_norm_exponent(setup: GeometrySetup, dual: bool = False) -> float:
     """p of the setup's declared block norm (l1, l2 or the a-norm), or of
     its dual."""
-    if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
+    if setup.kind.entropy:
         return math.inf if dual else 1.0
-    if setup.kind is GeometryKind.EUCLIDEAN:
+    if setup.kind.euclidean:
         return 2.0
     a = setup.a
     return a / (a - 1.0) if dual else a
@@ -281,12 +276,12 @@ def validate_point(setup: GeometrySetup, z: Point) -> None:
     for b in z.blocks:
         if not np.all(np.isfinite(b)):
             raise NumericsError("non-finite point coordinates")
-    if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+    if not setup.kind.ball:
         for b in z.blocks:
             if np.any(b < -SIMPLEX_SUM_TOL) or abs(b.sum() - 1.0) > SIMPLEX_SUM_TOL:
                 raise DomainError("block is not on the probability simplex")
     else:
-        p, r = setup.domain.p, setup.domain.radius
+        p, r = 2.0 if setup.kind.euclidean else setup.p, setup.radius
         n = _lp_norm(z.blocks[0], p)
         if n > r + BALL_TOL:
             raise DomainError(f"||z||_{p} = {n} exceeds radius {r}")
@@ -294,7 +289,7 @@ def validate_point(setup: GeometrySetup, z: Point) -> None:
 
 def uniform_point(setup: GeometrySetup) -> Point:
     """Uniform distributions on simplex domains, the origin on balls."""
-    if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+    if not setup.kind.ball:
         return Point.of(*(np.full(d, 1.0 / d) for d in setup.block_dims))
     return Point.of(np.zeros(setup.block_dims[0]))
 
@@ -302,10 +297,10 @@ def uniform_point(setup: GeometrySetup) -> Point:
 def random_point(setup: GeometrySetup, rng: np.random.Generator) -> Point:
     """A random feasible point: Dirichlet(1,..,1) per simplex block, or a
     near-uniform draw from the ball."""
-    if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+    if not setup.kind.ball:
         return Point.of(*(rng.dirichlet(np.ones(d)) for d in setup.block_dims))
     dim = setup.block_dims[0]
-    p, r = setup.domain.p, setup.domain.radius
+    p, r = 2.0 if setup.kind.euclidean else setup.p, setup.radius
     y = rng.standard_normal(dim)
     scale = r * rng.uniform() ** (1.0 / dim)
     return Point.of(y * (scale / _lp_norm(y, p)))
@@ -374,11 +369,11 @@ def _project(setup: GeometrySetup, v: np.ndarray) -> np.ndarray:
     """The Euclidean projection onto the domain of a fresh vector ``v``
     concatenated as ``setup.layout`` says, in place and returned: onto the
     simplex block by block, or radially onto the l2 ball."""
-    if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+    if not setup.kind.ball:
         for lo, hi in setup.layout.bounds:
             v[lo:hi] = project_block_simplex(v[lo:hi])
         return v
-    r, n = setup.domain.radius, _lp_norm(v, 2.0)
+    r, n = setup.radius, _lp_norm(v, 2.0)
     if not n <= r:
         v *= r / n
     return v
@@ -397,11 +392,11 @@ def _entropy_block_value(b: np.ndarray) -> float:
 def dgf_value(setup: GeometrySetup, z: Point) -> float:
     """w(z) for the setup's distance generating function."""
     validate_point(setup, z)
-    if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
+    if setup.kind.entropy:
         return sum(_entropy_block_value(b) for b in z.blocks)
     # only a ball, which has one block, has a centre; the a-norm's is a ball
     blocks = z.blocks if setup.center is None else (z.blocks[0] - setup.center,)
-    if setup.kind is GeometryKind.EUCLIDEAN:
+    if setup.kind.euclidean:
         return sum(0.5 * float(x @ x) for x in blocks)
     a = setup.a
     return float(np.sum(np.abs(blocks[0]) ** a) ** (2.0 / a)) / (2.0 * (a - 1.0))
@@ -437,14 +432,14 @@ def dgf_grad_flat(setup: GeometrySetup, z: np.ndarray) -> np.ndarray:
     The Euclidean gradient of an unshifted setup is ``z`` itself."""
     if z.shape != (setup.layout.size,):
         raise ShapeError(f"a point of shape {z.shape} does not fit the setup")
-    if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
+    if setup.kind.entropy:
         if not has_mass(z).all():
             raise DomainError("entropy gradient needs strictly positive mass")
         e = np.log(z)
         e += 1.0
         return e
     x = z if setup.center is None else z - setup.center
-    if setup.kind is GeometryKind.EUCLIDEAN:
+    if setup.kind.euclidean:
         return x
     return _a_norm_grad(x, setup.a)
 
@@ -457,7 +452,7 @@ def bregman_divergence(setup: GeometrySetup, u: Point, v: Point) -> float:
     :class:`DivergenceInfinite` otherwise.
     """
     check_same_shape(u, v)
-    if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
+    if setup.kind.entropy:
         total = 0.0
         for ub, vb in zip(u.blocks, v.blocks):
             mask = has_mass(ub)
@@ -467,7 +462,7 @@ def bregman_divergence(setup: GeometrySetup, u: Point, v: Point) -> float:
                 )
             total += float(np.sum(ub[mask] * (np.log(ub[mask]) - np.log(vb[mask]))))
         return max(total, 0.0)
-    if setup.kind is GeometryKind.EUCLIDEAN:
+    if setup.kind.euclidean:
         return sum(
             0.5 * float((ub - vb) @ (ub - vb)) for ub, vb in zip(u.blocks, v.blocks)
         )
@@ -502,7 +497,7 @@ def _check_prox_args(setup, center, g, step):
         raise NumericsError("non-finite dual vector in prox map")
     # exact zeros (underflow) break the log-space update; any strictly
     # positive float, however tiny, is fine
-    if setup.kind is GeometryKind.ENTROPY_SIMPLEX and not has_mass(center).all():
+    if setup.kind.entropy and not has_mass(center).all():
         raise DomainError("entropy prox center must be strictly positive")
 
 
@@ -518,7 +513,7 @@ def _ball_constrained_solve(
     to an SLSQP solve.
     """
     a = setup.a
-    p, r = setup.domain.p, setup.domain.radius
+    p, r = setup.p, setup.radius
     z_unc = _a_norm_grad_inv(target_dual, a)
     shift = setup.center
     if shift is not None:
@@ -589,12 +584,12 @@ def prox_map_flat(
     ``setup.layout`` says, with the bits of the block-by-block map.
     Returns a new array."""
     _check_prox_args(setup, center, g, step)
-    if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
+    if setup.kind.entropy:
         # the softmax of log(center) - step g, block by block
         theta = np.log(center)
         theta -= step * g
         return softmax_map(theta, setup.layout)[0]
-    if setup.kind is GeometryKind.EUCLIDEAN:
+    if setup.kind.euclidean:
         return _project(setup, center - step * g)
     target = dgf_grad_flat(setup, center)
     target -= step * g
@@ -627,14 +622,14 @@ def composite_prox_map(
         return prox_map_flat(setup, center, g, 1.0)
     # the center's and g's shapes, g finite, an entropy center positive
     _check_prox_args(setup, center, g, 1.0)
-    if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
+    if setup.kind.entropy:
         if not has_mass(anchor).all():
             raise DomainError("entropy prox centers must be strictly positive")
         wa = eta / (1.0 + eta)
         wc = 1.0 / (1.0 + eta)
         return softmax_map(wa * np.log(anchor) + wc * np.log(center) - wc * g,
                            setup.layout)[0]
-    if setup.kind is GeometryKind.EUCLIDEAN:
+    if setup.kind.euclidean:
         return _project(setup, (eta * anchor + center - g) / (1.0 + eta))
     target = (eta * dgf_grad_flat(setup, anchor) + dgf_grad_flat(setup, center)
               - g) / (1.0 + eta)
@@ -666,16 +661,16 @@ def mirror_map_flat(
     if not np.isfinite(theta).all():
         raise NumericsError("non-finite dual vector in mirror map")
     layout = setup.layout
-    if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
+    if setup.kind.entropy:
         return softmax_map(theta, layout)
-    if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+    if not setup.kind.ball:
         u = _project(setup, theta.copy())
         a = (u > 0.0).astype(float)
         return u, a, [(1.0 / a[lo:hi].sum(), a[lo:hi]) for lo, hi in layout.bounds]
     x, n, inside = _ball_interior(setup, theta)
     if inside is not None:
         return inside
-    s = setup.domain.radius / n
+    s = setup.radius / n
     return x * s, np.full_like(x, s), ((s, x / n),)
 
 
@@ -709,9 +704,9 @@ def piece_map(
     tau = (sum_S theta - 1) / |S| that S gives.  In the l2 ball the map is
     affine only inside, the piece of every feasible z: there the map is
     :func:`mirror_map_flat`'s own interior."""
-    if setup.kind is not GeometryKind.EUCLIDEAN:
+    if not setup.kind.euclidean:
         raise ParameterError("affine pieces need a Euclidean setup")
-    if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+    if not setup.kind.ball:
         layout = setup.layout
         on = z > 0.0
         a = on.astype(float)
@@ -735,7 +730,7 @@ def _ball_interior(setup: GeometrySetup, theta: np.ndarray):
     terms are shared by every call of the same size."""
     x = theta if setup.center is None else theta + setup.center
     n = _lp_norm(x, 2.0)
-    if not n <= setup.domain.radius:
+    if not n <= setup.radius:
         return x, n, None
     return x, n, (x, *_identity_jacobian(x.size))
 
@@ -757,10 +752,10 @@ def max_divergence_bound(setup: GeometrySetup, z0: Point) -> float:
     Balls: w is 1-strongly convex, bounded through the domain diameter.
     """
     validate_point(setup, z0)
-    if setup.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+    if not setup.kind.ball:
         total = 0.0
         for b in z0.blocks:
-            if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
+            if setup.kind.entropy:
                 if not np.all(has_mass(b)):
                     raise DivergenceInfinite(
                         "V(., z0) is unbounded for a boundary start"
@@ -771,8 +766,8 @@ def max_divergence_bound(setup: GeometrySetup, z0: Point) -> float:
                 sq = float(b @ b)
                 total += 0.5 * max(sq - 2.0 * bj + 1.0 for bj in b)
         return total
-    r = setup.domain.radius
-    om = 1.0 if setup.kind is GeometryKind.EUCLIDEAN else omega_d(setup, z0)
+    r = setup.radius
+    om = 1.0 if setup.kind.euclidean else omega_d(setup, z0)
     return 0.5 * om * (2.0 * r) ** 2
 
 
@@ -788,9 +783,9 @@ def omega_d(setup: GeometrySetup, z0: Point) -> float:
     The supremum is infinite for the entropy setup.
     """
     validate_point(setup, z0)
-    if setup.kind is GeometryKind.ENTROPY_SIMPLEX:
+    if setup.kind.entropy:
         raise UnboundedOmegaError("KL / l1^2 is unbounded near the boundary")
-    if setup.kind is GeometryKind.EUCLIDEAN:
+    if setup.kind.euclidean:
         return 1.0
     return 2.0 * math.log(sum(setup.block_dims)) - 1.0
 
@@ -799,7 +794,7 @@ def recenter(
     setup: GeometrySetup, shift_from: Point, shift_to: Point
 ) -> GeometrySetup:
     """A setup whose DGF is w(z - shift_from + shift_to)."""
-    if setup.domain.kind is not DomainKind.NORM_BALL:
+    if not setup.kind.ball:
         raise UnsupportedRecenterError("only ball setups support DGF translation")
     _check_blocks(setup, shift_from)
     _check_blocks(setup, shift_to)

@@ -70,7 +70,6 @@ from numpy.linalg._umath_linalg import solve1 as _gesv
 
 from .errors import NumericsError, ParameterError
 from .geometry import (
-    GeometryKind,
     GeometrySetup,
     bregman_divergence,
     composite_prox_map,
@@ -325,7 +324,7 @@ def newton_solve_flat(
     if system.block_dims != geometry.block_dims:
         raise ParameterError("the Newton system was built for another layout")
     c = grad - system.gamma * offset
-    if system.saddle and geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
+    if system.saddle and geometry.kind.entropy:
         u, steps = _reduced_newton(system, c, v0)
         answer = None if u is None else (u, None)
     else:
@@ -457,7 +456,7 @@ def _normal_map(
     whether G is at round-off (:func:`_at_round_off`) and the mirror
     map's Jacobian terms (diag, rank_one)."""
     f1, gamma, bounds = system.f1, system.gamma, geometry.layout.bounds
-    euclidean = geometry.kind is GeometryKind.EUCLIDEAN
+    euclidean = geometry.kind.euclidean
     # G(w) = w - c + gamma F1(u).  Its round-off scale is
     # |w| + |c| + |gb| + |gB| (|u| + |D| |w|): the magnitudes of the summed
     # terms, with the rounding of w carried through the mirror map
@@ -502,7 +501,7 @@ def _damped_newton(
     evaluate = _normal_map(system, geometry, c, v0)
     # one fixed-point step from v0: grad w*(w) = u(c - gamma F1(v0))
     w = c - system.gamma * f1_v0
-    if geometry.kind is GeometryKind.EUCLIDEAN:
+    if geometry.kind.euclidean:
         # if w lies on the affine piece of v0, a step from anywhere on that
         # piece gives the same iterate.  Take it from w0 = w + v0 - u(w),
         # which the map takes to v0: G(w0) = w0 - w = v0 - u(w), and u(w)
@@ -618,7 +617,7 @@ def composite_mp(
         raise ParameterError("movement_tol must be >= 0")
     geom, anchor, eta = problem.geometry, problem.anchor, problem.eta
     layout = geom.layout
-    entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
+    entropy = geom.kind.entropy
     v = v0
     path: list[np.ndarray] = []
     iters = 0

@@ -52,7 +52,6 @@ import numpy as np
 from .cluster import ClusterState, gather_average
 from .errors import ParameterError, ShapeError
 from .geometry import (
-    GeometryKind,
     GeometrySetup,
     Point,
     dgf_grad_flat,
@@ -230,8 +229,8 @@ def paus_run(
     geom, gamma = config.geometry, config.gamma
     layout = geom.layout
     shard = cluster.server_shard
-    entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
-    newton = geom.kind is not GeometryKind.A_NORM_BALL
+    entropy = geom.kind.entropy
+    newton = entropy or geom.kind.euclidean
     cap, movement_tol = _inner_plan(config)
     if system is None:
         system = NewtonSystem(shard, gamma, geom)

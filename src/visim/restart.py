@@ -6,7 +6,8 @@ N = ceil(0.5 log2(R0^2 / eps)) stages reach ||z - z*||^2 <= eps.  Each
 stage recenters the distance generating function at its starting point
 (w_{t+1}(z) = w(z - u_t + y0) with y0 the original start), which keeps the
 curvature bound omega valid stage after stage.  Only ball geometries are
-supported; the entropy DGF cannot be translated and its omega is infinite.
+supported: a simplex setup cannot be recentred, and the entropy DGF's omega
+is infinite.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from .cluster import ClusterState
 from .errors import ConfigError, ParameterError, RestartStallError
 from .geometry import (
-    GeometryKind,
     GeometrySetup,
     Point,
     omega_d,
@@ -49,8 +49,8 @@ class RestartConfig:
             raise ParameterError("restarts need mu > 0")
         if self.delta <= 0.0 or self.eps <= 0.0 or self.r0_sq <= 0.0:
             raise ParameterError("delta, eps and r0_sq must be positive")
-        if self.geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
-            raise ConfigError("the entropy setup supports neither omega nor recentering")
+        if not self.geometry.kind.ball:
+            raise ConfigError("only ball setups can be recentred")
         om = omega_d(self.geometry, self.z0)
         if self.mu > self.delta * om * (1.0 + 1e-9):
             raise ConfigError(

@@ -17,7 +17,6 @@ import numpy as np
 
 from visim.geometry import (
     TINY_MASS,
-    DomainKind,
     DualVector,
     GeometryKind,
     Point,
@@ -239,11 +238,11 @@ def per_block_prox(geometry, center, g, step):
             np.exp(e, out=e)
             e /= e.sum()
             out.append(e)
-        elif geometry.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+        elif not geometry.kind.ball:
             out.append(project_block_simplex(cb - step * gb))
         else:
             v = cb - step * gb
-            n, r = float(np.linalg.norm(v)), geometry.domain.radius
+            n, r = float(np.linalg.norm(v)), geometry.radius
             out.append(v if n <= r else v * (r / n))
     return out
 
@@ -270,10 +269,10 @@ def per_block_composite_prox(geometry, anchor, center, g, eta):
             out.append(e)
         else:
             v = (eta * ab + cb - gb) / (1.0 + eta)
-            if geometry.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+            if not geometry.kind.ball:
                 out.append(project_block_simplex(v))
             else:
-                n, r = float(np.linalg.norm(v)), geometry.domain.radius
+                n, r = float(np.linalg.norm(v)), geometry.radius
                 out.append(v if n <= r else v * (r / n))
     return out
 

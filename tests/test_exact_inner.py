@@ -17,8 +17,6 @@ from visim.cluster import ClusterState
 from visim.errors import NumericsError, ParameterError
 from visim.geometry import (
     BALL_TOL,
-    Domain,
-    DomainKind,
     DualVector,
     GeometryKind,
     GeometrySetup,
@@ -583,7 +581,7 @@ def _on_the_warm_starts_piece(prob, warm, u):
     g = prob.gamma * (prob.f1.evaluate(warm.concat()) + prob.offset)
     start = mirror_map_flat(geom, dgf_grad_flat(geom, prob.anchor) - g)[0]
     points = (u.concat(), start)
-    if geom.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+    if not geom.kind.ball:
         return all(np.array_equal(p > 0.0, warm.concat() > 0.0) for p in points)
     return all(float(np.linalg.norm(p)) < 1.0 - BALL_TOL
                for p in points + (warm.concat(),))
@@ -916,8 +914,9 @@ def _layout(kind, d1, d2, seed, gamma):
         geom = prob.geometry
         theta = rng.normal(size=d1) * rng.choice([0.1, 1.0, 10.0])
         return prob.f1, geom, theta, rng
-    kind_ = GeometryKind.ENTROPY_SIMPLEX if kind == "entropy" else GeometryKind.EUCLIDEAN
-    geom = GeometrySetup(kind_, (d1, d2), Domain(DomainKind.SIMPLEX_PRODUCT))
+    kind_ = (GeometryKind.ENTROPY_SIMPLEX if kind == "entropy"
+             else GeometryKind.EUCLIDEAN_SIMPLEX)
+    geom = GeometrySetup(kind_, (d1, d2))
     f1 = saddle_shard(rng.uniform(-1.0, 1.0, size=(d1, d2)))
     theta = rng.normal(size=d1 + d2) * rng.choice([0.1, 1.0, 30.0])
     if kind == "entropy":
@@ -934,13 +933,13 @@ def _per_block_mirror_map(geom, theta):
             w = np.exp(e)
             u = w / w.sum()
             a, beta, v = u, 1.0, u
-        elif geom.domain.kind is DomainKind.SIMPLEX_PRODUCT:
+        elif not geom.kind.ball:
             u = project_block_simplex(t)
             a = (u > 0.0).astype(float)
             beta, v = 1.0 / a.sum(), a
         else:
             x = t.copy() if geom.center is None else t + geom.center
-            n, r = float(np.linalg.norm(x)), geom.domain.radius
+            n, r = float(np.linalg.norm(x)), geom.radius
             if n <= r:
                 u, a, beta, v = x, np.ones_like(x), 0.0, np.zeros_like(x)
             else:

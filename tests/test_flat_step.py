@@ -23,8 +23,6 @@ from visim.baselines import BaselineConfig, BaselineKind, mirror_prox_run
 from visim.cluster import ClusterState
 from visim.errors import DomainError, ShapeError
 from visim.geometry import (
-    Domain,
-    DomainKind,
     DualVector,
     GeometryKind,
     GeometrySetup,
@@ -58,8 +56,8 @@ def _game(kind, d1, d2, T=60, m=4, seed=0):
     n = T // m
     shard_mats = [mats[i * n:(i + 1) * n].mean(axis=0) for i in range(m)]
     kind_ = (GeometryKind.ENTROPY_SIMPLEX if kind == "entropy"
-             else GeometryKind.EUCLIDEAN)
-    geom = GeometrySetup(kind_, (d1, d2), Domain(DomainKind.SIMPLEX_PRODUCT))
+             else GeometryKind.EUCLIDEAN_SIMPLEX)
+    geom = GeometrySetup(kind_, (d1, d2))
     if kind == "entropy":
         delta = float(np.abs(mean - shard_mats[0]).max())
         l_f1 = float(np.abs(shard_mats[0]).max())
@@ -189,7 +187,7 @@ def test_a_layout_the_shards_do_not_fit_is_rejected(solver):
     # the (5, 3) layout's points have the size of the (3, 5) game's, so
     # only the block sizes tell them apart; no round may be spent
     shard_mats, geom, gamma, l_f1, L, _ = _game("euclidean", 3, 5)
-    wrong = GeometrySetup(geom.kind, (5, 3), geom.domain)
+    wrong = GeometrySetup(geom.kind, (5, 3))
     cluster = ClusterState(shards=[saddle_shard(M) for M in shard_mats])
     with pytest.raises(ShapeError):
         if solver == "paus":
@@ -268,8 +266,8 @@ def _setup(kind, d1, d2, rng):
     dual vector and an F1 that fits it."""
     if kind in ("entropy", "simplex"):
         kind_ = (GeometryKind.ENTROPY_SIMPLEX if kind == "entropy"
-                 else GeometryKind.EUCLIDEAN)
-        geom = GeometrySetup(kind_, (d1, d2), Domain(DomainKind.SIMPLEX_PRODUCT))
+                 else GeometryKind.EUCLIDEAN_SIMPLEX)
+        geom = GeometrySetup(kind_, (d1, d2))
         f1 = saddle_shard(rng.uniform(-1.0, 1.0, size=(d1, d2)))
     else:
         dim = max(d1, 3)
@@ -327,8 +325,7 @@ def test_flat_cores_match_their_wrappers(kind, d1, d2, seed, step):
 
 @pytest.mark.parametrize("dims", [(1, 1), (3, 5), (6, 2)])
 def test_exact_zeros_still_raise_domain_error(dims):
-    geom = GeometrySetup(GeometryKind.ENTROPY_SIMPLEX, dims,
-                         Domain(DomainKind.SIMPLEX_PRODUCT))
+    geom = GeometrySetup(GeometryKind.ENTROPY_SIMPLEX, dims)
     rng = np.random.default_rng(sum(dims))
     g = rng.normal(size=sum(dims))
     for i in range(sum(dims)):

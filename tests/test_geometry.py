@@ -16,8 +16,6 @@ from visim.errors import (
 )
 from visim.geometry import (
     BALL_TOL,
-    Domain,
-    DomainKind,
     DualVector,
     GeometryKind,
     GeometrySetup,
@@ -488,18 +486,42 @@ def test_setups_with_the_same_blocks_share_one_layout():
 
 def test_ball_setups_no_solver_can_run_are_rejected():
     # validate_point and max_divergence_bound measure only block 0 of a
-    # ball, and the Euclidean prox projects onto l2 balls only
-    for kind, dims, p in [
-        (GeometryKind.EUCLIDEAN, (3, 3), 2.0),
-        (GeometryKind.EUCLIDEAN, (4,), 3.0),
-        (GeometryKind.EUCLIDEAN, (4,), 1.0),
-        (GeometryKind.A_NORM_BALL, (3, 3), 1.5),
+    # ball, and the Euclidean prox projects onto l2 balls only; a radius or
+    # p that the setup does not use is refused, not ignored
+    E, B, A, H = (GeometryKind.EUCLIDEAN_SIMPLEX, GeometryKind.EUCLIDEAN_BALL,
+                  GeometryKind.A_NORM_BALL, GeometryKind.ENTROPY_SIMPLEX)
+    for kind, dims, radius, p in [
+        (B, (3, 3), 1.0, None),
+        (B, (4,), 1.0, 3.0),
+        (B, (4,), 1.0, 1.0),
+        (B, (4,), 1.0, 2.0),
+        (A, (3, 3), 1.0, 1.5),
+        (A, (6,), 1.0, None),
+        (E, (3, 3), 1.0, None),
+        (E, (3, 3), None, 2.0),
+        (H, (3, 3), 1.0, None),
+        (H, (3, 3), None, 1.5),
+        (B, (4,), None, None),
+        (B, (4,), 0.0, None),
+        (B, (4,), -1.0, None),
+        (B, (4,), math.inf, None),
+        (B, (4,), math.nan, None),
+        (A, (6,), math.inf, 1.5),
     ]:
         with pytest.raises(ParameterError):
-            GeometrySetup(kind, dims, Domain(DomainKind.NORM_BALL, p, 1.0))
-    # the setups the solvers run
-    assert euclidean_ball(4, radius=2.0).block_dims == (4,)
-    assert a_norm_ball(6, p=1.0).domain.p == 1.0
+            GeometrySetup(kind, dims, radius, p)
+    # the setups the solvers run, each rebuilt from its kind, blocks and
+    # fields with its facts
+    for s, facts in [
+        (entropy_simplex(4), (False, False, True)),
+        (euclidean_simplex(4), (False, True, False)),
+        (euclidean_ball(4, radius=2.0), (True, True, False)),
+        (a_norm_ball(6, p=1.0), (True, False, False)),
+    ]:
+        assert GeometrySetup(s.kind, s.block_dims, radius=s.radius, p=s.p) == s
+        assert (s.kind.ball, s.kind.euclidean, s.kind.entropy) == facts
+    assert (euclidean_ball(4, radius=2.0).radius, a_norm_ball(6, p=1.0).p) == (2.0, 1.0)
+    assert entropy_simplex(4).radius is entropy_simplex(4).p is None
 
 
 def test_dgf_grad_inverse_roundtrip_a_norm():
@@ -607,7 +629,7 @@ def _reference_ball_map(setup, theta):
     array, its norm by np.linalg.norm, D = I inside and (r/n)(I - x x^T /
     n^2) outside, every term a fresh array."""
     x = theta.copy() if setup.center is None else theta + setup.center
-    n, r = float(np.linalg.norm(x)), setup.domain.radius
+    n, r = float(np.linalg.norm(x)), setup.radius
     if n <= r:
         return x, np.ones_like(x), 0.0, np.zeros_like(x)
     return x * (r / n), np.full_like(x, r / n), r / n, x / n
@@ -666,22 +688,21 @@ def test_project_gives_the_per_block_projections_bits(args):
     kind, dims, seed, scale = args
     rng = np.random.default_rng(seed)
     if kind == "simplex":
-        setup = GeometrySetup(GeometryKind.EUCLIDEAN, tuple(dims),
-                              Domain(DomainKind.SIMPLEX_PRODUCT))
+        setup = GeometrySetup(GeometryKind.EUCLIDEAN_SIMPLEX, tuple(dims))
     else:
         setup = euclidean_ball(sum(dims), radius=float(rng.uniform(0.1, 3.0)))
         if kind == "ball-recentred":
             setup = recenter(setup, random_point(setup, rng),
                              random_point(setup, rng))
     v = rng.normal(size=setup.layout.size)
-    v *= scale if kind == "simplex" else scale * setup.domain.radius / np.linalg.norm(v)
+    v *= scale if kind == "simplex" else scale * setup.radius / np.linalg.norm(v)
     want = []
     for lo, hi in setup.layout.bounds:
         b = v[lo:hi].copy()
         if kind == "simplex":
             want.append(project_block_simplex(b))
         else:
-            n, r = float(np.linalg.norm(b)), setup.domain.radius
+            n, r = float(np.linalg.norm(b)), setup.radius
             want.append(b if n <= r else b * (r / n))
     fresh = v.copy()
     got = _project(setup, fresh)

@@ -7,8 +7,6 @@ from visim import restart
 from visim.cluster import ClusterState, gather_average
 from visim.errors import DomainError, NumericsError, ParameterError
 from visim.geometry import (
-    Domain,
-    DomainKind,
     GeometryKind,
     GeometrySetup,
     Point,
@@ -178,9 +176,7 @@ def test_composite_mp_on_uneven_blocks_and_an_lp_ball():
     # a non-square saddle shard: blocks of sizes 3 and 5, where the loop
     # reaches the exact solve's answer
     rng = np.random.default_rng(4)
-    geom = GeometrySetup(
-        GeometryKind.EUCLIDEAN, (3, 5), Domain(DomainKind.SIMPLEX_PRODUCT)
-    )
+    geom = GeometrySetup(GeometryKind.EUCLIDEAN_SIMPLEX, (3, 5))
     M = rng.uniform(-1.0, 1.0, size=(3, 5))
     prob = CompositeProblem(
         gamma=1.0, anchor=uniform_point(geom).concat(), f1=saddle_shard(M),
@@ -199,9 +195,7 @@ def test_composite_mp_on_uneven_blocks_and_an_lp_ball():
     assert float(np.abs(v.concat() - exact).max()) <= 1e-9
     # an l3 ball has no Euclidean projection: the setup itself is refused
     with pytest.raises(ParameterError):
-        GeometrySetup(
-            GeometryKind.EUCLIDEAN, (4,), Domain(DomainKind.NORM_BALL, 3.0, 1.0)
-        )
+        GeometrySetup(GeometryKind.EUCLIDEAN_BALL, (4,), 1.0, 3.0)
 
 
 def test_euclidean_loop_rejects_non_finite_offset():

@@ -10,6 +10,7 @@ from visim.geometry import (
     a_norm_ball,
     entropy_simplex,
     euclidean_ball,
+    euclidean_simplex,
     omega_d,
     uniform_point,
 )
@@ -197,12 +198,14 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         # mu > delta * omega: a stage would need under one iteration
         RestartConfig(mu=10.0, **kw)
-    ent = entropy_simplex(3)
-    with pytest.raises(ConfigError):
-        RestartConfig(
-            mu=0.1, delta=1.0, eps=1e-3, geometry=ent,
-            z0=uniform_point(ent), r0_sq=1.0, l_f1=1.0,
-        )
+    # neither simplex setup can be recentred, although the Euclidean one's
+    # omega is 1
+    for simplex in (entropy_simplex(3), euclidean_simplex(4, blocks=1)):
+        with pytest.raises(ConfigError):
+            RestartConfig(
+                mu=0.1, delta=1.0, eps=1e-3, geometry=simplex,
+                z0=uniform_point(simplex), r0_sq=1.0, l_f1=1.0,
+            )
     cfg = RestartConfig(mu=0.1, **kw)
     assert cfg.gamma == pytest.approx(1.0)  # defaulted to 1/delta
 

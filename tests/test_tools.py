@@ -34,3 +34,19 @@ def test_csv_hashes_commands_parse():
     for args in _tool("csv_hashes").COMMANDS:
         parsed = parser.parse_args([*args, "--out", "x"])
         assert parsed.subcommand == args[0] and parsed.out == "x"
+
+
+def test_src_lines_parts_add_up_to_wc_l():
+    tool = _tool("src_lines")
+    paths = sorted(tool.SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        counts = tool.line_counts(path.read_text())
+        assert counts["lines"] == path.read_bytes().count(b"\n"), path.name
+        assert sum(counts[p] for p in tool.PARTS) == counts["lines"], path.name
+    # each kind of line once: a string that is not a first statement is
+    # code, and a last line without a newline is not counted, as by wc -l
+    text = ('"""Module."""\n\n# a comment\ndef f():\n    """Two\n    lines."""\n'
+            '    x = 1  # code\n    """not a docstring"""\n    return x')
+    assert tool.line_counts(text) == {
+        "code": 3, "docstring": 3, "comment": 1, "blank": 1, "lines": 8}
