@@ -22,7 +22,6 @@ from .bench import (
 from .cluster import ClusterState, gather_average, shard_data
 from .errors import VisimError
 from .geometry import (
-    DualVector,
     GeometryKind,
     GeometrySetup,
     Point,
@@ -68,7 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineConfig", "BaselineKind", "ClusterState",
-    "CompositeProblem", "DualVector",
+    "CompositeProblem",
     "ExperimentResult", "GameSpec", "GeometryKind", "GeometrySetup",
     "InnerSettings", "OperatorShard", "PausConfig", "PausResult",
     "Point", "RestartConfig", "RestartResult", "RunRecord",

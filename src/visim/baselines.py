@@ -14,14 +14,8 @@ from enum import Enum
 from typing import Callable
 
 from .cluster import ClusterState, gather_average
-from .errors import ParameterError
-from .geometry import (
-    GeometrySetup,
-    Point,
-    floor_simplex_flat,
-    prox_map,  # noqa: F401  (perfbench's tracer wraps baselines.prox_map)
-    prox_map_flat,
-)
+from .errors import ParameterError, check_iters, check_positive
+from .geometry import GeometrySetup, Point, floor_simplex_flat, prox_map
 from .inner import InnerSettings
 from .paus import PausConfig, PausResult, _drive, paus_run
 
@@ -46,10 +40,8 @@ class BaselineConfig:
     inner: InnerSettings = field(default_factory=InnerSettings)
 
     def __post_init__(self):
-        if self.stepsize <= 0.0:
-            raise ParameterError(f"stepsize must be positive, got {self.stepsize}")
-        if self.iters < 1:
-            raise ParameterError("need at least one iteration")
+        check_positive("stepsize", self.stepsize)
+        check_iters(self.iters)
 
 
 def mirror_prox_run(
@@ -69,8 +61,8 @@ def mirror_prox_run(
     entropy = geom.kind.entropy
 
     def extragradient(z):
-        w = prox_map_flat(geom, z, gather_average(cluster, [z])[0], step)
-        z_next = prox_map_flat(geom, z, gather_average(cluster, [w])[0], step)
+        w = prox_map(geom, z, gather_average(cluster, [z])[0], step)
+        z_next = prox_map(geom, z, gather_average(cluster, [w])[0], step)
         if entropy:
             # guard against float underflow to 0
             w = floor_simplex_flat(w, layout.bounds)

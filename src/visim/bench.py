@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import BaselineConfig, BaselineKind, mirror_prox_run
 from .cluster import ClusterState, shard_data
-from .errors import ConfigError, IoError, ParameterError, VisimError
+from .errors import ConfigError, IoError, VisimError, check_iters, check_positive
 from .geometry import (
     entropy_simplex,
     euclidean_simplex,
@@ -213,11 +213,6 @@ def _stepsize(solver: str, c: float, consts: SimilarityConstants,
     return c / base
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ParameterError(f"{name} must be finite and positive, got {value}")
-
-
 def run_comparison(
     spec: GameSpec,
     solvers: tuple[str, ...] = SOLVERS,
@@ -258,11 +253,10 @@ def run_experiment(
     for _, solver, c in runs:
         if solver not in SOLVERS:
             raise ConfigError(f"unknown solver {solver!r}; pick from {SOLVERS}")
-        _check_positive("c", c)
-    if iters < 1:
-        raise ParameterError(f"need iters >= 1, got {iters}")
+        check_positive("c", c)
+    check_iters(iters)
     if eps is not None:
-        _check_positive("eps", eps)
+        check_positive("eps", eps)
     mats = generate_game(spec)
     shards = shard_data(mats, spec.m)
     mean = mats.mean(axis=0)
@@ -284,7 +278,7 @@ def run_experiment(
         z0 = uniform_point(geom)
         run_iters = iters
         if eps is not None:
-            max_v = max_divergence_bound(geom, z0)
+            max_v = max_divergence_bound(geom, z0.concat())
             run_iters = min(
                 EPS_ITERS_CAP, max(1, math.ceil(max_v / (gamma * eps)))
             )

@@ -16,8 +16,6 @@ from .cluster import ClusterState, gather_average, shard_data
 from .errors import RestartStallError
 from .geometry import (
     SIMPLEX_SUM_TOL,
-    DualVector,
-    Point,
     bregman_divergence,
     entropy_simplex,
     euclidean_ball,
@@ -54,7 +52,7 @@ def check_geometry_oracles(seed: int = 0, trials: int = 25) -> CheckOutcome:
         center /= center.sum()
         g = rng.normal(size=d)
         step = float(rng.uniform(0.1, 2.0))
-        x = prox_map(setup, Point.of(center), DualVector.of(g), step).blocks[0]
+        x = prox_map(setup, center, g, step)
         positive = positive and bool((x > 0.0).all())
         off_sum = max(off_sum, abs(float(x.sum()) - 1.0))
         terms = (step * g, np.log(x), -np.log(center))
@@ -77,6 +75,7 @@ def check_lemma_certificate(seed: int = 1) -> CheckOutcome:
     cluster = ClusterState(shards=shard_data(mats, spec.m))
     geom = entropy_simplex(spec.d)
     z0 = uniform_point(geom)
+    z0f = z0.concat()
     gamma = 1.0 / consts.delta
     K = 30
     cfg = PausConfig(
@@ -84,15 +83,15 @@ def check_lemma_certificate(seed: int = 1) -> CheckOutcome:
         l_f1=consts.L_F1, delta=consts.delta,
     )
     result = paus_run(cfg, cluster, keep_iterates=True)
-    u_path = [u.concat() for u in result.u_path]
+    u_path = result.u_path
     f_avg = gather_average(cluster, u_path)
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for _ in range(20):
-        z = Point.of(rng.dirichlet(np.ones(spec.d)), rng.dirichlet(np.ones(spec.d)))
-        zf = z.concat()
-        lhs = sum(float(f @ (u - zf)) for f, u in zip(f_avg, u_path)) / K
-        rhs = bregman_divergence(geom, z, z0) / (K * gamma)
+        z = np.concatenate([rng.dirichlet(np.ones(spec.d)),
+                            rng.dirichlet(np.ones(spec.d))])
+        lhs = sum(float(f @ (u - z)) for f, u in zip(f_avg, u_path)) / K
+        rhs = bregman_divergence(geom, z, z0f) / (K * gamma)
         worst = max(worst, lhs - rhs)
     ok = worst <= 1e-6
     return CheckOutcome("lemma-certificate", ok, f"max residual excess {worst:.2e}")
@@ -115,12 +114,11 @@ def check_inner_contraction(seed: int = 3) -> CheckOutcome:
         geometry=geom, l_f1=consts.L_F1,
     )
     eta = prob.eta
-    split = geom.layout.split
-    v_star = split(composite_mp(prob, anchor, 400, 0.0)[0])
-    _, _, path = composite_mp(prob, anchor, 40, 0.0, record_path=True)
+    v_star = composite_mp(prob, anchor, 400, 0.0)[0]
     worst = -np.inf
-    prev = split(anchor)
-    for v in map(split, path):
+    prev = anchor
+    for _ in range(40):
+        v = composite_mp(prob, prev, 1)[0]
         lhs = bregman_divergence(geom, v_star, v)
         rhs = bregman_divergence(geom, v_star, prev) / (1.0 + eta)
         worst = max(worst, lhs - rhs)

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all visim modules."""
+"""Exception hierarchy shared by all visim modules, and the checks of
+numeric parameters that every config makes."""
+
+import math
+from numbers import Integral
 
 
 class VisimError(Exception):
@@ -43,3 +47,15 @@ class UnsupportedRecenterError(VisimError):
 
 class RestartStallError(VisimError):
     """A restart stage failed to halve the distance to a known solution."""
+
+
+def check_positive(name: str, value: float) -> None:
+    """Refuse a ``value`` that is not a finite number > 0 (NaN included)."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ParameterError(f"{name} must be finite and positive, got {value}")
+
+
+def check_iters(iters: int) -> None:
+    """Refuse an iteration count that is not an int >= 1."""
+    if not (isinstance(iters, Integral) and iters >= 1):
+        raise ParameterError(f"need at least one iteration, got {iters}")

@@ -18,14 +18,13 @@ Every DGF here is 1-strongly convex in the setup's declared norm, so
 the a-norm setup is the a-norm itself (the exact strong-convexity norm);
 block norms combine as the l2 sum of squares.
 
-All operations are pure; setups and points are immutable.  The solvers
-run on flat arrays, the blocks concatenated in the order of the setup's
-:class:`BlockLayout`, through the ``*_flat`` functions and
-:func:`composite_prox_map`.  Points are the public API's currency: the
-public :func:`prox_map` and :func:`dgf_grad` are their flat cores on the
-concatenated blocks, with the same bits, and :func:`bregman_divergence`,
-:func:`validate_point`, :func:`max_divergence_bound`, :func:`omega_d`,
-:func:`recenter`, the DGF value and the norms take Points.
+All operations are pure; setups and points are immutable.  Every
+function here takes and returns flat arrays, the blocks concatenated in
+the order of the setup's :class:`BlockLayout`, and works block by block
+over ``layout.bounds`` where a block's arithmetic is its own.  A
+:class:`Point` is a solver's start or answer; :func:`uniform_point` makes
+one, and ``BlockLayout.join`` checks its blocks against the setup and
+concatenates them.
 
 Each Euclidean fact lives once: ``_project`` projects onto a Euclidean
 domain, ``_ball_interior`` maps the l2 ball's interior for both
@@ -41,6 +40,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -95,20 +95,6 @@ class Point:
 
 
 @dataclass(frozen=True)
-class DualVector:
-    """A dual-space vector with the same block layout as a Point."""
-
-    blocks: tuple[np.ndarray, ...]
-
-    @staticmethod
-    def of(*blocks) -> "DualVector":
-        return DualVector(tuple(np.asarray(b, dtype=float) for b in blocks))
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
-
-
-@dataclass(frozen=True)
 class BlockLayout:
     """Where the blocks sit in the concatenated vector: the (lo, hi) slice
     of each block, the index each block starts at, and the block of each
@@ -127,12 +113,25 @@ class BlockLayout:
         """The point whose blocks are the slices of ``flat``."""
         return Point(tuple([flat[lo:hi] for lo, hi in self.bounds]))
 
+    def join(self, z: Point) -> np.ndarray:
+        """The blocks of ``z`` concatenated, after checking them against
+        the layout's: a point of the right size can still be cut wrongly."""
+        shapes = tuple(b.shape for b in z.blocks)
+        if shapes != tuple((hi - lo,) for lo, hi in self.bounds):
+            raise ShapeError(
+                f"blocks of shapes {shapes} do not match the layout's "
+                f"{[hi - lo for lo, hi in self.bounds]}"
+            )
+        return z.concat()
 
-def check_same_shape(u: Point | DualVector, v: Point | DualVector) -> None:
-    if len(u.blocks) != len(v.blocks) or any(
-        a.shape != b.shape for a, b in zip(u.blocks, v.blocks)
-    ):
-        raise ShapeError("block layouts differ")
+
+def _check_flat(setup: GeometrySetup, *zs: np.ndarray) -> None:
+    for z in zs:
+        if z.shape != (setup.layout.size,):
+            raise ShapeError(
+                f"a vector of shape {z.shape} does not fit the setup's "
+                f"blocks {setup.block_dims}"
+            )
 
 
 def a_norm_exponent(dim: int) -> float:
@@ -161,11 +160,16 @@ class GeometrySetup:
     center: np.ndarray | None = None
 
     def __post_init__(self):
+        dims = self.block_dims
+        if not (isinstance(dims, tuple) and dims
+                and all(isinstance(n, Integral) and n > 0 for n in dims)):
+            raise ParameterError(
+                f"block_dims must be a non-empty tuple of positive ints, got {dims!r}")
         if not self.kind.ball:
             if any(v is not None for v in (self.radius, self.p, self.center)):
                 raise ParameterError("a simplex setup takes no radius, p or centre")
             return
-        # validate_point and max_divergence_bound measure one block
+        # validate_point and max_divergence_bound measure the ball as one block
         if len(self.block_dims) != 1:
             raise ParameterError("ball setups use a single block")
         if self.radius is None or not 0.0 < self.radius < math.inf:
@@ -254,16 +258,19 @@ def _block_norm_exponent(setup: GeometrySetup, dual: bool = False) -> float:
     return a / (a - 1.0) if dual else a
 
 
-def primal_norm(setup: GeometrySetup, diff: Point) -> float:
+def primal_norm(setup: GeometrySetup, diff: np.ndarray) -> float:
     """The setup's declared norm of a difference of points."""
+    _check_flat(setup, diff)
     p = _block_norm_exponent(setup)
-    return math.sqrt(sum(_lp_norm(b, p) ** 2 for b in diff.blocks))
+    return math.sqrt(sum(_lp_norm(diff[lo:hi], p) ** 2
+                         for lo, hi in setup.layout.bounds))
 
 
-def dual_norm(setup: GeometrySetup, g: DualVector) -> float:
+def dual_norm(setup: GeometrySetup, g: np.ndarray) -> float:
     """Dual of :func:`primal_norm` (blockwise dual norms, l2-combined)."""
+    _check_flat(setup, g)
     q = _block_norm_exponent(setup, dual=True)
-    vals = [_lp_norm(b, q) for b in g.blocks]
+    vals = [_lp_norm(g[lo:hi], q) for lo, hi in setup.layout.bounds]
     return math.sqrt(sum(v * v for v in vals))
 
 
@@ -271,18 +278,18 @@ def dual_norm(setup: GeometrySetup, g: DualVector) -> float:
 # domain handling
 
 
-def validate_point(setup: GeometrySetup, z: Point) -> None:
-    _check_blocks(setup, z)
-    for b in z.blocks:
-        if not np.all(np.isfinite(b)):
-            raise NumericsError("non-finite point coordinates")
+def validate_point(setup: GeometrySetup, z: np.ndarray) -> None:
+    _check_flat(setup, z)
+    if not np.all(np.isfinite(z)):
+        raise NumericsError("non-finite point coordinates")
     if not setup.kind.ball:
-        for b in z.blocks:
+        for lo, hi in setup.layout.bounds:
+            b = z[lo:hi]
             if np.any(b < -SIMPLEX_SUM_TOL) or abs(b.sum() - 1.0) > SIMPLEX_SUM_TOL:
                 raise DomainError("block is not on the probability simplex")
     else:
         p, r = 2.0 if setup.kind.euclidean else setup.p, setup.radius
-        n = _lp_norm(z.blocks[0], p)
+        n = _lp_norm(z, p)
         if n > r + BALL_TOL:
             raise DomainError(f"||z||_{p} = {n} exceeds radius {r}")
 
@@ -294,16 +301,16 @@ def uniform_point(setup: GeometrySetup) -> Point:
     return Point.of(np.zeros(setup.block_dims[0]))
 
 
-def random_point(setup: GeometrySetup, rng: np.random.Generator) -> Point:
-    """A random feasible point: Dirichlet(1,..,1) per simplex block, or a
-    near-uniform draw from the ball."""
+def random_point(setup: GeometrySetup, rng: np.random.Generator) -> np.ndarray:
+    """A random feasible point, flat: Dirichlet(1,..,1) per simplex block,
+    or a near-uniform draw from the ball."""
     if not setup.kind.ball:
-        return Point.of(*(rng.dirichlet(np.ones(d)) for d in setup.block_dims))
+        return np.concatenate([rng.dirichlet(np.ones(d)) for d in setup.block_dims])
     dim = setup.block_dims[0]
     p, r = 2.0 if setup.kind.euclidean else setup.p, setup.radius
     y = rng.standard_normal(dim)
     scale = r * rng.uniform() ** (1.0 / dim)
-    return Point.of(y * (scale / _lp_norm(y, p)))
+    return y * (scale / _lp_norm(y, p))
 
 
 TINY_MASS = 1e-300
@@ -389,17 +396,18 @@ def _entropy_block_value(b: np.ndarray) -> float:
     return float(np.sum(b[mask] * np.log(b[mask])))
 
 
-def dgf_value(setup: GeometrySetup, z: Point) -> float:
+def dgf_value(setup: GeometrySetup, z: np.ndarray) -> float:
     """w(z) for the setup's distance generating function."""
     validate_point(setup, z)
+    bounds = setup.layout.bounds
     if setup.kind.entropy:
-        return sum(_entropy_block_value(b) for b in z.blocks)
+        return sum(_entropy_block_value(z[lo:hi]) for lo, hi in bounds)
     # only a ball, which has one block, has a centre; the a-norm's is a ball
-    blocks = z.blocks if setup.center is None else (z.blocks[0] - setup.center,)
+    x = z if setup.center is None else z - setup.center
     if setup.kind.euclidean:
-        return sum(0.5 * float(x @ x) for x in blocks)
+        return sum(0.5 * float(x[lo:hi] @ x[lo:hi]) for lo, hi in bounds)
     a = setup.a
-    return float(np.sum(np.abs(blocks[0]) ** a) ** (2.0 / a)) / (2.0 * (a - 1.0))
+    return float(np.sum(np.abs(x) ** a) ** (2.0 / a)) / (2.0 * (a - 1.0))
 
 
 def _a_norm_grad(x: np.ndarray, a: float) -> np.ndarray:
@@ -419,19 +427,11 @@ def _a_norm_grad_inv(s: np.ndarray, a: float) -> np.ndarray:
     return (a - 1.0) * np.sign(s) * np.abs(s) ** (q - 1.0) * nq ** (2.0 - q)
 
 
-def dgf_grad(setup: GeometrySetup, z: Point) -> DualVector:
+def dgf_grad(setup: GeometrySetup, z: np.ndarray) -> np.ndarray:
     """The gradient of the DGF (defined on the domain's relative interior
-    for entropy).  This is :func:`dgf_grad_flat` on the concatenated
-    blocks."""
-    _check_blocks(setup, z)
-    return DualVector(setup.layout.split(dgf_grad_flat(setup, z.concat())).blocks)
-
-
-def dgf_grad_flat(setup: GeometrySetup, z: np.ndarray) -> np.ndarray:
-    """:func:`dgf_grad` on a point concatenated as ``setup.layout`` says.
-    The Euclidean gradient of an unshifted setup is ``z`` itself."""
-    if z.shape != (setup.layout.size,):
-        raise ShapeError(f"a point of shape {z.shape} does not fit the setup")
+    for entropy).  The Euclidean gradient of an unshifted setup is ``z``
+    itself."""
+    _check_flat(setup, z)
     if setup.kind.entropy:
         if not has_mass(z).all():
             raise DomainError("entropy gradient needs strictly positive mass")
@@ -444,17 +444,19 @@ def dgf_grad_flat(setup: GeometrySetup, z: np.ndarray) -> np.ndarray:
     return _a_norm_grad(x, setup.a)
 
 
-def bregman_divergence(setup: GeometrySetup, u: Point, v: Point) -> float:
+def bregman_divergence(setup: GeometrySetup, u: np.ndarray, v: np.ndarray) -> float:
     """V(u, v) = w(u) - w(v) - <grad w(v), u - v>.
 
     Entropy: the blockwise KL divergence, finite whenever v carries mass
     (see :func:`has_mass`) wherever u does; raises
     :class:`DivergenceInfinite` otherwise.
     """
-    check_same_shape(u, v)
+    _check_flat(setup, u, v)
+    bounds = setup.layout.bounds
     if setup.kind.entropy:
         total = 0.0
-        for ub, vb in zip(u.blocks, v.blocks):
+        for lo, hi in bounds:
+            ub, vb = u[lo:hi], v[lo:hi]
             mask = has_mass(ub)
             if np.any(mask & ~has_mass(vb)):
                 raise DivergenceInfinite(
@@ -464,11 +466,12 @@ def bregman_divergence(setup: GeometrySetup, u: Point, v: Point) -> float:
         return max(total, 0.0)
     if setup.kind.euclidean:
         return sum(
-            0.5 * float((ub - vb) @ (ub - vb)) for ub, vb in zip(u.blocks, v.blocks)
+            0.5 * float((u[lo:hi] - v[lo:hi]) @ (u[lo:hi] - v[lo:hi]))
+            for lo, hi in bounds
         )
-    gv = dgf_grad(setup, v)
+    # the a-norm ball: one block
     val = dgf_value(setup, u) - dgf_value(setup, v)
-    val -= sum(float(g @ (ub - vb)) for g, ub, vb in zip(gv.blocks, u.blocks, v.blocks))
+    val -= float(dgf_grad(setup, v) @ (u - v))
     return max(val, 0.0)
 
 
@@ -476,21 +479,8 @@ def bregman_divergence(setup: GeometrySetup, u: Point, v: Point) -> float:
 # proximal maps
 
 
-def _check_blocks(setup: GeometrySetup, z: Point | DualVector) -> None:
-    if tuple(b.size for b in z.blocks) != setup.block_dims:
-        raise ShapeError(
-            f"blocks {tuple(b.size for b in z.blocks)} do not match the "
-            f"setup's {setup.block_dims}"
-        )
-
-
 def _check_prox_args(setup, center, g, step):
-    # on the concatenated center and dual vector
-    if center.shape != (setup.layout.size,) or g.shape != center.shape:
-        raise ShapeError(
-            f"prox operands of shapes {center.shape} and {g.shape} do not "
-            "fit the setup"
-        )
+    _check_flat(setup, center, g)
     if step <= 0.0:
         raise ParameterError(f"prox step must be positive, got {step}")
     if not np.isfinite(g).all():
@@ -565,24 +555,16 @@ def _ball_constrained_solve(
     return z
 
 
-def prox_map(setup: GeometrySetup, center: Point, g: DualVector, step: float) -> Point:
+def prox_map(
+    setup: GeometrySetup, center: np.ndarray, g: np.ndarray, step: float
+) -> np.ndarray:
     """argmin over the domain of  step * <g, z> + V(z, center).
 
     Entropy: the closed multiplicative form per block.  Euclidean: gradient
     step followed by exact projection.  A-norm ball: dual-variable solve.
-    This is :func:`prox_map_flat` on the concatenated blocks.
+    The result has the bits of the block-by-block map.  Returns a new
+    array.
     """
-    check_same_shape(center, g)
-    _check_blocks(setup, center)
-    return setup.layout.split(prox_map_flat(setup, center.concat(), g.concat(), step))
-
-
-def prox_map_flat(
-    setup: GeometrySetup, center: np.ndarray, g: np.ndarray, step: float
-) -> np.ndarray:
-    """:func:`prox_map` on a center and a dual vector concatenated as
-    ``setup.layout`` says, with the bits of the block-by-block map.
-    Returns a new array."""
     _check_prox_args(setup, center, g, step)
     if setup.kind.entropy:
         # the softmax of log(center) - step g, block by block
@@ -591,7 +573,7 @@ def prox_map_flat(
         return softmax_map(theta, setup.layout)[0]
     if setup.kind.euclidean:
         return _project(setup, center - step * g)
-    target = dgf_grad_flat(setup, center)
+    target = dgf_grad(setup, center)
     target -= step * g
     return _ball_constrained_solve(setup, target)
 
@@ -609,17 +591,13 @@ def composite_prox_map(
 
     For entropy this is the geometric-mean form: anchor weight eta/(1+eta),
     center weight 1/(1+eta), gradient scaled by 1/(1+eta).  ``eta = 0``
-    degenerates to ``prox_map_flat(center, g, 1)``.
+    degenerates to ``prox_map(center, g, 1)``.
     """
-    if anchor.shape != center.shape:
-        raise ShapeError(
-            f"composite prox anchor of shape {anchor.shape} does not fit the "
-            f"center's {center.shape}"
-        )
+    _check_flat(setup, anchor)
     if eta < 0.0:
         raise ParameterError(f"composite weight eta must be >= 0, got {eta}")
     if eta == 0.0:
-        return prox_map_flat(setup, center, g, 1.0)
+        return prox_map(setup, center, g, 1.0)
     # the center's and g's shapes, g finite, an entropy center positive
     _check_prox_args(setup, center, g, 1.0)
     if setup.kind.entropy:
@@ -631,7 +609,7 @@ def composite_prox_map(
                            setup.layout)[0]
     if setup.kind.euclidean:
         return _project(setup, (eta * anchor + center - g) / (1.0 + eta))
-    target = (eta * dgf_grad_flat(setup, anchor) + dgf_grad_flat(setup, center)
+    target = (eta * dgf_grad(setup, anchor) + dgf_grad(setup, center)
               - g) / (1.0 + eta)
     return _ball_constrained_solve(setup, target)
 
@@ -651,7 +629,7 @@ def mirror_map_flat(
     (recentred or not): radial projection of x = theta + center, D = I
     inside the ball (``_ball_interior``: u may be theta itself, D is
     read-only) and (r/n)(I - x x^T / n^2) for x at norm n outside it.  On
-    interior points the map inverts :func:`dgf_grad_flat`.  The a-norm
+    interior points the map inverts :func:`dgf_grad`.  The a-norm
     ball has no closed form here and raises :class:`ParameterError`.
     Elementwise work and the blocks' maxima run over all blocks at once,
     sums block by block, with the bits of the block-by-block map.
@@ -743,7 +721,7 @@ def _identity_jacobian(n: int) -> tuple[np.ndarray, tuple[tuple[float, np.ndarra
     return ones, ((0.0, zeros),)
 
 
-def max_divergence_bound(setup: GeometrySetup, z0: Point) -> float:
+def max_divergence_bound(setup: GeometrySetup, z0: np.ndarray) -> float:
     """An upper bound on max_z V(z, z0) over the feasible domain.
 
     Simplex products: the maximum sits at a vertex per block, so the bound
@@ -754,7 +732,8 @@ def max_divergence_bound(setup: GeometrySetup, z0: Point) -> float:
     validate_point(setup, z0)
     if not setup.kind.ball:
         total = 0.0
-        for b in z0.blocks:
+        for lo, hi in setup.layout.bounds:
+            b = z0[lo:hi]
             if setup.kind.entropy:
                 if not np.all(has_mass(b)):
                     raise DivergenceInfinite(
@@ -775,7 +754,7 @@ def max_divergence_bound(setup: GeometrySetup, z0: Point) -> float:
 # restart support
 
 
-def omega_d(setup: GeometrySetup, z0: Point) -> float:
+def omega_d(setup: GeometrySetup, z0: np.ndarray) -> float:
     """A finite upper bound on sup_z 2 V(z, z0) / ||z - z0||^2.
 
     Euclidean: exactly 1.  A-norm ball: 2 ln d - 1 (tight when z0 is the
@@ -791,14 +770,13 @@ def omega_d(setup: GeometrySetup, z0: Point) -> float:
 
 
 def recenter(
-    setup: GeometrySetup, shift_from: Point, shift_to: Point
+    setup: GeometrySetup, shift_from: np.ndarray, shift_to: np.ndarray
 ) -> GeometrySetup:
     """A setup whose DGF is w(z - shift_from + shift_to)."""
     if not setup.kind.ball:
         raise UnsupportedRecenterError("only ball setups support DGF translation")
-    _check_blocks(setup, shift_from)
-    _check_blocks(setup, shift_to)
+    _check_flat(setup, shift_from, shift_to)
     old = np.zeros(setup.layout.size) if setup.center is None else setup.center
-    new = old + shift_from.concat() - shift_to.concat()
+    new = old + shift_from - shift_to
     # exactly zero (-0.0 included); a NaN centre is not
     return replace(setup, center=new if new.any() else None)

@@ -54,9 +54,7 @@ loop for every geometry; entropy iterates are floored at ``TINY_MASS`` so
 that a coordinate that underflows stays interior.
 
 Both solvers take and return flat arrays, their blocks concatenated as
-``geometry.layout`` says, and so does :class:`CompositeProblem`.  Points
-appear only in the loop's movement stop, as views handed to the public
-:func:`geometry.bregman_divergence`.
+``geometry.layout`` says, and so does :class:`CompositeProblem`.
 """
 
 from __future__ import annotations
@@ -595,14 +593,14 @@ def composite_mp(
     v0: np.ndarray,
     max_iters: int,
     movement_tol: float = 0.0,
-    record_path: bool = False,
-) -> tuple[np.ndarray, int] | tuple[np.ndarray, int, list[np.ndarray]]:
+) -> tuple[np.ndarray, int]:
     """Run the composite extragradient loop from the flat ``v0``.
 
     Returns the final iterate, flat, and the number of iterations
-    performed (and, with ``record_path``, the list of full-step iterates
-    v^1..v^T for contraction diagnostics).  Stops early once the movement
-    V(v^{t+1}, v^t) falls to ``movement_tol``.
+    performed.  Stops early once the movement V(v^{t+1}, v^t) falls to
+    ``movement_tol``.  The loop's state is the iterate alone, so
+    ``composite_mp(problem, v, 1)`` from each iterate in turn gives the
+    path v^1..v^T bit for bit.
 
     Entropy full-step iterates are floored at ``TINY_MASS`` by
     :func:`geometry.floor_simplex_flat`, so a coordinate that underflows
@@ -616,10 +614,9 @@ def composite_mp(
     if movement_tol < 0.0:
         raise ParameterError("movement_tol must be >= 0")
     geom, anchor, eta = problem.geometry, problem.anchor, problem.eta
-    layout = geom.layout
+    bounds = geom.layout.bounds
     entropy = geom.kind.entropy
     v = v0
-    path: list[np.ndarray] = []
     iters = 0
     for t in range(max_iters):
         v_half = composite_prox_map(geom, anchor, v, problem.gradient(v), eta)
@@ -627,18 +624,14 @@ def composite_mp(
         if not np.isfinite(v_next).all():
             raise NumericsError(f"non-finite inner iterate at step {t}")
         if entropy:
-            v_next = floor_simplex_flat(v_next, layout.bounds)
+            v_next = floor_simplex_flat(v_next, bounds)
         # the computed movement is cancellation-limited near the solution
         # (it rounds to 0 once coordinates move less than ~sqrt(eps)), so a
         # zero tolerance means "never stop early" rather than "stop at 0"
-        move = (bregman_divergence(geom, layout.split(v_next), layout.split(v))
+        move = (bregman_divergence(geom, v_next, v)
                 if movement_tol > 0.0 else None)
         v = v_next
         iters = t + 1
-        if record_path:
-            path.append(v)
         if move is not None and move <= movement_tol:
             break
-    if record_path:
-        return v, iters, path
     return v, iters

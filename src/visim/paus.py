@@ -31,13 +31,11 @@ above; the mirror-prox baseline passes its extragradient step.
 
 The driver and the steps run on flat arrays: z^k, u^k, the ergodic sum
 and every dual vector are one float64 vector each, its blocks in the
-order of ``geometry.layout``, and a step calls flat functions only
-(``gather_average``, ``OperatorShard.evaluate``, ``prox_map_flat``,
-``dgf_grad_flat``, ``floor_simplex_flat``, ``newton_solve_flat`` and
-``composite_mp``).  Points are built, as views of the flat arrays
-(``layout.split``), only where the public API hands them out or takes
-them in: z^0, the running average given to ``gap_fn``, the final u_avg
-and the ``keep_iterates`` paths.
+order of ``geometry.layout``, and so are the ``keep_iterates`` paths.
+Points appear only where a run starts or answers: z^0, whose blocks
+``layout.join`` checks against the setup before any round, and, as views
+of the flat arrays (``layout.split``), the running average given to
+``gap_fn`` and the final u_avg.
 """
 
 from __future__ import annotations
@@ -50,15 +48,14 @@ from typing import Callable
 import numpy as np
 
 from .cluster import ClusterState, gather_average
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_iters, check_positive
 from .geometry import (
     GeometrySetup,
     Point,
-    dgf_grad_flat,
+    dgf_grad,
     floor_simplex_flat,
     max_divergence_bound,
-    prox_map,  # noqa: F401  (perfbench's tracer wraps paus.prox_map)
-    prox_map_flat,
+    prox_map,
     validate_point,
 )
 from .inner import (
@@ -94,13 +91,12 @@ class PausConfig:
     inner: InnerSettings = field(default_factory=InnerSettings)
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ParameterError(f"gamma must be finite and > 0, got {self.gamma}")
-        if self.iters < 1:
-            raise ParameterError(f"need at least one iteration, got {self.iters}")
-        if self.l_f1 <= 0.0:
-            raise ParameterError("l_f1 must be positive")
-        if self.delta is not None and self.delta > 0.0:
+        check_positive("gamma", self.gamma)
+        check_iters(self.iters)
+        check_positive("l_f1", self.l_f1)
+        # None or 0.0: no guard (an over-stepping sweep, a delta of round-off)
+        if self.delta is not None and self.delta != 0.0:
+            check_positive("delta", self.delta)
             if self.gamma > (1.0 + 1e-9) / self.delta:
                 raise ParameterError(
                     f"gamma = {self.gamma} exceeds 1/delta = {1.0 / self.delta}"
@@ -124,8 +120,9 @@ class RunRecord:
 class PausResult:
     u_avg: Point
     log: list[RunRecord]
-    u_path: list[Point]
-    z_path: list[Point]
+    # flat u^0..u^{K-1} and z^0..z^K, kept with ``keep_iterates``
+    u_path: list[np.ndarray]
+    z_path: list[np.ndarray]
     # subproblems handed to the extragradient loop (composite_mp)
     inner_fallbacks: int = 0
 
@@ -137,7 +134,8 @@ def _inner_plan(config: PausConfig) -> tuple[int, float]:
     with eps_target the gap envelope at the configured K; movement between
     successive inner iterates of order eta^2 * eps_inner certifies it.
     """
-    v0_bound = max_divergence_bound(config.geometry, config.z0)
+    geom = config.geometry
+    v0_bound = max_divergence_bound(geom, geom.layout.join(config.z0))
     eps_target = v0_bound / (config.iters * config.gamma)
     eps_inner = config.inner.tolerance
     if eps_inner is None:
@@ -166,27 +164,27 @@ def _drive(
     ``step(z)`` takes one outer iteration from the flat z^k and returns
     new arrays (u^k, z^{k+1}) and the inner iterations.
     """
-    validate_point(geometry, z0)
+    layout = geometry.layout
+    z = layout.join(z0)
+    validate_point(geometry, z)
     # a flat point of the right size can still cut the blocks wrongly
     if cluster.average.block_dims != geometry.block_dims:
         raise ShapeError(
             f"the shards take blocks {cluster.average.block_dims}, the "
             f"geometry has {geometry.block_dims}"
         )
-    layout = geometry.layout
-    z = z0.concat()
     u_sum = np.zeros(layout.size)
     records: list[RunRecord] = []
-    u_path: list[Point] = []
-    z_path: list[Point] = [z0]
+    u_path: list[np.ndarray] = []
+    z_path: list[np.ndarray] = [z]
     start = time.perf_counter()
 
     for k in range(iters):
         u, z, inner_iters = step(z)
         u_sum += u
         if keep_iterates:
-            u_path.append(layout.split(u))
-            z_path.append(layout.split(z))
+            u_path.append(u)
+            z_path.append(z)
         if log_predicate is None or log_predicate(k):
             gap = (float(gap_fn(layout.split(u_sum / (k + 1))))
                    if gap_fn is not None else math.nan)
@@ -250,7 +248,7 @@ def paus_run(
         v0, f1_v0 = (z, f1_z) if warm is None else warm
         solved = None
         if newton:
-            solved = newton_solve_flat(system, geom, dgf_grad_flat(geom, z),
+            solved = newton_solve_flat(system, geom, dgf_grad(geom, z),
                                        offset, v0, f1_v0)
         if solved is None:
             fallbacks += 1
@@ -270,7 +268,7 @@ def paus_run(
         g = f_u - f1_u
         g -= f_z
         g += f1_z
-        z_next = prox_map_flat(geom, u, g, gamma)
+        z_next = prox_map(geom, u, g, gamma)
         if entropy:
             z_next = floor_simplex_flat(z_next, layout.bounds)
         return u, z_next, inner_iters

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterState
-from .errors import ConfigError, ParameterError, RestartStallError
+from .errors import ConfigError, ParameterError, RestartStallError, check_positive
 from .geometry import (
     GeometrySetup,
     Point,
@@ -45,13 +45,11 @@ class RestartConfig:
     inner: InnerSettings = field(default_factory=InnerSettings)
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ParameterError("restarts need mu > 0")
-        if self.delta <= 0.0 or self.eps <= 0.0 or self.r0_sq <= 0.0:
-            raise ParameterError("delta, eps and r0_sq must be positive")
+        for name in ("mu", "delta", "eps", "r0_sq", "l_f1"):
+            check_positive(name, getattr(self, name))
         if not self.geometry.kind.ball:
             raise ConfigError("only ball setups can be recentred")
-        om = omega_d(self.geometry, self.z0)
+        om = omega_d(self.geometry, self.geometry.layout.join(self.z0))
         if self.mu > self.delta * om * (1.0 + 1e-9):
             raise ConfigError(
                 f"mu = {self.mu} exceeds delta * omega = {self.delta * om}; "
@@ -116,20 +114,22 @@ def paus_r(
     halving of every stage that starts above ``eps`` is asserted with a
     1.05 slack and a stall raises RestartStallError.
     """
-    validate_point(config.geometry, config.z0)
+    layout = config.geometry.layout
+    y0 = layout.join(config.z0)
+    validate_point(config.geometry, y0)
     n_stages = num_restarts(config.r0_sq, config.eps)
     stages: list[StageRecord] = []
     points: list[Point] = []
     u_t = config.z0
-    y0 = config.z0
     prev_dist = _dist_sq(u_t, z_star) if z_star is not None else math.nan
     fallbacks = 0
     # F1, gamma and the block layout are the same in every stage, so the
     # stages share one Newton system (and its interior-ball factors)
     system = NewtonSystem(cluster.server_shard, config.gamma, config.geometry)
     for t in range(n_stages):
-        geom_t = recenter(config.geometry, u_t, y0)
-        om = omega_d(geom_t, u_t)
+        start = layout.join(u_t)
+        geom_t = recenter(config.geometry, start, y0)
+        om = omega_d(geom_t, start)
         k_t = stage_length(config.mu, config.gamma, om)
         stage_cfg = PausConfig(
             gamma=config.gamma,

@@ -17,7 +17,6 @@ import numpy as np
 
 from visim.geometry import (
     TINY_MASS,
-    DualVector,
     GeometryKind,
     Point,
     _ball_constrained_solve,
@@ -230,8 +229,7 @@ def per_block_prox(geometry, center, g, step):
     out = []
     for cb, gb in zip(center, g):
         if geometry.kind is GeometryKind.A_NORM_BALL:
-            out.append(prox_map(geometry, Point((cb,)), DualVector((gb,)),
-                                step).blocks[0])
+            out.append(prox_map(geometry, cb, gb, step))
         elif geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
             e = np.log(cb) - step * gb
             e -= e.max()
@@ -256,8 +254,7 @@ def per_block_composite_prox(geometry, anchor, center, g, eta):
     out = []
     for ab, cb, gb in zip(anchor, center, g):
         if geometry.kind is GeometryKind.A_NORM_BALL:
-            ga = dgf_grad(geometry, Point((ab,))).blocks[0]
-            gc = dgf_grad(geometry, Point((cb,))).blocks[0]
+            ga, gc = dgf_grad(geometry, ab), dgf_grad(geometry, cb)
             out.append(_ball_constrained_solve(
                 geometry, (eta * ga + gc - gb) / (1.0 + eta)))
         elif geometry.kind is GeometryKind.ENTROPY_SIMPLEX:
@@ -291,7 +288,7 @@ def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
     the last u's) and gives back F1 at its answer, which the step keeps
     unless it floored u or the solve gave none.  Returns the ergodic
     average, the log as (round, gap, inner iterations) tuples, the kept
-    paths and the fallbacks.
+    paths (flat, as ``paus_run`` keeps them) and the fallbacks.
     """
     geom = config.geometry
     entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
@@ -355,18 +352,18 @@ def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
         return w, z_next, 0
 
     step = paus_step if solver == "paus" else extragradient
-    validate_point(geom, config.z0)
+    validate_point(geom, config.z0.concat())
     z, prev_u = [np.asarray(b, dtype=float) for b in config.z0.blocks], None
     u_sum = [np.zeros(n) for n in geom.block_dims]
-    log, u_path, z_path = [], [], [Point(tuple(z))]
+    log, u_path, z_path = [], [], [np.concatenate(z)]
     for k in range(config.iters):
         u, z, inner_iters = step(z, prev_u)
         for acc, ub in zip(u_sum, u):
             acc += ub
         prev_u = u
         if keep_iterates:
-            u_path.append(Point(tuple(u)))
-            z_path.append(Point(tuple(z)))
+            u_path.append(np.concatenate(u))
+            z_path.append(np.concatenate(z))
         if log_predicate is None or log_predicate(k):
             u_avg = Point(tuple(acc / (k + 1) for acc in u_sum))
             gap = float(gap_fn(u_avg)) if gap_fn is not None else math.nan

@@ -16,7 +16,7 @@ import pytest
 
 import conftest
 from oracles import entropy_composite_oracle, entropy_prox_oracle
-from test_inner import _game_problem, _run
+from test_inner import _game_problem, _path
 
 from visim.bench import (
     GameSpec,
@@ -28,8 +28,6 @@ from visim.bench import (
 from visim.cli import main as cli_main
 from visim.cluster import ClusterState, shard_data
 from visim.geometry import (
-    DualVector,
-    Point,
     bregman_divergence,
     composite_prox_map,
     entropy_simplex,
@@ -37,7 +35,7 @@ from visim.geometry import (
     prox_map,
     uniform_point,
 )
-from visim.inner import InnerSettings
+from visim.inner import InnerSettings, composite_mp
 from visim.operators import saddle_shard
 from visim.paus import PausConfig, paus_run
 from visim.restart import (
@@ -101,17 +99,13 @@ def test_criterion_2_average_regret_certificate():
     out = paus_run(cfg, ClusterState(shards=shard_data(mats, spec.m)),
                    keep_iterates=True)
     mean_op = saddle_shard(mats.mean(axis=0))
-    f_uk = [np.split(mean_op.evaluate(u.concat()), 2) for u in out.u_path]
+    f_uk = [mean_op.evaluate(u) for u in out.u_path]
     rng = np.random.default_rng(0)
     worst_margin = -np.inf
     for _ in range(100):
-        z = Point.of(*(rng.dirichlet(np.ones(spec.d)) for _ in range(2)))
-        lhs = np.mean([
-            sum(float(fb @ (ub - zb)) for fb, ub, zb
-                in zip(f, u.blocks, z.blocks))
-            for f, u in zip(f_uk, out.u_path)
-        ])
-        rhs = bregman_divergence(geom, z, z0) / (K * cfg.gamma)
+        z = np.concatenate([rng.dirichlet(np.ones(spec.d)) for _ in range(2)])
+        lhs = np.mean([float(f @ (u - z)) for f, u in zip(f_uk, out.u_path)])
+        rhs = bregman_divergence(geom, z, z0.concat()) / (K * cfg.gamma)
         worst_margin = max(worst_margin, lhs - rhs)
     elapsed = time.perf_counter() - t0
     ok = worst_margin <= 1e-6 and elapsed < 30.0
@@ -129,10 +123,10 @@ def test_criterion_3_inner_linear_rate():
         prob, delta, l_f1 = _game_problem(d=3, T=40, m=4, seed=seed)
         geom = prob.geometry
         eta = prob.eta  # = delta / (2 L_F1) at gamma = 1/delta
-        v0 = uniform_point(geom)
+        v0 = uniform_point(geom).concat()
         t_run = 60
-        v_star = _run(prob, v0, 10 * t_run, 0.0)[0]
-        _, _, path = _run(prob, v0, t_run, 0.0, record_path=True)
+        v_star = composite_mp(prob, v0, 10 * t_run, 0.0)[0]
+        path = _path(prob, v0, t_run)
         v_prev = bregman_divergence(geom, v_star, v0)
         for t, v in enumerate(path, start=1):
             bound = v_prev / (1.0 + eta) ** t
@@ -232,14 +226,14 @@ def test_criterion_7_prox_oracle_equivalence():
         g = rng.normal(size=d) * 2.0
         if i % 2 == 0:
             step = float(10.0 ** rng.uniform(-2, 1))
-            got = prox_map(geom, Point.of(center), DualVector.of(g), step)
+            got = prox_map(geom, center, g, step)
             want = entropy_prox_oracle(center, g, step)
         else:
             anchor = rng.dirichlet(np.ones(d))
             eta = float(10.0 ** rng.uniform(-1.3, 0.7))
-            got = Point.of(composite_prox_map(geom, anchor, center, g, eta))
+            got = composite_prox_map(geom, anchor, center, g, eta)
             want = entropy_composite_oracle(anchor, center, g, eta)
-        worst = max(worst, float(np.abs(got.blocks[0] - want).max()))
+        worst = max(worst, float(np.abs(got - want).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
     _verdict(

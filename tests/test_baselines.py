@@ -11,8 +11,6 @@ from visim.baselines import (
 from visim.cluster import ClusterState
 from visim.errors import ParameterError
 from visim.geometry import (
-    DualVector,
-    Point,
     entropy_simplex,
     euclidean_simplex,
     prox_map,
@@ -104,23 +102,23 @@ def test_mirror_prox_matches_reference_extragradient_loop():
     M_avg = M_avg / len(shards)
 
     def f_avg(z):
-        x, y = z.blocks
-        return DualVector((M_avg @ y, -(M_avg.T @ x)))
+        x, y = z[:4], z[4:]
+        return np.concatenate([M_avg @ y, -(M_avg.T @ x)])
 
-    z = uniform_point(geom)
-    w_sum = [np.zeros(4), np.zeros(4)]
+    def floor(z):
+        return np.concatenate(per_block_floor(np.split(z, 2)))
+
+    z = uniform_point(geom).concat()
+    w_sum = np.zeros(8)
     gaps = []
     for k in range(K):
         w = prox_map(geom, z, f_avg(z), step)
-        z = Point(tuple(per_block_floor(prox_map(geom, z, f_avg(w), step).blocks)))
-        w = Point(tuple(per_block_floor(w.blocks)))
-        for acc, wb in zip(w_sum, w.blocks):
-            acc += wb
-        u_avg = Point(tuple(acc / (k + 1) for acc in w_sum))
+        z = floor(prox_map(geom, z, f_avg(w), step))
+        w_sum += floor(w)
+        u_avg = geom.layout.split(w_sum / (k + 1))
         gaps.append(gap_fn(u_avg))
 
-    for got, want in zip(out.u_avg.blocks, u_avg.blocks):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(out.u_avg.concat(), u_avg.concat())
     assert [rec.iterate_gap for rec in out.log] == gaps
     assert [rec.round for rec in out.log] == [2 * (k + 1) for k in range(K)]
     assert cluster.round_count == 2 * K

@@ -17,13 +17,10 @@ from visim.cluster import ClusterState
 from visim.errors import NumericsError, ParameterError
 from visim.geometry import (
     BALL_TOL,
-    DualVector,
     GeometryKind,
     GeometrySetup,
-    Point,
     a_norm_ball,
     dgf_grad,
-    dgf_grad_flat,
     entropy_simplex,
     euclidean_ball,
     euclidean_simplex,
@@ -31,7 +28,6 @@ from visim.geometry import (
     mirror_map_flat,
     project_block_simplex,
     prox_map,
-    prox_map_flat,
     random_point,
     recenter,
     uniform_point,
@@ -42,7 +38,7 @@ from visim.paus import PausConfig, paus_run
 from visim.restart import RestartConfig, paus_r, synthetic_strongly_monotone
 
 from test_baselines import _game_cluster
-from test_inner import _ball_problem, _run
+from test_inner import _ball_problem
 
 GEOMETRIES = ["entropy", "entropy-floored", "simplex", "ball", "ball-sphere",
               "ball-recentred"]
@@ -51,14 +47,13 @@ BALL_SIZES = {"ball": (0.1, 0.1, 0.1), "ball-sphere": (1.0, 0.1, 10.0),
 
 
 def _floored(geom, z, rng):
-    """z with a random proper subset of each block's coordinates at 1e-300."""
-    blocks = []
-    for b in z.blocks:
-        b = b.copy()
+    """The flat z with a random proper subset of each block's coordinates
+    at 1e-300."""
+    z = z.copy()
+    for lo, hi in geom.layout.bounds:
+        b = z[lo:hi]
         b[rng.permutation(b.size)[: rng.integers(1, b.size)]] = 0.0
-        blocks.append(b)
-    layout = geom.layout
-    return layout.split(floor_simplex_flat(np.concatenate(blocks), layout.bounds))
+    return floor_simplex_flat(z, geom.layout.bounds)
 
 
 def _instance(kind, d, seed, gamma):
@@ -82,7 +77,7 @@ def _instance(kind, d, seed, gamma):
         A *= ga / (gamma * np.linalg.norm(A, 2))
         b *= gb / (gamma * np.linalg.norm(b))
         offset *= go / (gamma * np.linalg.norm(offset))
-        anchor = 0.5 * random_point(geom, rng).blocks[0]
+        anchor = 0.5 * random_point(geom, rng)
         f1 = OperatorShard(A, b)
     else:
         geom = (euclidean_simplex(d) if kind == "simplex" else entropy_simplex(d))
@@ -91,14 +86,13 @@ def _instance(kind, d, seed, gamma):
         anchor = random_point(geom, rng)
         if kind == "entropy-floored":
             anchor = _floored(geom, anchor, rng)
-        anchor = anchor.concat()
     l_f1 = float(np.linalg.norm(f1.matrix, 2))
     prob = CompositeProblem(gamma=gamma, anchor=anchor, f1=f1, offset=offset,
                             geometry=geom, l_f1=l_f1)
     v0 = random_point(geom, rng)
     if kind.startswith("ball"):
-        v0 = Point.of(0.5 * v0.blocks[0])
-    return prob, v0
+        v0 = 0.5 * v0
+    return prob, geom.layout.split(v0)
 
 
 _instances = st.tuples(
@@ -117,7 +111,7 @@ def _newton(prob, v0, system=None):
     if system is None:
         system = NewtonSystem(prob.f1, prob.gamma, geom)
     v0 = v0.concat()
-    out = newton_solve_flat(system, geom, dgf_grad_flat(geom, prob.anchor),
+    out = newton_solve_flat(system, geom, dgf_grad(geom, prob.anchor),
                             prob.offset, v0, prob.f1.evaluate(v0))
     return None if out is None else (geom.layout.split(out[0]), out[1])
 
@@ -128,7 +122,7 @@ def _attempt(name, prob, v0, system):
     subproblem's concatenated operands; returns its answer as a Point (None
     if it failed) and its steps."""
     geom = prob.geometry
-    grad = dgf_grad_flat(geom, prob.anchor)
+    grad = dgf_grad(geom, prob.anchor)
     c = grad - prob.gamma * prob.offset
     v0 = v0.concat()
     if name == "reduced":
@@ -147,7 +141,7 @@ def _attempt(name, prob, v0, system):
 def _prox_residual(prob, u):
     """|| u - prox_map(anchor, gamma (F1(u) + offset), 1) ||_inf"""
     g = prob.gamma * (prob.f1.evaluate(u.concat()) + prob.offset)
-    fixed = prox_map_flat(prob.geometry, prob.anchor, g, 1.0)
+    fixed = prox_map(prob.geometry, prob.anchor, g, 1.0)
     return float(np.abs(u.concat() - fixed).max())
 
 
@@ -224,9 +218,9 @@ def test_newton_agrees_with_the_extragradient_loop(args):
     u, _ = out
     # V(v*, v^T) <= V0 e^{-60}: coordinates within about 1e-12 sqrt(V0)
     T = math.ceil(60.0 / math.log1p(prob.eta))
-    ref, iters = _run(prob, v0, T, 0.0)
+    ref, iters = inner.composite_mp(prob, v0.concat(), T, 0.0)
     assert iters == T
-    assert float(np.abs(u.concat() - ref.concat()).max()) <= 1e-9
+    assert float(np.abs(u.concat() - ref).max()) <= 1e-9
 
 
 @settings(max_examples=200)
@@ -234,22 +228,22 @@ def test_newton_agrees_with_the_extragradient_loop(args):
 def test_mirror_map_inverts_dgf_grad(kind, d, seed):
     prob, _ = _instance(kind, d, seed, 1.0)
     geom = prob.geometry
-    z = geom.layout.split(prob.anchor)
+    z = prob.anchor
     if kind == "simplex":
-        z = Point(tuple(np.maximum(b, 1e-3) / np.maximum(b, 1e-3).sum()
-                        for b in z.blocks))
-    u, _, _ = mirror_map_flat(geom, dgf_grad_flat(geom, z.concat()))
+        z = np.concatenate([np.maximum(b, 1e-3) / np.maximum(b, 1e-3).sum()
+                            for b in np.split(z, 2)])
+    u, _, _ = mirror_map_flat(geom, dgf_grad(geom, z))
     if kind.startswith("entropy"):
-        np.testing.assert_allclose(u, z.concat(), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(u, z, rtol=1e-12, atol=0.0)
     else:
-        np.testing.assert_allclose(u, z.concat(), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(u, z, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["entropy", "ball", "ball-sphere", "ball-recentred"])
 def test_mirror_jacobian_matches_finite_differences(kind):
     prob, v0 = _instance(kind, 5, seed=11, gamma=1.0)
     geom = prob.geometry
-    theta = dgf_grad_flat(geom, prob.anchor)
+    theta = dgf_grad(geom, prob.anchor)
     if kind == "ball-sphere":
         theta = 3.0 * theta / np.linalg.norm(theta)
     _, diag, rank_one = mirror_map_flat(geom, theta)
@@ -464,10 +458,10 @@ def test_schur_step_matches_the_dense_newton_solve(args):
             on = rng.permutation(d)[: rng.integers(1, d + 1)]
             b[on] = rng.dirichlet(np.ones(on.size))
             blocks.append(b)
-        theta = DualVector(tuple(blocks))
-    _, diag, rank_one = mirror_map_flat(geom, theta.concat())
+        theta = np.concatenate(blocks)
+    _, diag, rank_one = mirror_map_flat(geom, theta)
     if kind == "simplex":
-        assert [v.sum() for _, v in rank_one] == [(b > 0).sum() for b in theta.blocks]
+        assert [v.sum() for _, v in rank_one] == [(b > 0).sum() for b in blocks]
     system = NewtonSystem(prob.f1, gamma, geom)
     g = rng.normal(size=2 * d)
     J = np.eye(2 * d) + system.gB @ _jacobian(diag, rank_one)
@@ -526,6 +520,7 @@ def test_restart_stages_share_one_factorisation(monkeypatch):
 
 def test_active_ball_steps_never_use_the_interior_factor(monkeypatch):
     active, v0 = _ball_problem(50, seed=2, push=50.0)
+    v0 = active.geometry.layout.split(v0)
     interior, _ = _ball_problem(50, seed=2)
     interior = CompositeProblem(
         gamma=active.gamma, anchor=active.anchor, f1=active.f1,
@@ -579,7 +574,7 @@ def _on_the_warm_starts_piece(prob, warm, u):
     by a margin of ``BALL_TOL`` off its sphere."""
     geom = prob.geometry
     g = prob.gamma * (prob.f1.evaluate(warm.concat()) + prob.offset)
-    start = mirror_map_flat(geom, dgf_grad_flat(geom, prob.anchor) - g)[0]
+    start = mirror_map_flat(geom, dgf_grad(geom, prob.anchor) - g)[0]
     points = (u.concat(), start)
     if not geom.kind.ball:
         return all(np.array_equal(p > 0.0, warm.concat() > 0.0) for p in points)
@@ -830,7 +825,7 @@ def _two_tier_verdicts(args, exponent):
     assert out is not None
     geom, gamma = prob.geometry, prob.gamma
     system = NewtonSystem(prob.f1, gamma, geom)
-    c = dgf_grad_flat(geom, prob.anchor) - gamma * prob.offset
+    c = dgf_grad(geom, prob.anchor) - gamma * prob.offset
     evaluate = inner._normal_map(system, geom, c, v0.concat())
     root = c - gamma * prob.f1.evaluate(out[0].concat())
     if math.isinf(exponent):
@@ -1005,13 +1000,13 @@ def test_flat_mirror_map_and_step_match_the_per_block_formulas(args):
     if kind == "entropy":
         # the entropy prox map runs the same softmax on log(center) - step g
         center = random_point(geom, rng)
-        dual = DualVector(tuple(rng.normal(size=n) for n in geom.block_dims))
+        dual = rng.normal(size=center.size)
         got = prox_map(geom, center, dual, gamma)
-        for b, cb, gb in zip(got.blocks, center.blocks, dual.blocks):
-            e = np.log(cb) - gamma * gb
+        for lo, hi in bounds:
+            e = np.log(center[lo:hi]) - gamma * dual[lo:hi]
             e -= e.max()
             w = np.exp(e)
-            assert np.array_equal(b, w / w.sum())
+            assert np.array_equal(got[lo:hi], w / w.sum())
 
 
 @settings(max_examples=200)
@@ -1028,11 +1023,11 @@ def test_newton_solves_rectangular_saddle_subproblems(args):
     kind, d1, d2, seed, gamma = args
     f1, geom, _, rng = _layout(kind, d1, d2, seed, gamma)
     prob = CompositeProblem(
-        gamma=gamma, anchor=random_point(geom, rng).concat(), f1=f1,
+        gamma=gamma, anchor=random_point(geom, rng), f1=f1,
         offset=np.concatenate([0.5 * rng.normal(size=d1), 0.5 * rng.normal(size=d2)]),
         geometry=geom, l_f1=float(np.linalg.norm(f1.matrix, 2)),
     )
-    v0 = random_point(geom, rng)
+    v0 = geom.layout.split(random_point(geom, rng))
     system = NewtonSystem(f1, gamma, geom)
     out = _newton(prob, v0, system)
     assert out is not None
@@ -1072,7 +1067,7 @@ def test_reduced_solve_skips_its_scale_only_far_from_round_off(args):
 
         mp.setattr(inner, "softmax_map", recording)
         u, steps = _attempt("reduced", prob, v0, system)
-    c = dgf_grad_flat(geom, prob.anchor) - gamma * prob.offset
+    c = dgf_grad(geom, prob.anchor) - gamma * prob.offset
     c1, c2 = c[:d1], c[d1:]
     bound = inner._reduced_scale_bound(system, c1, np.abs(c2))
     far = 2.0 * math.sqrt(c2.size) * inner.NEWTON_RTOL * bound
@@ -1127,7 +1122,7 @@ def _check_reduced_rows(prob, v0, system, answer):
     # both rows of the full normal map G(w) = w - c + gamma F1(u), and their
     # round-off scale |w| + |c| + |gM| (|u| + |D| |w|) with the softmax
     # Jacobian's magnitudes |D| = diag(u) + u u^T, from dense matrices
-    c = dgf_grad_flat(geom, prob.anchor) - gamma * prob.offset
+    c = dgf_grad(geom, prob.anchor) - gamma * prob.offset
     c1, c2 = c[:d1], c[d1:]
     g1 = w1 - c1 + system.gM @ y
     g2 = w2 - c2 - system.gMT @ x

@@ -1,8 +1,7 @@
 """The outer loop on flat arrays: ``paus_run``, ``mirror_prox_run`` and
 ``paus_r`` against the same loop written out block by block
 (``oracles.per_block_run``), and each flat function of a step against the
-per-block formulas and, where one remains, its public Point function, bit
-for bit."""
+per-block formulas, bit for bit."""
 
 import math
 
@@ -18,23 +17,20 @@ from oracles import (
     per_block_prox,
     per_block_run,
 )
-from visim import inner, paus, restart
+from visim import baselines, inner, paus, restart
 from visim.baselines import BaselineConfig, BaselineKind, mirror_prox_run
 from visim.cluster import ClusterState
 from visim.errors import DomainError, ShapeError
 from visim.geometry import (
-    DualVector,
     GeometryKind,
     GeometrySetup,
     Point,
     a_norm_ball,
     composite_prox_map,
     dgf_grad,
-    dgf_grad_flat,
     euclidean_ball,
     floor_simplex_flat,
     prox_map,
-    prox_map_flat,
     random_point,
     recenter,
     uniform_point,
@@ -88,7 +84,7 @@ def _assert_same_run(got, want, cluster, ref_cluster, paths):
     if paths:
         assert len(got.u_path) == len(want.u_path)
         for a, b in zip(got.u_path + got.z_path, want.u_path + want.z_path):
-            assert np.array_equal(a.concat(), b.concat())
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("game", sorted(GAMES))
@@ -182,22 +178,63 @@ def test_paus_run_sends_the_a_norm_ball_straight_to_composite_mp(monkeypatch):
     _assert_same_run(got, want, cluster, ref_cluster, paths=True)
 
 
-@pytest.mark.parametrize("solver", ["paus", "mirror-prox"])
+@pytest.mark.parametrize("solver", ["paus", "mirror-prox", "paus-r"])
 def test_a_layout_the_shards_do_not_fit_is_rejected(solver):
     # the (5, 3) layout's points have the size of the (3, 5) game's, so
-    # only the block sizes tell them apart; no round may be spent
+    # only the block sizes tell them apart: a geometry of that layout, or a
+    # start cut that way, is refused before any round
+    if solver == "paus-r":
+        # a restarted run is on a ball, one block of 8: a start cut (3, 5)
+        shards, _, consts = synthetic_strongly_monotone(8, m=4, mu=0.5, delta=1.0,
+                                                        seed=5)
+        geom, cut = euclidean_ball(8), Point.of(np.zeros(3), np.zeros(5))
+        fields = dict(mu=0.5, delta=1.0, eps=1e-6, geometry=geom, r0_sq=1.0,
+                      l_f1=consts.L_F1)
+        with pytest.raises(ShapeError):
+            RestartConfig(z0=cut, **fields)
+        config = RestartConfig(z0=uniform_point(geom), **fields)
+        config.z0 = cut
+        cluster = ClusterState(shards=list(shards))
+        with pytest.raises(ShapeError):
+            paus_r(config, cluster)
+        assert cluster.round_count == cluster.bytes_sent == 0
+        return
     shard_mats, geom, gamma, l_f1, L, _ = _game("euclidean", 3, 5)
     wrong = GeometrySetup(geom.kind, (5, 3))
-    cluster = ClusterState(shards=[saddle_shard(M) for M in shard_mats])
-    with pytest.raises(ShapeError):
-        if solver == "paus":
-            paus_run(PausConfig(gamma=gamma, iters=2, geometry=wrong,
-                                z0=uniform_point(wrong), l_f1=l_f1), cluster)
-        else:
-            mirror_prox_run(BaselineConfig(
-                kind=BaselineKind.MIRROR_PROX, stepsize=1.0 / L, iters=2,
-                geometry=wrong, z0=uniform_point(wrong)), cluster)
-    assert cluster.round_count == cluster.bytes_sent == 0
+    for setup in (wrong, geom):
+        cluster = ClusterState(shards=[saddle_shard(M) for M in shard_mats])
+        with pytest.raises(ShapeError):
+            if solver == "paus":
+                paus_run(PausConfig(gamma=gamma, iters=2, geometry=setup,
+                                    z0=uniform_point(wrong), l_f1=l_f1), cluster)
+            else:
+                mirror_prox_run(BaselineConfig(
+                    kind=BaselineKind.MIRROR_PROX, stepsize=1.0 / L, iters=2,
+                    geometry=setup, z0=uniform_point(wrong)), cluster)
+        assert cluster.round_count == cluster.bytes_sent == 0
+
+
+def test_the_steps_call_prox_map_by_its_module_names(monkeypatch):
+    # perfbench counts prox maps by wrapping paus.prox_map and
+    # baselines.prox_map: a paus step takes one prox map, an extragradient
+    # step two
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return prox_map(*args)
+
+    monkeypatch.setattr(paus, "prox_map", counting)
+    monkeypatch.setattr(baselines, "prox_map", counting)
+    shard_mats, geom, gamma, l_f1, L, _ = _game("entropy", 4, 4, seed=1)
+    paus_run(PausConfig(gamma=gamma, iters=3, geometry=geom, z0=uniform_point(geom),
+                        l_f1=l_f1),
+             ClusterState(shards=[saddle_shard(M) for M in shard_mats]))
+    assert len(calls) == 3
+    mirror_prox_run(BaselineConfig(kind=BaselineKind.MIRROR_PROX, stepsize=1.0 / L,
+                                   iters=3, geometry=geom, z0=uniform_point(geom)),
+                    ClusterState(shards=[saddle_shard(M) for M in shard_mats]))
+    assert len(calls) == 3 + 6
 
 
 @pytest.mark.parametrize("game", ["entropy", "euclidean", "ball"])
@@ -220,8 +257,7 @@ def test_kept_iterates_hold_the_values_of_their_own_step(game, monkeypatch):
     if game == "ball":
         shards, _, consts = synthetic_strongly_monotone(6, m=4, mu=0.5, delta=1.0,
                                                         seed=2)
-        geom = recenter(euclidean_ball(6), Point.of(np.full(6, 0.1)),
-                        uniform_point(euclidean_ball(6)))
+        geom = recenter(euclidean_ball(6), np.full(6, 0.1), np.zeros(6))
         cluster = ClusterState(shards=list(shards))
         cfg = PausConfig(gamma=1.0, iters=20, geometry=geom,
                          z0=Point.of(np.full(6, 0.1)), l_f1=consts.L_F1)
@@ -233,16 +269,16 @@ def test_kept_iterates_hold_the_values_of_their_own_step(game, monkeypatch):
     out = paus_run(cfg, cluster, keep_iterates=True)
     assert len(copies) == len(out.u_path) == len(out.z_path) - 1 == 20
     for k, (u, z_next) in enumerate(copies):
-        assert np.array_equal(out.u_path[k].concat(), u)
-        assert np.array_equal(out.z_path[k + 1].concat(), z_next)
-    kept = [b for p in out.u_path + out.z_path[1:] for b in p.blocks]
+        assert np.array_equal(out.u_path[k], u)
+        assert np.array_equal(out.z_path[k + 1], z_next)
+    kept = out.u_path + out.z_path[1:]
     for i, a in enumerate(kept):
         for b in kept[i + 1:]:
             assert a is b or not np.shares_memory(a, b)
 
 
 # ---------------------------------------------------------------------------
-# each flat function against the per-block formulas and its Point function
+# each flat function against the per-block formulas
 
 
 def _point(kind, geom, rng):
@@ -251,14 +287,16 @@ def _point(kind, geom, rng):
     z = random_point(geom, rng)
     if kind != "entropy":
         return z
-    blocks = []
-    for b in z.blocks:
-        b = b.copy()
+    for lo, hi in geom.layout.bounds:
+        b = z[lo:hi]
         if b.size > 1:
             b[rng.permutation(b.size)[: rng.integers(1, b.size)]] = 0.0
-        blocks.append(b)
-    return geom.layout.split(floor_simplex_flat(np.concatenate(blocks),
-                                                geom.layout.bounds))
+    return floor_simplex_flat(z, geom.layout.bounds)
+
+
+def _blocks(geom, flat):
+    """The blocks of ``flat`` as a list of fresh arrays."""
+    return [flat[lo:hi].copy() for lo, hi in geom.layout.bounds]
 
 
 def _setup(kind, d1, d2, rng):
@@ -277,8 +315,8 @@ def _setup(kind, d1, d2, rng):
         K = rng.normal(size=(dim, dim))
         f1 = OperatorShard(0.5 * (K - K.T) + 0.1 * np.eye(dim), rng.normal(size=dim))
     z = _point(kind, geom, rng)
-    g = DualVector(tuple(rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
-                         for n in geom.block_dims))
+    g = np.concatenate([rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
+                        for n in geom.block_dims])
     return geom, f1, z, g
 
 
@@ -291,36 +329,29 @@ def _same(blocks, flat, layout):
 @given(st.sampled_from(["entropy", "simplex", "ball", "ball-recentred", "a-norm"]),
        st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1),
        st.floats(0.01, 50.0))
-def test_flat_cores_match_their_wrappers(kind, d1, d2, seed, step):
+def test_flat_functions_match_the_per_block_formulas(kind, d1, d2, seed, step):
     rng = np.random.default_rng(seed)
     geom, f1, z, g = _setup(kind, d1, d2, rng)
     layout = geom.layout
-    zf, gf = z.concat(), g.concat()
-    entropy = kind == "entropy"
+    zb, gb = _blocks(geom, z), _blocks(geom, g)
 
-    prox = prox_map_flat(geom, zf, gf, step)
-    assert _same(prox_map(geom, z, g, step).blocks, prox, layout)
+    # the a-norm ball's prox and gradient are their own per-block formulas
     if kind != "a-norm":
-        assert _same(per_block_prox(geom, list(z.blocks), list(g.blocks), step),
-                     prox, layout)
+        assert _same(per_block_prox(geom, zb, gb, step), prox_map(geom, z, g, step),
+                     layout)
+        assert _same(per_block_grad(geom, zb), dgf_grad(geom, z), layout)
 
-    grad = dgf_grad_flat(geom, zf)
-    assert _same(dgf_grad(geom, z).blocks, grad, layout)
-    if kind != "a-norm":
-        assert _same(per_block_grad(geom, list(z.blocks)), grad, layout)
+    if kind == "entropy":
+        floored = floor_simplex_flat(z, layout.bounds)
+        assert _same(per_block_floor(zb), floored, layout)
 
-    if entropy:
-        floored = floor_simplex_flat(zf, layout.bounds)
-        assert _same(per_block_floor(list(z.blocks)), floored, layout)
-
-    fz = f1.evaluate(zf)
-    assert _same(per_block_evaluate(f1, list(z.blocks)), fz, layout)
+    assert _same(per_block_evaluate(f1, zb), f1.evaluate(z), layout)
 
     # the composite prox with anchor a, centre z and weight eta = step
     a = _point(kind, geom, rng)
-    comp = composite_prox_map(geom, a.concat(), zf, gf, step)
-    assert _same(per_block_composite_prox(geom, list(a.blocks), list(z.blocks),
-                                          list(g.blocks), step), comp, layout)
+    comp = composite_prox_map(geom, a, z, g, step)
+    assert _same(per_block_composite_prox(geom, _blocks(geom, a), zb, gb, step),
+                 comp, layout)
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (3, 5), (6, 2)])
@@ -331,17 +362,12 @@ def test_exact_zeros_still_raise_domain_error(dims):
     for i in range(sum(dims)):
         zf = np.concatenate([np.full(n, 1.0 / n) for n in dims])
         zf[i] = 0.0
-        z = geom.layout.split(zf)
         with pytest.raises(DomainError):
-            dgf_grad_flat(geom, zf)
+            dgf_grad(geom, zf)
         with pytest.raises(DomainError):
-            dgf_grad(geom, z)
-        with pytest.raises(DomainError):
-            prox_map_flat(geom, zf, g, 1.0)
-        with pytest.raises(DomainError):
-            prox_map(geom, z, DualVector(geom.layout.split(g).blocks), 1.0)
+            prox_map(geom, zf, g, 1.0)
     # the floor keeps 1e-300 coordinates interior
     zf = np.concatenate([np.full(n, 1.0 / n) for n in dims])
     zf[0] = 1e-300
-    assert math.isfinite(float(dgf_grad_flat(geom, zf)[0]))
-    assert np.all(prox_map_flat(geom, zf, g, 1.0) >= 0.0)
+    assert math.isfinite(float(dgf_grad(geom, zf)[0]))
+    assert np.all(prox_map(geom, zf, g, 1.0) >= 0.0)

@@ -9,11 +9,10 @@ from visim.errors import DomainError, NumericsError, ParameterError
 from visim.geometry import (
     GeometryKind,
     GeometrySetup,
-    Point,
     TINY_MASS,
     bregman_divergence,
     composite_prox_map,
-    dgf_grad_flat,
+    dgf_grad,
     entropy_simplex,
     euclidean_ball,
     euclidean_simplex,
@@ -51,45 +50,45 @@ def _game_problem(d, T, m, seed, gamma=None, geometry=entropy_simplex):
     return prob, delta, l_f1
 
 
-def _run(prob, v0, max_iters, movement_tol=0.0, record_path=False):
-    """``composite_mp`` from the Point v0, its iterates split into Points."""
-    split = prob.geometry.layout.split
-    out = composite_mp(prob, v0.concat(), max_iters, movement_tol, record_path)
-    if record_path:
-        return split(out[0]), out[1], [split(v) for v in out[2]]
-    return split(out[0]), out[1]
+def _path(prob, v0, iters):
+    """The iterates v^1..v^iters of ``composite_mp`` from the flat v0, each
+    one iteration from the one before: the loop's state is the iterate
+    alone, so this is the path of one run of ``iters`` iterations."""
+    path = [v0]
+    for _ in range(iters):
+        path.append(composite_mp(prob, path[-1], 1)[0])
+    return path[1:]
 
 
 def test_zero_operator_anchor_is_stationary():
     geom = entropy_simplex(3)
-    anchor = uniform_point(geom)
+    anchor = uniform_point(geom).concat()
     prob = CompositeProblem(
         gamma=1.0,
-        anchor=anchor.concat(),
+        anchor=anchor,
         f1=saddle_shard(np.zeros((3, 3))),
         offset=np.zeros(6),
         geometry=geom,
         l_f1=1.0,
     )
-    v, iters = _run(prob, anchor, 25, 0.0)
-    for a, b in zip(v.blocks, anchor.blocks):
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    v, iters = composite_mp(prob, anchor, 25, 0.0)
+    np.testing.assert_allclose(v, anchor, atol=1e-12)
 
 
 def test_zero_operator_pulls_toward_anchor():
     geom = entropy_simplex(3)
-    anchor = uniform_point(geom)
+    anchor = uniform_point(geom).concat()
     rng = np.random.default_rng(0)
-    v0 = Point.of(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3)))
+    v0 = np.concatenate([rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))])
     prob = CompositeProblem(
         gamma=1.0,
-        anchor=anchor.concat(),
+        anchor=anchor,
         f1=saddle_shard(np.zeros((3, 3))),
         offset=np.zeros(6),
         geometry=geom,
         l_f1=1.0,
     )
-    v, _ = _run(prob, v0, 400, 0.0)
+    v, _ = composite_mp(prob, v0, 400, 0.0)
     assert bregman_divergence(geom, v, anchor) < 1e-8
 
 
@@ -100,10 +99,11 @@ def _reference_solution(prob, geom):
     # agreement to 1e-10 in coordinates needs V ~ 1e-20: ~50 e-foldings
     T = min(2_000_000, math.ceil(55.0 / math.log1p(prob.eta)))
     rng = np.random.default_rng(99)
-    starts = [uniform_point(geom)] + [random_point(geom, rng) for _ in range(2)]
-    sols = [_run(prob, s, T, 0.0)[0] for s in starts]
+    starts = [uniform_point(geom).concat()] + [random_point(geom, rng)
+                                               for _ in range(2)]
+    sols = [composite_mp(prob, s, T, 0.0)[0] for s in starts]
     for s in sols[1:]:
-        assert float(np.abs(s.concat() - sols[0].concat()).max()) < 1e-10
+        assert float(np.abs(s - sols[0]).max()) < 1e-10
     return sols[0]
 
 
@@ -113,10 +113,10 @@ def test_linear_contraction_certificate():
     geom = prob.geometry
     eta = prob.eta
     v_star = _reference_solution(prob, geom)
-    _, _, path = _run(
-        prob, uniform_point(geom), 60, 0.0, record_path=True
-    )
-    prev = uniform_point(geom)
+    v0 = uniform_point(geom).concat()
+    path = _path(prob, v0, 60)
+    assert np.array_equal(path[-1], composite_mp(prob, v0, 60)[0])
+    prev = v0
     for v in path:
         lhs = bregman_divergence(geom, v_star, v)
         rhs = bregman_divergence(geom, v_star, prev) / (1.0 + eta)
@@ -129,10 +129,10 @@ def test_rate_matches_theory_envelope():
     prob, delta, l_f1 = _game_problem(d=3, T=40, m=4, seed=2)
     geom = prob.geometry
     v_star = _reference_solution(prob, geom)
-    v0 = uniform_point(geom)
+    v0 = uniform_point(geom).concat()
     V0 = bregman_divergence(geom, v_star, v0)
     for T in (10, 25, 50):
-        vT, _ = _run(prob, v0, T, 0.0)
+        vT, _ = composite_mp(prob, v0, T, 0.0)
         bound = math.exp(-T * delta / (3.0 * l_f1)) * V0
         assert bregman_divergence(geom, v_star, vT) <= bound + 1e-9
 
@@ -141,15 +141,14 @@ def test_line4_vi_residual():
     # <gamma (F1(v)+offset) + grad w(v) - grad w(anchor), z - v> >= -1e-6
     prob, _, _ = _game_problem(d=4, T=60, m=4, seed=3)
     geom = prob.geometry
-    v, _ = _run(prob, uniform_point(geom), 2000, 1e-22)
-    f1v = prob.f1.evaluate(v.concat())
-    lhs = (prob.gamma * (f1v + prob.offset) + dgf_grad_flat(geom, v.concat())
-           - dgf_grad_flat(geom, prob.anchor))
+    v, _ = composite_mp(prob, uniform_point(geom).concat(), 2000, 1e-22)
+    f1v = prob.f1.evaluate(v)
+    lhs = (prob.gamma * (f1v + prob.offset) + dgf_grad(geom, v)
+           - dgf_grad(geom, prob.anchor))
     rng = np.random.default_rng(4)
     for _ in range(200):
         z = random_point(geom, rng)
-        diff = z.concat() - v.concat()
-        assert float(lhs @ diff) >= -1e-6
+        assert float(lhs @ (z - v)) >= -1e-6
 
 
 def _ball_problem(dim, seed, push=0.0):
@@ -161,7 +160,7 @@ def _ball_problem(dim, seed, push=0.0):
     )
     rng = np.random.default_rng(seed)
     geom = euclidean_ball(dim)
-    anchor = random_point(geom, rng).concat()
+    anchor = random_point(geom, rng)
     f_anchor = gather_average(ClusterState(shards=shards), [anchor])[0]
     f1_anchor = shards[0].evaluate(anchor)
     offset = f_anchor - f1_anchor + push * rng.standard_normal(dim)
@@ -186,13 +185,12 @@ def test_composite_mp_on_uneven_blocks_and_an_lp_ball():
     v0 = random_point(geom, rng)
     exact, _, _ = newton_solve_flat(
         NewtonSystem(prob.f1, prob.gamma, geom), geom,
-        dgf_grad_flat(geom, prob.anchor), prob.offset, v0.concat(),
-        prob.f1.evaluate(v0.concat()),
+        dgf_grad(geom, prob.anchor), prob.offset, v0, prob.f1.evaluate(v0),
     )
-    v, iters = _run(prob, v0, 2000, 1e-24)
+    v, iters = composite_mp(prob, v0, 2000, 1e-24)
     assert iters < 2000
-    assert [b.size for b in v.blocks] == [3, 5]
-    assert float(np.abs(v.concat() - exact).max()) <= 1e-9
+    assert v.shape == (8,)
+    assert float(np.abs(v - exact).max()) <= 1e-9
     # an l3 ball has no Euclidean projection: the setup itself is refused
     with pytest.raises(ParameterError):
         GeometrySetup(GeometryKind.EUCLIDEAN_BALL, (4,), 1.0, 3.0)
@@ -211,7 +209,7 @@ def test_euclidean_loop_rejects_non_finite_offset():
             gamma=ball.gamma, anchor=ball.anchor, f1=ball.f1,
             offset=np.full(5, np.nan),
             geometry=ball.geometry, l_f1=ball.l_f1,
-        ), v0_ball.concat()),
+        ), v0_ball),
     ]
     for bad, v0 in cases:
         with pytest.raises(NumericsError):
@@ -225,8 +223,7 @@ def test_entropy_floor_keeps_underflowing_coordinates():
     d = 4
     geom = entropy_simplex(d)
     edge = np.array([1.0 - 3e-300, 1e-300, 1e-300, 1e-300])
-    anchor = Point.of(edge, np.full(d, 1.0 / d))
-    a = anchor.concat()
+    a = np.concatenate([edge, np.full(d, 1.0 / d)])
     prob = CompositeProblem(
         gamma=1.0,
         anchor=a,
@@ -235,19 +232,16 @@ def test_entropy_floor_keeps_underflowing_coordinates():
         geometry=geom,
         l_f1=1.0,
     )
-    raw = geom.layout.split(composite_prox_map(
-        geom, a, a, prob.gradient(a), prob.eta
-    ))
-    assert raw.blocks[0].min() < TINY_MASS
-    _, iters, path = _run(prob, anchor, 3, 0.0, record_path=True)
-    assert iters == len(path) == 3
-    for v in path:
-        for b in v.blocks:
+    raw = composite_prox_map(geom, a, a, prob.gradient(a), prob.eta)
+    assert raw[:d].min() < TINY_MASS
+    for v in _path(prob, a, 3):
+        for b in (v[:d], v[d:]):
             assert np.all(b >= TINY_MASS)
             assert b.sum() == pytest.approx(1.0, abs=1e-15)
     # a start with an exact zero is off the entropy domain
     with pytest.raises(DomainError):
-        _run(prob, Point.of([1.0, 0.0, 0.0, 0.0], np.full(d, 1.0 / d)), 3)
+        composite_mp(prob, np.concatenate([[1.0, 0.0, 0.0, 0.0], np.full(d, 1.0 / d)]),
+                     3)
 
 
 def test_composite_solution_differs_from_f1_solution():
@@ -257,28 +251,26 @@ def test_composite_solution_differs_from_f1_solution():
     d = 3
     M = rng.uniform(0.5, 1.5, size=(d, d))
     geom = entropy_simplex(d)
-    anchor = Point.of([0.90, 0.05, 0.05], [0.05, 0.05, 0.90])
+    anchor = np.array([0.90, 0.05, 0.05, 0.05, 0.05, 0.90])
     f1 = saddle_shard(M)
     prob = CompositeProblem(
         gamma=0.25,
-        anchor=anchor.concat(),
+        anchor=anchor,
         f1=f1,
         offset=np.zeros(2 * d),
         geometry=geom,
         l_f1=float(np.abs(M).max()),
     )
-    v, _ = _run(prob, uniform_point(geom), 3000, 1e-24)
+    v, _ = composite_mp(prob, uniform_point(geom).concat(), 3000, 1e-24)
     # the composite stationarity condition holds ...
-    f1v = f1.evaluate(v.concat())
-    resid = (prob.gamma * f1v + dgf_grad_flat(geom, v.concat())
-             - dgf_grad_flat(geom, anchor.concat()))
+    f1v = f1.evaluate(v)
+    resid = prob.gamma * f1v + dgf_grad(geom, v) - dgf_grad(geom, anchor)
     for _ in range(100):
         z = random_point(geom, rng)
-        diff = z.concat() - v.concat()
-        assert float(resid @ diff) >= -1e-6
+        assert float(resid @ (z - v)) >= -1e-6
     # ... while the plain-F1 residual is decisively violated somewhere
     worst = min(
-        float(f1v @ (z.concat() - v.concat()))
+        float(f1v @ (z - v))
         for z in (random_point(geom, rng) for _ in range(300))
     )
     assert worst < -1e-3
@@ -286,22 +278,19 @@ def test_composite_solution_differs_from_f1_solution():
 
 def test_iterates_stay_strictly_positive():
     prob, _, _ = _game_problem(d=4, T=60, m=4, seed=8)
-    _, _, path = _run(
-        prob, uniform_point(prob.geometry), 50, 0.0, record_path=True
-    )
-    for v in path:
-        assert all(np.all(b > 0) for b in v.blocks)
+    for v in _path(prob, uniform_point(prob.geometry).concat(), 50):
+        assert np.all(v > 0)
 
 
 def test_input_validation():
     prob, _, _ = _game_problem(d=3, T=40, m=4, seed=9)
-    v0 = uniform_point(prob.geometry)
+    v0 = uniform_point(prob.geometry).concat()
     with pytest.raises(ParameterError):
-        _run(prob, v0, 0)
+        composite_mp(prob, v0, 0)
     with pytest.raises(ParameterError):
-        _run(prob, v0, 5, movement_tol=-1.0)
+        composite_mp(prob, v0, 5, movement_tol=-1.0)
     with pytest.raises(ParameterError):
         CompositeProblem(
-            gamma=-1.0, anchor=v0.concat(), f1=prob.f1, offset=prob.offset,
+            gamma=-1.0, anchor=v0, f1=prob.f1, offset=prob.offset,
             geometry=prob.geometry, l_f1=1.0,
         )

@@ -5,13 +5,12 @@ import pytest
 
 from oracles import per_block_floor
 from visim import inner
+from visim.baselines import BaselineConfig, BaselineKind
 from visim.cluster import ClusterState, gather_average
 from visim.errors import ParameterError
 from visim.geometry import (
-    DualVector,
-    Point,
-    bregman_divergence,
     entropy_simplex,
+    euclidean_ball,
     max_divergence_bound,
     prox_map,
     uniform_point,
@@ -24,6 +23,7 @@ from visim.paus import (
     duality_gap,
     paus_run,
 )
+from visim.restart import RestartConfig
 
 
 def _game_cluster(d, T, m, seed):
@@ -79,7 +79,7 @@ def test_gap_envelope_on_small_game():
     for K in (5, 20, 60):
         cfg = _config(5, delta, l_f1, iters=K)
         out = paus_run(cfg, cluster)
-        bound = max_divergence_bound(cfg.geometry, cfg.z0) / (K * cfg.gamma)
+        bound = max_divergence_bound(cfg.geometry, cfg.z0.concat()) / (K * cfg.gamma)
         gap = duality_gap(mean, out.u_avg.blocks[0], out.u_avg.blocks[1])
         assert gap <= bound + 1e-9
 
@@ -102,8 +102,8 @@ def test_iterates_stay_on_simplex_and_positive():
     cfg = _config(6, delta, l_f1, iters=30)
     out = paus_run(cfg, cluster, keep_iterates=True)
     assert len(out.u_path) == 30 and len(out.z_path) == 31
-    for p in out.u_path + out.z_path + [out.u_avg]:
-        for b in p.blocks:
+    for p in out.u_path + out.z_path + [out.u_avg.concat()]:
+        for b in np.split(p, 2):
             assert np.all(b > 0.0)
             assert abs(b.sum() - 1.0) < 1e-9
 
@@ -121,7 +121,7 @@ def test_ergodic_average_is_mean_of_u_path():
     cluster, _, _, delta, l_f1 = _game_cluster(d=4, T=40, m=4, seed=5)
     cfg = _config(4, delta, l_f1, iters=9)
     out = paus_run(cfg, cluster, keep_iterates=True)
-    want = np.mean([u.concat() for u in out.u_path], axis=0)
+    want = np.mean(out.u_path, axis=0)
     np.testing.assert_allclose(out.u_avg.concat(), want, atol=1e-12)
 
 
@@ -156,6 +156,41 @@ def test_non_finite_or_non_positive_gamma_rejected():
                        z0=uniform_point(geom), l_f1=1.0)
 
 
+@pytest.mark.parametrize("config, field, value", [
+    ("restart", "mu", math.nan),
+    ("restart", "delta", math.nan),
+    ("restart", "eps", math.nan),
+    ("restart", "r0_sq", math.inf),
+    ("restart", "l_f1", math.nan),
+    ("restart", "l_f1", -1.0),
+    ("paus", "l_f1", math.nan),
+    ("paus", "delta", math.nan),
+    ("paus", "iters", 2.5),
+    ("baseline", "stepsize", math.nan),
+    ("baseline", "stepsize", math.inf),
+])
+def test_configs_refuse_numbers_no_run_can_use(config, field, value):
+    # a NaN passes every `<= 0` test, and a NaN delta skipped the
+    # gamma <= 1/delta guard; each config refuses them when it is made
+    ball, simplex = euclidean_ball(3), entropy_simplex(3)
+    cls, fields = {
+        "restart": (RestartConfig, dict(mu=0.1, delta=1.0, eps=1e-4, geometry=ball,
+                                        z0=uniform_point(ball), r0_sq=1.0, l_f1=1.0)),
+        "paus": (PausConfig, dict(gamma=1.0, iters=3, geometry=simplex,
+                                  z0=uniform_point(simplex), l_f1=1.0, delta=1.0)),
+        "baseline": (BaselineConfig, dict(kind=BaselineKind.MIRROR_PROX, stepsize=1.0,
+                                          iters=3, geometry=simplex,
+                                          z0=uniform_point(simplex))),
+    }[config]
+    cls(**fields)
+    with pytest.raises(ParameterError):
+        cls(**{**fields, field: value})
+    if config == "paus":
+        # no delta, or a delta of round-off: the guard is off, as a sweep asks
+        for delta in (None, 0.0):
+            cls(**{**fields, "delta": delta})
+
+
 def test_duality_gap_examples():
     # rock-paper-scissors: uniform play is the equilibrium
     rps = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
@@ -181,35 +216,25 @@ def test_step_cap_zero_is_the_extragradient_route(monkeypatch):
 
     ref = ClusterState(shards=[saddle_shard(M) for M in shard_mats])
     cap, movement_tol = _inner_plan(cfg)
-    split = cfg.geometry.layout.split
 
-    def gather(p):
-        return split(gather_average(ref, [p.concat()])[0])
+    def floor(p):
+        return np.concatenate(per_block_floor(np.split(p, 2)))
 
-    def server_evaluate(p):
-        return split(ref.server_shard.evaluate(p.concat()))
-
-    z, prev_u, iters = cfg.z0, None, []
+    z, prev_u, iters = cfg.z0.concat(), None, []
     for k in range(K):
-        f_z = gather(z)
-        f1_z = server_evaluate(z)
+        f_z = gather_average(ref, [z])[0]
+        f1_z = ref.server_shard.evaluate(z)
         problem = CompositeProblem(
-            gamma=cfg.gamma, anchor=z.concat(), f1=ref.server_shard,
-            offset=np.concatenate([a - b for a, b in zip(f_z.blocks, f1_z.blocks)]),
+            gamma=cfg.gamma, anchor=z, f1=ref.server_shard, offset=f_z - f1_z,
             geometry=cfg.geometry, l_f1=l_f1,
         )
         v0 = prev_u if prev_u is not None else z
-        u, n = composite_mp(problem, v0.concat(), cap, movement_tol)
-        u = Point(tuple(per_block_floor(split(u).blocks)))
-        f_u = gather(u)
-        g = DualVector(tuple(
-            a - b - c + d for a, b, c, d in zip(
-                f_u.blocks, server_evaluate(u).blocks, f_z.blocks, f1_z.blocks)
-        ))
-        z = prox_map(cfg.geometry, u, g, cfg.gamma)
-        z = Point(tuple(per_block_floor(z.blocks)))
-        assert np.array_equal(out.u_path[k].concat(), u.concat())
-        assert np.array_equal(out.z_path[k + 1].concat(), z.concat())
+        u, n = composite_mp(problem, v0, cap, movement_tol)
+        u = floor(u)
+        g = gather_average(ref, [u])[0] - ref.server_shard.evaluate(u) - f_z + f1_z
+        z = floor(prox_map(cfg.geometry, u, g, cfg.gamma))
+        assert np.array_equal(out.u_path[k], u)
+        assert np.array_equal(out.z_path[k + 1], z)
         prev_u = u
         iters.append(n)
     assert [rec.inner_iters for rec in out.log] == iters

@@ -170,7 +170,7 @@ def test_strong_monotonicity_certificate():
         dist = float(
             sum((a - b) @ (a - b) for a, b in zip(out.u_avg.blocks, z_star.blocks))
         )
-        bound = omega_d(geom, z0) * r0_sq / (K * cfg.gamma * mu)
+        bound = omega_d(geom, z0.concat()) * r0_sq / (K * cfg.gamma * mu)
         assert mu * dist <= mu * bound / mu + 1e-12
         assert dist <= bound * (1.0 + 1e-9)
 
