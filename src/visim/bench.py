@@ -39,7 +39,8 @@ GAMMA_CAP_SCALE = 1e6  # gamma cap = scale / L when delta is round-off
 # a delta at most this many ulps of L (in the same pairing) is round-off
 ROUNDOFF_ULPS = 64
 EPS_ITERS_CAP = 100_000  # largest iteration count run_experiment derives from eps
-# signs drawn at a time by per-entry generation (2 MB of int64 indices)
+# signs drawn at a time by per-entry generation: half as many 64-bit
+# generator words, 1 MB, whose 32-bit halves become the 0/1 indices in place
 _SIGN_CHUNK = 2**18
 
 
@@ -76,13 +77,24 @@ def load_matrix(path: str) -> np.ndarray:
         raise IoError(f"cannot read matrix file {path}: {exc}") from exc
     if not tokens:
         raise ConfigError(f"empty matrix file {path}")
-    d = int(tokens[0])
-    vals = tokens[1:]
-    if len(vals) != d * d:
+    try:
+        d = int(tokens[0])
+    except ValueError:
+        d = 0
+    if d < 1:
         raise ConfigError(
-            f"matrix file {path} declares d={d} but holds {len(vals)} entries"
+            f"matrix file {path} declares d={tokens[0]!r}, not a positive integer"
         )
-    return np.array(vals, dtype=float).reshape(d, d)
+    try:
+        vals = np.array(tokens[1:], dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"matrix file {path} holds an entry that is not a "
+                          f"number: {exc}") from None
+    if vals.size != d * d:
+        raise ConfigError(
+            f"matrix file {path} declares d={d} but holds {vals.size} entries"
+        )
+    return vals.reshape(d, d)
 
 
 def base_matrix(spec: GameSpec) -> np.ndarray:
@@ -112,14 +124,24 @@ def generate_game(spec: GameSpec) -> np.ndarray:
     One xi per matrix by default (so each A_t is 0 or 2C, copied from
     those two products with the bits of ``(1 + xi) * C``); ``per_entry``
     draws an independent sign per entry instead.  Per-entry games are
-    written into the one T x d x d output in chunks of about
-    ``_SIGN_CHUNK`` signs, so generation peaks at the output plus one
-    chunk's draw (2 MB) rather than about three tensors.  A chunk draws
-    the indices ``rng.choice([-1., 1.], ...)`` would draw,
-    ``rng.integers(0, 2, ...)``, and 1 + xi is twice the index, so the
-    chunk needs no array of signs.  The chunked draws consume the
-    generator exactly as one draw of all T d^2 signs does, so the
-    matrices are the same bits as
+    written into the one T x d x d output in chunks of an even number of
+    whole matrices, about ``_SIGN_CHUNK`` signs, so generation peaks at
+    the output plus one chunk's generator words (1 MB) rather than about
+    three tensors.
+
+    A chunk reads its signs from raw 64-bit words of the generator,
+    ``rng.bit_generator.random_raw``, and gets the indices
+    ``rng.integers(0, 2, ...)`` would draw (which are those of
+    ``rng.choice([-1., 1.], ...)``) for two reasons.  With a range of 2,
+    ``integers`` takes one 32-bit output per sign through Lemire's
+    bounded method, whose rejection threshold (2^32 - 2) mod 2 is 0, so
+    it never rejects and the index is the output's top bit.  And PCG64,
+    the bit generator of ``default_rng``, serves 32-bit outputs as the
+    low half and then the high half of each 64-bit word.  So the indices
+    are bits 31 and 63 of each word, in order.  A chunk of an even number
+    of signs uses up its words, so only the last chunk can leave half a
+    word unread.  1 + xi is twice the index, so the chunk needs no array
+    of signs, and the matrices are the same bits as
     ``(1 + rng.choice([-1., 1.], (T, d, d))) * C``.
     """
     C = base_matrix(spec)
@@ -131,11 +153,18 @@ def generate_game(spec: GameSpec) -> np.ndarray:
         return np.take(products, rng.integers(0, 2, size=spec.T), axis=0)
     out = np.empty((spec.T, spec.d, spec.d))
     twice_C = 2.0 * C
-    rows = max(1, _SIGN_CHUNK // (spec.d * spec.d))
+    size = spec.d * spec.d
+    rows = max(2, _SIGN_CHUNK // size // 2 * 2)
     for lo in range(0, spec.T, rows):
-        idx = rng.integers(0, 2, size=(min(rows, spec.T - lo), spec.d, spec.d))
-        np.multiply(idx, twice_C, out=out[lo : lo + idx.shape[0]])
-        del idx  # so that the next draw does not overlap this one
+        n = min(rows, spec.T - lo)
+        words = rng.bit_generator.random_raw((n * size + 1) // 2)
+        # the 32-bit halves, low first on any byte order, each shifted down
+        # to its top bit in place
+        halves = words.astype("<u8", copy=False).view("<u4")
+        np.right_shift(halves, 31, out=halves)
+        np.multiply(halves[: n * size].reshape(n, spec.d, spec.d), twice_C,
+                    out=out[lo : lo + n])
+        del words, halves  # so that the next draw does not overlap this one
     return out
 
 

@@ -67,9 +67,10 @@ def test_generation_is_deterministic():
     where=st.sampled_from(["below", "one", "ragged"]),
 )
 def test_chunked_generation_is_one_draw(d, seed, per_entry, rows, spare, where):
-    # chunks of `rows` matrices (the spare signs do not make a whole one);
+    # chunks of `rows` matrices (the spare signs do not make a whole one),
+    # which per-entry generation rounds down to an even number of matrices;
     # T below one chunk, exactly one, or several with a ragged last one.
-    # Odd d gives chunks of an odd number of signs.
+    # Odd d and odd T end the signs on half a generator word.
     T = {"below": rows - 1, "one": rows, "ragged": 3 * rows + 1}[where]
     spec = GameSpec(d=d, T=T, m=1, seed=seed, per_entry=per_entry)
     with pytest.MonkeyPatch.context() as mp:
@@ -80,6 +81,17 @@ def test_chunked_generation_is_one_draw(d, seed, per_entry, rows, spare, where):
     expected = (1.0 + rng.choice([-1.0, 1.0], shape)) * base_matrix(spec)[None]
     assert mats.shape == (T, d, d)
     assert np.array_equal(mats, expected)
+
+
+def test_default_chunks_are_one_draw():
+    # T d^2 = 625,625 signs is odd and spans three default chunks, so the
+    # last chunk ends on half a generator word
+    d, T, seed = 25, 1001, 5
+    assert T * d * d % 2 == 1 and T * d * d > 2 * bench._SIGN_CHUNK
+    spec = GameSpec(d=d, T=T, m=1, seed=seed, per_entry=True)
+    xi = np.random.default_rng(seed).choice([-1.0, 1.0], (T, d, d))
+    expected = (1.0 + xi) * base_matrix(spec)[None]
+    assert generate_game(spec).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("per_entry", [False, True])
@@ -304,6 +316,16 @@ def test_load_matrix(tmp_path):
     off = GameSpec(d=3, T=9, m=3, seed=0, matrix_path=str(p))
     with pytest.raises(ConfigError):
         base_matrix(off)
+
+
+@pytest.mark.parametrize("text", ["x\n1\n", "2.0\n1 2\n3 4\n", "-1\n5\n",
+                                  "2\n1 x\n3 4\n", "2\n1 2\n3 4,5\n"])
+def test_a_malformed_matrix_file_is_a_config_error(tmp_path, text):
+    # a d that is not a positive integer, or an entry that is not a number
+    path = tmp_path / "malformed.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="malformed.txt"):
+        load_matrix(str(path))
 
 
 def test_spec_validation():

@@ -217,6 +217,21 @@ def test_bad_step_size_input_exits_two_with_one_line(sub, flags, tmp_path, capsy
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("text", ["x\n" + "1 " * 25, "5\n" + "1 " * 24 + "x\n"])
+def test_a_malformed_matrix_file_exits_two_with_one_line(text, tmp_path, capsys):
+    # a d that is not an integer, or an entry that is not a number, is a
+    # configuration error naming the file, not a bare ValueError
+    matrix = tmp_path / "base.txt"
+    matrix.write_text(text)
+    out = tmp_path / "res"
+    assert main(_args("compare", str(out), matrix_file=matrix)) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("visim: ConfigError")
+    assert str(matrix) in err[0]
+    assert captured.out == "" and not out.exists()
+
+
 def test_check_subcommand(capsys):
     assert main(["check"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
