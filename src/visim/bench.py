@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -61,6 +62,15 @@ class GameSpec:
     def __post_init__(self):
         if self.d < 2:
             raise ConfigError(f"need d >= 2, got {self.d}")
+        # numpy's generator takes a non-negative integer seed, and a
+        # non-finite theta gives C NaN entries
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
+        if not (isinstance(self.theta, Real) and math.isfinite(self.theta)
+                and self.theta > 0.0):
+            raise ConfigError(
+                f"theta must be finite and positive, got {self.theta!r}")
         # T = 0 and T = -m are multiples of m too, but give a worker no data
         if self.m < 1 or self.T < self.m or self.T % self.m != 0:
             raise ConfigError(

@@ -652,17 +652,22 @@ def mirror_map_flat(
     return x * s, np.full_like(x, s), ((s, x / n),)
 
 
-def softmax_map(theta: np.ndarray, layout: BlockLayout | None = None):
+def softmax(theta: np.ndarray) -> np.ndarray:
+    """exp(theta - max) / sum over the whole vector, as a new array: the
+    entropy mirror map of one simplex block, without its checks or its
+    Jacobian terms.  It has the bits of each block of :func:`softmax_map`."""
+    u = theta - np.maximum.reduce(theta)
+    np.exp(u, out=u)
+    u /= np.add.reduce(u)
+    return u
+
+
+def softmax_map(theta: np.ndarray, layout: BlockLayout):
     """The entropy branch of :func:`mirror_map_flat`, without its checks:
-    u = exp(theta - max) / sum per block of ``layout`` (the whole vector as
-    one block when ``layout`` is None).  D = diag(u) - u u^T per block, so
-    u serves as diag and its blocks as the rank-one vectors.  A block gets
-    the same bits whatever blocks sit beside it."""
-    if layout is None:
-        u = theta - np.maximum.reduce(theta)
-        np.exp(u, out=u)
-        u /= np.add.reduce(u)
-        return u, u, [(1.0, u)]
+    u = exp(theta - max) / sum per block of ``layout``.  D = diag(u) - u u^T
+    per block, so u serves as diag and its blocks as the rank-one vectors.
+    A block gets the same bits whatever blocks sit beside it, those of
+    :func:`softmax` on the block alone."""
     u = theta - np.maximum.reduceat(theta, layout.starts)[layout.block_of]
     np.exp(u, out=u)
     for lo, hi in layout.bounds:

@@ -32,8 +32,11 @@ recovery:
 
 1. the attempt: for an entropy saddle, Newton on the normal map reduced
    to the y-block (nonlinear elimination of the x-block row; Lanzkron,
-   Rose & Wilkes 1996), whose Jacobian is that Schur complement; for
-   every other setup, Newton on the full normal map;
+   Rose & Wilkes 1996), whose Jacobian is that Schur complement, started
+   from a y-block the caller may predict (the outer step extrapolates the
+   log y of its last answers along the path of subproblem solutions, a
+   predictor step; Allgower & Georg 1990) and stopped by the same
+   two-tier test; for every other setup, Newton on the full normal map;
 2. for an attempt that stalls or misses its target within
    ``NEWTON_MAX_STEPS`` steps, continuation in gamma from
    min(gamma / 2, 1 / max|B|), each level a full Newton solve.
@@ -74,7 +77,7 @@ from .geometry import (
     floor_simplex_flat,
     mirror_map_flat,
     piece_map,
-    softmax_map,
+    softmax,
 )
 from .operators import OperatorShard
 
@@ -256,6 +259,7 @@ def newton_solve_flat(
     offset: np.ndarray,
     v0: np.ndarray,
     f1_v0: np.ndarray,
+    y_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, np.ndarray | None] | None:
     """Solve the subproblem exactly by damped Newton on the normal map.
 
@@ -300,6 +304,8 @@ def newton_solve_flat(
     y-block alone instead (:func:`_reduced_newton`): the x-block row of G
     is solved exactly at every iterate (nonlinear elimination, Lanzkron,
     Rose & Wilkes 1996), which takes fewer steps from the same warm start.
+    It starts from ``y_start``, a predicted y-block, when one is given,
+    else from v0's y-block; nothing else reads ``y_start``.
 
     That one attempt either answers or fails: it stalls (no decrease down
     to step ``NEWTON_MIN_STEP``, a non-finite trial point or a singular
@@ -323,7 +329,8 @@ def newton_solve_flat(
         raise ParameterError("the Newton system was built for another layout")
     c = grad - system.gamma * offset
     if system.saddle and geometry.kind.entropy:
-        u, steps = _reduced_newton(system, c, v0)
+        y0 = v0[system.gM.shape[0]:] if y_start is None else y_start
+        u, steps = _reduced_newton(system, c, y0)
         answer = None if u is None else (u, None)
     else:
         answer, steps = _damped_newton(system, geometry, c, v0, f1_v0)
@@ -429,7 +436,8 @@ def _at_round_off(
     :func:`_damped_newton`, whose norm is ``norm``, is at round-off:
     |G| <= NEWTON_RTOL (|gB| spread + part), with ``part`` =
     |w| + |c| + |gb| and ``product()`` giving |gB| spread, the one term
-    that takes a product by an n x n matrix.  The first tier asks
+    that takes a product by an n x n matrix; for :func:`_reduced_newton`,
+    part = |w_2| + |c_2| and the product its |gM^T| term.  The first tier asks
     |G| <= NEWTON_RTOL part: |gB| spread is nonnegative and IEEE rounding
     monotone, so a pass there is a pass of the full test.  Only a residual
     that fails it, or whose norm is not finite (a w with an infinite
@@ -529,7 +537,7 @@ def _reduced_scale_bound(
 
 
 def _reduced_newton(
-    system: NewtonSystem, c: np.ndarray, v0: np.ndarray
+    system: NewtonSystem, c: np.ndarray, y0: np.ndarray
 ) -> tuple[np.ndarray | None, int]:
     """Damped Newton on the normal map of an entropy saddle subproblem
     reduced to its y-block (see :func:`newton_solve_flat`), with
@@ -539,11 +547,14 @@ def _reduced_newton(
     u_2 = softmax(w_2), w_1 = c_1 - p with p = gM u_2, u_1 = softmax(w_1)
     and the residual G_2 = w_2 - c_2 - q with q = gM^T u_1, whose Jacobian
     is the Schur matrix I + Q P of :meth:`NewtonSystem.schur`, built from
-    p and q.  The solve starts Gauss-Seidel style from v0's y-block,
+    p and q.  The solve starts Gauss-Seidel style from the y-block y_0,
     x_0 = softmax(c_1 - gM y_0) and w_2 = c_2 + gM^T x_0, halves its steps
     until ||G_2|| decreases, and stops when G_2 is at ``NEWTON_RTOL`` of
-    the magnitudes it is the difference of.  The concatenated answer is
-    None if it stalls or misses its target."""
+    the magnitudes it is the difference of, tested in two tiers
+    (:func:`_at_round_off`): first against |w_2| + |c_2|, O(n), and only
+    when that fails against the full scale, whose |gM^T| term takes a
+    product by a d_2 x d_1 matrix.  The concatenated answer is None if it
+    stalls or misses its target."""
     gM, gMT = system.gM, system.gMT
     d1 = gM.shape[0]
     abs_gMT = system.abs_gB[d1:, :d1]
@@ -556,10 +567,10 @@ def _reduced_newton(
         system, c1, abs_c2)
 
     def evaluate(w2):
-        u2 = softmax_map(w2)[0]
+        u2 = softmax(w2)
         p = gM @ u2
         w1 = c1 - p
-        u1 = softmax_map(w1)[0]
+        u1 = softmax(w1)
         q = gMT @ u1
         g2 = w2 - c2
         g2 -= q
@@ -569,21 +580,22 @@ def _reduced_newton(
             raise NumericsError("non-finite residual in the reduced Newton solve")
         if norm > far:
             return (u1, u2), g2, norm, False, (u1, u2, p, q)
-        # the round-off scale of _damped_newton on the y-block row; with the
-        # softmax Jacobian D = diag(u) - u u^T, |u| + |D| |w| is
-        # u (|w| + 1 + u.|w|).  The x-block row G_1 = (c_1 - p) - c_1 + p
-        # is at most about 3 eps (|c_1| + |p|) by construction, within its
-        # scale NEWTON_RTOL (|w_1| + |c_1| + |gM| u_2 (...)) >=
-        # NEWTON_RTOL (|c_1| + |p|), so it is not evaluated
-        abs_w1 = np.abs(w1)
-        scale = abs_gMT @ (u1 * (abs_w1 + (1.0 + u1 @ abs_w1)))
-        scale += np.abs(w2)
-        scale += abs_c2
-        scale *= NEWTON_RTOL
-        done = bool((np.abs(g2) <= scale).all())
+
+        # the round-off scale of _damped_newton on the y-block row:
+        # |w_2| + |c_2|, O(n), and |gM^T| (|u_1| + |D| |w_1|), which with the
+        # softmax Jacobian D = diag(u) - u u^T is |gM^T| u_1 (|w_1| + 1 +
+        # u_1.|w_1|).  The x-block row G_1 = (c_1 - p) - c_1 + p is at most
+        # about 3 eps (|c_1| + |p|) by construction, within its scale
+        # NEWTON_RTOL (|w_1| + |c_1| + |gM| u_2 (...)) >= NEWTON_RTOL
+        # (|c_1| + |p|), so it is not evaluated
+        def product():
+            abs_w1 = np.abs(w1)
+            return abs_gMT @ (u1 * (abs_w1 + (1.0 + u1 @ abs_w1)))
+
+        done = _at_round_off(g2, norm, np.abs(w2) + abs_c2, product)
         return (u1, u2), g2, norm, done, (u1, u2, p, q)
 
-    x0 = softmax_map(c1 - gM @ v0[d1:])[0]
+    x0 = softmax(c1 - gM @ y0)
     u, steps = _damped(evaluate, system.reduced_step, c2 + gMT @ x0)
     return (None if u is None else np.concatenate(u)), steps
 

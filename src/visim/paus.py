@@ -20,6 +20,16 @@ the next warm start reuse; F1(u^k) is evaluated again only at a floored
 entropy point or after ``composite_mp``.  On the interior of an l2 ball
 an outer step thus takes two products by the server's matrix.
 
+On an entropy saddle the subproblem solutions u^k move smoothly from one
+outer step to the next, so the solve's reduced attempt starts from a
+predicted y-block (``predicted_y``): the softmax of the log
+y of the last floored answers, extrapolated by a quadratic through three
+or a line through two (a predictor step, Allgower & Georg 1990).  The warm
+start u^{k-1}, F1 there and everything else the solve does are unchanged.
+With fewer than two answers, and right after a subproblem that the
+continuation in gamma answered (its reduced attempt failed), the attempt
+starts from u^{k-1}'s y-block instead.
+
 The returned point is the uniform (ergodic) average of u^0..u^{K-1},
 which carries the gap guarantee  Gap(u_avg) <= max_z V(z, z^0) / (K gamma)
 when gamma <= 1/delta.
@@ -56,6 +66,7 @@ from .geometry import (
     floor_simplex_flat,
     max_divergence_bound,
     prox_map,
+    softmax,
     validate_point,
 )
 from .inner import (
@@ -237,9 +248,17 @@ def paus_run(
     fallbacks = 0
     # the last step's u^k and F1(u^k): the next step's warm start
     warm: tuple[np.ndarray, np.ndarray] | None = None
+    # log y of the last three answers of an entropy saddle run, oldest
+    # first, and whether the next reduced attempt starts from their
+    # extrapolation (predicted_y): not after an answer of the continuation
+    # in gamma, whose reduced attempt failed
+    predict = entropy and system.saddle
+    d1 = geom.block_dims[0]
+    logs: list[np.ndarray] = []
+    extrapolate = predict
 
     def step(z):
-        nonlocal fallbacks, warm
+        nonlocal fallbacks, warm, logs, extrapolate
         f_z = gather_average(cluster, [z])[0]
         f1_z = shard.evaluate(z)
         offset = f_z - f1_z
@@ -249,7 +268,8 @@ def paus_run(
         solved = None
         if newton:
             solved = newton_solve_flat(system, geom, dgf_grad(geom, z),
-                                       offset, v0, f1_v0)
+                                       offset, v0, f1_v0,
+                                       predicted_y(logs) if extrapolate else None)
         if solved is None:
             fallbacks += 1
             problem = CompositeProblem(gamma=gamma, anchor=z, f1=shard,
@@ -264,6 +284,11 @@ def paus_run(
             # F1 at the floored point, or where the solve gave none
             f1_u = shard.evaluate(u)
         warm = (u, f1_u)
+        if predict:
+            logs = logs[-2:] + [np.log(u[d1:])]
+            # the continuation in gamma answers with F1 there, the reduced
+            # attempt and the extragradient loop without
+            extrapolate = solved[2] is None
         f_u = gather_average(cluster, [u])[0]
         g = f_u - f1_u
         g -= f_z
@@ -279,6 +304,21 @@ def paus_run(
     )
     result.inner_fallbacks = fallbacks
     return result
+
+
+def predicted_y(logs: list[np.ndarray]) -> np.ndarray | None:
+    """The y-block that extrapolates the log y of the last two or three
+    answers, ``logs`` oldest first, along the path of subproblem solutions: the
+    softmax of 3 (l_1 - l_2) + l_3 (a quadratic through the last three)
+    or of 2 l_1 - l_2 (a line through the last two), l_i the i-th last;
+    None with fewer than two."""
+    if len(logs) < 2:
+        return None
+    if len(logs) == 2:
+        older, last = logs
+        return softmax(2.0 * last - older)
+    oldest, older, last = logs
+    return softmax(3.0 * (last - older) + oldest)
 
 
 def duality_gap(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:

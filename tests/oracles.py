@@ -286,9 +286,14 @@ def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
     a-norm ball it goes to ``composite_mp`` at once.  F1 is evaluated once
     per point: the solve gets F1 at its warm start (z^0's at first, then
     the last u's) and gives back F1 at its answer, which the step keeps
-    unless it floored u or the solve gave none.  Returns the ergodic
-    average, the log as (round, gap, inner iterations) tuples, the kept
-    paths (flat, as ``paus_run`` keeps them) and the fallbacks.
+    unless it floored u or the solve gave none.  On an entropy saddle the
+    reduced attempt starts from the softmax of the log y of the last
+    answers extrapolated, 3 (l_1 - l_2) + l_3 after three answers and
+    2 l_1 - l_2 after two, except after an answer of the continuation in
+    gamma (the solve gave F1 there); with fewer than two answers it starts
+    from the warm start's y.  Returns the ergodic average, the log as
+    (round, gap, inner iterations) tuples, the kept paths (flat, as
+    ``paus_run`` keeps them) and the fallbacks.
     """
     geom = config.geometry
     entropy = geom.kind is GeometryKind.ENTROPY_SIMPLEX
@@ -298,6 +303,22 @@ def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
         system = NewtonSystem(server, gamma, geom)
     fallbacks = 0
     warm = None
+    saddle_entropy = entropy and server.offset is None
+    # log y of the last three answers, newest first, and whether the last
+    # answer was the continuation's
+    log_y, after_continuation = [], False
+
+    def predicted_y():
+        if len(log_y) < 2:
+            return None
+        if len(log_y) == 2:
+            e = 2.0 * log_y[0] - log_y[1]
+        else:
+            e = 3.0 * (log_y[0] - log_y[1]) + log_y[2]
+        e -= e.max()
+        np.exp(e, out=e)
+        e /= e.sum()
+        return e
 
     def gather(blocks):
         cluster.round_count += 1
@@ -308,7 +329,7 @@ def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
         return [flat[lo:hi] for lo, hi in geom.layout.bounds]
 
     def paus_step(z, prev_u):
-        nonlocal fallbacks, warm
+        nonlocal fallbacks, warm, log_y, after_continuation
         f_z = gather(z)
         f1_z = per_block_evaluate(server, z)
         offset = [a - b for a, b in zip(f_z, f1_z)]
@@ -319,6 +340,7 @@ def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
             solved = newton_solve_flat(
                 system, geom, np.concatenate(per_block_grad(geom, z)),
                 np.concatenate(offset), np.concatenate(v0), np.concatenate(f1_v0),
+                predicted_y() if saddle_entropy and not after_continuation else None,
             )
         if solved is None:
             fallbacks += 1
@@ -332,6 +354,10 @@ def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
         u = split(flat_u)
         if entropy:
             u = per_block_floor(u)
+        if saddle_entropy:
+            log_y = [np.log(u[1])] + log_y[:2]
+            # the continuation answers with F1 there
+            after_continuation = flat_f1_u is not None
         # F1 at the Newton answer, from the solve's last evaluation, unless
         # u was floored or the solve gave none
         f1_u = (per_block_evaluate(server, u) if entropy or flat_f1_u is None

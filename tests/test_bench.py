@@ -216,7 +216,11 @@ def test_run_comparison_series_start_at_round_zero():
     # goes on by continuation in gamma: the first, started at 1 / max|M|
     # where the coupling is weak, takes 125 Newton steps, the others 20 to
     # 33.  The euclidean run's first full attempt stalls at a kink, and the
-    # continuation answers in 47 steps.  The runs take 407 and 69 steps
+    # continuation answers in 47 steps.  The runs take 407 and 69 steps.
+    # paus_run predicts no reduced start after a continuation's answer, so
+    # every reduced attempt here starts from the warm start's y-block;
+    # started from the predicted y-block they fail too, and the run takes
+    # 426 steps
     steps = {name: sum(rec.inner_iters for rec in res.series[name])
              for name in ("paus", "euclidean")}
     assert steps == {"paus": 407, "euclidean": 69}
@@ -338,6 +342,15 @@ def test_spec_validation():
         with pytest.raises(ConfigError, match="T"):
             GameSpec(T=T, m=4)
     assert GameSpec(T=4, m=4).T == 4
+    # numpy's generator refuses these seeds, and a non-finite theta gives C
+    # NaN entries, with errors that do not name the setting
+    for seed in (-3, 2.5, "1"):
+        with pytest.raises(ConfigError, match="seed"):
+            GameSpec(seed=seed)
+    for theta in (math.nan, math.inf, 0.0, -0.5):
+        with pytest.raises(ConfigError, match="theta"):
+            GameSpec(theta=theta)
+    assert GameSpec(seed=0, theta=2).seed == 0
 
 
 def test_run_sweep_keys_and_gammas():

@@ -180,16 +180,20 @@ def test_invalid_instance_exits_two(tmp_path, capsys):
     rc = main(["run", "--d", "5", "--T", "41", "--m", "4",
                "--out", str(tmp_path / "res")])
     assert rc == EXIT_SOLVER
-    # so are T = 0 and T = -m, multiples of m that give a worker no data:
-    # one stderr line, not numpy's warnings and a traceback
+    # so are T = 0 and T = -m, multiples of m that give a worker no data,
+    # and a negative seed, which the spec refuses by name before numpy's
+    # generator does: one stderr line, not numpy's warnings and a traceback
     capsys.readouterr()
-    for T in ("0", "-5"):
-        out = str(tmp_path / f"res{T}")
-        assert main(["compare", "--T", T, "--K", "3", "--out", out]) == EXIT_SOLVER
+    for tag, args, field in (("T0", ["compare", "--T", "0", "--K", "3"], "T"),
+                             ("T-5", ["compare", "--T", "-5", "--K", "3"], "T"),
+                             ("seed", ["run", "--seed", "-1", "--K", "2"], "seed")):
+        out = str(tmp_path / f"res{tag}")
+        assert main([*args, "--out", out]) == EXIT_SOLVER
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and captured.out == ""
         assert err[0].startswith("visim: ConfigError")
+        assert field in err[0]
         assert not os.path.exists(out)
 
 

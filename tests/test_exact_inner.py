@@ -126,7 +126,7 @@ def _attempt(name, prob, v0, system):
     c = grad - prob.gamma * prob.offset
     v0 = v0.concat()
     if name == "reduced":
-        u, steps = inner._reduced_newton(system, c, v0)
+        u, steps = inner._reduced_newton(system, c, v0[geom.block_dims[0]:])
     elif name == "full":
         answer, steps = inner._damped_newton(system, geom, c, v0,
                                              prob.f1.evaluate(v0))
@@ -811,15 +811,41 @@ def _round_off_terms(system, geom, c, w, u, diag, rank_one):
     return abs_w + (np.abs(c) + np.abs(system.gb)), system.abs_gB @ spread
 
 
+def _perturbed(root, seed, exponent):
+    """``root`` perturbed by a relative 10**exponent; an infinite exponent
+    puts +inf in its first coordinate instead."""
+    if math.isinf(exponent):
+        w = root.copy()
+        w[0] = math.inf
+        return w
+    rng = np.random.default_rng(seed)
+    return root * (1.0 + 10.0**exponent * rng.uniform(-1.0, 1.0, root.size))
+
+
+def _reduced_evaluation(system, c, y0):
+    """The evaluation ``evaluate(w_2)`` that ``inner._reduced_newton``
+    hands to ``inner._damped`` for a solve from the y-block ``y0``."""
+    captured = []
+
+    def capture(evaluate, step, w, start=None):
+        captured.append(evaluate)
+        return None, 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inner, "_damped", capture)
+        inner._reduced_newton(system, c, y0)
+    return captured[0]
+
+
 def _two_tier_verdicts(args, exponent):
     """The round-off verdicts of the full normal map of a subproblem at the
     dual point of its answer, w* = c - gamma F1(u*), and at w* perturbed
-    by a relative 10**exponent (an infinite exponent puts +inf in w's first
-    coordinate instead).  Per point: the first tier's comparison, whether
-    ||G|| is finite (the first tier's guard), the full scale's verdict,
-    ``inner._at_round_off``'s, and the solve's own evaluation's (None at a
-    non-finite point, which the mirror map rejects; G is then taken with
-    the answer's map)."""
+    (:func:`_perturbed`), and on an entropy saddle those of the reduced
+    normal map at w_2* = c_2 + gamma M^T x* and at w_2* perturbed.  Per
+    point: the first tier's comparison, whether ||G|| is finite (the first
+    tier's guard), the full scale's verdict, ``inner._at_round_off``'s, and
+    the solve's own evaluation's (None at a non-finite point, which the
+    mirror map rejects; G is then taken with the answer's map)."""
     prob, v0 = _instance(*args)
     out = _newton(prob, v0)
     assert out is not None
@@ -828,12 +854,7 @@ def _two_tier_verdicts(args, exponent):
     c = dgf_grad(geom, prob.anchor) - gamma * prob.offset
     evaluate = inner._normal_map(system, geom, c, v0.concat())
     root = c - gamma * prob.f1.evaluate(out[0].concat())
-    if math.isinf(exponent):
-        w = root.copy()
-        w[0] = math.inf
-    else:
-        rng = np.random.default_rng(args[2])
-        w = root * (1.0 + 10.0**exponent * rng.uniform(-1.0, 1.0, root.size))
+    w = _perturbed(root, args[2], exponent)
     verdicts = []
     for point in (root, w):
         try:
@@ -851,6 +872,47 @@ def _two_tier_verdicts(args, exponent):
             full = bool((np.abs(g) <= (product + part) * inner.NEWTON_RTOL).all())
             two_tier = inner._at_round_off(g, norm, part, product.copy)
         verdicts.append((first, math.isfinite(norm), full, two_tier, done))
+    if system.saddle and geom.kind.entropy:
+        verdicts += _reduced_two_tier_verdicts(system, c, out[0], args[2],
+                                               exponent)
+    return verdicts
+
+
+def _reduced_two_tier_verdicts(system, c, answer, seed, exponent):
+    """:func:`_two_tier_verdicts` on the reduced normal map G_2 of an
+    entropy saddle, at w_2* = c_2 + gamma M^T x* of the ``answer`` (x*, y*)
+    and at w_2* perturbed, with the reduced solve's round-off scale,
+    restated: part = |w_2| + |c_2| and the product
+    |gamma M^T| (|u_1| + |D_1| |w_1|), D_1 the softmax Jacobian at w_1 =
+    c_1 - gamma M u_2."""
+    d1 = system.gM.shape[0]
+    c1, c2 = c[:d1], c[d1:]
+    x, y = answer.blocks
+    evaluate = _reduced_evaluation(system, c, y)
+    root = c2 + system.gMT @ x
+    verdicts = []
+    for w2 in (root, _perturbed(root, seed, exponent)):
+        with np.errstate(invalid="ignore"):
+            e2 = np.exp(w2 - w2.max())
+            u2 = e2 / e2.sum()
+            w1 = c1 - system.gM @ u2
+            e1 = np.exp(w1 - w1.max())
+            u1 = e1 / e1.sum()
+            g2 = w2 - c2 - system.gMT @ u1
+            norm = math.sqrt(g2 @ g2)
+            abs_w1 = np.abs(w1)
+            product = np.abs(system.gMT) @ (u1 * (abs_w1 + (1.0 + u1 @ abs_w1)))
+            part = np.abs(w2) + np.abs(c2)
+            first = bool((np.abs(g2) <= inner.NEWTON_RTOL * part).all())
+            full = bool((np.abs(g2) <= (product + part) * inner.NEWTON_RTOL).all())
+            two_tier = inner._at_round_off(g2, norm, part, product.copy)
+        try:
+            with np.errstate(invalid="ignore"):
+                done = evaluate(w2)[3]
+        except NumericsError:
+            assert not math.isfinite(norm)
+            done = None
+        verdicts.append((first, math.isfinite(norm), full, two_tier, done))
     return verdicts
 
 
@@ -859,6 +921,10 @@ def _two_tier_verdicts(args, exponent):
 _FULL_TIER_PASSES = [(("simplex", 5, 606, 14.6), -8.0),
                      (("entropy", 2, 299, 8.48), -15.7),
                      (("ball-recentred", 2, 562, 5.21), -13.6)]
+# the reduced normal map's first tier fails where its full scale passes,
+# at w_2* and at the perturbed w_2
+_REDUCED_FULL_TIER_PASSES = [(("entropy", 6, 3696684404, 4.98), -14.6),
+                             (("entropy-floored", 5, 4016105478, 16.33), -16.0)]
 # an infinite coordinate of w: the first tier alone would pass, the full
 # scale is NaN (|gB| has zero blocks on a saddle)
 _NON_FINITE = (("simplex", 3, 615, 7.7), math.inf)
@@ -869,12 +935,16 @@ _NON_FINITE = (("simplex", 3, 615, 7.7), math.inf)
 @example(*_FULL_TIER_PASSES[0])
 @example(*_FULL_TIER_PASSES[1])
 @example(*_FULL_TIER_PASSES[2])
+@example(*_REDUCED_FULL_TIER_PASSES[0])
+@example(*_REDUCED_FULL_TIER_PASSES[1])
 @example(*_NON_FINITE)
+@example(("entropy", 3, 615, 7.7), math.inf)
 def test_the_two_tier_stop_gives_the_full_scales_verdict(args, exponent):
     # the solve's stop asks the O(n) first tier, |G| <= NEWTON_RTOL part,
     # before it forms |gB| spread: at the answer and near it, on every
-    # geometry the solve covers, its verdict is the full scale's, and a
-    # first-tier pass is a full pass
+    # geometry the solve covers and on the reduced map of an entropy
+    # saddle, its verdict is the full scale's, and a first-tier pass is a
+    # full pass
     for first, finite, full, two_tier, done in _two_tier_verdicts(args, exponent):
         assert two_tier == full
         assert done in (None, full)
@@ -888,9 +958,48 @@ def test_the_two_tier_examples_reach_the_full_tier():
     # keeps the verdict at the full scale's "not done"
     for args, exponent in _FULL_TIER_PASSES:
         verdicts = _two_tier_verdicts(args, exponent)
-        assert (False, True, True, True, True) in verdicts
+        assert (False, True, True, True, True) in verdicts[:2]
+    for args, exponent in _REDUCED_FULL_TIER_PASSES:
+        verdicts = _two_tier_verdicts(args, exponent)
+        assert verdicts[2:] == [(False, True, True, True, True)] * 2
     _, at_inf = _two_tier_verdicts(*_NON_FINITE)
     assert at_inf == (True, False, False, False, None)
+
+
+@settings(max_examples=100)
+@given(st.tuples(
+    st.sampled_from(["entropy", "entropy-floored"]),
+    st.integers(2, 8),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 200.0),
+))
+def test_the_reduced_solve_without_its_first_tier_takes_the_same_steps(args):
+    # with the O(n) first tier off, every stop of the reduced solve forms
+    # the full round-off scale: the answer, its bits and the steps are the
+    # same, and so are those of the whole solve
+    prob, v0 = _instance(*args)
+    system = NewtonSystem(prob.f1, prob.gamma, prob.geometry)
+
+    def solves():
+        whole = _newton(prob, v0, system)
+        return [_attempt("reduced", prob, v0, system),
+                (None, None) if whole is None else whole]
+
+    def full_only(g, norm, part, product):
+        scale = product()
+        scale += part
+        scale *= inner.NEWTON_RTOL
+        return bool((np.abs(g) <= scale).all())
+
+    two_tier = solves()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inner, "_at_round_off", full_only)
+        full = solves()
+    for (u, steps), (u_full, steps_full) in zip(two_tier, full):
+        assert steps == steps_full
+        assert (u is None) == (u_full is None)
+        if u is not None:
+            assert np.array_equal(u.concat(), u_full.concat())
 
 
 # ---------------------------------------------------------------------------
@@ -1059,13 +1168,13 @@ def test_reduced_solve_skips_its_scale_only_far_from_round_off(args):
     system = NewtonSystem(prob.f1, gamma, geom)
     thetas = []
     with pytest.MonkeyPatch.context() as mp:
-        original = inner.softmax_map
+        original = inner.softmax
 
-        def recording(theta, layout=None):
+        def recording(theta):
             thetas.append(theta.copy())
-            return original(theta, layout)
+            return original(theta)
 
-        mp.setattr(inner, "softmax_map", recording)
+        mp.setattr(inner, "softmax", recording)
         u, steps = _attempt("reduced", prob, v0, system)
     c = dgf_grad(geom, prob.anchor) - gamma * prob.offset
     c1, c2 = c[:d1], c[d1:]
@@ -1093,6 +1202,49 @@ def test_reduced_solve_skips_its_scale_only_far_from_round_off(args):
         assert np.array_equal(u.concat(), u_full.concat())
 
 
+@settings(max_examples=200)
+@given(st.tuples(
+    st.integers(2, 8),
+    st.integers(2, 8),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 20.0),
+    st.integers(0, 3),
+))
+def test_a_predicted_start_answers_as_the_warm_start_does(args):
+    # paus_run extrapolates the log y of its last floored answers, some
+    # coordinates at TINY_MASS, to the y-block its next reduced attempt
+    # starts from: a probability vector, from which the solve answers
+    # where it does from v0, within the fixed-point bound
+    d1, d2, seed, gamma, answers = args
+    f1, geom, _, rng = _layout("entropy", d1, d2, seed, gamma)
+    history = []
+    for _ in range(answers):
+        y = rng.dirichlet(np.full(d2, 0.3))
+        y[rng.permutation(d2)[: rng.integers(0, d2)]] = 0.0
+        history.append(floor_simplex_flat(y, [(0, d2)]))
+    predicted = paus.predicted_y([np.log(y) for y in history])
+    if answers < 2:
+        assert predicted is None
+        return
+    assert predicted.shape == (d2,) and np.isfinite(predicted).all()
+    assert (predicted >= 0.0).all() and abs(predicted.sum() - 1.0) <= 1e-12
+    prob = CompositeProblem(
+        gamma=gamma, anchor=random_point(geom, rng), f1=f1,
+        offset=np.concatenate([0.5 * rng.normal(size=d1), 0.5 * rng.normal(size=d2)]),
+        geometry=geom, l_f1=float(np.linalg.norm(f1.matrix, 2)),
+    )
+    v0 = random_point(geom, rng)
+    system = NewtonSystem(f1, gamma, geom)
+    operands = (system, geom, dgf_grad(geom, prob.anchor), prob.offset, v0,
+                f1.evaluate(v0))
+    from_v0 = newton_solve_flat(*operands)
+    from_prediction = newton_solve_flat(*operands, predicted)
+    assert from_v0 is not None and from_prediction is not None
+    u = geom.layout.split(from_prediction[0])
+    assert _prox_residual(prob, u) <= 1e-11
+    assert float(np.abs(from_prediction[0] - from_v0[0]).max()) <= 1e-11
+
+
 def _check_reduced_rows(prob, v0, system, answer):
     """The reduced attempt's answer, when it gives one, is ``answer``, and
     both rows of the full normal map are at round-off there; a stall leaves
@@ -1103,13 +1255,13 @@ def _check_reduced_rows(prob, v0, system, answer):
     # u_2 = softmax(w_2), then u_1 = softmax(w_1)
     thetas = []
     with pytest.MonkeyPatch.context() as mp:
-        original = inner.softmax_map
+        original = inner.softmax
 
-        def recording(theta, layout=None):
+        def recording(theta):
             thetas.append(theta.copy())
-            return original(theta, layout)
+            return original(theta)
 
-        mp.setattr(inner, "softmax_map", recording)
+        mp.setattr(inner, "softmax", recording)
         u, _ = _attempt("reduced", prob, v0, system)
     if u is None:
         continued, _ = _attempt("continuation", prob, v0, system)
