@@ -305,6 +305,11 @@ def test_step_cap_hands_the_solve_back(monkeypatch):
     st.integers(0, 2**32 - 1),
     st.floats(0.0, math.log10(GAMMA_CAP_SCALE)),
 ))
+# two draws whose continuation fails a level ten times in all on its climb
+# (the ratio shrinks to 2^(2^-10)) but never ten times in a row; both are
+# answered after about 1,400 and 1,800 levels
+@example(("entropy-floored", 8, 19212, 4.0))
+@example(("entropy-floored", 8, 136262, 4.0))
 def test_newton_answers_at_every_gamma_a_run_can_choose(args):
     # a similarity solver's gamma is c / delta, and GAMMA_CAP_SCALE / L when
     # delta is at round-off, so gamma max|M| runs from about 1 up to
