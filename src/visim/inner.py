@@ -89,9 +89,8 @@ NEWTON_MAX_STEPS = 30
 NEWTON_RTOL = 1e-14
 # the shortest backtracking step before a Newton solve gives up
 NEWTON_MIN_STEP = 2.0**-30
-# the failed solves each phase of a gamma continuation may make in a row
-# before the subproblem is left to the extragradient loop; the climb also
-# gives up at twice that many in all
+# the failed solves each phase of a gamma continuation may make before the
+# subproblem is left to the extragradient loop
 _GAMMA_CONTINUATION_CAP = 10
 
 
@@ -354,16 +353,12 @@ def _continue_in_gamma(
     Newton solve converges, then climb back to the system's gamma by
     doubling it, each level warm-started from the last answer and F1
     there; a level that stalls is retried from that answer with the
-    square root of the ratio, which stays at that size for the rest of the
-    climb.  gamma_0 stays below the gamma whose solve from ``v0`` has just
-    failed.  Each level solves with c = grad - gamma_level * offset, and
-    ``system`` serves the last level.  Each phase gives up after
-    ``_GAMMA_CONTINUATION_CAP`` failed solves in a row; an answered level
-    starts the climb's count again, so a climb can pass several hard
-    stretches of the path.  The climb also gives up at twice that many
-    failed solves in all: after j of them the ratio is 2^(2^-j), so that
-    bounds the levels it can take.  Returns the answer and F1 there (None
-    if it gave up) and the steps taken."""
+    square root of the ratio.  gamma_0 stays below the gamma whose solve
+    from ``v0`` has just failed.  Each level solves with
+    c = grad - gamma_level * offset, and ``system`` serves the last level.
+    Each phase gives up after ``_GAMMA_CONTINUATION_CAP`` failed solves.
+    Returns the answer and F1 there (None if it gave up) and the steps
+    taken."""
     gamma, steps = system.gamma, 0
 
     def solve(g, start):
@@ -384,17 +379,15 @@ def _continue_in_gamma(
         lo /= 2.0
     else:
         return None, steps
-    ratio, failures, in_all = 2.0, 0, 0
+    ratio, failures = 2.0, 0
     while lo < gamma:
         g = gamma if lo * ratio >= gamma else lo * ratio
         nxt = solve(g, answer)
         if nxt is not None:
-            lo, answer, failures = g, nxt, 0
+            lo, answer = g, nxt
             continue
         failures += 1
-        in_all += 1
-        if (failures == _GAMMA_CONTINUATION_CAP
-                or in_all == 2 * _GAMMA_CONTINUATION_CAP):
+        if failures == _GAMMA_CONTINUATION_CAP:
             return None, steps
         ratio = math.sqrt(ratio)
     return answer, steps

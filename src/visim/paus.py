@@ -248,14 +248,14 @@ def paus_run(
     fallbacks = 0
     # the last step's u^k and F1(u^k): the next step's warm start
     warm: tuple[np.ndarray, np.ndarray] | None = None
-    # log y of the last three answers of an entropy saddle run, oldest
-    # first, and whether the next reduced attempt starts from their
-    # extrapolation (predicted_y): not after an answer of the continuation
-    # in gamma, whose reduced attempt failed
+    # log y of the last three answers of an entropy saddle run (kept only
+    # there), oldest first, and whether the next reduced attempt starts
+    # from their extrapolation (predicted_y): not after an answer of the
+    # continuation in gamma, whose reduced attempt failed
     predict = entropy and system.saddle
     d1 = geom.block_dims[0]
     logs: list[np.ndarray] = []
-    extrapolate = predict
+    extrapolate = True
 
     def step(z):
         nonlocal fallbacks, warm, logs, extrapolate
