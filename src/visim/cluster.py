@@ -35,8 +35,13 @@ def _kind(shard: OperatorShard) -> str:
 
 
 def _worker_mean(arrays: list[np.ndarray]) -> np.ndarray:
-    """The mean of the workers' arrays, summed in worker order."""
-    return sum(arrays[1:], arrays[0]) / len(arrays)
+    """The mean of the workers' arrays, summed in worker order in place
+    into one new array (the bits of ``sum(arrays[1:], arrays[0]) / m``)."""
+    total = arrays[0].copy()
+    for a in arrays[1:]:
+        total += a
+    total /= len(arrays)
+    return total
 
 
 @dataclass
@@ -56,11 +61,12 @@ class ClusterState:
         if not self.shards:
             raise ConfigError("a cluster needs at least one worker")
         first = self.shards[0]
+        kind = _kind(first)
         for i, shard in enumerate(self.shards[1:], start=2):
-            if _kind(shard) != _kind(first):
+            if _kind(shard) != kind:
                 raise ShapeError(
                     f"worker {i}: {_kind(shard)} shard, but worker 1 holds "
-                    f"a {_kind(first)} shard"
+                    f"a {kind} shard"
                 )
             if shard.matrix.shape != first.matrix.shape:
                 raise ShapeError(

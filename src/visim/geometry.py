@@ -31,6 +31,12 @@ domain, ``_ball_interior`` maps the l2 ball's interior for both
 :func:`piece_map` and :func:`mirror_map_flat`, a recentred ball's
 ``GeometrySetup.center`` is one flat array, and ``_lp_norm`` takes every
 vector norm.
+
+What a solver calls once per step reduces, sorts and scans through the
+ufuncs and ndarray methods that numpy's Python-level wrappers end in
+(``np.add.reduce`` for ``x.sum()``, ``np.logical_and.reduce`` for
+``x.all()``, ``u.sort()`` for ``np.sort``), on 1-d arrays, where they
+have the wrappers' bits without their per-call cost.
 """
 
 from __future__ import annotations
@@ -280,12 +286,13 @@ def dual_norm(setup: GeometrySetup, g: np.ndarray) -> float:
 
 def validate_point(setup: GeometrySetup, z: np.ndarray) -> None:
     _check_flat(setup, z)
-    if not np.all(np.isfinite(z)):
+    if not np.logical_and.reduce(np.isfinite(z)):
         raise NumericsError("non-finite point coordinates")
     if not setup.kind.ball:
         for lo, hi in setup.layout.bounds:
             b = z[lo:hi]
-            if np.any(b < -SIMPLEX_SUM_TOL) or abs(b.sum() - 1.0) > SIMPLEX_SUM_TOL:
+            if (np.logical_or.reduce(b < -SIMPLEX_SUM_TOL)
+                    or abs(np.add.reduce(b) - 1.0) > SIMPLEX_SUM_TOL):
                 raise DomainError("block is not on the probability simplex")
     else:
         p, r = 2.0 if setup.kind.euclidean else setup.p, setup.radius
@@ -345,7 +352,7 @@ def floor_simplex_flat(
     out = np.maximum(z, TINY_MASS)
     for lo, hi in bounds:
         b = out[lo:hi]
-        b /= b.sum()
+        b /= np.add.reduce(b)
     return out
 
 
@@ -356,11 +363,13 @@ def project_block_simplex(v: np.ndarray) -> np.ndarray:
     order.  Raises :class:`NumericsError` when no coordinate passes the
     threshold test.
     """
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    hits = np.nonzero(cond)[0]
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
+    css = u.cumsum()
+    css -= 1.0
+    cond = u - css / _counts(v.size) > 0
+    hits = cond.nonzero()[0]
     if hits.size == 0:
         # no coordinate passes when the input is non-finite or a coordinate
         # reaches about 2**53, where u - (u - 1) rounds to 0
@@ -370,6 +379,14 @@ def project_block_simplex(v: np.ndarray) -> np.ndarray:
     rho = int(hits[-1])
     theta = css[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
+
+
+@lru_cache
+def _counts(n: int) -> np.ndarray:
+    """1, 2, ..., n as integers, immutable."""
+    idx = np.arange(1, n + 1)
+    idx.flags.writeable = False
+    return idx
 
 
 def _project(setup: GeometrySetup, v: np.ndarray) -> np.ndarray:
@@ -433,7 +450,7 @@ def dgf_grad(setup: GeometrySetup, z: np.ndarray) -> np.ndarray:
     itself."""
     _check_flat(setup, z)
     if setup.kind.entropy:
-        if not has_mass(z).all():
+        if not np.logical_and.reduce(has_mass(z)):
             raise DomainError("entropy gradient needs strictly positive mass")
         e = np.log(z)
         e += 1.0
@@ -481,13 +498,14 @@ def bregman_divergence(setup: GeometrySetup, u: np.ndarray, v: np.ndarray) -> fl
 
 def _check_prox_args(setup, center, g, step):
     _check_flat(setup, center, g)
-    if step <= 0.0:
-        raise ParameterError(f"prox step must be positive, got {step}")
-    if not np.isfinite(g).all():
+    # NaN fails both comparisons
+    if not 0.0 < step < math.inf:
+        raise ParameterError(f"prox step must be finite and positive, got {step}")
+    if not np.logical_and.reduce(np.isfinite(g)):
         raise NumericsError("non-finite dual vector in prox map")
     # exact zeros (underflow) break the log-space update; any strictly
     # positive float, however tiny, is fine
-    if setup.kind.entropy and not has_mass(center).all():
+    if setup.kind.entropy and not np.logical_and.reduce(has_mass(center)):
         raise DomainError("entropy prox center must be strictly positive")
 
 
@@ -594,8 +612,9 @@ def composite_prox_map(
     degenerates to ``prox_map(center, g, 1)``.
     """
     _check_flat(setup, anchor)
-    if eta < 0.0:
-        raise ParameterError(f"composite weight eta must be >= 0, got {eta}")
+    if not 0.0 <= eta < math.inf:
+        raise ParameterError(
+            f"composite weight eta must be finite and >= 0, got {eta}")
     if eta == 0.0:
         return prox_map(setup, center, g, 1.0)
     # the center's and g's shapes, g finite, an entropy center positive
@@ -636,7 +655,7 @@ def mirror_map_flat(
     """
     if setup.kind is GeometryKind.A_NORM_BALL:
         raise ParameterError("the a-norm ball has no closed-form mirror map")
-    if not np.isfinite(theta).all():
+    if not np.logical_and.reduce(np.isfinite(theta)):
         raise NumericsError("non-finite dual vector in mirror map")
     layout = setup.layout
     if setup.kind.entropy:
@@ -644,7 +663,8 @@ def mirror_map_flat(
     if not setup.kind.ball:
         u = _project(setup, theta.copy())
         a = (u > 0.0).astype(float)
-        return u, a, [(1.0 / a[lo:hi].sum(), a[lo:hi]) for lo, hi in layout.bounds]
+        return u, a, [(1.0 / np.add.reduce(a[lo:hi]), a[lo:hi])
+                      for lo, hi in layout.bounds]
     x, n, inside = _ball_interior(setup, theta)
     if inside is not None:
         return inside
@@ -698,7 +718,7 @@ def piece_map(
         tau -= 1.0
         tau /= size
         u = theta - tau[layout.block_of]
-        if ((u > 0.0) != on).any():
+        if np.logical_or.reduce((u > 0.0) != on):
             return None
         np.maximum(u, 0.0, out=u)
         # D as on the projection's support S, which is z's

@@ -69,7 +69,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import solve1 as _gesv
 
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, check_positive
 from .geometry import (
     GeometrySetup,
     bregman_divergence,
@@ -128,10 +128,8 @@ class CompositeProblem:
     l_f1: float
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
-        if self.l_f1 <= 0.0:
-            raise ParameterError(f"L_F1 must be positive, got {self.l_f1}")
+        check_positive("gamma", self.gamma)
+        check_positive("L_F1", self.l_f1)
 
     @property
     def eta(self) -> float:
@@ -214,7 +212,7 @@ class NewtonSystem:
             np.subtract(r1, P @ y, out=dw[:d1])
             return dw
         ((beta, v),) = rank_one
-        if beta == 0.0 and (diag == 1.0).all():
+        if beta == 0.0 and np.logical_and.reduce(diag == 1.0):
             if self._interior_lu is None:
                 from scipy.linalg import lapack, lu_factor
 
@@ -445,12 +443,12 @@ def _at_round_off(
     the product for the full test.  The verdict is the full test's unless
     |gB| spread overflows, which takes terms near the largest double."""
     abs_g = np.abs(g)
-    if math.isfinite(norm) and (abs_g <= NEWTON_RTOL * part).all():
+    if math.isfinite(norm) and np.logical_and.reduce(abs_g <= NEWTON_RTOL * part):
         return True
     scale = product()
     scale += part
     scale *= NEWTON_RTOL
-    return bool((abs_g <= scale).all())
+    return bool(np.logical_and.reduce(abs_g <= scale))
 
 
 def _normal_map(
@@ -532,8 +530,8 @@ def _reduced_scale_bound(
     u_1.|w_1| <= max|c_1| + g and |w_2| <= |G_2| + |c_2| + g; the factors
     leave room for rounding."""
     g = system.max_abs_gB
-    return (2.0 * g + 2.02 * g * (float(np.abs(c1).max()) + g)
-            + 2.0 * float(abs_c2.max()))
+    return (2.0 * g + 2.02 * g * (float(np.maximum.reduce(np.abs(c1))) + g)
+            + 2.0 * float(np.maximum.reduce(abs_c2)))
 
 
 def _reduced_newton(
@@ -633,7 +631,7 @@ def composite_mp(
     for t in range(max_iters):
         v_half = composite_prox_map(geom, anchor, v, problem.gradient(v), eta)
         v_next = composite_prox_map(geom, anchor, v, problem.gradient(v_half), eta)
-        if not np.isfinite(v_next).all():
+        if not np.logical_and.reduce(np.isfinite(v_next)):
             raise NumericsError(f"non-finite inner iterate at step {t}")
         if entropy:
             v_next = floor_simplex_flat(v_next, bounds)

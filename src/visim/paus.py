@@ -325,4 +325,4 @@ def duality_gap(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """max_j (M^T x)_j - min_i (M y)_i: the matrix-game duality gap of the
     strategy pair (x, y).  Zero exactly at Nash equilibria."""
     M = np.asarray(M, dtype=float)
-    return float((M.T @ x).max() - (M @ y).min())
+    return float(np.maximum.reduce(M.T @ x) - np.minimum.reduce(M @ y))

@@ -6,7 +6,11 @@ Euclidean projections through exact support enumeration, ball proxes
 through scipy's constrained solvers, and the similarity constant through
 random sampling.  The outer step is written out block by block, each
 block its own array, as the solvers ran it before they ran on flat
-arrays (:func:`per_block_run`).
+arrays (:func:`per_block_run`).  The ``wrapper_*`` functions write the
+primitives that the solvers run through numpy's ufuncs and ndarray
+methods with numpy's Python-level wrappers instead (``np.sort``,
+``x.sum()``, ``x.max()``, Python's ``sum``), as the solvers ran them
+before.
 """
 
 import itertools
@@ -15,6 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from visim.errors import NumericsError
 from visim.geometry import (
     TINY_MASS,
     GeometryKind,
@@ -398,3 +403,41 @@ def per_block_run(solver, config, cluster, gap_fn=None, keep_iterates=False,
         u_avg=Point(tuple(acc / config.iters for acc in u_sum)), log=log,
         u_path=u_path, z_path=z_path, inner_fallbacks=fallbacks,
     )
+
+
+# ---------------------------------------------------------------------------
+# primitives written with numpy's Python-level wrappers, as they were before
+# the solvers called the ufuncs and ndarray methods those wrappers end in
+
+
+def wrapper_project_block_simplex(v):
+    """project_block_simplex through np.sort, np.cumsum and np.nonzero."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, v.size + 1)
+    cond = u - css / idx > 0
+    hits = np.nonzero(cond)[0]
+    if hits.size == 0:
+        raise NumericsError("simplex projection found no threshold")
+    rho = int(hits[-1])
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def wrapper_floor_simplex_flat(z, bounds):
+    """floor_simplex_flat with each block divided by its ``.sum()``."""
+    out = np.maximum(z, TINY_MASS)
+    for lo, hi in bounds:
+        b = out[lo:hi]
+        b /= b.sum()
+    return out
+
+
+def wrapper_worker_mean(arrays):
+    """The workers' mean as Python's sum in worker order, divided by m."""
+    return sum(arrays[1:], arrays[0]) / len(arrays)
+
+
+def wrapper_duality_gap(M, x, y):
+    """duality_gap through ``.max()`` and ``.min()``."""
+    return float((M.T @ x).max() - (M @ y).min())

@@ -370,6 +370,29 @@ def test_composite_prox_rejects_negative_eta():
         composite_prox_map(setup, z, z, np.array([0.0, 0.0]), -0.1)
 
 
+@pytest.mark.parametrize("setup", [entropy_simplex(3), euclidean_simplex(3),
+                                   euclidean_ball(3)], ids=lambda s: s.kind.value)
+@pytest.mark.parametrize("step", [math.nan, math.inf])
+def test_prox_rejects_a_step_that_is_not_finite(setup, step):
+    # unrefused, such a step gives an all-NaN point on the entropy simplex
+    # and the l2 ball, and a misleading NumericsError on the simplex
+    z = uniform_point(setup).concat()
+    with pytest.raises(ParameterError, match="finite and positive"):
+        prox_map(setup, z, np.ones(z.size), step)
+
+
+@pytest.mark.parametrize("setup", [entropy_simplex(3), euclidean_simplex(3),
+                                   euclidean_ball(3)], ids=lambda s: s.kind.value)
+@pytest.mark.parametrize("eta", [math.nan, math.inf])
+def test_composite_prox_rejects_an_eta_that_is_not_finite(setup, eta):
+    z = uniform_point(setup).concat()
+    with pytest.raises(ParameterError, match="finite and >= 0"):
+        composite_prox_map(setup, z, z, np.ones(z.size), eta)
+    # eta = 0 is the plain prox map at step 1
+    assert np.array_equal(composite_prox_map(setup, z, z, np.ones(z.size), 0.0),
+                          prox_map(setup, z, np.ones(z.size), 1.0))
+
+
 def test_composite_prox_optimality_first_order():
     # the output minimizes <g,v> + eta V(v,anchor) + V(v,center): verify the
     # objective at the output beats nearby feasible perturbations

@@ -294,3 +294,13 @@ def test_input_validation():
             gamma=-1.0, anchor=v0, f1=prob.f1, offset=prob.offset,
             geometry=prob.geometry, l_f1=1.0,
         )
+
+
+@pytest.mark.parametrize("field", ["gamma", "l_f1"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_composite_problem_rejects_a_constant_that_is_not_finite(field, value):
+    prob, _, _ = _game_problem(d=3, T=40, m=4, seed=9)
+    settings = {"gamma": 1.0, "l_f1": 1.0, field: value}
+    with pytest.raises(ParameterError, match="finite and positive"):
+        CompositeProblem(anchor=prob.anchor, f1=prob.f1, offset=prob.offset,
+                         geometry=prob.geometry, **settings)
