@@ -13,13 +13,20 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
 from .baselines import BaselineConfig, BaselineKind, mirror_prox_run
 from .cluster import ClusterState, shard_data
-from .errors import ConfigError, IoError, VisimError, check_iters, check_positive
+from .errors import (
+    ConfigError,
+    IoError,
+    VisimError,
+    check_finite_positive,
+    check_int_at_least,
+    check_iters,
+    check_positive,
+)
 from .geometry import (
     entropy_simplex,
     euclidean_simplex,
@@ -64,13 +71,8 @@ class GameSpec:
             raise ConfigError(f"need d >= 2, got {self.d}")
         # numpy's generator takes a non-negative integer seed, and a
         # non-finite theta gives C NaN entries
-        if not (isinstance(self.seed, Integral) and self.seed >= 0):
-            raise ConfigError(
-                f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (isinstance(self.theta, Real) and math.isfinite(self.theta)
-                and self.theta > 0.0):
-            raise ConfigError(
-                f"theta must be finite and positive, got {self.theta!r}")
+        check_int_at_least("seed", self.seed, 0)
+        check_finite_positive("theta", self.theta)
         # T = 0 and T = -m are multiples of m too, but give a worker no data
         if self.m < 1 or self.T < self.m or self.T % self.m != 0:
             raise ConfigError(

@@ -2,7 +2,7 @@
 numeric parameters that every config makes."""
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class VisimError(Exception):
@@ -59,3 +59,17 @@ def check_iters(iters: int) -> None:
     """Refuse an iteration count that is not an int >= 1."""
     if not (isinstance(iters, Integral) and iters >= 1):
         raise ParameterError(f"need at least one iteration, got {iters}")
+
+
+def check_int_at_least(name: str, value: int, least: int) -> None:
+    """Refuse an instance field that is not an int >= ``least`` with a
+    ConfigError naming it."""
+    if not (isinstance(value, Integral) and value >= least):
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_finite_positive(name: str, value: float) -> None:
+    """Refuse an instance field that is not a finite real > 0 (NaN
+    included) with a ConfigError naming it."""
+    if not (isinstance(value, Real) and math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")

@@ -250,7 +250,7 @@ def _lp_norm(x: np.ndarray, p: float) -> float:
         return math.sqrt(x @ x)
     if p == math.inf:
         return float(np.abs(x).max()) if x.size else 0.0
-    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+    return float(np.add.reduce(np.abs(x) ** p) ** (1.0 / p))
 
 
 def _block_norm_exponent(setup: GeometrySetup, dual: bool = False) -> float:
@@ -410,7 +410,7 @@ def _project(setup: GeometrySetup, v: np.ndarray) -> np.ndarray:
 def _entropy_block_value(b: np.ndarray) -> float:
     # 0 log 0 = 0 convention on the coordinates without mass
     mask = has_mass(b)
-    return float(np.sum(b[mask] * np.log(b[mask])))
+    return float(np.add.reduce(b[mask] * np.log(b[mask])))
 
 
 def dgf_value(setup: GeometrySetup, z: np.ndarray) -> float:
@@ -424,7 +424,7 @@ def dgf_value(setup: GeometrySetup, z: np.ndarray) -> float:
     if setup.kind.euclidean:
         return sum(0.5 * float(x[lo:hi] @ x[lo:hi]) for lo, hi in bounds)
     a = setup.a
-    return float(np.sum(np.abs(x) ** a) ** (2.0 / a)) / (2.0 * (a - 1.0))
+    return float(np.add.reduce(np.abs(x) ** a) ** (2.0 / a)) / (2.0 * (a - 1.0))
 
 
 def _a_norm_grad(x: np.ndarray, a: float) -> np.ndarray:
@@ -475,11 +475,12 @@ def bregman_divergence(setup: GeometrySetup, u: np.ndarray, v: np.ndarray) -> fl
         for lo, hi in bounds:
             ub, vb = u[lo:hi], v[lo:hi]
             mask = has_mass(ub)
-            if np.any(mask & ~has_mass(vb)):
+            if np.logical_or.reduce(mask & ~has_mass(vb)):
                 raise DivergenceInfinite(
                     "u puts mass where the reference point v has none"
                 )
-            total += float(np.sum(ub[mask] * (np.log(ub[mask]) - np.log(vb[mask]))))
+            total += float(np.add.reduce(
+                ub[mask] * (np.log(ub[mask]) - np.log(vb[mask]))))
         return max(total, 0.0)
     if setup.kind.euclidean:
         return sum(
@@ -620,7 +621,7 @@ def composite_prox_map(
     # the center's and g's shapes, g finite, an entropy center positive
     _check_prox_args(setup, center, g, 1.0)
     if setup.kind.entropy:
-        if not has_mass(anchor).all():
+        if not np.logical_and.reduce(has_mass(anchor)):
             raise DomainError("entropy prox centers must be strictly positive")
         wa = eta / (1.0 + eta)
         wc = 1.0 / (1.0 + eta)
@@ -804,4 +805,4 @@ def recenter(
     old = np.zeros(setup.layout.size) if setup.center is None else setup.center
     new = old + shift_from - shift_to
     # exactly zero (-0.0 included); a NaN centre is not
-    return replace(setup, center=new if new.any() else None)
+    return replace(setup, center=new if np.logical_or.reduce(new) else None)

@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterState
-from .errors import ConfigError, ParameterError, RestartStallError, check_positive
+from .errors import (
+    ConfigError,
+    ParameterError,
+    RestartStallError,
+    check_finite_positive,
+    check_int_at_least,
+    check_positive,
+)
 from .geometry import (
     GeometrySetup,
     Point,
@@ -167,6 +174,23 @@ def paus_r(
     )
 
 
+def _spectral_norm(X: np.ndarray) -> float:
+    """sigma_max(X), the square root of the top eigenvalue of the smaller
+    Gram matrix of X; 0 for a zero X.
+
+    X is first scaled exactly, by ``np.ldexp``, with the power of two that
+    brings max|X_ij| into [1/2, 1), so the Gram product can neither
+    overflow nor lose its top eigenvalue (at least 1/4) to underflow.
+    """
+    top = float(np.abs(X).max())
+    if top == 0.0:
+        return 0.0
+    e = math.frexp(top)[1]
+    Y = np.ldexp(X, -e)
+    gram = Y.T @ Y if Y.shape[0] >= Y.shape[1] else Y @ Y.T
+    return math.ldexp(math.sqrt(np.linalg.eigvalsh(gram)[-1]), e)
+
+
 def synthetic_strongly_monotone(
     dim: int,
     m: int,
@@ -184,25 +208,42 @@ def synthetic_strongly_monotone(
     deviation has spectral norm exactly ``delta``.  b places the solution
     z* = -(A + mu I)^{-1} b at ||z*|| = spread * radius inside the l2 ball.
 
+    The constants: sigma_max(A) = 1 after A is divided by its spectral
+    norm, so L = ||A + mu I||_2 = hypot(1, mu) in closed form (A is normal,
+    and A + mu I has singular values sqrt(sigma_k(A)^2 + mu^2)).  The
+    spectral norms of A, of E_0 and L_F1 = ||A + E_0 + mu I||_2 are each
+    the square root of the top eigenvalue of a Gram matrix
+    (:func:`_spectral_norm`), not a full SVD.
+
+    Refused with a ConfigError naming the field: dim < 2 (A would be 0),
+    m < 2 (no server deviation), a seed that is not a non-negative
+    integer, and mu, delta or radius that is not finite and positive; a
+    spread outside (0, 1) is a ParameterError.
+
     Returns (shards, z_star, constants) with l2-pairing constants.
     """
+    check_int_at_least("dim", dim, 2)
+    check_int_at_least("m", m, 2)
+    check_int_at_least("seed", seed, 0)
+    for name, value in (("mu", mu), ("delta", delta), ("radius", radius)):
+        check_finite_positive(name, value)
     if not (0.0 < spread < 1.0):
         raise ParameterError("spread must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((dim, dim))
     A = 0.5 * (B - B.T)
-    A *= 1.0 / max(np.linalg.norm(A, 2), 1e-15)  # sigma_max(A) = 1
+    A *= 1.0 / _spectral_norm(A)  # sigma_max(A) = 1
     direction = rng.standard_normal(dim)
     z_star = direction * (spread * radius / np.linalg.norm(direction))
     b = -(A + mu * np.eye(dim)) @ z_star
     E = rng.standard_normal((m, dim, dim))
     E -= E.mean(axis=0)
-    E *= delta / max(np.linalg.norm(E[0], 2), 1e-15)
+    E *= delta / _spectral_norm(E[0])
 
     shards = [OperatorShard(A + E[i] + mu * np.eye(dim), b) for i in range(m)]
     consts = SimilarityConstants(
-        L=float(np.linalg.norm(A + mu * np.eye(dim), 2)),
-        L_F1=float(np.linalg.norm(A + E[0] + mu * np.eye(dim), 2)),
+        L=math.hypot(1.0, mu),
+        L_F1=_spectral_norm(shards[0].matrix),  # A + E_0 + mu I
         delta=delta,
         mu=mu,
         norm_tag="l2",

@@ -19,13 +19,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from visim.errors import NumericsError
+from visim.errors import DivergenceInfinite, NumericsError
 from visim.geometry import (
     TINY_MASS,
     GeometryKind,
     Point,
     _ball_constrained_solve,
     dgf_grad,
+    has_mass,
     project_block_simplex,
     prox_map,
     validate_point,
@@ -441,3 +442,32 @@ def wrapper_worker_mean(arrays):
 def wrapper_duality_gap(M, x, y):
     """duality_gap through ``.max()`` and ``.min()``."""
     return float((M.T @ x).max() - (M @ y).min())
+
+
+def wrapper_lp_norm(x, p):
+    """_lp_norm for p other than 2 and inf, through np.sum."""
+    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+
+
+def wrapper_dgf_value(setup, z):
+    """dgf_value through np.sum, for the entropy simplex and the a-norm
+    ball."""
+    if setup.kind.entropy:
+        blocks = [z[lo:hi][has_mass(z[lo:hi])] for lo, hi in setup.layout.bounds]
+        return sum(float(np.sum(b * np.log(b))) for b in blocks)
+    x = z if setup.center is None else z - setup.center
+    a = setup.a
+    return float(np.sum(np.abs(x) ** a) ** (2.0 / a)) / (2.0 * (a - 1.0))
+
+
+def wrapper_entropy_divergence(setup, u, v):
+    """bregman_divergence on the entropy simplex through np.any and
+    np.sum."""
+    total = 0.0
+    for lo, hi in setup.layout.bounds:
+        ub, vb = u[lo:hi], v[lo:hi]
+        mask = has_mass(ub)
+        if np.any(mask & ~has_mass(vb)):
+            raise DivergenceInfinite("u puts mass where v has none")
+        total += float(np.sum(ub[mask] * (np.log(ub[mask]) - np.log(vb[mask]))))
+    return max(total, 0.0)

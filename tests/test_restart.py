@@ -227,3 +227,20 @@ def test_synthetic_family_properties():
     assert np.linalg.norm(z_star.blocks[0]) == pytest.approx(0.5)
     with pytest.raises(ParameterError):
         synthetic_strongly_monotone(4, 2, 0.1, 0.5, seed=0, spread=1.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", 1), ("dim", 0), ("dim", 3.0),
+    ("m", 1), ("m", 0),
+    ("seed", -1), ("seed", 2.5),
+    ("mu", math.nan), ("mu", math.inf), ("mu", 0.0), ("mu", -0.5),
+    ("delta", math.nan), ("delta", 0.0),
+    ("radius", math.nan), ("radius", -1.0),
+])
+def test_family_refuses_inputs_no_family_can_have(field, value):
+    # dim 1 has A = 0 and m 1 no server deviation; before, mu = nan raised
+    # LinAlgError, m = 0 IndexError and a bad seed numpy's ValueError
+    kw = dict(dim=4, m=3, mu=0.5, delta=1.0, seed=0, radius=1.0)
+    kw[field] = value
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        synthetic_strongly_monotone(**kw)
